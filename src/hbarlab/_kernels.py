@@ -1,35 +1,20 @@
-"""Hot integrator kernels: numba @njit when available, pure numpy otherwise.
+"""Hot integrator kernels on one symplectic stepper.
 
-The package runs entirely without numba; when numba is importable the
-velocity-Verlet trajectory, characteristic-fan, and phase-space pullback
-loops are JIT-compiled.  Set the environment variable HBARLAB_NO_NUMBA=1 to
-force the pure-numpy path (used by the benchmark and the agreement tests).
+`_kdk` is the only kick-drift-kick (Stormer-Verlet) loop in the package.
+It works on scalars and on numpy arrays alike, and run with a negative dt
+it traces the same flow backward.  The three public kernels are short loops
+over it: the scalar Newton trajectory (`verlet_path`), the characteristic
+fan with its action integral (`fan_path`) and the backward semi-Lagrangian
+phase-space pullback (`liouville_pullback`).
 
-Serial kernels only: parallel reductions would reorder float sums and break
-byte-identical reruns.
-
-All kernels take polynomial coefficient arrays (low -> high degree):
-`fc` are force coefficients, `vc` potential coefficients.  Time enters only
-through step counts; piecewise-constant potential schedules are handled by
-the callers, which re-invoke the kernels per segment.
+Everything is serial numpy and evaluation order is fixed, so reruns are
+byte-identical.  Polynomials are coefficient arrays (low -> high degree):
+`fc` for the force, `vc` for the potential.
 """
 
-import os
+from functools import partial
 
 import numpy as np
-
-try:
-    import numba
-    _HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via env flag instead
-    numba = None
-    _HAS_NUMBA = False
-
-_DISABLED = os.environ.get("HBARLAB_NO_NUMBA", "").strip().lower() in (
-    "1", "true", "yes")
-USING_NUMBA = _HAS_NUMBA and not _DISABLED
-
-_polyval = np.polynomial.polynomial.polyval
 
 
 def _horner(c, x):
@@ -39,46 +24,36 @@ def _horner(c, x):
     return acc
 
 
-if _HAS_NUMBA:
-    _horner = numba.njit(cache=True)(_horner)
-
-
-# ----------------------------------------------------------------------
-# Scalar velocity-Verlet trajectory
-# ----------------------------------------------------------------------
-
-def _verlet_path_loops(fc, m, r0, p0, dt, n_steps, stride, escape_bound):
-    """Kick-drift-kick trajectory; saves every `stride` steps (step 0
-    included).  Returns (r_saved, p_saved, escape_step) with
-    escape_step = -1 when |r| stayed within escape_bound."""
-    n_saves = n_steps // stride + 1
-    r_out = np.empty(n_saves)
-    p_out = np.empty(n_saves)
-    r = r0
-    p = p0
-    r_out[0] = r
-    p_out[0] = p
-    f = _horner(fc, r)
-    isave = 1
+def _kdk(force, m, x, p, dt, n_steps):
+    """Kick-drift-kick steps from (x, p) under the force x -> F(x); yields
+    (step, x, p, f) after each of the steps 1..n_steps, f = F(x)."""
+    f = force(x)
     for step in range(1, n_steps + 1):
         ph = p + 0.5 * dt * f
-        r = r + dt * ph / m
-        f = _horner(fc, r)
+        x = x + dt * ph / m
+        f = force(x)
         p = ph + 0.5 * dt * f
+        yield step, x, p, f
+
+
+def verlet_path(force, m, r0, p0, dt, n_steps, stride, escape_bound):
+    """Scalar trajectory under the callable `force`; saves every `stride`
+    steps (step 0 included).  Returns (r_saved, p_saved, escape_step) with
+    escape_step = -1 when |r| stayed within escape_bound."""
+    r_out = [r0]
+    p_out = [p0]
+    escape_step = -1
+    for step, r, p, _ in _kdk(force, m, r0, p0, dt, n_steps):
         if abs(r) > escape_bound:
-            return r_out[:isave], p_out[:isave], step
+            escape_step = step
+            break
         if step % stride == 0:
-            r_out[isave] = r
-            p_out[isave] = p
-            isave += 1
-    return r_out, p_out, -1
+            r_out.append(r)
+            p_out.append(p)
+    return np.array(r_out), np.array(p_out), escape_step
 
 
-# ----------------------------------------------------------------------
-# Characteristic fan: many trajectories + action accumulation
-# ----------------------------------------------------------------------
-
-def _fan_path_loops(fc, vc, m, x0, p0, dt, n_steps, save_steps):
+def fan_path(fc, vc, m, x0, p0, dt, n_steps, save_steps):
     """Integrate a fan of characteristics, accumulating the action
     integral of (p^2/2m - V) by the trapezoid rule.
 
@@ -89,74 +64,21 @@ def _fan_path_loops(fc, vc, m, x0, p0, dt, n_steps, save_steps):
     continues past the crossing: density transport at later times may
     still be well defined even though a single-valued action field is not.
     """
-    nc = x0.size
     ns = save_steps.size
-    x_out = np.empty((ns, nc))
-    p_out = np.empty((ns, nc))
-    a_out = np.empty((ns, nc))
-    x = x0.copy()
-    p = p0.copy()
-    act = np.zeros(nc)
-    f = np.empty(nc)
-    lag = np.empty(nc)
-    for i in range(nc):
-        f[i] = _horner(fc, x[i])
-        lag[i] = 0.5 * p[i] * p[i] / m - _horner(vc, x[i])
+    x_out = np.empty((ns, x0.size))
+    p_out = np.empty((ns, x0.size))
+    a_out = np.empty((ns, x0.size))
+    act = np.zeros(x0.size)
+    lag = 0.5 * p0 * p0 / m - _horner(vc, x0)
     isave = 0
     caustic_step = -1
     if ns > 0 and save_steps[0] == 0:
-        for i in range(nc):
-            x_out[0, i] = x[i]
-            p_out[0, i] = p[i]
-            a_out[0, i] = 0.0
-        isave = 1
-    for step in range(1, n_steps + 1):
-        for i in range(nc):
-            ph = p[i] + 0.5 * dt * f[i]
-            x[i] = x[i] + dt * ph / m
-            f[i] = _horner(fc, x[i])
-            p[i] = ph + 0.5 * dt * f[i]
-            lnew = 0.5 * p[i] * p[i] / m - _horner(vc, x[i])
-            act[i] = act[i] + 0.5 * dt * (lag[i] + lnew)
-            lag[i] = lnew
-        if caustic_step < 0:
-            for i in range(nc - 1):
-                if x[i + 1] <= x[i]:
-                    caustic_step = step
-                    break
-        if isave < ns and step == save_steps[isave]:
-            for i in range(nc):
-                x_out[isave, i] = x[i]
-                p_out[isave, i] = p[i]
-                a_out[isave, i] = act[i]
-            isave += 1
-    return x_out, p_out, a_out, caustic_step
-
-
-def _fan_path_np(fc, vc, m, x0, p0, dt, n_steps, save_steps):
-    nc = x0.size
-    ns = save_steps.size
-    x_out = np.empty((ns, nc))
-    p_out = np.empty((ns, nc))
-    a_out = np.empty((ns, nc))
-    x = x0.astype(float).copy()
-    p = p0.astype(float).copy()
-    act = np.zeros(nc)
-    f = _polyval(x, fc)
-    lag = 0.5 * p * p / m - _polyval(x, vc)
-    isave = 0
-    caustic_step = -1
-    if ns > 0 and save_steps[0] == 0:
-        x_out[0] = x
-        p_out[0] = p
+        x_out[0] = x0
+        p_out[0] = p0
         a_out[0] = 0.0
         isave = 1
-    for step in range(1, n_steps + 1):
-        ph = p + 0.5 * dt * f
-        x += dt * ph / m
-        f = _polyval(x, fc)
-        p = ph + 0.5 * dt * f
-        lnew = 0.5 * p * p / m - _polyval(x, vc)
+    for step, x, p, _ in _kdk(partial(_horner, fc), m, x0, p0, dt, n_steps):
+        lnew = 0.5 * p * p / m - _horner(vc, x)
         act += 0.5 * dt * (lag + lnew)
         lag = lnew
         if caustic_step < 0 and np.any(np.diff(x) <= 0.0):
@@ -169,56 +91,17 @@ def _fan_path_np(fc, vc, m, x0, p0, dt, n_steps, save_steps):
     return x_out, p_out, a_out, caustic_step
 
 
-# ----------------------------------------------------------------------
-# Semi-Lagrangian phase-space pullback
-# ----------------------------------------------------------------------
-
-def _liouville_pullback_loops(fc, m, x_nodes, p_nodes, dt, n_sub, rho0,
-                              x0_min, dx0, p0_min, dp0):
+def liouville_pullback(fc, m, x_nodes, p_nodes, dt, n_sub, rho0,
+                       x0_min, dx0, p0_min, dp0):
     """Pull every phase-space node (x, p) backward through the Newton flow
     for n_sub steps of size dt, then sample rho0 bilinearly at the foot.
     Feet outside the source rectangle contribute zero."""
     nx = x_nodes.size
     npp = p_nodes.size
-    out = np.zeros((nx, npp))
-    for i in range(nx):
-        for j in range(npp):
-            x = x_nodes[i]
-            p = p_nodes[j]
-            f = _horner(fc, x)
-            for _ in range(n_sub):
-                ph = p - 0.5 * dt * f
-                x = x - dt * ph / m
-                f = _horner(fc, x)
-                p = ph - 0.5 * dt * f
-            fx = (x - x0_min) / dx0
-            fp = (p - p0_min) / dp0
-            if fx < 0.0 or fx > nx - 1 or fp < 0.0 or fp > npp - 1:
-                continue
-            i0 = min(int(np.floor(fx)), nx - 2)
-            j0 = min(int(np.floor(fp)), npp - 2)
-            wx = fx - i0
-            wp = fp - j0
-            out[i, j] = (rho0[i0, j0] * (1.0 - wx) * (1.0 - wp)
-                         + rho0[i0 + 1, j0] * wx * (1.0 - wp)
-                         + rho0[i0, j0 + 1] * (1.0 - wx) * wp
-                         + rho0[i0 + 1, j0 + 1] * wx * wp)
-    return out
-
-
-def _liouville_pullback_np(fc, m, x_nodes, p_nodes, dt, n_sub, rho0,
-                           x0_min, dx0, p0_min, dp0):
-    nx = x_nodes.size
-    npp = p_nodes.size
     X, P = np.meshgrid(x_nodes, p_nodes, indexing="ij")
-    x = X.ravel().astype(float)
-    p = P.ravel().astype(float)
-    f = _polyval(x, fc)
-    for _ in range(n_sub):
-        ph = p - 0.5 * dt * f
-        x -= dt * ph / m
-        f = _polyval(x, fc)
-        p = ph - 0.5 * dt * f
+    for _, x, p, _ in _kdk(partial(_horner, fc), m, X.ravel(), P.ravel(),
+                           -dt, n_sub):
+        pass          # only the feet, the final (x, p), are needed
     fx = (x - x0_min) / dx0
     fp = (p - p0_min) / dp0
     inside = (fx >= 0.0) & (fx <= nx - 1) & (fp >= 0.0) & (fp <= npp - 1)
@@ -232,35 +115,3 @@ def _liouville_pullback_np(fc, m, x_nodes, p_nodes, dt, n_sub, rho0,
             + rho0[i0c + 1, j0c + 1] * wx * wp)
     vals[~inside] = 0.0
     return vals.reshape(nx, npp)
-
-
-# ----------------------------------------------------------------------
-# Implementation selection
-# ----------------------------------------------------------------------
-
-IMPLEMENTATIONS = {
-    "numpy": {
-        "verlet_path": _verlet_path_loops,
-        "fan_path": _fan_path_np,
-        "liouville_pullback": _liouville_pullback_np,
-    }
-}
-
-if _HAS_NUMBA:
-    IMPLEMENTATIONS["numba"] = {
-        "verlet_path": numba.njit(cache=True)(_verlet_path_loops),
-        "fan_path": numba.njit(cache=True)(_fan_path_loops),
-        "liouville_pullback": numba.njit(cache=True)(_liouville_pullback_loops),
-    }
-
-# Active selection is per kernel: the scalar trajectory and the fan gain
-# 3-30x from the JIT, while the phase-space pullback is memory-bound and
-# the vectorized numpy version measures faster on few-core machines (see
-# benchmarks/bench_kernels.py), so it stays on numpy either way.
-if USING_NUMBA:
-    verlet_path = IMPLEMENTATIONS["numba"]["verlet_path"]
-    fan_path = IMPLEMENTATIONS["numba"]["fan_path"]
-else:
-    verlet_path = IMPLEMENTATIONS["numpy"]["verlet_path"]
-    fan_path = IMPLEMENTATIONS["numpy"]["fan_path"]
-liouville_pullback = IMPLEMENTATIONS["numpy"]["liouville_pullback"]

@@ -24,6 +24,7 @@ force equals the force at the mean.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -70,42 +71,19 @@ def newton_integrate(V, r0, p0, dt, n_steps, save_stride=1,
     save_stride = int(save_stride)
     if n_steps % save_stride != 0:
         raise DomainError("n_steps must be a multiple of save_stride")
-    if V.is_time_dependent:
-        raise DomainError("newton_integrate requires a static potential")
     if V.kind == "tabulated":
-        r_out, p_out, esc = _verlet_tabulated(
-            V, float(r0), float(p0), dt, n_steps, save_stride, escape_bound)
+        force = partial(eval_force, V)
     else:
-        fc = V.force_coeffs_at(0.0)
-        r_out, p_out, esc = _kernels.verlet_path(
-            fc, V.mass, float(r0), float(p0), dt, n_steps, save_stride,
-            float(escape_bound))
+        force = partial(_kernels._horner, V.force_coeffs())
+    r_out, p_out, esc = _kernels.verlet_path(
+        force, V.mass, float(r0), float(p0), dt, n_steps, save_stride,
+        float(escape_bound))
     if esc >= 0:
         raise EscapeError(
             f"trajectory left |r| <= {escape_bound:g} at t={esc * dt:.6g}")
     times = dt * save_stride * np.arange(r_out.size)
     energy = 0.5 * p_out ** 2 / V.mass + eval_potential(V, r_out)
     return Trajectory(times, r_out, p_out, energy, V.mass)
-
-
-def _verlet_tabulated(V, r, p, dt, n_steps, stride, bound):
-    n_saves = n_steps // stride + 1
-    r_out = np.empty(n_saves)
-    p_out = np.empty(n_saves)
-    r_out[0], p_out[0] = r, p
-    f = eval_force(V, r)
-    isave = 1
-    for step in range(1, n_steps + 1):
-        ph = p + 0.5 * dt * f
-        r = r + dt * ph / V.mass
-        f = eval_force(V, r)
-        p = ph + 0.5 * dt * f
-        if abs(r) > bound:
-            return r_out[:isave], p_out[:isave], step
-        if step % stride == 0:
-            r_out[isave], p_out[isave] = r, p
-            isave += 1
-    return r_out, p_out, -1
 
 
 def sample_trajectory(traj, times):
@@ -179,17 +157,16 @@ def liouville_evolve(rho0, V, t, dt):
     call regardless of t.  Raises MassDriftError when the advected mass
     drifts beyond 1e-3 (grid too coarse or support reaching the boundary).
     """
-    if V.is_time_dependent or V.kind == "tabulated":
+    if V.kind == "tabulated":
         raise DomainError(
-            "liouville_evolve requires a static polynomial-backed potential")
+            "liouville_evolve requires a polynomial-backed potential")
     if dt <= 0 or t <= 0:
         raise DomainError("t and dt must be positive")
     _validated(rho0)
     n_sub = max(1, int(np.ceil(t / dt)))
     dt_eff = t / n_sub
-    fc = V.force_coeffs_at(0.0)
     vals = _kernels.liouville_pullback(
-        fc, V.mass, rho0.x_nodes, rho0.p_nodes, dt_eff, n_sub,
+        V.force_coeffs(), V.mass, rho0.x_nodes, rho0.p_nodes, dt_eff, n_sub,
         np.ascontiguousarray(rho0.values), rho0.x_min, rho0.dx,
         rho0.p_min, rho0.dp)
     out = PhaseDensity(rho0.x_min, rho0.x_max, rho0.nx,

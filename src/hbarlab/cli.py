@@ -14,8 +14,9 @@ plain-text summary per scan, optional per-snapshot field dumps with
 --dump-fields.
 
 Exit codes: 0 success; 1 usage or configuration error; 2 numeric failure
-(boundary leakage, caustic, phase-space mass drift, escaping trajectory,
-inconclusive classification).
+(every other LabError: boundary leakage, caustic, phase-space mass drift,
+escaping trajectory, inconclusive classification, phase nodes, norm
+drift).
 """
 
 import argparse
@@ -24,14 +25,7 @@ import sys
 from importlib import resources
 
 from .config import RunConfig
-from .errors import (
-    BoundaryLeak,
-    CausticError,
-    DomainError,
-    EscapeError,
-    InconclusiveError,
-    MassDriftError,
-)
+from .errors import CausticError, DomainError, LabError
 from .experiments import (
     run_detpot,
     run_liouville_demo,
@@ -46,9 +40,6 @@ __all__ = ["main", "cli_main"]
 
 _SCAN_EXPERIMENTS = ("standard_limit", "deterministic_limit",
                      "combined_limit")
-
-_NUMERIC_ERRORS = (BoundaryLeak, CausticError, MassDriftError, EscapeError,
-                   InconclusiveError)
 
 
 class _UsageError(Exception):
@@ -124,20 +115,12 @@ def _run_and_write(args, runner):
     return 0
 
 
-def _cmd_scan(args):
-    cfg = _load_config(args)
+def _run_scan(cfg):
     if cfg.experiment not in _SCAN_EXPERIMENTS:
         raise DomainError(
             f"scan expects one of {_SCAN_EXPERIMENTS}, config says "
             f"{cfg.experiment!r}")
-    result = run_experiment(cfg)
-    outdir = args.out or cfg.output_directory()
-    write_outputs(result, outdir)
-    for rec in result.records:
-        fit_str = "  ".join(f"{k}={v}" for k, v in rec.fits.items())
-        print(f"{result.experiment} {rec.label}: {len(rec.rows)} snapshots"
-              f"  {fit_str}  -> {outdir}")
-    return 0
+    return run_experiment(cfg)
 
 
 def _cmd_report(args):
@@ -169,7 +152,7 @@ def cli_main(argv=None):
         if args.command == "simulate":
             return _run_and_write(args, run_uncertainty)
         if args.command == "scan":
-            return _cmd_scan(args)
+            return _run_and_write(args, _run_scan)
         if args.command == "detpot":
             return _run_and_write(args, run_detpot)
         if args.command == "phj":
@@ -190,7 +173,7 @@ def cli_main(argv=None):
         print(f"numeric failure: {err} (t_caustic={err.t_caustic})",
               file=sys.stderr)
         return 2
-    except _NUMERIC_ERRORS as err:
+    except LabError as err:
         print(f"numeric failure: {err}", file=sys.stderr)
         return 2
 

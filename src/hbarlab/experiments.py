@@ -29,7 +29,8 @@ Numerics policy: grids are auto-sized per run from the packet and
 potential scales (resolution follows the momentum content ~ p/hbar, so
 step sizes shrink linearly with hbar and splitting errors on the means
 drop as hbar^2 across a combined scan); BoundaryLeak triggers an automatic
-rerun on a doubled domain, at most twice.
+rerun on a doubled domain, at most twice.  The three limit scans and the
+uncertainty run share one loop over scan points, `_quantum_scan`.
 """
 
 import os
@@ -144,8 +145,8 @@ def auto_grid(V, eps0, r0, p0, hbar, t_final, n_min=256, n_max=65536):
     return make_grid(-half, half, n)
 
 
-def _choose_dt(grid, V, hbar, m, t0, t1, safety=DEFAULT_SAFETY):
-    return safety * schrodinger.max_stable_dt(grid, V, hbar, m, t0, t1)
+def _choose_dt(grid, V, hbar):
+    return DEFAULT_SAFETY * schrodinger.max_stable_dt(grid, V, hbar, V.mass)
 
 
 # ----------------------------------------------------------------------
@@ -155,6 +156,7 @@ def _choose_dt(grid, V, hbar, m, t0, t1, safety=DEFAULT_SAFETY):
 @dataclass
 class QuantumRunData:
     grid: object
+    step_limit: float              # dt bound before rounding to whole steps
     times: np.ndarray
     x_mean: np.ndarray
     p_mean: np.ndarray
@@ -203,29 +205,30 @@ def _snapshot_row(triple, V, dt, one_sided=False):
 
 
 def quantum_run(V, grid, eps0, r0, p0, hbar, t_final, n_snapshots,
-                safety=DEFAULT_SAFETY, dt=None, collect_fields=False):
+                dt_cap=np.inf, collect_fields=False):
     """Propagate a packet and collect the pinned per-snapshot observables.
 
-    Snapshots are uniform in time; at each one the state a single solver
-    step before and after is also captured, so the dS/dt entering the
-    classical-residual column is a centered difference (one-sided at t=0).
+    The step is the stability-rule step, capped at dt_cap, then shortened
+    to a whole number of steps per snapshot interval.  Snapshots are
+    uniform in time; at each one the state a single solver step before and
+    after is also captured, so the dS/dt entering the classical-residual
+    column is a centered difference (one-sided at t=0).
     """
     m = V.mass
-    if dt is None:
-        dt = _choose_dt(grid, V, hbar, m, 0.0, t_final, safety)
+    step_limit = min(_choose_dt(grid, V, hbar), dt_cap)
     t_snap = t_final / n_snapshots
     # >= 3 steps per snapshot interval so the one-sided triple at t=0 and
     # the first centered triple do not overlap
-    n_sub = max(3, int(np.ceil(t_snap / dt)))
+    n_sub = max(3, int(np.ceil(t_snap / step_limit)))
     dt = t_snap / n_sub
 
     psi = schrodinger.init_gaussian(grid, eps0, r0, p0, hbar, m)
     n_rows = n_snapshots + 1
     data = QuantumRunData(
-        grid, np.empty(n_rows), np.empty(n_rows), np.empty(n_rows),
+        grid, step_limit, np.empty(n_rows), np.empty(n_rows),
         np.empty(n_rows), np.empty(n_rows), np.empty(n_rows),
         np.empty(n_rows), np.empty(n_rows), np.empty(n_rows),
-        np.empty(n_rows), [])
+        np.empty(n_rows), np.empty(n_rows), [])
 
     def record(i, t, obs, kurt, qnorm, hj_cl, mid):
         data.times[i] = t
@@ -266,13 +269,12 @@ def quantum_run(V, grid, eps0, r0, p0, hbar, t_final, n_snapshots,
 
 
 def quantum_run_autowiden(V, grid, eps0, r0, p0, hbar, t_final, n_snapshots,
-                          safety=DEFAULT_SAFETY, collect_fields=False):
+                          dt_cap=np.inf, collect_fields=False):
     """quantum_run with the domain-doubling retry policy on BoundaryLeak."""
     for attempt in range(MAX_WIDEN_RETRIES + 1):
         try:
             return quantum_run(V, grid, eps0, r0, p0, hbar, t_final,
-                               n_snapshots, safety,
-                               collect_fields=collect_fields)
+                               n_snapshots, dt_cap, collect_fields)
         except BoundaryLeak:
             if attempt == MAX_WIDEN_RETRIES:
                 raise
@@ -314,6 +316,37 @@ def _loglog_slope(x, y):
                             np.log(np.asarray(y)), 1)[0])
 
 
+def _quantum_scan(cfg, experiment, V, r0, p0, points, t_final, n_snapshots,
+                  point_fits, tighten_dt=False):
+    """One quantum run and one RunRecord per scan point.
+
+    `points` holds (label, hbar, eps) triples and `point_fits(data, hbar,
+    eps)` gives each record's fits.  The grid comes from the config or from
+    auto_grid, and a BoundaryLeak widens it and retries.  With tighten_dt
+    each point's step is capped at 0.9x the previous point's, so splitting
+    error on the means falls along the scan.  Returns (records, field
+    dumps).
+    """
+    records = []
+    dumps = []
+    dt_cap = np.inf
+    for label, hbar, eps in points:
+        grid = cfg.grid_spec() or auto_grid(V, eps, r0, p0, hbar, t_final)
+        data = quantum_run_autowiden(V, grid, eps, r0, p0, hbar, t_final,
+                                     n_snapshots, dt_cap, cfg.dump_fields())
+        if tighten_dt:
+            dt_cap = 0.9 * data.step_limit
+        dumps.extend(_field_dump_entries(len(records), data))
+        records.append(RunRecord(
+            experiment, label, cfg.echo_lines(), QUANTUM_COLUMNS,
+            data.rows(), fits=point_fits(data, hbar, eps)))
+    return records, dumps
+
+
+def _fit_list(records, key):
+    return [rec.fits[key] for rec in records]
+
+
 def run_standard_limit(cfg):
     """hbar scan at fixed packet width: quantum-term norm and classical
     residual per snapshot, plus the scaling fit of the terminal norm."""
@@ -324,28 +357,23 @@ def run_standard_limit(cfg):
         cfg.get_float_list("scan", "hbar_list"), "hbar_list")
     t_final = cfg.get_float("numerics", "t_final")
     n_snapshots = cfg.get_int("numerics", "n_snapshots", 16)
-    records = []
-    terminal_norms = []
-    residual_ratio = []
-    dumps = []
-    for hbar in hbar_list:
-        grid = cfg.grid_spec() or auto_grid(V, eps0, r0, p0, hbar, t_final)
-        data = quantum_run_autowiden(V, grid, eps0, r0, p0, hbar, t_final,
-                                     n_snapshots,
-                                     collect_fields=cfg.dump_fields())
-        dumps.extend(_field_dump_entries(len(records), data))
-        terminal_norms.append(data.quantum_norm[-1])
-        residual_ratio.append(data.hj_classical[-1] / data.quantum_norm[-1])
-        records.append(RunRecord(
-            "standard_limit", f"hbar={hbar!r}", cfg.echo_lines(),
-            QUANTUM_COLUMNS, data.rows(),
-            fits={"terminal_quantum_term_norm": data.quantum_norm[-1],
-                  "classical_over_quantum_norm": residual_ratio[-1]}))
+
+    def point_fits(data, hbar, eps):
+        return {"terminal_quantum_term_norm": data.quantum_norm[-1],
+                "classical_over_quantum_norm":
+                    data.hj_classical[-1] / data.quantum_norm[-1]}
+
+    records, dumps = _quantum_scan(
+        cfg, "standard_limit", V, r0, p0,
+        [(f"hbar={hbar!r}", hbar, eps0) for hbar in hbar_list],
+        t_final, n_snapshots, point_fits)
+    terminal_norms = _fit_list(records, "terminal_quantum_term_norm")
     fits = {
         "hbar_list": hbar_list,
         "terminal_quantum_term_norms": terminal_norms,
         "quantum_term_exponent": _loglog_slope(hbar_list, terminal_norms),
-        "classical_residual_over_quantum_norm": residual_ratio,
+        "classical_residual_over_quantum_norm":
+            _fit_list(records, "classical_over_quantum_norm"),
     }
     return ScanResult("standard_limit", records, fits,
                       time.perf_counter() - t0, dumps)
@@ -386,31 +414,25 @@ def run_deterministic_limit(cfg):
     traj = classical.newton_integrate(V, r0, p0, t_star / n_ref, n_ref)
     r_star = traj.r[-1]
 
-    records = []
-    widths = []
-    brackets = []
-    dumps = []
-    for eps in eps_list:
-        grid = cfg.grid_spec() or auto_grid(V, eps, r0, p0, hbar, t_star)
-        data = quantum_run_autowiden(V, grid, eps, r0, p0, hbar, t_star,
-                                     n_snapshots,
-                                     collect_fields=cfg.dump_fields())
-        dumps.extend(_field_dump_entries(len(records), data))
-        widths.append(data.width[-1])
-        brackets.append(_bracket_max(ref_grid, eps, hbar, V.mass, r_star))
-        records.append(RunRecord(
-            "deterministic_limit", f"epsilon={eps!r}", cfg.echo_lines(),
-            QUANTUM_COLUMNS, data.rows(),
-            fits={"terminal_width": widths[-1],
-                  "width_over_epsilon": widths[-1] / eps,
-                  "bracket_max": brackets[-1]}))
+    def point_fits(data, hbar, eps):
+        return {"terminal_width": data.width[-1],
+                "width_over_epsilon": data.width[-1] / eps,
+                "bracket_max": _bracket_max(ref_grid, eps, hbar, V.mass,
+                                            r_star)}
+
+    records, dumps = _quantum_scan(
+        cfg, "deterministic_limit", V, r0, p0,
+        [(f"epsilon={eps!r}", hbar, eps) for eps in eps_list],
+        t_star, n_snapshots, point_fits)
+    widths = _fit_list(records, "terminal_width")
     ratio = [w / e for w, e in zip(widths, eps_list)]
     fits = {
         "epsilon_list": eps_list,
         "terminal_widths": widths,
         "width_exponent": _loglog_slope(eps_list, widths),
         "width_over_epsilon_exponent": _loglog_slope(eps_list, ratio),
-        "bracket_exponent": _loglog_slope(eps_list, brackets),
+        "bracket_exponent": _loglog_slope(
+            eps_list, _fit_list(records, "bracket_max")),
     }
     return ScanResult("deterministic_limit", records, fits,
                       time.perf_counter() - t0, dumps)
@@ -437,43 +459,26 @@ def run_combined_limit(cfg):
     traj = classical.newton_integrate(
         V, r0, p0, t_snap / n_per, n_per * n_snapshots, save_stride=n_per)
 
-    records = []
-    deviations = []
-    terminal_widths = []
-    kurtosis_max = []
-    dumps = []
-    prev_dt = None
-    for hbar in hbar_list:
-        eps = k * hbar
-        grid = cfg.grid_spec() or auto_grid(V, eps, r0, p0, hbar, t_final)
-        dt = _choose_dt(grid, V, hbar, V.mass, 0.0, t_final)
-        if prev_dt is not None:
-            # tighten monotonically across the scan so splitting error on
-            # the means decreases with hbar
-            dt = min(dt, 0.9 * prev_dt)
-        prev_dt = dt
-        data = quantum_run(V, grid, eps, r0, p0, hbar, t_final, n_snapshots,
-                           dt=dt, collect_fields=cfg.dump_fields())
-        dumps.extend(_field_dump_entries(len(records), data))
-        dev = float(np.max(np.abs(data.x_mean - traj.r)))
-        deviations.append(dev)
-        terminal_widths.append(data.width[-1])
-        kurtosis_max.append(float(np.max(np.abs(data.kurtosis))))
-        records.append(RunRecord(
-            "combined_limit", f"hbar={hbar!r}", cfg.echo_lines(),
-            QUANTUM_COLUMNS, data.rows(),
-            fits={"epsilon": eps,
-                  "trajectory_deviation_max": dev,
-                  "terminal_width": terminal_widths[-1],
-                  "kurtosis_excess_max": kurtosis_max[-1]}))
-    report = detpot.classify(V)
+    def point_fits(data, hbar, eps):
+        return {"epsilon": eps,
+                "trajectory_deviation_max":
+                    float(np.max(np.abs(data.x_mean - traj.r))),
+                "terminal_width": data.width[-1],
+                "kurtosis_excess_max":
+                    float(np.max(np.abs(data.kurtosis)))}
+
+    records, dumps = _quantum_scan(
+        cfg, "combined_limit", V, r0, p0,
+        [(f"hbar={hbar!r}", hbar, k * hbar) for hbar in hbar_list],
+        t_final, n_snapshots, point_fits, tighten_dt=True)
     fits = {
         "k": k,
         "hbar_list": hbar_list,
-        "trajectory_deviation_max": deviations,
-        "terminal_widths": terminal_widths,
-        "kurtosis_excess_max": kurtosis_max,
-        "detpot_verdict": report.verdict,
+        "trajectory_deviation_max": _fit_list(
+            records, "trajectory_deviation_max"),
+        "terminal_widths": _fit_list(records, "terminal_width"),
+        "kurtosis_excess_max": _fit_list(records, "kurtosis_excess_max"),
+        "detpot_verdict": detpot.classify(V).verdict,
     }
     return ScanResult("combined_limit", records, fits,
                       time.perf_counter() - t0, dumps)
@@ -510,20 +515,19 @@ def run_uncertainty(cfg):
     hbar = cfg.get_float("scan", "hbar", 1.0)
     t_final = cfg.get_float("numerics", "t_final")
     n_snapshots = cfg.get_int("numerics", "n_snapshots", 64)
-    grid = cfg.grid_spec() or auto_grid(V, eps0, r0, p0, hbar, t_final)
-    data = quantum_run_autowiden(V, grid, eps0, r0, p0, hbar, t_final,
-                                 n_snapshots, collect_fields=cfg.dump_fields())
-    u_min = float(np.min(data.uncertainty))
-    fits = {
-        "hbar": hbar,
-        "uncertainty_min": u_min,
-        "hbar_over_2": hbar / 2.0,
-        "floor_satisfied": bool(u_min >= 0.5 * hbar * (1.0 - 1e-6)),
-    }
-    record = RunRecord("simulate", f"hbar={hbar!r}", cfg.echo_lines(),
-                       QUANTUM_COLUMNS, data.rows(), fits=dict(fits))
-    return ScanResult("simulate", [record], fits, time.perf_counter() - t0,
-                      _field_dump_entries(0, data))
+
+    def point_fits(data, hbar, eps):
+        u_min = float(np.min(data.uncertainty))
+        return {"hbar": hbar,
+                "uncertainty_min": u_min,
+                "hbar_over_2": hbar / 2.0,
+                "floor_satisfied": bool(u_min >= 0.5 * hbar * (1.0 - 1e-6))}
+
+    records, dumps = _quantum_scan(
+        cfg, "simulate", V, r0, p0, [(f"hbar={hbar!r}", hbar, eps0)],
+        t_final, n_snapshots, point_fits)
+    return ScanResult("simulate", records, dict(records[0].fits),
+                      time.perf_counter() - t0, dumps)
 
 
 def run_phj_demo(cfg):

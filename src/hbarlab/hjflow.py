@@ -82,13 +82,6 @@ class HJSolution:
     fan: CharacteristicFan
 
 
-def _require_static_polynomial(V, what):
-    if V.kind == "tabulated":
-        raise DomainError(f"{what} requires a polynomial-backed potential")
-    if V.is_time_dependent:
-        raise DomainError(f"{what} requires a static potential")
-
-
 def integrate_fan(s0, V, t_final, n_char=None, dt=2e-4, snapshot_times=None):
     """Launch characteristics from the initial action field s0 and integrate
     them to t_final, recording positions, momenta, and actions at the
@@ -98,7 +91,10 @@ def integrate_fan(s0, V, t_final, n_char=None, dt=2e-4, snapshot_times=None):
     transport may remain well posed past an isolated focus); the first
     crossing time, if any, is recorded on the returned fan.
     """
-    _require_static_polynomial(V, "characteristic integration")
+    if V.kind == "tabulated":
+        raise DomainError(
+            "characteristic integration requires a polynomial-backed "
+            "potential")
     if t_final <= 0:
         raise DomainError(f"t_final must be positive, got {t_final}")
     g = s0.grid
@@ -122,10 +118,9 @@ def integrate_fan(s0, V, t_final, n_char=None, dt=2e-4, snapshot_times=None):
         np.asarray(snapshot_times, dtype=float) / dt_eff), 0, n_steps)
     ).astype(np.int64)
 
-    fc = V.force_coeffs_at(0.0)
-    vc = np.asarray(V.coeffs_at(0.0), dtype=float)
     X, P, A, caustic_step = _kernels.fan_path(
-        fc, vc, V.mass, x0, p0, dt_eff, n_steps, save_steps)
+        V.force_coeffs(), V.coeffs, V.mass, x0, p0, dt_eff, n_steps,
+        save_steps)
     times = save_steps * dt_eff
     action = A + s0_at_x0[None, :]
     t_crossing = caustic_step * dt_eff if caustic_step >= 0 else None

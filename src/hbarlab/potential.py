@@ -1,12 +1,12 @@
-"""External potential V(x, t) and its force -dV/dx.
+"""External potential V(x) and its force -dV/dx.
 
 Every built-in kind (free, constant force, harmonic) reduces internally to
 polynomial coefficients, so evaluation and the hot integrator kernels share
-one code path.  Tabulated potentials use nearest-node lookup and a spectral
-derivative for the force; they exist for exploratory use only.
+one code path.  Tabulated potentials use nearest-node lookup and a
+finite-difference derivative for the force; they exist for exploratory use
+only.
 
-Time dependence is supported through a piecewise-constant schedule of
-polynomial coefficients.  The particle mass lives here so that every
+Potentials are static.  The particle mass lives here so that every
 dynamical module reads a single source of truth.  Specs are immutable and
 evaluation is pure, so they are safe to share across threads.
 """
@@ -49,7 +49,6 @@ class PotentialSpec:
     kind: str
     mass: float
     coeffs: np.ndarray = None            # V polynomial, low -> high degree
-    schedule: tuple = None               # ((t_start, coeffs), ...) sorted
     table: RealField = None
     omega: float = None
     f0: float = None
@@ -78,16 +77,9 @@ class PotentialSpec:
         return PotentialSpec("harmonic", float(mass), coeffs=c, omega=omega)
 
     @staticmethod
-    def polynomial(coeffs, mass=1.0, schedule=None):
-        """Static polynomial V(x) = sum c_j x^j, or a piecewise-constant
-        schedule ((t_start, coeffs), ...) switching coefficients over time."""
+    def polynomial(coeffs, mass=1.0):
+        """Polynomial V(x) = sum c_j x^j."""
         _check_mass(mass)
-        if schedule is not None:
-            sched = tuple(sorted((float(t), _as_coeffs(c)) for t, c in schedule))
-            if not sched:
-                raise DomainError("empty coefficient schedule")
-            return PotentialSpec("polynomial", float(mass),
-                                 coeffs=sched[0][1], schedule=sched)
         return PotentialSpec("polynomial", float(mass), coeffs=_as_coeffs(coeffs))
 
     @staticmethod
@@ -99,24 +91,9 @@ class PotentialSpec:
 
     # -- helpers -----------------------------------------------------------
 
-    @property
-    def is_time_dependent(self):
-        return self.schedule is not None
-
-    def coeffs_at(self, t):
-        if self.schedule is None:
-            return self.coeffs
-        out = self.schedule[0][1]
-        for t_start, c in self.schedule:
-            if t_start <= t:
-                out = c
-            else:
-                break
-        return out
-
-    def force_coeffs_at(self, t):
+    def force_coeffs(self):
         """Coefficients of F(x) = -dV/dx, low -> high degree."""
-        c = self.coeffs_at(t)
+        c = self.coeffs
         if c.size == 1:
             return np.zeros(1)
         j = np.arange(1, c.size)
@@ -139,20 +116,20 @@ def _table_lookup(table, x):
     return table.values[idx]
 
 
-def eval_potential(spec, x, t=0.0):
-    """V(x, t); x may be a scalar or an array."""
+def eval_potential(spec, x):
+    """V(x); x may be a scalar or an array."""
     if spec.kind == "tabulated":
         out = _table_lookup(spec.table, x)
     else:
-        c = spec.coeffs_at(t)
-        out = np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), c)
+        out = np.polynomial.polynomial.polyval(np.asarray(x, dtype=float),
+                                               spec.coeffs)
     if np.ndim(x) == 0:
         return float(out)
     return np.asarray(out, dtype=float)
 
 
-def eval_force(spec, x, t=0.0):
-    """F(x, t) = -dV/dx; analytic for polynomial kinds.
+def eval_force(spec, x):
+    """F(x) = -dV/dx; analytic for polynomial kinds.
 
     Tabulated forces use a second-order finite difference of the table
     (one-sided at the ends): tables are not periodic in general, so a
@@ -164,13 +141,13 @@ def eval_force(spec, x, t=0.0):
         dv = np.gradient(spec.table.values, g.dx, edge_order=2)
         out = -_table_lookup(RealField(g, dv), x)
     else:
-        fc = spec.force_coeffs_at(t)
+        fc = spec.force_coeffs()
         out = np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), fc)
     if np.ndim(x) == 0:
         return float(out)
     return np.asarray(out, dtype=float)
 
 
-def force_field(spec, grid, t=0.0):
+def force_field(spec, grid):
     """Force sampled on a grid as a RealField."""
-    return real_field(grid, eval_force(spec, grid.x, t))
+    return real_field(grid, eval_force(spec, grid.x))

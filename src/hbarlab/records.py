@@ -44,7 +44,6 @@ class RunRecord:
     columns: tuple
     rows: tuple                      # tuple of tuples
     fits: dict = field(default_factory=dict)
-    wall_clock: float = 0.0
     schema_version: str = SCHEMA_VERSION
 
 

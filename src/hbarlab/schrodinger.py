@@ -1,7 +1,7 @@
 """Split-step spectral propagation of the 1D Schrödinger equation.
 
 The reduced Planck constant is an explicit runtime parameter: the solver
-integrates i*hbar dpsi/dt = [-hbar^2/(2m) d^2/dx^2 + V(x,t)] psi by Strang
+integrates i*hbar dpsi/dt = [-hbar^2/(2m) d^2/dx^2 + V(x)] psi by Strang
 splitting -- half potential phase, full kinetic phase exp(-i hbar k^2 dt/2m)
 in spectral space, half potential phase.  Each factor is unitary, so the
 norm is conserved to roundoff; the splitting error is O(dt^2).
@@ -130,27 +130,18 @@ def init_gaussian(grid, epsilon, r0, p0, hbar, m):
     return _check_leak(wf)
 
 
-def max_stable_dt(grid, V, hbar, m, t0=0.0, t1=None):
+def max_stable_dt(grid, V, hbar, m):
     """Largest step such that each split phase rotates < 0.5 rad anywhere.
 
     Kinetic factor: hbar * k_max^2 * dt / (2m) <= 0.5.
     Potential factor: max|V| * dt / hbar <= 0.5 (no bound for V = 0).
-    For scheduled potentials both segment endpoints in [t0, t1] are checked.
     """
     k_max = np.pi / grid.dx
     dt_kin = m / (hbar * k_max ** 2)
-    vmax = _vmax(V, grid, t0, t1)
+    vmax = float(np.max(np.abs(eval_potential(V, grid.x))))
     if vmax > 0:
         return min(dt_kin, 0.5 * hbar / vmax)
     return dt_kin
-
-
-def _vmax(V, grid, t0, t1):
-    times = [t0]
-    if V.is_time_dependent and t1 is not None:
-        times += [ts for ts, _ in V.schedule if t0 <= ts <= t1]
-    return max(float(np.max(np.abs(eval_potential(V, grid.x, t))))
-               for t in times)
 
 
 def propagate(psi, V, dt, n_steps):
@@ -167,41 +158,26 @@ def propagate(psi, V, dt, n_steps):
         raise DomainError(f"n_steps must be >= 1, got {n_steps}")
     g = psi.grid
     hbar, m = psi.hbar, psi.m
-    t_end = psi.t + n_steps * dt
-    dt_max = max_stable_dt(g, V, hbar, m, psi.t, t_end)
+    dt_max = max_stable_dt(g, V, hbar, m)
     if dt > dt_max * (1.0 + 1e-12):
         raise DomainError(
             f"dt={dt:.3e} exceeds the phase-rotation limit {dt_max:.3e}")
 
     exp_kin = np.exp(-0.5j * hbar * g.k ** 2 * dt / m)
+    exp_v_half = np.exp(-0.5j * eval_potential(V, g.x) * dt / hbar)
     values = psi.values.copy()
     norm0 = g.dx * np.sum(np.abs(values) ** 2)
-
-    if not V.is_time_dependent:
-        exp_v_half = np.exp(-0.5j * eval_potential(V, g.x, psi.t) * dt / hbar)
-        for _ in range(n_steps):
-            values = exp_v_half * values
-            values = np.fft.ifft(exp_kin * np.fft.fft(values))
-            values = exp_v_half * values
-    else:
-        coeffs = None
-        exp_v_half = None
-        for j in range(n_steps):
-            t_step = psi.t + j * dt
-            c = V.coeffs_at(t_step)
-            if coeffs is None or c is not coeffs:
-                coeffs = c
-                exp_v_half = np.exp(
-                    -0.5j * eval_potential(V, g.x, t_step) * dt / hbar)
-            values = exp_v_half * values
-            values = np.fft.ifft(exp_kin * np.fft.fft(values))
-            values = exp_v_half * values
+    for _ in range(n_steps):
+        values = exp_v_half * values
+        values = np.fft.ifft(exp_kin * np.fft.fft(values))
+        values = exp_v_half * values
 
     norm1 = g.dx * np.sum(np.abs(values) ** 2)
     if abs(norm1 - norm0) > NORM_TOL:
         raise LabError(
             f"norm drifted by {abs(norm1 - norm0):.3e} over {n_steps} steps")
-    out = WaveFunction(complex_field(g, values), hbar, m, t_end)
+    out = WaveFunction(complex_field(g, values), hbar, m,
+                       psi.t + n_steps * dt)
     return _check_leak(out)
 
 
@@ -255,7 +231,7 @@ def energy_mean(psi, V):
     g = psi.grid
     dpsi = spectral_derivative(psi.field, 1).values
     kin = g.dx * np.sum(np.abs(psi.hbar * dpsi) ** 2) / (2.0 * psi.m)
-    pot = g.dx * np.sum(eval_potential(V, g.x, psi.t) * np.abs(psi.values) ** 2)
+    pot = g.dx * np.sum(eval_potential(V, g.x) * np.abs(psi.values) ** 2)
     return float(kin + pot)
 
 

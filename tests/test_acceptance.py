@@ -35,7 +35,7 @@ def run_widths(V, grid, eps, r0, p0, hbar, m, t_final, n_snap, label,
                safety=0.5):
     """Propagate and sample width/uncertainty at uniform times."""
     psi = schrodinger.init_gaussian(grid, eps, r0, p0, hbar, m)
-    dt_max = safety * schrodinger.max_stable_dt(grid, V, hbar, m, 0, t_final)
+    dt_max = safety * schrodinger.max_stable_dt(grid, V, hbar, m)
     t_snap = t_final / n_snap
     n_sub = int(np.ceil(t_snap / dt_max))
     times = [0.0]

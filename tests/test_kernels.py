@@ -1,75 +1,39 @@
-import os
-import subprocess
-import sys
+from functools import partial
 
 import numpy as np
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hbarlab import _kernels
 
-HAS_NUMBA = "numba" in _kernels.IMPLEMENTATIONS
-
-pytestmark = pytest.mark.skipif(
-    not HAS_NUMBA, reason="numba not available; only one implementation")
+# unit-scale polynomials and times up to 1 keep every flow bounded
+unit = st.floats(-1.0, 1.0)
 
 
-def force_coeffs():
-    # F = -dV/dx for V = 0.3 x^2 + 0.05 x^4
-    return np.array([0.0, -0.6, 0.0, -0.2])
+@settings(max_examples=60, deadline=None)
+@given(fc=st.lists(unit, min_size=1, max_size=4), x0=unit, p0=unit,
+       dt=st.floats(1e-4, 1e-2), n=st.integers(1, 100))
+def test_stepper_retraces_its_path_backward(fc, x0, p0, dt, n):
+    # Stormer-Verlet is symmetric: n steps of dt then n steps of -dt return
+    # to the start, up to roundoff
+    force = partial(_kernels._horner, np.array(fc))
+    for _, x, p, _ in _kernels._kdk(force, 1.0, x0, p0, dt, n):
+        pass
+    for _, x, p, _ in _kernels._kdk(force, 1.0, x, p, -dt, n):
+        pass
+    assert abs(x - x0) <= 1e-10
+    assert abs(p - p0) <= 1e-10
 
 
-def potential_coeffs():
-    return np.array([0.0, 0.0, 0.3, 0.0, 0.05])
-
-
-class TestAgreement:
-    def test_verlet_path(self):
-        args = (force_coeffs(), 1.0, 0.7, -0.3, 1e-3, 5000, 100, 1e6)
-        r_a, p_a, e_a = _kernels.IMPLEMENTATIONS["numpy"]["verlet_path"](*args)
-        r_b, p_b, e_b = _kernels.IMPLEMENTATIONS["numba"]["verlet_path"](*args)
-        assert e_a == e_b == -1
-        assert np.allclose(r_a, r_b, rtol=0, atol=1e-13)
-        assert np.allclose(p_a, p_b, rtol=0, atol=1e-13)
-
-    def test_fan_path(self):
-        x0 = np.linspace(-2, 2, 257)
-        p0 = 0.4 * np.ones_like(x0)
-        saves = np.array([0, 500, 1000], dtype=np.int64)
-        args = (force_coeffs(), potential_coeffs(), 1.0, x0, p0, 1e-3,
-                1000, saves)
-        xa, pa, aa, ca = _kernels.IMPLEMENTATIONS["numpy"]["fan_path"](*args)
-        xb, pb, ab, cb = _kernels.IMPLEMENTATIONS["numba"]["fan_path"](*args)
-        assert ca == cb
-        assert np.allclose(xa, xb, rtol=0, atol=1e-12)
-        assert np.allclose(pa, pb, rtol=0, atol=1e-12)
-        assert np.allclose(aa, ab, rtol=0, atol=1e-12)
-
-    def test_liouville_pullback(self):
-        xn = np.linspace(-2, 2, 64)
-        pn = np.linspace(-2, 2, 64)
-        X, P = np.meshgrid(xn, pn, indexing="ij")
-        rho0 = np.exp(-(X ** 2 + P ** 2))
-        args = (force_coeffs(), 1.0, xn, pn, 1e-2, 50, rho0,
-                xn[0], xn[1] - xn[0], pn[0], pn[1] - pn[0])
-        a = _kernels.IMPLEMENTATIONS["numpy"]["liouville_pullback"](*args)
-        b = _kernels.IMPLEMENTATIONS["numba"]["liouville_pullback"](*args)
-        assert np.allclose(a, b, rtol=0, atol=1e-13)
-
-
-class TestEnvFlag:
-    def test_no_numba_flag_selects_numpy_path(self):
-        code = ("import hbarlab._kernels as k; "
-                "print(k.USING_NUMBA)")
-        env = dict(os.environ, HBARLAB_NO_NUMBA="1")
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
-
-    def test_default_uses_numba_when_available(self):
-        env = dict(os.environ)
-        env.pop("HBARLAB_NO_NUMBA", None)
-        code = ("import hbarlab._kernels as k; "
-                "print(k.USING_NUMBA)")
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "True"
+def test_single_characteristic_fan_is_the_verlet_trajectory():
+    fc = np.array([0.0, -0.6, 0.0, -0.2])       # V = 0.3 x^2 + 0.05 x^4
+    vc = np.array([0.0, 0.0, 0.3, 0.0, 0.05])
+    r, p, escape = _kernels.verlet_path(
+        partial(_kernels._horner, fc), 1.0, 0.7, -0.3, 1e-3, 5000, 100, 1e6)
+    assert escape == -1
+    save_steps = np.arange(0, 5001, 100)
+    x_fan, p_fan, _, _ = _kernels.fan_path(
+        fc, vc, 1.0, np.array([0.7]), np.array([-0.3]), 1e-3, 5000,
+        save_steps)
+    assert np.array_equal(x_fan[:, 0], r)
+    assert np.array_equal(p_fan[:, 0], p)

@@ -5,7 +5,7 @@ import pytest
 
 from hbarlab.cli import main
 from hbarlab.config import RunConfig, load_potential_table
-from hbarlab.errors import DomainError
+from hbarlab.errors import DomainError, LabError, NodeError
 from hbarlab.experiments import (
     auto_grid,
     run_combined_limit,
@@ -433,6 +433,22 @@ class TestCLI:
         assert code == 0
         meta, _, _ = read_csv(str(tmp_path / "run_000.csv"))
         assert meta["numerics.tol"] == "1e-1"
+
+    @pytest.mark.parametrize("error", [
+        NodeError("phase support is disconnected"),
+        LabError("norm drifted by 1e-06 over 10 steps"),
+    ])
+    def test_every_lab_error_exits_2(self, error, monkeypatch, tmp_path,
+                                     capsys):
+        def fail(cfg):
+            raise error
+        monkeypatch.setattr("hbarlab.cli.run_experiment", fail)
+        code = main(["scan", "--config", "combined_harmonic",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"numeric failure: {error}" in err
+        assert "Traceback" not in err
 
     def test_scan_preset_writes_csv(self, tmp_path):
         code = main(["scan", "--config", "combined_harmonic",

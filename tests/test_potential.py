@@ -103,11 +103,3 @@ class TestTabulated:
         with pytest.raises(DomainError):
             eval_potential(V, -0.5)
 
-
-class TestSchedule:
-    def test_piecewise_constant_coefficients(self):
-        V = PotentialSpec.polynomial(
-            [0, 0, 0.5], schedule=[(0.0, [0, 0, 0.5]), (1.0, [0, 0, 2.0])])
-        assert eval_potential(V, 1.0, t=0.5) == pytest.approx(0.5)
-        assert eval_potential(V, 1.0, t=1.5) == pytest.approx(2.0)
-        assert V.is_time_dependent

@@ -142,39 +142,6 @@ class TestPropagate:
         assert 3.0 <= err1 / err2 <= 5.0
 
 
-class TestScheduledPotential:
-    def test_piecewise_schedule_equals_manual_stages(self):
-        # Propagating through a coefficient switch must match propagating
-        # each stage with the corresponding static potential.
-        g = make_grid(-12, 12, 256)
-        V_sched = PotentialSpec.polynomial(
-            [0, 0, 0.5], schedule=[(0.0, [0, 0, 0.5]), (0.5, [0.0])])
-        V_harm = PotentialSpec.polynomial([0, 0, 0.5])
-        V_free = PotentialSpec.free()
-        psi0 = init_gaussian(g, 0.5, 0.0, 1.0, 1.0, 1.0)
-        n_half = 800
-        dt = 0.5 / n_half
-        out_sched = propagate(psi0, V_sched, dt, 2 * n_half)
-        stage1 = propagate(psi0, V_harm, dt, n_half)
-        out_manual = propagate(stage1, V_free, dt, n_half)
-        assert np.max(np.abs(out_sched.values - out_manual.values)) <= 1e-12
-
-    def test_width_follows_active_segment(self):
-        # free spreading only begins once the confining segment ends
-        g = make_grid(-16, 16, 256)
-        V = PotentialSpec.polynomial(
-            [0, 0, 0.5], schedule=[(0.0, [0, 0, 0.5]), (2 * np.pi, [0.0])])
-        psi = init_gaussian(g, 1.0, 0.0, 0.0, 1.0, 1.0)  # stationary width
-        dt = 2.5e-4
-        n_per = int(round(2 * np.pi / dt))
-        at_period = propagate(psi, V, 2 * np.pi / n_per, n_per)
-        assert abs(width(at_period) - 1.0) <= 1e-5
-        t_free = 1.5
-        later = propagate(at_period, V, dt, int(round(t_free / dt)))
-        spread = 1.0 * (1.0 + t_free ** 2)  # free law from the switch
-        assert rel_err(width(later), spread) <= 1e-3
-
-
 class TestOracleAgreement:
     def test_randomized_parameters_match_analytic_across_run(self):
         rng = np.random.default_rng(42)
