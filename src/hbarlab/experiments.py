@@ -29,8 +29,15 @@ Numerics policy: grids are auto-sized per run from the packet and
 potential scales (resolution follows the momentum content ~ p/hbar, so
 step sizes shrink linearly with hbar and splitting errors on the means
 drop as hbar^2 across a combined scan); BoundaryLeak triggers an automatic
-rerun on a doubled domain, at most twice.  The three limit scans and the
-uncertainty run share one loop over scan points, `_quantum_scan`.
+rerun on a doubled domain, at most twice.  Two time steps serve a quantum
+run: the probe step h (DEFAULT_SAFETY times the phase-rotation limit of
+`schrodinger.max_stable_dt`, shortened to a whole number of steps per
+snapshot interval) spaces each snapshot triple behind the dS/dt
+difference, and the spans between triples are crossed in equal steps of up
+to the limit itself (twice a binding dt_cap), about half as many.  Each quantum record's fits carry grid_n,
+dt_probe, propagation_steps and widen_retries; they reach summary.txt and
+the CLI line, not the CSV.  The three limit scans and the uncertainty run
+share one loop over scan points, `_quantum_scan`.
 """
 
 import os
@@ -156,7 +163,8 @@ def _choose_dt(grid, V, hbar):
 @dataclass
 class QuantumRunData:
     grid: object
-    step_limit: float              # dt bound before rounding to whole steps
+    step_limit: float              # probe-step bound before rounding
+    dt_probe: float                # the probe step h of every triple
     times: np.ndarray
     x_mean: np.ndarray
     p_mean: np.ndarray
@@ -168,6 +176,8 @@ class QuantumRunData:
     quantum_norm: np.ndarray
     hj_classical: np.ndarray
     fields: list                   # (t, rho values, S values) if collected
+    propagation_steps: int = 0     # Strang steps taken, probe steps included
+    widen_retries: int = 0         # domain doublings before this run
 
     def rows(self):
         out = []
@@ -181,7 +191,7 @@ class QuantumRunData:
 
 def _snapshot_row(triple, V, dt, one_sided=False):
     """Observables plus action-equation diagnostics from a snapshot triple
-    (one solver step apart).  The snapshot state is triple[0] for the
+    (one probe step apart).  The snapshot state is triple[0] for the
     one-sided (t=0) form and triple[1] for the centered form."""
     fields = madelung.anchored_series(list(triple))
     if one_sided:
@@ -208,24 +218,34 @@ def quantum_run(V, grid, eps0, r0, p0, hbar, t_final, n_snapshots,
                 dt_cap=np.inf, collect_fields=False):
     """Propagate a packet and collect the pinned per-snapshot observables.
 
-    The step is the stability-rule step, capped at dt_cap, then shortened
-    to a whole number of steps per snapshot interval.  Snapshots are
-    uniform in time; at each one the state a single solver step before and
-    after is also captured, so the dS/dt entering the classical-residual
-    column is a centered difference (one-sided at t=0).
+    Snapshots are uniform in time.  At each one the state a probe step h
+    before and after is also captured, so the dS/dt entering the
+    classical-residual column is a centered difference (one-sided at
+    t=0).  The probe step is DEFAULT_SAFETY times the stability-rule step,
+    capped at dt_cap, then shortened to a whole number of steps per
+    snapshot interval.  The span between two triples is a multiple of h,
+    but the packet crosses it in the fewest equal steps no longer than
+    step_limit / DEFAULT_SAFETY: the stability rule itself when dt_cap does
+    not bind, so about half as many steps as at the probe step.  The
+    Strang error of the observables is bounded by commutators, not by the
+    phase at the grid's Nyquist mode (Lubich, From Quantum to Classical
+    Molecular Dynamics, 2008, ch. III; Bao, Jin & Markowich, JCP 175,
+    2002), and every pinned tolerance holds at the longer step.
     """
     m = V.mass
     step_limit = min(_choose_dt(grid, V, hbar), dt_cap)
+    # never above the stability rule: step_limit <= DEFAULT_SAFETY times it
+    span_limit = step_limit / DEFAULT_SAFETY
     t_snap = t_final / n_snapshots
-    # >= 3 steps per snapshot interval so the one-sided triple at t=0 and
-    # the first centered triple do not overlap
+    # >= 3 probe steps per snapshot interval so the one-sided triple at t=0
+    # and the first centered triple do not overlap
     n_sub = max(3, int(np.ceil(t_snap / step_limit)))
-    dt = t_snap / n_sub
+    h = t_snap / n_sub
 
     psi = schrodinger.init_gaussian(grid, eps0, r0, p0, hbar, m)
     n_rows = n_snapshots + 1
     data = QuantumRunData(
-        grid, step_limit, np.empty(n_rows), np.empty(n_rows),
+        grid, step_limit, h, np.empty(n_rows), np.empty(n_rows),
         np.empty(n_rows), np.empty(n_rows), np.empty(n_rows),
         np.empty(n_rows), np.empty(n_rows), np.empty(n_rows),
         np.empty(n_rows), np.empty(n_rows), [])
@@ -245,41 +265,51 @@ def quantum_run(V, grid, eps0, r0, p0, hbar, t_final, n_snapshots,
             data.fields.append((t, mid.rho.values.copy(),
                                 mid.s.values.copy()))
 
-    # t = 0 row: one-sided triple (psi0, psi0+dt, psi0+2dt)
-    psi_b = schrodinger.propagate(psi, V, dt, 1)
-    psi_c = schrodinger.propagate(psi_b, V, dt, 1)
+    def advance(state, dt, n_steps):
+        data.propagation_steps += n_steps
+        return schrodinger.propagate(state, V, dt, n_steps)
+
+    # t = 0 row: one-sided triple (psi0, psi0+h, psi0+2h)
+    psi_b = advance(psi, h, 1)
+    psi_c = advance(psi_b, h, 1)
     obs, kurt, qnorm, hj_cl, mid = _snapshot_row(
-        (psi, psi_b, psi_c), V, dt, one_sided=True)
+        (psi, psi_b, psi_c), V, h, one_sided=True)
     record(0, 0.0, obs, kurt, qnorm, hj_cl, mid)
 
-    cur = psi_c          # at step 2
+    cur = psi_c          # at probe step 2
     cur_step = 2
     for i in range(1, n_snapshots + 1):
         target = i * n_sub
         if target - 1 > cur_step:
-            cur = schrodinger.propagate(cur, V, dt, target - 1 - cur_step)
+            span = (target - 1 - cur_step) * h
+            n_span = int(np.ceil(span / span_limit))
+            cur = advance(cur, span / n_span, n_span)
         psi_m = cur
-        psi_0 = schrodinger.propagate(psi_m, V, dt, 1)
-        psi_p = schrodinger.propagate(psi_0, V, dt, 1)
+        psi_0 = advance(psi_m, h, 1)
+        psi_p = advance(psi_0, h, 1)
         cur, cur_step = psi_p, target + 1
         obs, kurt, qnorm, hj_cl, mid = _snapshot_row(
-            (psi_m, psi_0, psi_p), V, dt)
+            (psi_m, psi_0, psi_p), V, h)
         record(i, i * t_snap, obs, kurt, qnorm, hj_cl, mid)
     return data
 
 
 def quantum_run_autowiden(V, grid, eps0, r0, p0, hbar, t_final, n_snapshots,
                           dt_cap=np.inf, collect_fields=False):
-    """quantum_run with the domain-doubling retry policy on BoundaryLeak."""
+    """quantum_run with the domain-doubling retry policy on BoundaryLeak;
+    the run's widen_retries counts the doublings."""
     for attempt in range(MAX_WIDEN_RETRIES + 1):
         try:
-            return quantum_run(V, grid, eps0, r0, p0, hbar, t_final,
+            data = quantum_run(V, grid, eps0, r0, p0, hbar, t_final,
                                n_snapshots, dt_cap, collect_fields)
         except BoundaryLeak:
             if attempt == MAX_WIDEN_RETRIES:
                 raise
             half = grid.length            # doubled half-width
             grid = make_grid(-half, half, min(2 * grid.n, 1 << 17))
+            continue
+        data.widen_retries = attempt
+        return data
     raise AssertionError("unreachable")
 
 
@@ -337,9 +367,13 @@ def _quantum_scan(cfg, experiment, V, r0, p0, points, t_final, n_snapshots,
         if tighten_dt:
             dt_cap = 0.9 * data.step_limit
         dumps.extend(_field_dump_entries(len(records), data))
+        fits = point_fits(data, hbar, eps)
+        fits.update(grid_n=data.grid.n, dt_probe=data.dt_probe,
+                    propagation_steps=data.propagation_steps,
+                    widen_retries=data.widen_retries)
         records.append(RunRecord(
             experiment, label, cfg.echo_lines(), QUANTUM_COLUMNS,
-            data.rows(), fits=point_fits(data, hbar, eps)))
+            data.rows(), fits=fits))
     return records, dumps
 
 

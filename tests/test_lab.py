@@ -1,4 +1,5 @@
 import os
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -108,6 +109,30 @@ class TestConfig:
         assert cfg.potential().kind == "tabulated"
 
 
+def _preset_names():
+    preset_dir = resources.files("hbarlab").joinpath("presets")
+    return sorted(p.name[:-len(".cfg")] for p in preset_dir.iterdir()
+                  if p.name.endswith(".cfg"))
+
+
+# experiment kind -> CLI subcommand; presets without a kind are `simulate`
+PRESET_COMMANDS = {
+    None: "simulate",
+    "standard_limit": "scan",
+    "deterministic_limit": "scan",
+    "combined_limit": "scan",
+    "detpot": "detpot",
+    "phj_demo": "phj",
+    "liouville_demo": "liouville",
+}
+# documented numeric failures; every other preset exits 0
+PRESET_EXIT_CODES = {"phj_focusing": 2}     # the caustic at t = 1
+# the quartic packet grows a low-mass tail lobe that splits the density
+# support, so to_madelung raises NodeError and the scan exits 2
+QUARTIC_NODE_ERROR = pytest.mark.xfail(
+    strict=True, reason="NodeError on a low-mass tail lobe (ROADMAP 4b)")
+
+
 class TestPresets:
     def test_all_presets_parse_and_build(self):
         from importlib import resources
@@ -122,6 +147,20 @@ class TestPresets:
             if cfg.get("experiment", "kind", None) is not None:
                 assert cfg.experiment  # kind is a known experiment
             cfg.output_directory()
+
+    @pytest.mark.parametrize("name", [
+        pytest.param(name, marks=QUARTIC_NODE_ERROR)
+        if name == "combined_quartic" else name
+        for name in _preset_names()])
+    def test_preset_runs_as_shipped(self, name, tmp_path, capsys):
+        text = resources.files("hbarlab").joinpath(
+            "presets", f"{name}.cfg").read_text(encoding="utf-8")
+        kind = RunConfig.from_text(text).get("experiment", "kind", None)
+        code = main([PRESET_COMMANDS[kind], "--config", name,
+                     "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == PRESET_EXIT_CODES.get(name, 0), err
+        assert "Traceback" not in err
 
 
 class TestRecords:
@@ -211,6 +250,60 @@ class TestExperiments:
         data = quantum_run_autowiden(V, tight, 0.5, 0.0, 0.0, 1.0, 2.0, 4)
         assert data.grid.x_max >= 24.0    # two doublings
         assert data.width[-1] == pytest.approx(8.5, rel=1e-4)
+
+    def test_autowiden_counts_its_retries(self):
+        from hbarlab.experiments import quantum_run_autowiden
+        from hbarlab.grid import make_grid
+        V = PotentialSpec.free()
+        data = quantum_run_autowiden(V, make_grid(-6, 6, 256), 0.5, 0.0,
+                                     0.0, 1.0, 2.0, 4)
+        assert data.widen_retries == 2
+        wide = make_grid(-24, 24, 1024)
+        data = quantum_run_autowiden(V, wide, 0.5, 0.0, 0.0, 1.0, 2.0, 4)
+        assert data.widen_retries == 0
+
+    @pytest.mark.parametrize("cap_fraction", [None, 0.3])
+    def test_quantum_run_step_schedule(self, cap_fraction, monkeypatch):
+        # probe triples at the probe step h = t_snap / n_sub; the spans
+        # between them at up to the stability rule itself (or twice a
+        # binding dt_cap), in about half the steps
+        from hbarlab import schrodinger
+        from hbarlab.experiments import DEFAULT_SAFETY, quantum_run
+        from hbarlab.grid import make_grid
+        V = PotentialSpec.harmonic(1.0, 1.0)
+        grid = make_grid(-10, 10, 256)
+        hbar, t_final, n_snapshots = 1.0, 0.4, 4
+        limit = schrodinger.max_stable_dt(grid, V, hbar, 1.0)
+        dt_cap = np.inf if cap_fraction is None else cap_fraction * limit
+        t_snap = t_final / n_snapshots
+        n_sub = int(np.ceil(t_snap / min(DEFAULT_SAFETY * limit, dt_cap)))
+        assert n_sub >= 20
+        h = t_snap / n_sub
+
+        calls = []
+        propagate = schrodinger.propagate
+
+        def spy(psi, V, dt, n_steps):
+            calls.append((dt, n_steps))
+            return propagate(psi, V, dt, n_steps)
+
+        monkeypatch.setattr(schrodinger, "propagate", spy)
+        data = quantum_run(V, grid, 0.5, 0.5, 0.5, hbar, t_final,
+                           n_snapshots, dt_cap)
+
+        assert all(dt <= limit for dt, _ in calls)
+        # two probe steps at t = 0, then per snapshot one span and a triple
+        assert len(calls) == 2 + 3 * n_snapshots
+        spans = calls[2::3]
+        probes = [c for i, c in enumerate(calls) if i % 3 != 2]
+        assert probes == [(h, 1)] * (2 + 2 * n_snapshots)
+        assert all(h < dt <= dt_cap / DEFAULT_SAFETY for dt, _ in spans)
+        assert np.array_equal(data.times,
+                              [i * t_snap for i in range(n_snapshots + 1)])
+        assert data.dt_probe == h
+        steps = sum(n for _, n in calls)
+        assert data.propagation_steps == steps
+        assert steps <= 0.6 * (n_snapshots * n_sub + 2)
 
     def test_deterministic_limit_slopes(self):
         cfg = small_config([
@@ -449,6 +542,23 @@ class TestCLI:
         err = capsys.readouterr().err
         assert f"numeric failure: {error}" in err
         assert "Traceback" not in err
+
+    def test_run_numerics_in_summary_and_cli_line(self, tmp_path, capsys):
+        code = main(["simulate", "--config", "uncertainty_coherent",
+                     "--set", "numerics.t_final=0.2",
+                     "--set", "numerics.n_snapshots=2",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        out = capsys.readouterr().out
+        summary = (tmp_path / "summary.txt").read_text()
+        csv_text = (tmp_path / "run_000.csv").read_text()
+        for key in ("grid_n", "dt_probe", "propagation_steps",
+                    "widen_retries"):
+            assert f"{key}=" in out
+            assert f"{key}=" in summary
+            assert key not in csv_text
+        assert "grid_n=256" in out
+        assert "widen_retries=0" in out
 
     def test_scan_preset_writes_csv(self, tmp_path):
         code = main(["scan", "--config", "combined_harmonic",

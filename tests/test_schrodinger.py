@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hbarlab.errors import BoundaryLeak, DomainError
-from hbarlab.grid import make_grid
+from hbarlab.grid import complex_field, make_grid
 from hbarlab.potential import PotentialSpec
 from hbarlab.schrodinger import (
+    WaveFunction,
     analytic_gaussian,
     energy_mean,
     excess_kurtosis,
@@ -140,6 +143,53 @@ class TestPropagate:
         err1 = np.linalg.norm(terminal(1) - ref)
         err2 = np.linalg.norm(terminal(2) - ref)
         assert 3.0 <= err1 / err2 <= 5.0
+
+
+# Random real polynomials of degree <= 4 and random packets on a 256-point
+# grid wide enough that no packet reaches the leak margin within 100 steps
+# at dt <= max_stable_dt.
+PROPERTY_GRID = make_grid(-16, 16, 256)
+PROPERTY_TOL = 1e-12
+random_case = dict(
+    coeffs=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=5),
+    eps=st.floats(0.2, 1.0), r0=st.floats(-1.0, 1.0),
+    p0=st.floats(-2.0, 2.0), hbar=st.floats(0.5, 2.0),
+    m=st.floats(0.5, 2.0), dt_frac=st.floats(0.01, 1.0),
+    n=st.integers(1, 100))
+
+
+def _random_run(coeffs, eps, r0, p0, hbar, m, dt_frac):
+    V = PotentialSpec.polynomial(coeffs, mass=m)
+    psi = init_gaussian(PROPERTY_GRID, eps, r0, p0, hbar, m)
+    dt = dt_frac * max_stable_dt(PROPERTY_GRID, V, hbar, m)
+    return V, psi, dt
+
+
+def _l2(values):
+    return float(np.sqrt(PROPERTY_GRID.dx * np.sum(np.abs(values) ** 2)))
+
+
+class TestPropagatorProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(**random_case)
+    def test_unitary(self, coeffs, eps, r0, p0, hbar, m, dt_frac, n):
+        V, psi, dt = _random_run(coeffs, eps, r0, p0, hbar, m, dt_frac)
+        out = propagate(psi, V, dt, n)
+        assert abs(_l2(out.values) - _l2(psi.values)) <= PROPERTY_TOL
+
+    @settings(max_examples=100, deadline=None)
+    @given(**random_case)
+    def test_conjugation_reverses_time(self, coeffs, eps, r0, p0, hbar, m,
+                                       dt_frac, n):
+        # for real V, conj . U . conj = U^-1, so conj . U . conj . U = I
+        V, psi, dt = _random_run(coeffs, eps, r0, p0, hbar, m, dt_frac)
+
+        def conj(wf):
+            return WaveFunction(complex_field(wf.grid, np.conj(wf.values)),
+                                wf.hbar, wf.m)
+
+        back = conj(propagate(conj(propagate(psi, V, dt, n)), V, dt, n))
+        assert _l2(back.values - psi.values) <= PROPERTY_TOL
 
 
 class TestOracleAgreement:

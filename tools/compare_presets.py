@@ -8,7 +8,10 @@ REV is checked out with `git worktree` into a temporary directory.  Each
 preset in src/hbarlab/presets runs through `python -m hbarlab` (with
 --dump-fields) under both trees, one run at a time.  The script
 byte-compares every run_*.csv, field dumps included, and the exit codes,
-prints one line per preset, and exits 1 if anything differs.
+prints one line per preset, and exits 1 if anything differs.  For each CSV
+that differs it also prints the largest relative difference between the two
+files' numbers and the column it is in, so an intended change of
+arithmetic can be reviewed as numbers.
 """
 
 import argparse
@@ -18,6 +21,8 @@ import os
 import subprocess
 import sys
 import tempfile
+
+import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PRESETS = os.path.join(ROOT, "src", "hbarlab", "presets")
@@ -63,6 +68,42 @@ def run_csvs(outdir):
                   if f.startswith("run_") and f.endswith(".csv"))
 
 
+def read_table(path):
+    """(column names, rows of numbers) of a run CSV or field dump; comment
+    lines are skipped."""
+    with open(path, encoding="utf-8") as fh:
+        lines = [line.strip() for line in fh
+                 if line.strip() and not line.startswith("#")]
+    columns = lines[0].split(",")
+    return columns, [[float(v) for v in line.split(",")]
+                     for line in lines[1:]]
+
+
+def largest_difference(path_a, path_b):
+    """One line naming the largest relative difference between two CSVs,
+    its column and the two numbers, or why the files cannot be compared
+    number by number.  A difference is relative to the largest magnitude
+    in its column; a column that is roundoff throughout (zero by symmetry)
+    can read O(1), and the two numbers show it."""
+    cols_a, rows_a = read_table(path_a)
+    cols_b, rows_b = read_table(path_b)
+    if cols_a != cols_b or len(rows_a) != len(rows_b):
+        return "header or row count differs"
+    a, b = np.array(rows_a), np.array(rows_b)
+    if np.array_equal(a, b, equal_nan=True):
+        return "numbers equal, text differs"
+    with np.errstate(invalid="ignore", divide="ignore"):
+        diff = np.where(np.isnan(a) & np.isnan(b), 0.0, np.abs(a - b))
+        worst = diff.max(axis=0)
+        scale = np.maximum(np.abs(a), np.abs(b)).max(axis=0)
+        rel = np.where(worst == 0, 0.0, worst / scale)
+    rel = np.nan_to_num(rel, nan=np.inf)     # a nan on one side only
+    j = int(np.argmax(rel))
+    i = int(np.argmax(diff[:, j]))
+    return (f"max rel diff {rel[j]:.3g} in {cols_a[j]} "
+            f"(row {i}: {float(a[i, j])!r} vs {float(b[i, j])!r})")
+
+
 def compare(base, tmp):
     """Run every preset under both trees; returns True when nothing
     differs."""
@@ -87,6 +128,10 @@ def compare(base, tmp):
         print(f"{preset:24s} {command:9s} exit {code_base}/{code_head}  "
               f"{len(names) - len(differ) - len(missing):3d}/{len(names):3d}"
               f" csv identical  {status}", flush=True)
+        for name in differ:
+            print(f"    {name}: " + largest_difference(
+                os.path.join(out_base, name), os.path.join(out_head, name)),
+                flush=True)
         same = same and not problems
     return same
 
