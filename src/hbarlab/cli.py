@@ -11,7 +11,8 @@
 key can be overridden with repeated --set section.key=value flags.  Outputs
 go to the configured directory (override with --out): one CSV per run, one
 plain-text summary per scan, optional per-snapshot field dumps with
---dump-fields.
+--dump-fields.  A run command must be the one COMMANDS maps the config's
+[experiment] kind to; a config without a kind runs under `simulate`.
 
 Exit codes: 0 success; 1 usage or configuration error; 2 numeric failure
 (every other LabError: boundary leakage, caustic, phase-space mass drift,
@@ -26,20 +27,22 @@ from importlib import resources
 
 from .config import RunConfig
 from .errors import CausticError, DomainError, LabError
-from .experiments import (
-    run_detpot,
-    run_liouville_demo,
-    run_phj_demo,
-    run_uncertainty,
-    run_experiment,
-    write_outputs,
-)
+from .experiments import run_experiment, run_uncertainty, write_outputs
 from .records import read_csv
 
-__all__ = ["main", "cli_main"]
+__all__ = ["main", "cli_main", "COMMANDS"]
 
-_SCAN_EXPERIMENTS = ("standard_limit", "deterministic_limit",
-                     "combined_limit")
+# experiment kind -> the CLI command that runs it; a config without an
+# [experiment] kind is the uncertainty run of `simulate`
+COMMANDS = {
+    None: "simulate",
+    "standard_limit": "scan",
+    "deterministic_limit": "scan",
+    "combined_limit": "scan",
+    "detpot": "detpot",
+    "phj_demo": "phj",
+    "liouville_demo": "liouville",
+}
 
 
 class _UsageError(Exception):
@@ -103,9 +106,15 @@ def _load_config(args):
     return cfg
 
 
-def _run_and_write(args, runner):
+def _run_and_write(args):
     cfg = _load_config(args)
-    result = runner(cfg)
+    kind = cfg.get("experiment", "kind", None)
+    if COMMANDS.get(kind) != args.command:
+        kinds = [k for k, c in COMMANDS.items() if c == args.command]
+        raise DomainError(
+            f"{args.command} expects experiment kind "
+            f"{' or '.join(map(repr, kinds))}, config says {kind!r}")
+    result = run_uncertainty(cfg) if kind is None else run_experiment(cfg)
     outdir = args.out or cfg.output_directory()
     write_outputs(result, outdir)
     for rec in result.records:
@@ -113,14 +122,6 @@ def _run_and_write(args, runner):
         print(f"{result.experiment} {rec.label}: {len(rec.rows)} snapshots"
               f"  {fit_str}  -> {outdir}")
     return 0
-
-
-def _run_scan(cfg):
-    if cfg.experiment not in _SCAN_EXPERIMENTS:
-        raise DomainError(
-            f"scan expects one of {_SCAN_EXPERIMENTS}, config says "
-            f"{cfg.experiment!r}")
-    return run_experiment(cfg)
 
 
 def _cmd_report(args):
@@ -149,19 +150,9 @@ def cli_main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "simulate":
-            return _run_and_write(args, run_uncertainty)
-        if args.command == "scan":
-            return _run_and_write(args, _run_scan)
-        if args.command == "detpot":
-            return _run_and_write(args, run_detpot)
-        if args.command == "phj":
-            return _run_and_write(args, run_phj_demo)
-        if args.command == "liouville":
-            return _run_and_write(args, run_liouville_demo)
         if args.command == "report":
             return _cmd_report(args)
-        raise DomainError(f"unknown command {args.command!r}")
+        return _run_and_write(args)
     except _UsageError as err:
         parser.print_usage(sys.stderr)
         print(f"error: {err}", file=sys.stderr)

@@ -29,14 +29,13 @@ Numerics policy: grids are auto-sized per run from the packet and
 potential scales (resolution follows the momentum content ~ p/hbar, so
 step sizes shrink linearly with hbar and splitting errors on the means
 drop as hbar^2 across a combined scan); BoundaryLeak triggers an automatic
-rerun on a doubled domain, at most twice.  Two time steps serve a quantum
-run: the probe step h (DEFAULT_SAFETY times the phase-rotation limit of
-`schrodinger.max_stable_dt`, shortened to a whole number of steps per
-snapshot interval) spaces each snapshot triple behind the dS/dt
-difference, and the spans between triples are crossed in equal steps of up
-to the limit itself (twice a binding dt_cap), about half as many.  Each quantum record's fits carry grid_n,
-dt_probe, propagation_steps and widen_retries; they reach summary.txt and
-the CLI line, not the CSV.  The three limit scans and the uncertainty run
+rerun on a doubled domain, at most twice.  A quantum run takes one time
+step, the phase-rotation limit of `schrodinger.max_stable_dt` (capped in a
+combined scan) shortened to a whole number of steps per snapshot interval;
+every snapshot is the middle of a triple one step apart, behind the
+centered dS/dt difference.  Each quantum record's fits carry grid_n, dt,
+propagation_steps and widen_retries; they reach summary.txt and the CLI
+line, not the CSV.  The three limit scans and the uncertainty run
 share one loop over scan points, `_quantum_scan`.
 """
 
@@ -48,7 +47,7 @@ import numpy as np
 
 from . import classical, detpot, hjflow, madelung, schrodinger
 from .errors import BoundaryLeak, DomainError
-from .grid import make_grid, real_field
+from .grid import complex_field, make_grid, real_field
 from .potential import eval_potential
 from .records import (
     DETPOT_COLUMNS,
@@ -74,7 +73,6 @@ __all__ = [
 ]
 
 MAX_WIDEN_RETRIES = 2
-DEFAULT_SAFETY = 0.5
 
 
 @dataclass
@@ -87,7 +85,7 @@ class ScanResult:
 
 
 # ----------------------------------------------------------------------
-# Grid and step-size selection
+# Grid selection
 # ----------------------------------------------------------------------
 
 def _next_pow2(n):
@@ -152,10 +150,6 @@ def auto_grid(V, eps0, r0, p0, hbar, t_final, n_min=256, n_max=65536):
     return make_grid(-half, half, n)
 
 
-def _choose_dt(grid, V, hbar):
-    return DEFAULT_SAFETY * schrodinger.max_stable_dt(grid, V, hbar, V.mass)
-
-
 # ----------------------------------------------------------------------
 # Quantum run with per-snapshot records
 # ----------------------------------------------------------------------
@@ -163,8 +157,8 @@ def _choose_dt(grid, V, hbar):
 @dataclass
 class QuantumRunData:
     grid: object
-    step_limit: float              # probe-step bound before rounding
-    dt_probe: float                # the probe step h of every triple
+    step_limit: float              # step bound before rounding
+    dt: float                      # the one step of the run
     times: np.ndarray
     x_mean: np.ndarray
     p_mean: np.ndarray
@@ -176,7 +170,7 @@ class QuantumRunData:
     quantum_norm: np.ndarray
     hj_classical: np.ndarray
     fields: list                   # (t, rho values, S values) if collected
-    propagation_steps: int = 0     # Strang steps taken, probe steps included
+    propagation_steps: int = 0     # Strang steps taken
     widen_retries: int = 0         # domain doublings before this run
 
     def rows(self):
@@ -189,109 +183,67 @@ class QuantumRunData:
         return tuple(out)
 
 
-def _snapshot_row(triple, V, dt, one_sided=False):
-    """Observables plus action-equation diagnostics from a snapshot triple
-    (one probe step apart).  The snapshot state is triple[0] for the
-    one-sided (t=0) form and triple[1] for the centered form."""
-    fields = madelung.anchored_series(list(triple))
-    if one_sided:
-        f0, f1, f2 = fields
-        snap = triple[0]
-        common = f0.support & f1.support & f2.support
-        vals = np.where(
-            common,
-            (-3.0 * f0.s.values + 4.0 * f1.s.values - f2.s.values) / (2 * dt),
-            0.0)
-        ds_dt = real_field(snap.grid, vals)
-        mid = f0
-    else:
-        snap = triple[1]
-        fm, mid, fp = fields
-        ds_dt, common = madelung.ds_dt_centered(fm, fp, dt)
+def _time_reversed(psi):
+    """conj(psi) at -t.  For a real potential conj U(dt) conj = U(-dt), so
+    reversing, propagating and reversing again steps backward in time."""
+    return schrodinger.WaveFunction(
+        complex_field(psi.grid, np.conj(psi.values)), psi.hbar, psi.m, -psi.t)
+
+
+def _snapshot_row(triple, V, dt):
+    """One QUANTUM_COLUMNS row (without t) plus the middle Madelung fields,
+    from a snapshot triple (psi(t - dt), psi(t), psi(t + dt))."""
+    fm, mid, fp = madelung.anchored_series(list(triple))
+    snap = triple[1]
+    ds_dt, common = madelung.ds_dt_centered(fm, fp, dt)
     obs = schrodinger.observables(snap)
-    qnorm = madelung.quantum_term_norm(mid.rho, snap.hbar, snap.m)
-    hj_cl = madelung.hj_residual(mid, ds_dt, V, "classical", support=common)
-    return obs, schrodinger.excess_kurtosis(snap), qnorm, hj_cl, mid
+    return ((obs.x_mean, obs.p_mean, obs.var_x, obs.var_p,
+             obs.uncertainty_product, obs.width,
+             schrodinger.excess_kurtosis(snap),
+             madelung.quantum_term_norm(mid.rho, snap.hbar, snap.m),
+             madelung.hj_residual(mid, ds_dt, V, "classical",
+                                  support=common)), mid)
 
 
 def quantum_run(V, grid, eps0, r0, p0, hbar, t_final, n_snapshots,
                 dt_cap=np.inf, collect_fields=False):
     """Propagate a packet and collect the pinned per-snapshot observables.
 
-    Snapshots are uniform in time.  At each one the state a probe step h
-    before and after is also captured, so the dS/dt entering the
-    classical-residual column is a centered difference (one-sided at
-    t=0).  The probe step is DEFAULT_SAFETY times the stability-rule step,
-    capped at dt_cap, then shortened to a whole number of steps per
-    snapshot interval.  The span between two triples is a multiple of h,
-    but the packet crosses it in the fewest equal steps no longer than
-    step_limit / DEFAULT_SAFETY: the stability rule itself when dt_cap does
-    not bind, so about half as many steps as at the probe step.  The
-    Strang error of the observables is bounded by commutators, not by the
-    phase at the grid's Nyquist mode (Lubich, From Quantum to Classical
-    Molecular Dynamics, 2008, ch. III; Bao, Jin & Markowich, JCP 175,
-    2002), and every pinned tolerance holds at the longer step.
+    The run takes one step dt = t_snap / n_sub: the phase-rotation limit of
+    `schrodinger.max_stable_dt`, capped at dt_cap, shortened to a whole
+    number (at least 3) of steps per snapshot interval.  Every snapshot,
+    t = 0 included, is the middle of a triple one step apart, so the dS/dt
+    entering the classical-residual column is a centered difference; the
+    state before t = 0 comes from time reversal.  The Strang error of the
+    observables is bounded by commutators, not by the phase at the grid's
+    Nyquist mode (Lubich, From Quantum to Classical Molecular Dynamics,
+    2008, ch. III), and every pinned tolerance holds at this step.
     """
     m = V.mass
-    step_limit = min(_choose_dt(grid, V, hbar), dt_cap)
-    # never above the stability rule: step_limit <= DEFAULT_SAFETY times it
-    span_limit = step_limit / DEFAULT_SAFETY
+    step_limit = min(schrodinger.max_stable_dt(grid, V, hbar, m), dt_cap)
     t_snap = t_final / n_snapshots
-    # >= 3 probe steps per snapshot interval so the one-sided triple at t=0
-    # and the first centered triple do not overlap
+    # >= 3 steps per snapshot interval, so consecutive triples do not overlap
     n_sub = max(3, int(np.ceil(t_snap / step_limit)))
-    h = t_snap / n_sub
+    dt = t_snap / n_sub
 
-    psi = schrodinger.init_gaussian(grid, eps0, r0, p0, hbar, m)
-    n_rows = n_snapshots + 1
-    data = QuantumRunData(
-        grid, step_limit, h, np.empty(n_rows), np.empty(n_rows),
-        np.empty(n_rows), np.empty(n_rows), np.empty(n_rows),
-        np.empty(n_rows), np.empty(n_rows), np.empty(n_rows),
-        np.empty(n_rows), np.empty(n_rows), [])
-
-    def record(i, t, obs, kurt, qnorm, hj_cl, mid):
-        data.times[i] = t
-        data.x_mean[i] = obs.x_mean
-        data.p_mean[i] = obs.p_mean
-        data.var_x[i] = obs.var_x
-        data.var_p[i] = obs.var_p
-        data.uncertainty[i] = obs.uncertainty_product
-        data.width[i] = obs.width
-        data.kurtosis[i] = kurt
-        data.quantum_norm[i] = qnorm
-        data.hj_classical[i] = hj_cl
-        if collect_fields:
-            data.fields.append((t, mid.rho.values.copy(),
-                                mid.s.values.copy()))
-
-    def advance(state, dt, n_steps):
-        data.propagation_steps += n_steps
+    def step(state, n_steps=1):
         return schrodinger.propagate(state, V, dt, n_steps)
 
-    # t = 0 row: one-sided triple (psi0, psi0+h, psi0+2h)
-    psi_b = advance(psi, h, 1)
-    psi_c = advance(psi_b, h, 1)
-    obs, kurt, qnorm, hj_cl, mid = _snapshot_row(
-        (psi, psi_b, psi_c), V, h, one_sided=True)
-    record(0, 0.0, obs, kurt, qnorm, hj_cl, mid)
-
-    cur = psi_c          # at probe step 2
-    cur_step = 2
-    for i in range(1, n_snapshots + 1):
-        target = i * n_sub
-        if target - 1 > cur_step:
-            span = (target - 1 - cur_step) * h
-            n_span = int(np.ceil(span / span_limit))
-            cur = advance(cur, span / n_span, n_span)
-        psi_m = cur
-        psi_0 = advance(psi_m, h, 1)
-        psi_p = advance(psi_0, h, 1)
-        cur, cur_step = psi_p, target + 1
-        obs, kurt, qnorm, hj_cl, mid = _snapshot_row(
-            (psi_m, psi_0, psi_p), V, h)
-        record(i, i * t_snap, obs, kurt, qnorm, hj_cl, mid)
-    return data
+    psi = schrodinger.init_gaussian(grid, eps0, r0, p0, hbar, m)
+    before = _time_reversed(step(_time_reversed(psi)))
+    rows, fields = [], []
+    for i in range(n_snapshots + 1):
+        if i:
+            before = step(after, n_sub - 2)
+            psi = step(before)
+        after = step(psi)
+        row, mid = _snapshot_row((before, psi, after), V, dt)
+        rows.append((i * t_snap,) + row)
+        if collect_fields:
+            fields.append((i * t_snap, mid.rho.values.copy(),
+                           mid.s.values.copy()))
+    return QuantumRunData(grid, step_limit, dt, *np.array(rows).T, fields,
+                          propagation_steps=2 + n_snapshots * n_sub)
 
 
 def quantum_run_autowiden(V, grid, eps0, r0, p0, hbar, t_final, n_snapshots,
@@ -368,7 +320,7 @@ def _quantum_scan(cfg, experiment, V, r0, p0, points, t_final, n_snapshots,
             dt_cap = 0.9 * data.step_limit
         dumps.extend(_field_dump_entries(len(records), data))
         fits = point_fits(data, hbar, eps)
-        fits.update(grid_n=data.grid.n, dt_probe=data.dt_probe,
+        fits.update(grid_n=data.grid.n, dt=data.dt,
                     propagation_steps=data.propagation_steps,
                     widen_retries=data.widen_retries)
         records.append(RunRecord(
@@ -560,7 +512,11 @@ def run_uncertainty(cfg):
     records, dumps = _quantum_scan(
         cfg, "simulate", V, r0, p0, [(f"hbar={hbar!r}", hbar, eps0)],
         t_final, n_snapshots, point_fits)
-    return ScanResult("simulate", records, dict(records[0].fits),
+    fits = records[0].fits
+    return ScanResult("simulate", records,
+                      {key: fits[key] for key in ("hbar", "uncertainty_min",
+                                                  "hbar_over_2",
+                                                  "floor_satisfied")},
                       time.perf_counter() - t0, dumps)
 
 

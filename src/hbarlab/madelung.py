@@ -97,6 +97,12 @@ def _wrap(delta):
     return (delta + np.pi) % (2.0 * np.pi) - np.pi
 
 
+def _unwrap_from(s0, phase, hbar):
+    """S along a run of phases that starts where S = s0: the running sum,
+    in order, of the minimal-increment steps hbar * wrap(dphase)."""
+    return np.cumsum(np.concatenate(([s0], hbar * _wrap(np.diff(phase)))))
+
+
 def to_madelung(psi, floor=DEFAULT_FLOOR):
     """Decompose a wave function into (rho, S).
 
@@ -112,12 +118,11 @@ def to_madelung(psi, floor=DEFAULT_FLOOR):
     support, masked = _support_and_fraction(rho_vals, g.dx, floor)
     peak = int(np.argmax(rho_vals))
 
-    lo = peak
-    while lo > 0 and support[lo - 1]:
-        lo -= 1
-    hi = peak
-    while hi < g.n - 1 and support[hi + 1]:
-        hi += 1
+    # the support run around the peak ends at the nearest masked points
+    gaps = np.flatnonzero(~support)
+    k = int(np.searchsorted(gaps, peak))
+    lo = int(gaps[k - 1]) + 1 if k > 0 else 0
+    hi = int(gaps[k]) - 1 if k < gaps.size else g.n - 1
     outside = support.copy()
     outside[lo:hi + 1] = False
     if outside.any():
@@ -132,11 +137,10 @@ def to_madelung(psi, floor=DEFAULT_FLOOR):
 
     phase = np.angle(psi.values)
     s_vals = np.zeros(g.n)
-    s_vals[peak] = psi.hbar * phase[peak]
-    for i in range(peak + 1, hi + 1):
-        s_vals[i] = s_vals[i - 1] + psi.hbar * _wrap(phase[i] - phase[i - 1])
-    for i in range(peak - 1, lo - 1, -1):
-        s_vals[i] = s_vals[i + 1] + psi.hbar * _wrap(phase[i] - phase[i + 1])
+    s_peak = psi.hbar * phase[peak]
+    s_vals[peak:hi + 1] = _unwrap_from(s_peak, phase[peak:hi + 1], psi.hbar)
+    s_vals[lo:peak + 1] = _unwrap_from(s_peak, phase[lo:peak + 1][::-1],
+                                       psi.hbar)[::-1]
 
     return MadelungFields(real_field(g, rho_vals), real_field(g, s_vals),
                           psi.hbar, support, masked)

@@ -4,7 +4,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from hbarlab.cli import main
+from hbarlab.cli import COMMANDS, main
 from hbarlab.config import RunConfig, load_potential_table
 from hbarlab.errors import DomainError, LabError, NodeError
 from hbarlab.experiments import (
@@ -115,16 +115,6 @@ def _preset_names():
                   if p.name.endswith(".cfg"))
 
 
-# experiment kind -> CLI subcommand; presets without a kind are `simulate`
-PRESET_COMMANDS = {
-    None: "simulate",
-    "standard_limit": "scan",
-    "deterministic_limit": "scan",
-    "combined_limit": "scan",
-    "detpot": "detpot",
-    "phj_demo": "phj",
-    "liouville_demo": "liouville",
-}
 # documented numeric failures; every other preset exits 0
 PRESET_EXIT_CODES = {"phj_focusing": 2}     # the caustic at t = 1
 # the quartic packet grows a low-mass tail lobe that splits the density
@@ -156,7 +146,7 @@ class TestPresets:
         text = resources.files("hbarlab").joinpath(
             "presets", f"{name}.cfg").read_text(encoding="utf-8")
         kind = RunConfig.from_text(text).get("experiment", "kind", None)
-        code = main([PRESET_COMMANDS[kind], "--config", name,
+        code = main([COMMANDS[kind], "--config", name,
                      "--out", str(tmp_path)])
         err = capsys.readouterr().err
         assert code == PRESET_EXIT_CODES.get(name, 0), err
@@ -264,11 +254,10 @@ class TestExperiments:
 
     @pytest.mark.parametrize("cap_fraction", [None, 0.3])
     def test_quantum_run_step_schedule(self, cap_fraction, monkeypatch):
-        # probe triples at the probe step h = t_snap / n_sub; the spans
-        # between them at up to the stability rule itself (or twice a
-        # binding dt_cap), in about half the steps
+        # one step dt throughout: a backward and a forward step around
+        # t = 0, then per snapshot one span call and a centred triple
         from hbarlab import schrodinger
-        from hbarlab.experiments import DEFAULT_SAFETY, quantum_run
+        from hbarlab.experiments import quantum_run
         from hbarlab.grid import make_grid
         V = PotentialSpec.harmonic(1.0, 1.0)
         grid = make_grid(-10, 10, 256)
@@ -276,9 +265,8 @@ class TestExperiments:
         limit = schrodinger.max_stable_dt(grid, V, hbar, 1.0)
         dt_cap = np.inf if cap_fraction is None else cap_fraction * limit
         t_snap = t_final / n_snapshots
-        n_sub = int(np.ceil(t_snap / min(DEFAULT_SAFETY * limit, dt_cap)))
-        assert n_sub >= 20
-        h = t_snap / n_sub
+        n_sub = int(np.ceil(t_snap / min(limit, dt_cap)))
+        assert n_sub >= 10
 
         calls = []
         propagate = schrodinger.propagate
@@ -291,19 +279,14 @@ class TestExperiments:
         data = quantum_run(V, grid, 0.5, 0.5, 0.5, hbar, t_final,
                            n_snapshots, dt_cap)
 
-        assert all(dt <= limit for dt, _ in calls)
-        # two probe steps at t = 0, then per snapshot one span and a triple
-        assert len(calls) == 2 + 3 * n_snapshots
-        spans = calls[2::3]
-        probes = [c for i, c in enumerate(calls) if i % 3 != 2]
-        assert probes == [(h, 1)] * (2 + 2 * n_snapshots)
-        assert all(h < dt <= dt_cap / DEFAULT_SAFETY for dt, _ in spans)
+        dt = data.dt
+        assert dt == t_snap / n_sub
+        assert dt <= min(limit, dt_cap)
+        assert calls == ([(dt, 1), (dt, 1)]
+                         + [(dt, n_sub - 2), (dt, 1), (dt, 1)] * n_snapshots)
         assert np.array_equal(data.times,
                               [i * t_snap for i in range(n_snapshots + 1)])
-        assert data.dt_probe == h
-        steps = sum(n for _, n in calls)
-        assert data.propagation_steps == steps
-        assert steps <= 0.6 * (n_snapshots * n_sub + 2)
+        assert data.propagation_steps == n_snapshots * n_sub + 2
 
     def test_deterministic_limit_slopes(self):
         cfg = small_config([
@@ -493,6 +476,18 @@ class TestCLI:
                      "--out", str(tmp_path)])
         assert code == 1
 
+    @pytest.mark.parametrize("command, preset", [
+        ("simulate", "detpot_quartic"),
+        ("detpot", "uncertainty_coherent"),
+        ("phj", "liouville_harmonic"),
+    ])
+    def test_run_command_must_match_config_kind(self, command, preset,
+                                                tmp_path, capsys):
+        code = main([command, "--config", preset, "--out", str(tmp_path)])
+        assert code == 1
+        assert f"{command} expects experiment kind" in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
+
     def test_phj_focusing_past_caustic_exits_2(self, tmp_path, capsys):
         code = main(["phj", "--config", "phj_focusing",
                      "--out", str(tmp_path)])
@@ -551,14 +546,16 @@ class TestCLI:
         assert code == 0
         out = capsys.readouterr().out
         summary = (tmp_path / "summary.txt").read_text()
-        csv_text = (tmp_path / "run_000.csv").read_text()
-        for key in ("grid_n", "dt_probe", "propagation_steps",
-                    "widen_retries"):
-            assert f"{key}=" in out
-            assert f"{key}=" in summary
-            assert key not in csv_text
+        meta, columns, _ = read_csv(str(tmp_path / "run_000.csv"))
+        for key in ("grid_n", "dt", "propagation_steps", "widen_retries"):
+            assert f" {key}=" in out
+            # once, on the record line; not as a scan-level line
+            assert summary.count(f" {key}=") == 1
+            assert f"\n{key} = " not in summary
+            assert key not in meta and key not in columns
         assert "grid_n=256" in out
         assert "widen_retries=0" in out
+        assert "\nfloor_satisfied = 1\n" in summary
 
     def test_scan_preset_writes_csv(self, tmp_path):
         code = main(["scan", "--config", "combined_harmonic",

@@ -150,6 +150,7 @@ class TestPropagate:
 # at dt <= max_stable_dt.
 PROPERTY_GRID = make_grid(-16, 16, 256)
 PROPERTY_TOL = 1e-12
+PROPERTY_COVARIANCE_TOL = 1e-10
 random_case = dict(
     coeffs=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=5),
     eps=st.floats(0.2, 1.0), r0=st.floats(-1.0, 1.0),
@@ -190,6 +191,32 @@ class TestPropagatorProperties:
 
         back = conj(propagate(conj(propagate(psi, V, dt, n)), V, dt, n))
         assert _l2(back.values - psi.values) <= PROPERTY_TOL
+
+
+class TestTranslationCovariance:
+    @settings(max_examples=100, deadline=None)
+    @given(eps=st.lists(st.floats(0.2, 1.0), min_size=2, max_size=2),
+           r0=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2),
+           p0=st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2),
+           weight=st.complex_numbers(max_magnitude=2.0),
+           hbar=st.floats(0.5, 2.0), shift=st.integers(-32, 32))
+    def test_grid_shift_moves_only_the_mean_position(self, eps, r0, p0,
+                                                     weight, hbar, shift):
+        # a superposition of two packets, moved by `shift` grid points
+        # (at most 4 length units, far from the grid's edges)
+        g = PROPERTY_GRID
+        vals = (init_gaussian(g, eps[0], r0[0], p0[0], hbar, 1.0).values
+                + weight * init_gaussian(g, eps[1], r0[1], p0[1], hbar,
+                                         1.0).values)
+        vals = vals / np.sqrt(g.dx * np.sum(np.abs(vals) ** 2))
+        obs = observables(WaveFunction(complex_field(g, vals), hbar, 1.0))
+        moved = observables(WaveFunction(
+            complex_field(g, np.roll(vals, shift)), hbar, 1.0))
+        tol = dict(rel=PROPERTY_COVARIANCE_TOL, abs=PROPERTY_COVARIANCE_TOL)
+        assert moved.x_mean == pytest.approx(obs.x_mean + shift * g.dx, **tol)
+        for name in ("p_mean", "var_x", "var_p", "uncertainty_product"):
+            assert getattr(moved, name) == pytest.approx(
+                getattr(obs, name), **tol)
 
 
 class TestOracleAgreement:

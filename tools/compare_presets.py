@@ -9,9 +9,9 @@ preset in src/hbarlab/presets runs through `python -m hbarlab` (with
 --dump-fields) under both trees, one run at a time.  The script
 byte-compares every run_*.csv, field dumps included, and the exit codes,
 prints one line per preset, and exits 1 if anything differs.  For each CSV
-that differs it also prints the largest relative difference between the two
-files' numbers and the column it is in, so an intended change of
-arithmetic can be reviewed as numbers.
+that differs it also prints, for every column that differs, the largest
+relative difference between the two files' numbers, so an intended change
+of arithmetic can be reviewed as numbers, column by column.
 """
 
 import argparse
@@ -26,17 +26,9 @@ import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PRESETS = os.path.join(ROOT, "src", "hbarlab", "presets")
+sys.path.insert(0, os.path.join(ROOT, "src"))
 
-# experiment kind -> CLI subcommand; presets without a kind are `simulate`
-COMMANDS = {
-    None: "simulate",
-    "standard_limit": "scan",
-    "deterministic_limit": "scan",
-    "combined_limit": "scan",
-    "detpot": "detpot",
-    "phj_demo": "phj",
-    "liouville_demo": "liouville",
-}
+from hbarlab.cli import COMMANDS  # noqa: E402
 
 
 def presets():
@@ -79,29 +71,32 @@ def read_table(path):
                      for line in lines[1:]]
 
 
-def largest_difference(path_a, path_b):
-    """One line naming the largest relative difference between two CSVs,
-    its column and the two numbers, or why the files cannot be compared
-    number by number.  A difference is relative to the largest magnitude
-    in its column; a column that is roundoff throughout (zero by symmetry)
-    can read O(1), and the two numbers show it."""
+def largest_differences(path_a, path_b):
+    """Lines naming, for every column that differs between two CSVs, the
+    largest relative difference, its row and the two numbers, or one line
+    saying why the files cannot be compared number by number.  A
+    difference is relative to the largest magnitude in its column; a
+    column that is roundoff throughout (zero by symmetry) can read O(1),
+    and the two numbers show it."""
     cols_a, rows_a = read_table(path_a)
     cols_b, rows_b = read_table(path_b)
     if cols_a != cols_b or len(rows_a) != len(rows_b):
-        return "header or row count differs"
+        return ["header or row count differs"]
     a, b = np.array(rows_a), np.array(rows_b)
     if np.array_equal(a, b, equal_nan=True):
-        return "numbers equal, text differs"
+        return ["numbers equal, text differs"]
     with np.errstate(invalid="ignore", divide="ignore"):
         diff = np.where(np.isnan(a) & np.isnan(b), 0.0, np.abs(a - b))
         worst = diff.max(axis=0)
         scale = np.maximum(np.abs(a), np.abs(b)).max(axis=0)
         rel = np.where(worst == 0, 0.0, worst / scale)
     rel = np.nan_to_num(rel, nan=np.inf)     # a nan on one side only
-    j = int(np.argmax(rel))
-    i = int(np.argmax(diff[:, j]))
-    return (f"max rel diff {rel[j]:.3g} in {cols_a[j]} "
-            f"(row {i}: {float(a[i, j])!r} vs {float(b[i, j])!r})")
+    out = []
+    for j in np.flatnonzero(rel):
+        i = int(np.argmax(diff[:, j]))
+        out.append(f"max rel diff {rel[j]:.3g} in {cols_a[j]} "
+                   f"(row {i}: {float(a[i, j])!r} vs {float(b[i, j])!r})")
+    return out
 
 
 def compare(base, tmp):
@@ -129,9 +124,9 @@ def compare(base, tmp):
               f"{len(names) - len(differ) - len(missing):3d}/{len(names):3d}"
               f" csv identical  {status}", flush=True)
         for name in differ:
-            print(f"    {name}: " + largest_difference(
-                os.path.join(out_base, name), os.path.join(out_head, name)),
-                flush=True)
+            for line in largest_differences(os.path.join(out_base, name),
+                                            os.path.join(out_head, name)):
+                print(f"    {name}: {line}", flush=True)
         same = same and not problems
     return same
 
