@@ -17,10 +17,9 @@ along the trajectory.  This is the distribution statement behind the
 delta-function ansatz, tested without grid artifacts.
 
 ehrenfest_residuals checks the two expectation-value evolution laws,
-d<x>/dt = <p>/m and d<p>/dt = <-dV/dx>, on any snapshot series (wave
-functions or (rho, S) field pairs).  Both laws hold for every potential;
-what is special about potentials of degree <= 2 is only that the mean
-force equals the force at the mean.
+d<x>/dt = <p>/m and d<p>/dt = <-dV/dx>, on a series of wave functions.
+Both laws hold for every potential; what is special about potentials of
+degree <= 2 is only that the mean force equals the force at the mean.
 """
 
 from dataclasses import dataclass
@@ -30,9 +29,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import DomainError, EscapeError, MassDriftError
-from .madelung import MadelungFields
 from .potential import eval_force, eval_potential
-from .schrodinger import WaveFunction, observables
+from .schrodinger import observables
 
 __all__ = [
     "Trajectory",
@@ -210,13 +208,13 @@ def weak_liouville_residual(traj, V, test_functions=DEFAULT_TEST_FUNCTIONS):
     return worst
 
 
-def delta_ansatz_check(V, r0, p0, t_final, dt=2e-4, n_samples=8000):
-    """Integrate a Newton trajectory and verify the weak-form transport
-    identity along it; returns the max residual over the default test
-    functions.  The sample spacing bounds the centered-differencing error,
-    so n_samples is sized for ~1e-7 residuals on unit-scale problems."""
-    n_steps = int(np.ceil(t_final / dt))
-    stride = max(1, n_steps // n_samples)
+def delta_ansatz_check(V, r0, p0, t_final):
+    """Integrate a Newton trajectory (step 2e-4) and verify the weak-form
+    transport identity along it; returns the max residual over the default
+    test functions.  The sample spacing bounds the centered-differencing
+    error: ~8000 samples give ~1e-7 residuals on unit-scale problems."""
+    n_steps = int(np.ceil(t_final / 2e-4))
+    stride = max(1, n_steps // 8000)
     n_steps = stride * int(np.ceil(n_steps / stride))
     traj = newton_integrate(V, r0, p0, t_final / n_steps, n_steps,
                             save_stride=stride)
@@ -227,48 +225,22 @@ def delta_ansatz_check(V, r0, p0, t_final, dt=2e-4, n_samples=8000):
 # Expectation-value evolution residuals
 # ----------------------------------------------------------------------
 
-def _deriv_uniform(series, h):
-    """Centered differences with second-order one-sided ends."""
-    out = np.empty_like(series)
-    out[1:-1] = (series[2:] - series[:-2]) / (2 * h)
-    out[0] = (-3 * series[0] + 4 * series[1] - series[2]) / (2 * h)
-    out[-1] = (3 * series[-1] - 4 * series[-2] + series[-3]) / (2 * h)
-    return out
-
-
-def _mean_series(snapshots, V, times):
-    xs, ps, fs = [], [], []
-    for snap in snapshots:
-        if isinstance(snap, WaveFunction):
-            obs = observables(snap)
-            g = snap.grid
-            rho = np.abs(snap.values) ** 2
-            xs.append(obs.x_mean)
-            ps.append(obs.p_mean)
-        elif isinstance(snap, MadelungFields):
-            g = snap.grid
-            rho = snap.rho.values
-            grad_s = np.gradient(snap.s.values, g.dx, edge_order=2)
-            xs.append(g.dx * np.sum(g.x * rho))
-            ps.append(g.dx * np.sum(rho * grad_s))
-        else:
-            raise DomainError(f"unsupported snapshot type {type(snap)!r}")
-        fs.append(g.dx * np.sum(rho * eval_force(V, g.x)))
-    if times is None:
-        times = np.array([s.t for s in snapshots])
-    times = np.asarray(times, dtype=float)
+def ehrenfest_residuals(snapshots, V):
+    """Residual series of the two expectation-value laws on a series of
+    wave functions: residual1 = d<x>/dt - <p>/m and residual2 = d<p>/dt -
+    <F>, with second-order centered differences (one-sided at the ends)."""
+    if len(snapshots) < 3:
+        raise DomainError("need at least 3 snapshots")
+    times = np.array([s.t for s in snapshots])
     h = times[1] - times[0]
     if not np.allclose(np.diff(times), h, rtol=1e-9, atol=1e-12):
         raise DomainError("snapshots must be uniformly spaced in time")
-    return np.array(xs), np.array(ps), np.array(fs), h
-
-
-def ehrenfest_residuals(snapshots, V, times=None):
-    """Residual series of the two expectation-value laws:
-    residual1 = d<x>/dt - <p>/m and residual2 = d<p>/dt - <F>."""
-    if len(snapshots) < 3:
-        raise DomainError("need at least 3 snapshots")
-    x_bar, p_bar, f_bar, h = _mean_series(snapshots, V, times)
-    res1 = _deriv_uniform(x_bar, h) - p_bar / V.mass
-    res2 = _deriv_uniform(p_bar, h) - f_bar
+    obs = [observables(s) for s in snapshots]
+    x_bar = np.array([o.x_mean for o in obs])
+    p_bar = np.array([o.p_mean for o in obs])
+    f_bar = np.array([s.grid.dx * np.sum(np.abs(s.values) ** 2
+                                         * eval_force(V, s.grid.x))
+                      for s in snapshots])
+    res1 = np.gradient(x_bar, h, edge_order=2) - p_bar / V.mass
+    res2 = np.gradient(p_bar, h, edge_order=2) - f_bar
     return res1, res2

@@ -77,11 +77,14 @@ class RunConfig:
     """Parsed configuration with typed accessors.
 
     Keys live in (section, key) pairs; insertion order is preserved for the
-    deterministic echo."""
+    deterministic echo.  Every run divides its time span by [numerics]
+    n_snapshots, so a config whose n_snapshots is not >= 1 is refused."""
 
     def __init__(self, entries, origin="<config>"):
         self.entries = dict(entries)
         self.origin = origin
+        if self.get_int("numerics", "n_snapshots", 1) < 1:
+            raise DomainError(f"{origin}: [numerics] n_snapshots must be >= 1")
 
     # -- construction ------------------------------------------------------
 
@@ -207,16 +210,29 @@ class RunConfig:
                 self.get_float("packet", "r0", 0.0),
                 self.get_float("packet", "p0", 0.0))
 
+    def _bounds_and_counts(self, key, form, n_counts, default=_MISSING):
+        """[numerics] key as the number list `form`, whose last n_counts
+        entries are point counts (integers >= 2)."""
+        vals = self.get_float_list("numerics", key, default)
+        counts = vals[len(vals) - n_counts:]
+        if len(vals) != form.count(",") + 1 or not all(
+                v.is_integer() and v >= 2 for v in counts):
+            raise DomainError(
+                f"{self.origin}: [numerics] {key} must be {form} with integer "
+                f"point counts >= 2, got {self.get('numerics', key)!r}")
+        return vals[:-n_counts] + [int(v) for v in counts]
+
     def grid_spec(self):
         """Explicit grid from [numerics] grid = xmin,xmax,n; None for auto."""
-        raw = self.get("numerics", "grid", "auto")
-        if str(raw).strip().lower() == "auto":
+        if str(self.get("numerics", "grid", "auto")).strip().lower() == "auto":
             return None
-        parts = str(raw).split(",")
-        if len(parts) != 3:
-            raise DomainError(
-                f"[numerics] grid must be 'auto' or 'xmin,xmax,n', got {raw!r}")
-        return make_grid(float(parts[0]), float(parts[1]), int(parts[2]))
+        return make_grid(*self._bounds_and_counts("grid", "xmin,xmax,n", 1))
+
+    def phase_grid(self):
+        """[numerics] phase_grid = xmin,xmax,pmin,pmax,nx,np."""
+        return self._bounds_and_counts(
+            "phase_grid", "xmin,xmax,pmin,pmax,nx,np", 2,
+            [-3.0, 3.0, -3.0, 3.0, 256.0, 256.0])
 
     def output_directory(self):
         return self.get("output", "directory", "runs")

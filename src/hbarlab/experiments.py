@@ -92,7 +92,7 @@ def _next_pow2(n):
     return 1 << int(np.ceil(np.log2(max(n, 1))))
 
 
-def auto_grid(V, eps0, r0, p0, hbar, t_final, n_min=256, n_max=65536):
+def auto_grid(V, eps0, r0, p0, hbar, t_final):
     """Size the domain from the classical extent plus packet tails, and the
     resolution from the momentum content (p_max/hbar plus the packet's own
     spectral width at its narrowest)."""
@@ -146,7 +146,7 @@ def auto_grid(V, eps0, r0, p0, hbar, t_final, n_min=256, n_max=65536):
     # scales dt ~ 1/k_max^2, so resolution is not over-provisioned
     k_need = 1.3 * p_max / hbar + 8.0 / sigma_min
     n_k = k_need * (2 * half) / np.pi
-    n = int(np.clip(_next_pow2(max(n_k, n_min)), n_min, n_max))
+    n = int(np.clip(_next_pow2(max(n_k, 256)), 256, 65536))
     return make_grid(-half, half, n)
 
 
@@ -174,13 +174,9 @@ class QuantumRunData:
     widen_retries: int = 0         # domain doublings before this run
 
     def rows(self):
-        out = []
-        for i in range(self.times.size):
-            out.append((self.times[i], self.x_mean[i], self.p_mean[i],
-                        self.var_x[i], self.var_p[i], self.uncertainty[i],
-                        self.width[i], self.kurtosis[i],
-                        self.quantum_norm[i], self.hj_classical[i]))
-        return tuple(out)
+        return tuple(zip(self.times, self.x_mean, self.p_mean, self.var_x,
+                         self.var_p, self.uncertainty, self.width,
+                         self.kurtosis, self.quantum_norm, self.hj_classical))
 
 
 def _time_reversed(psi):
@@ -200,7 +196,7 @@ def _snapshot_row(triple, V, dt):
     return ((obs.x_mean, obs.p_mean, obs.var_x, obs.var_p,
              obs.uncertainty_product, obs.width,
              schrodinger.excess_kurtosis(snap),
-             madelung.quantum_term_norm(mid.rho, snap.hbar, snap.m),
+             madelung.quantum_term_norm(mid, snap.m, support=common),
              madelung.hj_residual(mid, ds_dt, V, "classical",
                                   support=common)), mid)
 
@@ -571,13 +567,7 @@ def run_liouville_demo(cfg):
     t_final = cfg.get_float("numerics", "t_final")
     n_check = cfg.get_int("numerics", "n_snapshots", 8)
     dt = cfg.get_float("numerics", "dt", 1e-3)
-    bounds = cfg.get("numerics", "phase_grid", "-3,3,-3,3,256,256")
-    parts = [p.strip() for p in str(bounds).split(",")]
-    if len(parts) != 6:
-        raise DomainError(
-            "[numerics] phase_grid must be xmin,xmax,pmin,pmax,nx,np")
-    x_min, x_max, p_min, p_max = map(float, parts[:4])
-    nx, n_p = int(parts[4]), int(parts[5])
+    x_min, x_max, p_min, p_max, nx, n_p = cfg.phase_grid()
     sigma = np.sqrt(eps / 2.0)
     rho0 = classical.gaussian_phase_blob(r0, p0, sigma, sigma,
                                          x_min, x_max, p_min, p_max, nx, n_p)

@@ -31,6 +31,7 @@ from scipy.interpolate import CubicHermiteSpline, CubicSpline, PchipInterpolator
 from . import _kernels
 from .errors import CausticError, DomainError
 from .grid import real_field
+from .madelung import interior_support
 from .potential import eval_force, eval_potential
 
 __all__ = [
@@ -82,10 +83,11 @@ class HJSolution:
     fan: CharacteristicFan
 
 
-def integrate_fan(s0, V, t_final, n_char=None, dt=2e-4, snapshot_times=None):
-    """Launch characteristics from the initial action field s0 and integrate
-    them to t_final, recording positions, momenta, and actions at the
-    snapshot times (default: 9 evenly spaced in [0, t_final]).
+def integrate_fan(s0, V, t_final, dt=2e-4, snapshot_times=None):
+    """Launch 8x the grid's point count of characteristics from the initial
+    action field s0 (enough to keep transported-density mass errors below
+    1e-6) and integrate them to t_final, recording positions, momenta, and
+    actions at the snapshot times (default: 9 evenly spaced in [0, t_final]).
 
     The fan is integrated through any characteristic crossing (density
     transport may remain well posed past an isolated focus); the first
@@ -98,14 +100,7 @@ def integrate_fan(s0, V, t_final, n_char=None, dt=2e-4, snapshot_times=None):
     if t_final <= 0:
         raise DomainError(f"t_final must be positive, got {t_final}")
     g = s0.grid
-    if n_char is None:
-        # 8x the grid keeps transported-density mass errors below 1e-6;
-        # 4x is the hard floor.
-        n_char = 8 * g.n
-    if n_char < 4 * g.n:
-        raise DomainError("fan density must be at least 4x grid resolution")
-
-    x0 = np.linspace(g.x_min, g.x_max, int(n_char))
+    x0 = np.linspace(g.x_min, g.x_max, 8 * g.n)
     grad_s0 = np.gradient(s0.values, g.dx, edge_order=2)
     p0 = PchipInterpolator(g.x, grad_s0, extrapolate=True)(x0)
     s0_at_x0 = PchipInterpolator(g.x, s0.values, extrapolate=True)(x0)
@@ -127,7 +122,7 @@ def integrate_fan(s0, V, t_final, n_char=None, dt=2e-4, snapshot_times=None):
     return CharacteristicFan(x0, p0, times, X, P, action, V.mass, t_crossing)
 
 
-def solve_hj(s0, V, t_final, n_char=None, dt=2e-4, snapshot_times=None):
+def solve_hj(s0, V, t_final, dt=2e-4, snapshot_times=None):
     """Integrate the classical action equation from the initial field s0.
 
     Returns an HJSolution with S reconstructed on the grid at the snapshot
@@ -135,7 +130,7 @@ def solve_hj(s0, V, t_final, n_char=None, dt=2e-4, snapshot_times=None):
     characteristics cross before t_final; the partial solution holds the
     strictly pre-caustic snapshots.
     """
-    fan = integrate_fan(s0, V, t_final, n_char, dt, snapshot_times)
+    fan = integrate_fan(s0, V, t_final, dt, snapshot_times)
     g = s0.grid
     if fan.t_crossing is not None:
         t_c = fan.t_crossing
@@ -193,7 +188,7 @@ def transport_density(rho0, fan, t):
     return real_field(g, out)
 
 
-def classical_hj_residual(sol, V, i, raw_fields=None):
+def classical_hj_residual(sol, V, i):
     """L2 norm of dS/dt + (dS/dx)^2/2m + V at interior snapshot i, with
     dS/dt from centered differencing of the neighboring snapshots.
 
@@ -206,9 +201,8 @@ def classical_hj_residual(sol, V, i, raw_fields=None):
     ds_dt = (sol.s_fields[i + 1].values - sol.s_fields[i - 1].values) / dt2
     grad_s = np.gradient(sol.s_fields[i].values, g.dx, edge_order=2)
     integrand = ds_dt + grad_s ** 2 / (2.0 * V.mass) + eval_potential(V, g.x)
-    region = sol.coverage[i - 1] & sol.coverage[i] & sol.coverage[i + 1]
-    region[1:] &= region[:-1].copy()
-    region[:-1] &= region[1:].copy()
+    region = interior_support(
+        sol.coverage[i - 1] & sol.coverage[i] & sol.coverage[i + 1])
     return float(np.sqrt(g.dx * np.sum(integrand[region] ** 2)))
 
 
@@ -243,7 +237,7 @@ def _interp_gradients(s_field):
             PchipInterpolator(g.x, g2, extrapolate=True))
 
 
-def deterministic_continuity_check(epsilon, sol, r_t, p_t, n_nodes=40):
+def deterministic_continuity_check(epsilon, sol, r_t, p_t):
     """Moments of the continuity equation under a narrow Gaussian density of
     width parameter epsilon riding at r(t) with trajectory momentum p(t).
 
@@ -262,13 +256,13 @@ def deterministic_continuity_check(epsilon, sol, r_t, p_t, n_nodes=40):
     constant momentum mismatch (term1's (x-r) weight integrates any
     constant mismatch to zero).
 
-    Integrals are Gauss-Hermite quadrature on interpolated gradient fields,
-    so widths far below the grid spacing are handled exactly for the
+    Integrals are 40-node Gauss-Hermite quadrature on interpolated gradient
+    fields, so widths far below the grid spacing are handled exactly for the
     polynomial action fields the scans use.
     """
     if epsilon <= 0:
         raise DomainError("epsilon must be positive")
-    z, w = np.polynomial.hermite.hermgauss(n_nodes)
+    z, w = np.polynomial.hermite.hermgauss(40)
     w = w / np.sqrt(np.pi)
     se = np.sqrt(epsilon)
     term1 = np.empty(sol.times.size)

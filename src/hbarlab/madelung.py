@@ -14,21 +14,24 @@ throughout.)  The residual evaluators below measure how well given (rho, S)
 pairs satisfy either equation, with or without that term.
 
 Phase handling: S = hbar * arg(psi) is defined up to 2*pi*hbar jumps and is
-undefined where rho vanishes.  Points with rho below a relative floor are
-masked; the remaining support must be a single connected run, inside which
-the phase is unwrapped outward from the density maximum by a
-minimal-increment rule.  The reported masked fraction is mass-weighted
-(the fraction of probability sitting on masked points): a localized packet
-on a padded grid masks most *points* while carrying ~1e-12 of the mass
-there, and it is the mass that decides whether S-dependent operations are
-trustworthy.
+undefined where rho vanishes.  Points with rho below DEFAULT_FLOOR * max(rho),
+the one support floor of the lab, are masked; the remaining support must
+be a single connected run, inside which the phase is unwrapped outward
+from the density maximum by a minimal-increment rule.  The reported masked
+fraction is mass-weighted (the fraction of probability sitting on masked
+points): a localized packet on a padded grid masks most *points* while
+carrying ~1e-12 of the mass there, and it is the mass that decides whether
+S-dependent operations are trustworthy.
 
 Gradient policy: derivatives of decaying fields (rho, sqrt(rho), fluxes)
 use the spectral operator; derivatives of S use second-order finite
 differences, because S is generally not periodic on the grid (a moving
 packet has S ~ p*x) and a spectral derivative would ring.  Central
 differences are exact for the quadratic-in-x action fields of the Gaussian
-family.
+family.  Both S-dependent norms, the quantum-term norm and the
+Hamilton-Jacobi residual, are taken over one region: the interior of the
+fields' support, intersected with the common support of a differenced
+snapshot pair when one is given.
 """
 
 from dataclasses import dataclass, replace
@@ -73,13 +76,13 @@ class MadelungFields:
         return self.rho.grid
 
 
-def _support_and_fraction(rho_vals, dx, floor):
-    support = rho_vals >= floor * rho_vals.max()
+def _support_and_fraction(rho_vals, dx):
+    support = rho_vals >= DEFAULT_FLOOR * rho_vals.max()
     masked_mass = dx * rho_vals[~support].sum()
     return support, float(masked_mass)
 
 
-def make_madelung(rho, s, hbar, floor=DEFAULT_FLOOR):
+def make_madelung(rho, s, hbar):
     """Assemble MadelungFields from density and action fields, validating
     normalization and computing the support mask."""
     if rho.grid != s.grid:
@@ -89,7 +92,7 @@ def make_madelung(rho, s, hbar, floor=DEFAULT_FLOOR):
     total = rho.grid.dx * rho.values.sum()
     if abs(total - 1.0) > NORM_TOL:
         raise DomainError(f"density mass {total} is not 1 within {NORM_TOL}")
-    support, masked = _support_and_fraction(rho.values, rho.grid.dx, floor)
+    support, masked = _support_and_fraction(rho.values, rho.grid.dx)
     return MadelungFields(rho, s, float(hbar), support, masked)
 
 
@@ -103,19 +106,19 @@ def _unwrap_from(s0, phase, hbar):
     return np.cumsum(np.concatenate(([s0], hbar * _wrap(np.diff(phase)))))
 
 
-def to_madelung(psi, floor=DEFAULT_FLOOR):
+def to_madelung(psi):
     """Decompose a wave function into (rho, S).
 
     S is unwrapped along the grid starting from the global density maximum;
     2*pi jumps between neighbors are resolved by the minimal-increment
-    rule.  Masked points (rho < floor * max rho) get S = 0 and are excluded
-    from unwrapping.  Raises NodeError when the support is disconnected
-    (e.g. a state with an interior node), since unwrapping across a node
-    would be ambiguous.
+    rule.  Masked points (rho < DEFAULT_FLOOR * max rho) get S = 0 and are
+    excluded from unwrapping.  Raises NodeError when the support is
+    disconnected (e.g. a state with an interior node), since unwrapping
+    across a node would be ambiguous.
     """
     g = psi.grid
     rho_vals = np.abs(psi.values) ** 2
-    support, masked = _support_and_fraction(rho_vals, g.dx, floor)
+    support, masked = _support_and_fraction(rho_vals, g.dx)
     peak = int(np.argmax(rho_vals))
 
     # the support run around the peak ends at the nearest masked points
@@ -128,7 +131,7 @@ def to_madelung(psi, floor=DEFAULT_FLOOR):
     if outside.any():
         # isolated points hovering at the floor are crossing jitter, not
         # nodes; genuinely disconnected structure sits far above the floor
-        if np.max(rho_vals[outside]) >= 100.0 * floor * rho_vals.max():
+        if np.max(rho_vals[outside]) >= 100.0 * DEFAULT_FLOOR * rho_vals.max():
             raise NodeError(
                 "density support is disconnected; phase unwrapping is "
                 "ambiguous")
@@ -167,13 +170,13 @@ def from_madelung(f, m=1.0, t=0.0):
 # Quantum term
 # ----------------------------------------------------------------------
 
-def quantum_term(rho, hbar, m, floor=DEFAULT_FLOOR):
+def quantum_term(rho, hbar, m):
     """-(hbar^2/2m) lap(sqrt(rho))/sqrt(rho) on the support; 0 on masked
     points.  The Laplacian is spectral: sqrt(rho) decays (or is uniform),
     so it is periodic-friendly even when S is not."""
     amp = np.sqrt(np.maximum(rho.values, 0.0))
     lap = spectral_derivative(real_field(rho.grid, amp), 2).values
-    support = rho.values >= floor * rho.values.max()
+    support = rho.values >= DEFAULT_FLOOR * rho.values.max()
     out = np.zeros(rho.grid.n)
     out[support] = -(hbar ** 2) / (2.0 * m) * lap[support] / amp[support]
     return real_field(rho.grid, out)
@@ -189,13 +192,18 @@ def interior_support(mask):
     return out
 
 
-def quantum_term_norm(rho, hbar, m, floor=DEFAULT_FLOOR, region=None):
-    """L2 norm (dx-weighted) of the quantum term over the interior of the
-    support, or over an explicit boolean region."""
-    q = quantum_term(rho, hbar, m, floor).values
-    if region is None:
-        region = interior_support(rho.values >= floor * rho.values.max())
-    return float(np.sqrt(rho.grid.dx * np.sum(q[region] ** 2)))
+def _norm_region(f, support):
+    """The region of both S-dependent norms: the interior of f's support,
+    intersected with an extra support mask when one is given."""
+    return interior_support(f.support if support is None
+                            else f.support & support)
+
+
+def quantum_term_norm(f, m, support=None):
+    """L2 norm (dx-weighted) of the quantum term of the fields f, over the
+    same region as hj_residual(f, ..., support=support)."""
+    q = quantum_term(f.rho, f.hbar, m).values[_norm_region(f, support)]
+    return float(np.sqrt(f.grid.dx * np.sum(q ** 2)))
 
 
 # ----------------------------------------------------------------------
@@ -236,7 +244,7 @@ def hj_residual(f, ds_dt, V, mode="quantum", support=None):
     term (it ignores f.hbar entirely); quantum mode requires hbar > 0.
     When dS/dt comes from differencing a snapshot pair, pass the pair's
     common support so edge points where dS/dt is undefined stay out of the
-    norm.
+    norm; quantum_term_norm(f, m, support) then measures the same region.
     """
     if mode not in ("quantum", "classical"):
         raise DomainError(f"unknown mode {mode!r}")
@@ -253,22 +261,21 @@ def hj_residual(f, ds_dt, V, mode="quantum", support=None):
                  + eval_potential(V, g.x))
     if mode == "quantum":
         integrand = integrand + quantum_term(f.rho, f.hbar, m).values
-    sup = f.support if support is None else (f.support & support)
-    sup = interior_support(sup)
-    return float(np.sqrt(g.dx * np.sum(integrand[sup] ** 2)))
+    region = _norm_region(f, support)
+    return float(np.sqrt(g.dx * np.sum(integrand[region] ** 2)))
 
 
 # ----------------------------------------------------------------------
 # Time-consistent snapshot series
 # ----------------------------------------------------------------------
 
-def anchored_series(psis, floor=DEFAULT_FLOOR):
+def anchored_series(psis):
     """Decompose a time-ordered list of wave functions with a consistent
     global phase: each S is shifted by a whole multiple of 2*pi*hbar so
     that the value at a shared high-density anchor point changes by less
     than pi*hbar between consecutive snapshots.  Without this, dS/dt
     differencing would pick up spurious 2*pi*hbar/dt spikes."""
-    fields = [to_madelung(p, floor) for p in psis]
+    fields = [to_madelung(p) for p in psis]
     out = [fields[0]]
     for prev, cur in zip(out, fields[1:]):
         ref = int(np.argmax(np.minimum(prev.rho.values, cur.rho.values)))
@@ -322,7 +329,7 @@ def _gouy_phase(case, epsilon0, hbar, m, omega, t):
 
 
 def analytic_packet_fields(case, grid, epsilon0, p0, hbar, m, t,
-                           omega=None, f0=None, r0=0.0, floor=DEFAULT_FLOOR):
+                           omega=None, f0=None, r0=0.0):
     """Closed-form (rho, S) fields of the Gaussian packet at time t, plus the
     analytic dS/dt field, for the free, constant-force, and harmonic cases.
 
@@ -365,5 +372,5 @@ def analytic_packet_fields(case, grid, epsilon0, p0, hbar, m, t,
                   - hbar ** 2 / (2.0 * m * eps) + extra_rate)
 
     rho = real_field(grid, rho_vals / (grid.dx * rho_vals.sum()))
-    fields = make_madelung(rho, real_field(grid, s_vals), hbar, floor)
+    fields = make_madelung(rho, real_field(grid, s_vals), hbar)
     return fields, real_field(grid, ds_dt_vals)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hbarlab.detpot import (
     classify,
@@ -187,6 +189,33 @@ class TestClassify:
         V = PotentialSpec.polynomial([0, 0, 1.0, 0, 6e-8])
         with pytest.raises(InconclusiveError):
             classify(V)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), degree=st.integers(0, 4),
+           u=st.floats(-2.0, 2.0), sign=st.sampled_from((-1.0, 1.0)),
+           b=st.floats(-10.0, 10.0))
+    def test_verdict_invariant_under_affine_map_of_v(self, data, degree, u,
+                                                     sign, b):
+        # aV + b has the force aF, and the residual is relative, so the
+        # verdict cannot depend on a or b; a leading coefficient >= 0.1
+        # keeps cubic and quartic residuals clear of the tolerance
+        coeffs = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=degree,
+                                    max_size=degree))
+        if degree >= 3:
+            coeffs.append(data.draw(st.sampled_from((-1.0, 1.0)))
+                          * data.draw(st.floats(0.1, 1.0)))
+        else:
+            coeffs.append(data.draw(st.floats(-1.0, 1.0)))
+        a = sign * 10.0 ** u
+        scaled = [a * c for c in coeffs]
+        scaled[0] += b
+        grid = default_grid()
+        report = classify(PotentialSpec.polynomial(coeffs), grid=grid)
+        mapped = classify(PotentialSpec.polynomial(scaled), grid=grid)
+        assert mapped.verdict == report.verdict
+        if report.verdict == "NonDeterministic":
+            np.testing.assert_allclose(mapped.residual_per_epsilon,
+                                       report.residual_per_epsilon, rtol=1e-9)
 
     def test_width_list_validation(self):
         V = PotentialSpec.polynomial([0, 0, 1.0])

@@ -288,6 +288,20 @@ class TestExperiments:
                               [i * t_snap for i in range(n_snapshots + 1)])
         assert data.propagation_steps == n_snapshots * n_sub + 2
 
+    def test_snapshot_norms_share_one_region(self):
+        # the classical residual of the propagated S is the quantum-term
+        # norm when both are taken over the same points; a support-edge
+        # point of psi(t +- dt) left in one norm only shifts the ratio by
+        # ~1e-2
+        from hbarlab.experiments import quantum_run
+        free, force = PotentialSpec.free(), PotentialSpec.constant_force(1.0)
+        for V, hbar, t_final in ((free, 0.1, 1.0), (free, 1.0, 1.0),
+                                 (force, 1.0, 2.0)):
+            grid = auto_grid(V, 0.5, 0.0, 1.0, hbar, t_final)
+            data = quantum_run(V, grid, 0.5, 0.0, 1.0, hbar, t_final, 16)
+            ratio = data.hj_classical[1:] / data.quantum_norm[1:]
+            assert np.max(np.abs(ratio - 1.0)) <= 1e-3
+
     def test_deterministic_limit_slopes(self):
         cfg = small_config([
             "experiment.kind=deterministic_limit",
@@ -521,6 +535,27 @@ class TestCLI:
         assert code == 0
         meta, _, _ = read_csv(str(tmp_path / "run_000.csv"))
         assert meta["numerics.tol"] == "1e-1"
+
+    @pytest.mark.parametrize("command, preset, override", [
+        ("scan", "standard_free", "numerics.n_snapshots=0"),
+        ("scan", "deterministic_free", "numerics.n_snapshots=0"),
+        ("scan", "combined_free", "numerics.n_snapshots=0"),
+        ("simulate", "uncertainty_coherent", "numerics.n_snapshots=0"),
+        ("liouville", "liouville_harmonic", "numerics.n_snapshots=0"),
+        ("phj", "phj_harmonic", "numerics.n_snapshots=0"),
+        ("scan", "standard_free", "numerics.grid=-5,5,abc"),
+        ("scan", "standard_free", "numerics.grid=-8,8,2048.5"),
+        ("liouville", "liouville_harmonic",
+         "numerics.phase_grid=-3,3,-3,3,x,256"),
+    ])
+    def test_malformed_config_value_exits_1(self, command, preset, override,
+                                            tmp_path, capsys):
+        code = main([command, "--config", preset, "--set", override,
+                     "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error:" in err and "Traceback" not in err
+        assert not os.listdir(tmp_path)
 
     @pytest.mark.parametrize("error", [
         NodeError("phase support is disconnected"),

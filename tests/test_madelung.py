@@ -276,7 +276,7 @@ class TestHJResidual:
         f, ds_dt = analytic_packet_fields("harmonic", g, 0.1, 1.0, 0.1, 1.0,
                                           t=2.0, omega=1.0)
         res = hj_residual(f, ds_dt, V, "classical")
-        qnorm = quantum_term_norm(f.rho, f.hbar, 1.0)
+        qnorm = quantum_term_norm(f, 1.0)
         assert res > 0
         assert res == pytest.approx(qnorm, rel=1e-4)
 
@@ -327,5 +327,5 @@ class TestHJResidual:
         fm, f0, fp = anchored_series([prev, mid, nxt])
         ds_dt, common = ds_dt_centered(fm, fp, delta)
         res = hj_residual(f0, ds_dt, V, "classical", support=common)
-        qn = quantum_term_norm(f0.rho, 1.0, 1.0)
+        qn = quantum_term_norm(f0, 1.0, support=common)
         assert res == pytest.approx(qn, rel=0.02)

@@ -7,15 +7,18 @@ working tree.
 REV is checked out with `git worktree` into a temporary directory.  Each
 preset in src/hbarlab/presets runs through `python -m hbarlab` (with
 --dump-fields) under both trees, one run at a time.  The script
-byte-compares every run_*.csv, field dumps included, and the exit codes,
-prints one line per preset, and exits 1 if anything differs.  For each CSV
-that differs it also prints, for every column that differs, the largest
-relative difference between the two files' numbers, so an intended change
-of arithmetic can be reviewed as numbers, column by column.
+byte-compares every run_*.csv, field dumps included, each summary.txt
+without its wall_clock_s line, and the exit codes, prints one line per
+preset, and exits 1 if anything differs.  For each CSV that differs it also
+prints, for every column that differs, the largest relative difference
+between the two files' numbers, so an intended change of arithmetic can be
+reviewed as numbers, column by column; for a summary that differs it prints
+the differing lines, so a shifted fit shows as its old and new line.
 """
 
 import argparse
 import configparser
+import difflib
 import filecmp
 import os
 import subprocess
@@ -58,6 +61,17 @@ def run_csvs(outdir):
         return []
     return sorted(f for f in os.listdir(outdir)
                   if f.startswith("run_") and f.endswith(".csv"))
+
+
+def summary_lines(outdir):
+    """Lines of a run's summary.txt without the wall_clock_s line (the only
+    one that changes between identical runs); [] when there is none."""
+    path = os.path.join(outdir, "summary.txt")
+    if not os.path.isfile(path):
+        return []
+    with open(path, encoding="utf-8") as fh:
+        return [line.rstrip("\n") for line in fh
+                if not line.startswith("wall_clock_s")]
 
 
 def read_table(path):
@@ -112,6 +126,8 @@ def compare(base, tmp):
         _, differ, missing = filecmp.cmpfiles(out_base, out_head, names,
                                               shallow=False)
         extra = sorted(set(run_csvs(out_head)) - set(names))
+        summary_base = summary_lines(out_base)
+        summary_head = summary_lines(out_head)
         problems = []
         if code_base != code_head:
             problems.append(f"exit code {code_base} -> {code_head}")
@@ -119,6 +135,8 @@ def compare(base, tmp):
             problems.append(f"differ: {' '.join(differ)}")
         if missing or extra:
             problems.append(f"only in one tree: {' '.join(missing + extra)}")
+        if summary_base != summary_head:
+            problems.append("summary.txt differs")
         status = "; ".join(problems) or "identical"
         print(f"{preset:24s} {command:9s} exit {code_base}/{code_head}  "
               f"{len(names) - len(differ) - len(missing):3d}/{len(names):3d}"
@@ -127,6 +145,9 @@ def compare(base, tmp):
             for line in largest_differences(os.path.join(out_base, name),
                                             os.path.join(out_head, name)):
                 print(f"    {name}: {line}", flush=True)
+        for line in difflib.ndiff(summary_base, summary_head):
+            if line.startswith(("- ", "+ ")):
+                print(f"    summary.txt: {line}", flush=True)
         same = same and not problems
     return same
 
