@@ -11,8 +11,9 @@
 key can be overridden with repeated --set section.key=value flags.  Outputs
 go to the configured directory (override with --out): one CSV per run, one
 plain-text summary per scan, optional per-snapshot field dumps with
---dump-fields.  A run command must be the one COMMANDS maps the config's
-[experiment] kind to; a config without a kind runs under `simulate`.
+--dump-fields.  A run command must be the one hbarlab.experiments.EXPERIMENTS
+maps the config's [experiment] kind to (a config without a kind runs under
+`simulate`); every run then starts through `run_experiment`.
 
 Exit codes: 0 success; 1 usage or configuration error; 2 numeric failure
 (every other LabError: boundary leakage, caustic, phase-space mass drift,
@@ -27,22 +28,10 @@ from importlib import resources
 
 from .config import RunConfig
 from .errors import CausticError, DomainError, LabError
-from .experiments import run_experiment, run_uncertainty, write_outputs
+from .experiments import EXPERIMENTS, run_experiment, write_outputs
 from .records import read_csv
 
-__all__ = ["main", "cli_main", "COMMANDS"]
-
-# experiment kind -> the CLI command that runs it; a config without an
-# [experiment] kind is the uncertainty run of `simulate`
-COMMANDS = {
-    None: "simulate",
-    "standard_limit": "scan",
-    "deterministic_limit": "scan",
-    "combined_limit": "scan",
-    "detpot": "detpot",
-    "phj_demo": "phj",
-    "liouville_demo": "liouville",
-}
+__all__ = ["main", "cli_main"]
 
 
 class _UsageError(Exception):
@@ -109,12 +98,12 @@ def _load_config(args):
 def _run_and_write(args):
     cfg = _load_config(args)
     kind = cfg.get("experiment", "kind", None)
-    if COMMANDS.get(kind) != args.command:
-        kinds = [k for k, c in COMMANDS.items() if c == args.command]
+    if EXPERIMENTS.get(kind, (None,))[0] != args.command:
+        kinds = [k for k, (c, _) in EXPERIMENTS.items() if c == args.command]
         raise DomainError(
             f"{args.command} expects experiment kind "
             f"{' or '.join(map(repr, kinds))}, config says {kind!r}")
-    result = run_uncertainty(cfg) if kind is None else run_experiment(cfg)
+    result = run_experiment(cfg)
     outdir = args.out or cfg.output_directory()
     write_outputs(result, outdir)
     for rec in result.records:

@@ -40,10 +40,7 @@ from .errors import DomainError
 from .grid import make_grid, real_field
 from .potential import PotentialSpec
 
-__all__ = ["RunConfig", "EXPERIMENTS"]
-
-EXPERIMENTS = ("standard_limit", "deterministic_limit", "combined_limit",
-               "detpot", "phj_demo", "liouville_demo")
+__all__ = ["RunConfig"]
 
 _MISSING = object()
 
@@ -132,6 +129,15 @@ class RunConfig:
             raise DomainError(
                 f"{self.origin}: [{section}] {key} = {val!r} is not a number")
 
+    def get_positive(self, section, key, default=_MISSING):
+        """get_float for a quantity that must be > 0: a packet width, hbar,
+        a time span or a step."""
+        val = self.get_float(section, key, default)
+        if not val > 0:
+            raise DomainError(
+                f"{self.origin}: [{section}] {key} = {val!r} must be positive")
+        return val
+
     def get_int(self, section, key, default=_MISSING):
         val = self.get(section, key, default)
         if val is default and default is not _MISSING:
@@ -175,14 +181,6 @@ class RunConfig:
     # -- typed views -------------------------------------------------------
 
     @property
-    def experiment(self):
-        kind = self.get("experiment", "kind")
-        if kind not in EXPERIMENTS:
-            raise DomainError(
-                f"unknown experiment {kind!r}; expected one of {EXPERIMENTS}")
-        return kind
-
-    @property
     def seed(self):
         return self.get_int("experiment", "seed", 0)
 
@@ -206,8 +204,14 @@ class RunConfig:
         raise DomainError(f"unknown potential kind {kind!r}")
 
     def packet(self):
-        return (self.get_float("packet", "epsilon", 0.5),
-                self.get_float("packet", "r0", 0.0),
+        """(epsilon, r0, p0) of the initial packet; epsilon must be > 0."""
+        return (self.get_positive("packet", "epsilon", 0.5),
+                *self.packet_center())
+
+    def packet_center(self):
+        """(r0, p0) of the initial packet, for runs that set its width
+        elsewhere."""
+        return (self.get_float("packet", "r0", 0.0),
                 self.get_float("packet", "p0", 0.0))
 
     def _bounds_and_counts(self, key, form, n_counts, default=_MISSING):

@@ -18,8 +18,7 @@ exp(-eps k^2 / 4), so the per-mode residual is |F(k)| (1 - exp(-eps k^2/4)),
 a factor vanishing at k = 0 with leading term (eps/4) k^2.  Nontrivial
 forces passing for all eps must therefore have spectral weight only at
 k = 0 (constant and linear parts); the testable real-space restatement is
-that F, after removing its best-fit line, has zero second derivative,
-which force_curvature_norm measures.
+that F, after removing its best-fit line, has zero second derivative.
 """
 
 from dataclasses import dataclass
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InconclusiveError
-from .grid import make_grid, real_field, spectral_derivative
+from .grid import make_grid, real_field
 from .potential import force_field
 
 __all__ = [
@@ -36,7 +35,6 @@ __all__ = [
     "detpot_residual",
     "fourier_residual",
     "fourier_residual_norm",
-    "force_curvature_norm",
     "classify",
     "default_grid",
     "default_epsilon_list",
@@ -143,24 +141,6 @@ def fourier_residual_norm(V, epsilon, grid=None):
         grid = default_grid()
     res = fourier_residual(V, epsilon, grid)
     return float(np.sqrt(np.sum(res.values ** 2) / grid.length))
-
-
-def force_curvature_norm(V, grid=None):
-    """Normalized norm of the second derivative of the force after removing
-    its best-fit line (the line makes the sampled polynomial force
-    periodic-friendly; a degree-<=2 potential leaves nothing behind).
-
-    Returns ||F''||_window / (||F||_window (2 pi / L)^2 + tiny)."""
-    if grid is None:
-        grid = default_grid()
-    F = force_field(V, grid)
-    window = _window(grid)
-    slope, intercept = np.polyfit(grid.x, F.values, 1)
-    detrended = F.values - (slope * grid.x + intercept)
-    d2 = spectral_derivative(real_field(grid, detrended), 2)
-    num = _windowed_norm(grid, d2.values, window)
-    den = _windowed_norm(grid, F.values, window) * (2 * np.pi / grid.length) ** 2
-    return num / (den + TINY)
 
 
 @dataclass(frozen=True)

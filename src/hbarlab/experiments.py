@@ -3,7 +3,11 @@
 Each driver takes a RunConfig and returns a ScanResult holding one
 RunRecord per scan point plus scan-level fits.  Workers are pure functions
 of the configuration; records are ordered by scan index, so reruns of the
-same configuration produce byte-identical CSVs.
+same configuration produce byte-identical CSVs.  EXPERIMENTS is the one
+list of experiment kinds: it maps each [experiment] kind to the CLI command
+that runs it and to its runner.  `run_experiment` is how a run starts: it
+refuses an unknown kind and times the runner, and that one timer's reading
+is the summary's wall_clock_s.
 
 standard_limit    fixed packet width, shrinking hbar: the hbar^2 term in
                   the action equation is measured directly (its norm) and
@@ -24,6 +28,8 @@ phj_demo          characteristic solution of the classical action
                   equation, with the narrow-density continuity moments and
                   the projected Newton check along a trajectory.
 liouville_demo    phase-space blob transport checkpoints.
+(no kind)         the uncertainty run of `simulate`: one packet, the
+                  uncertainty product against its floor hbar/2.
 
 Numerics policy: grids are auto-sized per run from the packet and
 potential scales (resolution follows the momentum content ~ p/hbar, so
@@ -60,6 +66,7 @@ from .records import (
 )
 
 __all__ = [
+    "EXPERIMENTS",
     "ScanResult",
     "run_standard_limit",
     "run_deterministic_limit",
@@ -80,8 +87,8 @@ class ScanResult:
     experiment: str
     records: list
     fits: dict
-    wall_clock: float = 0.0
     field_dumps: list = None        # (filename, header, array) triples
+    wall_clock: float = 0.0         # set by run_experiment
 
 
 # ----------------------------------------------------------------------
@@ -332,12 +339,11 @@ def _fit_list(records, key):
 def run_standard_limit(cfg):
     """hbar scan at fixed packet width: quantum-term norm and classical
     residual per snapshot, plus the scaling fit of the terminal norm."""
-    t0 = time.perf_counter()
     V = cfg.potential()
     eps0, r0, p0 = cfg.packet()
     hbar_list = _decreasing_scan(
         cfg.get_float_list("scan", "hbar_list"), "hbar_list")
-    t_final = cfg.get_float("numerics", "t_final")
+    t_final = cfg.get_positive("numerics", "t_final")
     n_snapshots = cfg.get_int("numerics", "n_snapshots", 16)
 
     def point_fits(data, hbar, eps):
@@ -357,8 +363,7 @@ def run_standard_limit(cfg):
         "classical_residual_over_quantum_norm":
             _fit_list(records, "classical_over_quantum_norm"),
     }
-    return ScanResult("standard_limit", records, fits,
-                      time.perf_counter() - t0, dumps)
+    return ScanResult("standard_limit", records, fits, dumps)
 
 
 def _bracket_max(grid, eps, hbar, m, r_star):
@@ -372,14 +377,13 @@ def _bracket_max(grid, eps, hbar, m, r_star):
 def run_deterministic_limit(cfg):
     """Width scan at fixed hbar: terminal width blow-up and the divergence
     of the coupling bracket."""
-    t0 = time.perf_counter()
     V = cfg.potential()
-    _, r0, p0 = cfg.packet()
-    hbar = cfg.get_float("scan", "hbar", 1.0)
+    r0, p0 = cfg.packet_center()
+    hbar = cfg.get_positive("scan", "hbar", 1.0)
     eps_list = _decreasing_scan(
         cfg.get_float_list("scan", "epsilon_list"), "epsilon_list",
         span=None)
-    t_star = cfg.get_float("numerics", "t_star", 1.0)
+    t_star = cfg.get_positive("numerics", "t_star", 1.0)
     n_snapshots = cfg.get_int("numerics", "n_snapshots", 8)
     if V.kind == "harmonic":
         coherent = hbar / (V.mass * V.omega)
@@ -416,24 +420,20 @@ def run_deterministic_limit(cfg):
         "bracket_exponent": _loglog_slope(
             eps_list, _fit_list(records, "bracket_max")),
     }
-    return ScanResult("deterministic_limit", records, fits,
-                      time.perf_counter() - t0, dumps)
+    return ScanResult("deterministic_limit", records, fits, dumps)
 
 
 def run_combined_limit(cfg):
     """hbar scan with eps = k hbar: trajectory deviation from Newton,
     terminal width, and shape deformation, with the classifier verdict
     attached as joint evidence."""
-    t0 = time.perf_counter()
     V = cfg.potential()
-    _, r0, p0 = cfg.packet()
-    k = cfg.get_float("scan", "k")
-    if k <= 0:
-        raise DomainError(f"scan k must be positive, got {k}")
+    r0, p0 = cfg.packet_center()
+    k = cfg.get_positive("scan", "k")
     hbar_list = _decreasing_scan(
         cfg.get_float_list("scan", "hbar_list"), "hbar_list",
         minimum=2, span=None)
-    t_final = cfg.get_float("numerics", "t_final")
+    t_final = cfg.get_positive("numerics", "t_final")
     n_snapshots = cfg.get_int("numerics", "n_snapshots", 64)
 
     t_snap = t_final / n_snapshots
@@ -462,13 +462,11 @@ def run_combined_limit(cfg):
         "kurtosis_excess_max": _fit_list(records, "kurtosis_excess_max"),
         "detpot_verdict": detpot.classify(V).verdict,
     }
-    return ScanResult("combined_limit", records, fits,
-                      time.perf_counter() - t0, dumps)
+    return ScanResult("combined_limit", records, fits, dumps)
 
 
 def run_detpot(cfg):
     """Thin wrapper over the convolution classifier."""
-    t0 = time.perf_counter()
     V = cfg.potential()
     grid = cfg.grid_spec() or detpot.default_grid()
     eps_raw = cfg.get("scan", "epsilon_list", None)
@@ -485,17 +483,16 @@ def run_detpot(cfg):
     fits = {"verdict": report.verdict,
             "scaling_exponent": report.scaling_exponent,
             "tol": tol}
-    return ScanResult("detpot", [record], fits, time.perf_counter() - t0)
+    return ScanResult("detpot", [record], fits)
 
 
 def run_uncertainty(cfg):
     """Single quantum run recording the uncertainty-product time series and
     its floor versus hbar/2."""
-    t0 = time.perf_counter()
     V = cfg.potential()
     eps0, r0, p0 = cfg.packet()
-    hbar = cfg.get_float("scan", "hbar", 1.0)
-    t_final = cfg.get_float("numerics", "t_final")
+    hbar = cfg.get_positive("scan", "hbar", 1.0)
+    t_final = cfg.get_positive("numerics", "t_final")
     n_snapshots = cfg.get_int("numerics", "n_snapshots", 64)
 
     def point_fits(data, hbar, eps):
@@ -513,16 +510,15 @@ def run_uncertainty(cfg):
                       {key: fits[key] for key in ("hbar", "uncertainty_min",
                                                   "hbar_over_2",
                                                   "floor_satisfied")},
-                      time.perf_counter() - t0, dumps)
+                      dumps)
 
 
 def run_phj_demo(cfg):
     """Characteristic solution diagnostics along a Newton trajectory."""
-    t0 = time.perf_counter()
     V = cfg.potential()
     eps, r0, p0 = cfg.packet()
     c2 = cfg.get_float("packet", "s0_curvature", 0.0)
-    t_final = cfg.get_float("numerics", "t_final")
+    t_final = cfg.get_positive("numerics", "t_final")
     n_report = cfg.get_int("numerics", "n_snapshots", 9)
     grid = cfg.grid_spec() or make_grid(-8.0, 8.0, 256)
 
@@ -556,17 +552,16 @@ def run_phj_demo(cfg):
     }
     record = RunRecord("phj_demo", "characteristics", cfg.echo_lines(),
                        PHJ_COLUMNS, tuple(rows), fits=dict(fits))
-    return ScanResult("phj_demo", [record], fits, time.perf_counter() - t0)
+    return ScanResult("phj_demo", [record], fits)
 
 
 def run_liouville_demo(cfg):
     """Phase-space blob transport with mass/center/L1 checkpoints."""
-    t0 = time.perf_counter()
     V = cfg.potential()
     eps, r0, p0 = cfg.packet()
-    t_final = cfg.get_float("numerics", "t_final")
+    t_final = cfg.get_positive("numerics", "t_final")
     n_check = cfg.get_int("numerics", "n_snapshots", 8)
-    dt = cfg.get_float("numerics", "dt", 1e-3)
+    dt = cfg.get_positive("numerics", "dt", 1e-3)
     x_min, x_max, p_min, p_max, nx, n_p = cfg.phase_grid()
     sigma = np.sqrt(eps / 2.0)
     rho0 = classical.gaussian_phase_blob(r0, p0, sigma, sigma,
@@ -585,26 +580,37 @@ def run_liouville_demo(cfg):
     fits = {"l1_final": rows[-1][4], "mass_final": rows[-1][1]}
     record = RunRecord("liouville_demo", "blob", cfg.echo_lines(),
                        LIOUVILLE_COLUMNS, tuple(rows), fits=dict(fits))
-    return ScanResult("liouville_demo", [record], fits,
-                      time.perf_counter() - t0)
+    return ScanResult("liouville_demo", [record], fits)
 
 
 # ----------------------------------------------------------------------
 # Dispatch and output writing
 # ----------------------------------------------------------------------
 
-_RUNNERS = {
-    "standard_limit": run_standard_limit,
-    "deterministic_limit": run_deterministic_limit,
-    "combined_limit": run_combined_limit,
-    "detpot": run_detpot,
-    "phj_demo": run_phj_demo,
-    "liouville_demo": run_liouville_demo,
+# [experiment] kind -> (the CLI command that runs it, its runner); a config
+# without a kind is the uncertainty run of `simulate`
+EXPERIMENTS = {
+    None: ("simulate", run_uncertainty),
+    "standard_limit": ("scan", run_standard_limit),
+    "deterministic_limit": ("scan", run_deterministic_limit),
+    "combined_limit": ("scan", run_combined_limit),
+    "detpot": ("detpot", run_detpot),
+    "phj_demo": ("phj", run_phj_demo),
+    "liouville_demo": ("liouville", run_liouville_demo),
 }
 
 
 def run_experiment(cfg):
-    return _RUNNERS[cfg.experiment](cfg)
+    """Run the config's [experiment] kind; the one timer of a run sets the
+    result's wall_clock, which summary.txt reports as wall_clock_s."""
+    kind = cfg.get("experiment", "kind", None)
+    if kind not in EXPERIMENTS:
+        raise DomainError(f"unknown experiment kind {kind!r}; expected one "
+                          f"of {', '.join(map(repr, EXPERIMENTS))}")
+    start = time.perf_counter()
+    result = EXPERIMENTS[kind][1](cfg)
+    result.wall_clock = time.perf_counter() - start
+    return result
 
 
 def write_outputs(result, outdir):

@@ -8,7 +8,6 @@ from hbarlab.detpot import (
     default_epsilon_list,
     default_grid,
     detpot_residual,
-    force_curvature_norm,
     fourier_residual,
     fourier_residual_norm,
     gaussian_convolve,
@@ -223,15 +222,3 @@ class TestClassify:
             classify(V, epsilon_list=[0.1, 0.05])
         with pytest.raises(DomainError):
             classify(V, epsilon_list=[0.1, 0.05, 0.02])
-
-
-class TestCurvatureCheck:
-    def test_deterministic_forces_have_no_curvature(self):
-        for coeffs in ([0.0], [0, 1.0], [0, 0, 1.0], [1.0, 2.0, 3.0]):
-            V = PotentialSpec.polynomial(coeffs)
-            assert force_curvature_norm(V) <= 1e-8
-
-    def test_nonlinear_forces_do(self):
-        for coeffs in ([0, 0, 0, 1.0], [0, 0, 0, 0, 1.0]):
-            V = PotentialSpec.polynomial(coeffs)
-            assert force_curvature_norm(V) > 1e-2

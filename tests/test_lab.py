@@ -4,16 +4,18 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from hbarlab.cli import COMMANDS, main
+from hbarlab.cli import main
 from hbarlab.config import RunConfig, load_potential_table
 from hbarlab.errors import DomainError, LabError, NodeError
 from hbarlab.experiments import (
+    EXPERIMENTS,
     auto_grid,
     run_combined_limit,
     run_detpot,
     run_deterministic_limit,
     run_liouville_demo,
     run_phj_demo,
+    run_experiment,
     run_standard_limit,
     run_uncertainty,
     write_outputs,
@@ -52,7 +54,8 @@ directory = runs/test
 class TestConfig:
     def test_parse_and_typed_access(self):
         cfg = RunConfig.from_text(CONFIG_TEXT)
-        assert cfg.experiment == "combined_limit"
+        assert cfg.get("experiment", "kind") == "combined_limit"
+        assert EXPERIMENTS["combined_limit"][0] == "scan"
         assert cfg.seed == 0
         assert cfg.get_float("scan", "k") == 0.5
         assert cfg.get_float_list("scan", "hbar_list") == [1.0, 0.1]
@@ -84,11 +87,19 @@ class TestConfig:
         assert "experiment.kind = combined_limit" in echo
         assert "scan.hbar_list = 1.0,0.1" in echo
 
-    def test_unknown_experiment(self):
+    def test_unknown_experiment(self, tmp_path, capsys):
         cfg = RunConfig.from_text(
             "[experiment]\nkind = warp_drive\n")
-        with pytest.raises(DomainError):
-            _ = cfg.experiment
+        with pytest.raises(DomainError, match="warp_drive"):
+            run_experiment(cfg)
+        for command in ("simulate", "scan", "detpot", "phj", "liouville"):
+            code = main([command, "--config", "combined_free",
+                         "--set", "experiment.kind=warp_drive",
+                         "--out", str(tmp_path)])
+            err = capsys.readouterr().err
+            assert code == 1
+            assert "error:" in err and "warp_drive" in err
+            assert not os.listdir(tmp_path)
 
     def test_grid_spec(self):
         cfg = RunConfig.from_text(
@@ -134,8 +145,7 @@ class TestPresets:
             text = preset_dir.joinpath(name).read_text(encoding="utf-8")
             cfg = RunConfig.from_text(text, origin=name)
             cfg.potential()          # potential section is well formed
-            if cfg.get("experiment", "kind", None) is not None:
-                assert cfg.experiment  # kind is a known experiment
+            assert cfg.get("experiment", "kind", None) in EXPERIMENTS
             cfg.output_directory()
 
     @pytest.mark.parametrize("name", [
@@ -146,7 +156,7 @@ class TestPresets:
         text = resources.files("hbarlab").joinpath(
             "presets", f"{name}.cfg").read_text(encoding="utf-8")
         kind = RunConfig.from_text(text).get("experiment", "kind", None)
-        code = main([COMMANDS[kind], "--config", name,
+        code = main([EXPERIMENTS[kind][0], "--config", name,
                      "--out", str(tmp_path)])
         err = capsys.readouterr().err
         assert code == PRESET_EXIT_CODES.get(name, 0), err
@@ -547,6 +557,13 @@ class TestCLI:
         ("scan", "standard_free", "numerics.grid=-8,8,2048.5"),
         ("liouville", "liouville_harmonic",
          "numerics.phase_grid=-3,3,-3,3,x,256"),
+        ("scan", "standard_free", "packet.epsilon=0"),
+        ("scan", "standard_free", "packet.epsilon=-0.5"),
+        ("simulate", "uncertainty_coherent", "packet.epsilon=0"),
+        ("simulate", "uncertainty_coherent", "scan.hbar=0"),
+        ("scan", "deterministic_free", "scan.hbar=0"),
+        ("scan", "deterministic_free", "numerics.t_star=0"),
+        ("scan", "combined_free", "numerics.t_final=0"),
     ])
     def test_malformed_config_value_exits_1(self, command, preset, override,
                                             tmp_path, capsys):
@@ -591,6 +608,10 @@ class TestCLI:
         assert "grid_n=256" in out
         assert "widen_retries=0" in out
         assert "\nfloor_satisfied = 1\n" in summary
+        # the one run timer writes the summary's wall clock
+        wall = [line for line in summary.splitlines()
+                if line.startswith("wall_clock_s = ")]
+        assert len(wall) == 1 and float(wall[0].split("=")[1]) > 0
 
     def test_scan_preset_writes_csv(self, tmp_path):
         code = main(["scan", "--config", "combined_harmonic",

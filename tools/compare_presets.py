@@ -17,7 +17,6 @@ the differing lines, so a shifted fit shows as its old and new line.
 """
 
 import argparse
-import configparser
 import difflib
 import filecmp
 import os
@@ -31,18 +30,19 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PRESETS = os.path.join(ROOT, "src", "hbarlab", "presets")
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from hbarlab.cli import COMMANDS  # noqa: E402
+from hbarlab.config import RunConfig  # noqa: E402
+from hbarlab.experiments import EXPERIMENTS  # noqa: E402
 
 
 def presets():
-    """(name, subcommand) for every bundled preset, sorted by name."""
+    """(name, subcommand) for every bundled preset, sorted by name; the
+    subcommand is the one the CLI requires for the preset's kind."""
     out = []
     for fname in sorted(os.listdir(PRESETS)):
         if fname.endswith(".cfg"):
-            cfg = configparser.ConfigParser()
-            cfg.read(os.path.join(PRESETS, fname), encoding="utf-8")
-            kind = cfg.get("experiment", "kind", fallback=None)
-            out.append((fname[:-len(".cfg")], COMMANDS[kind]))
+            cfg = RunConfig.from_file(os.path.join(PRESETS, fname))
+            kind = cfg.get("experiment", "kind", None)
+            out.append((fname[:-len(".cfg")], EXPERIMENTS[kind][0]))
     return out
 
 
