@@ -8,12 +8,13 @@
     hbarlab report    runs/
 
 --config takes a file path or the name of a bundled preset; every config
-key can be overridden with repeated --set section.key=value flags.  Outputs
-go to the configured directory (override with --out): one CSV per run, one
-plain-text summary per scan, optional per-snapshot field dumps with
---dump-fields.  A run command must be the one hbarlab.experiments.EXPERIMENTS
-maps the config's [experiment] kind to (a config without a kind runs under
-`simulate`); every run then starts through `run_experiment`.
+key can be overridden with repeated --set section.key=value flags.  A run
+command must be the one hbarlab.experiments.EXPERIMENTS maps the config's
+[experiment] kind to (a config without a kind runs under `simulate`);
+every run then starts through `run_experiment`.  hbarlab.records writes
+its outputs to the configured directory (override with --out): one CSV
+per run, summary.txt, field dumps with --dump-fields; the CLI prints each
+record's summary line.  `report` reads run CSVs, not field dumps.
 
 Exit codes: 0 success; 1 usage or configuration error; 2 numeric failure
 (every other LabError: boundary leakage, caustic, phase-space mass drift,
@@ -28,8 +29,8 @@ from importlib import resources
 
 from .config import RunConfig
 from .errors import CausticError, DomainError, LabError
-from .experiments import EXPERIMENTS, run_experiment, write_outputs
-from .records import read_csv
+from .experiments import EXPERIMENTS, run_experiment
+from .records import read_csv, record_line, run_csv_paths, write_outputs
 
 __all__ = ["main", "cli_main"]
 
@@ -95,6 +96,10 @@ def _load_config(args):
     return cfg
 
 
+def _kind_text(kind):
+    return "unset (no [experiment] kind)" if kind is None else repr(kind)
+
+
 def _run_and_write(args):
     cfg = _load_config(args)
     kind = cfg.get("experiment", "kind", None)
@@ -102,36 +107,29 @@ def _run_and_write(args):
         kinds = [k for k, (c, _) in EXPERIMENTS.items() if c == args.command]
         raise DomainError(
             f"{args.command} expects experiment kind "
-            f"{' or '.join(map(repr, kinds))}, config says {kind!r}")
+            f"{' or '.join(map(_kind_text, kinds))}, "
+            f"config says {_kind_text(kind)}")
     result = run_experiment(cfg)
     outdir = args.out or cfg.output_directory()
     write_outputs(result, outdir)
     for rec in result.records:
-        fit_str = "  ".join(f"{k}={v}" for k, v in rec.fits.items())
-        print(f"{result.experiment} {rec.label}: {len(rec.rows)} snapshots"
-              f"  {fit_str}  -> {outdir}")
+        print(f"{result.experiment} {record_line(rec)}  -> {outdir}")
     return 0
 
 
 def _cmd_report(args):
     paths = []
     for p in args.paths:
-        if os.path.isdir(p):
-            paths += sorted(
-                os.path.join(p, f) for f in os.listdir(p)
-                if f.startswith("run_") and f.endswith(".csv"))
-        else:
-            paths.append(p)
+        paths += run_csv_paths(p) if os.path.isdir(p) else [p]
     if not paths:
         raise DomainError("no run CSVs found")
     for path in paths:
         if not os.path.isfile(path):
             raise DomainError(f"run CSV not found: {path}")
         meta, columns, data = read_csv(path)
-        exp = meta.get("experiment", "?")
-        label = meta.get("label", "?")
-        print(f"{path}: experiment={exp} label={label} "
-              f"rows={data.shape[0]} columns={len(columns)}")
+        print(f"{path}: experiment={meta.get('experiment', '?')} "
+              f"label={meta.get('label', '?')} rows={data.shape[0]} "
+              f"columns={len(columns)}")
     return 0
 
 

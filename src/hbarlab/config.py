@@ -250,7 +250,10 @@ def load_potential_table(path):
     periodic grid implied by the uniform x column."""
     if not os.path.isfile(path):
         raise DomainError(f"tabulated potential file not found: {path}")
-    data = np.loadtxt(path)
+    try:
+        data = np.loadtxt(path)
+    except ValueError as err:
+        raise DomainError(f"{path}: not a table of numbers: {err}") from None
     if data.ndim != 2 or data.shape[1] != 2:
         raise DomainError(
             f"{path}: expected two columns (x, V), got shape {data.shape}")

@@ -1,9 +1,10 @@
 """Experiment drivers: the limiting procedures as reproducible scans.
 
 Each driver takes a RunConfig and returns a ScanResult holding one
-RunRecord per scan point plus scan-level fits.  Workers are pure functions
-of the configuration; records are ordered by scan index, so reruns of the
-same configuration produce byte-identical CSVs.  EXPERIMENTS is the one
+RunRecord per scan point plus scan-level fits, which `records.write_outputs`
+writes.  Workers are pure functions of the configuration; records are
+ordered by scan index, so reruns of the same configuration produce
+byte-identical CSVs.  EXPERIMENTS is the one
 list of experiment kinds: it maps each [experiment] kind to the CLI command
 that runs it and to its runner.  `run_experiment` is how a run starts: it
 refuses an unknown kind and times the runner, and that one timer's reading
@@ -39,13 +40,14 @@ rerun on a doubled domain, at most twice.  A quantum run takes one time
 step, the phase-rotation limit of `schrodinger.max_stable_dt` (capped in a
 combined scan) shortened to a whole number of steps per snapshot interval;
 every snapshot is the middle of a triple one step apart, behind the
-centered dS/dt difference.  Each quantum record's fits carry grid_n, dt,
-propagation_steps and widen_retries; they reach summary.txt and the CLI
-line, not the CSV.  The three limit scans and the uncertainty run
-share one loop over scan points, `_quantum_scan`.
+centered dS/dt difference.  A run keeps its rows in QUANTUM_COLUMNS order
+(read one with `QuantumRunData.column`) and, with [output] dump_fields, its
+(t, x, rho, S) snapshots for the record.  Each quantum record's fits
+carry grid_n, dt, propagation_steps and widen_retries; they reach
+summary.txt and the CLI line, not the CSV.  The three limit scans and the
+uncertainty run share one loop over scan points, `_quantum_scan`.
 """
 
-import os
 import time
 from dataclasses import dataclass
 
@@ -61,8 +63,6 @@ from .records import (
     PHJ_COLUMNS,
     QUANTUM_COLUMNS,
     RunRecord,
-    summary_text,
-    write_csv,
 )
 
 __all__ = [
@@ -76,7 +76,6 @@ __all__ = [
     "run_phj_demo",
     "run_liouville_demo",
     "run_experiment",
-    "write_outputs",
 ]
 
 MAX_WIDEN_RETRIES = 2
@@ -87,7 +86,6 @@ class ScanResult:
     experiment: str
     records: list
     fits: dict
-    field_dumps: list = None        # (filename, header, array) triples
     wall_clock: float = 0.0         # set by run_experiment
 
 
@@ -166,24 +164,14 @@ class QuantumRunData:
     grid: object
     step_limit: float              # step bound before rounding
     dt: float                      # the one step of the run
-    times: np.ndarray
-    x_mean: np.ndarray
-    p_mean: np.ndarray
-    var_x: np.ndarray
-    var_p: np.ndarray
-    uncertainty: np.ndarray
-    width: np.ndarray
-    kurtosis: np.ndarray
-    quantum_norm: np.ndarray
-    hj_classical: np.ndarray
-    fields: list                   # (t, rho values, S values) if collected
+    rows: np.ndarray               # one QUANTUM_COLUMNS row per snapshot
+    fields: list                   # (t, x, rho, S) per snapshot if collected
     propagation_steps: int = 0     # Strang steps taken
     widen_retries: int = 0         # domain doublings before this run
 
-    def rows(self):
-        return tuple(zip(self.times, self.x_mean, self.p_mean, self.var_x,
-                         self.var_p, self.uncertainty, self.width,
-                         self.kurtosis, self.quantum_norm, self.hj_classical))
+    def column(self, name):
+        """One QUANTUM_COLUMNS column over the snapshots."""
+        return self.rows[:, QUANTUM_COLUMNS.index(name)]
 
 
 def _time_reversed(psi):
@@ -243,9 +231,8 @@ def quantum_run(V, grid, eps0, r0, p0, hbar, t_final, n_snapshots,
         row, mid = _snapshot_row((before, psi, after), V, dt)
         rows.append((i * t_snap,) + row)
         if collect_fields:
-            fields.append((i * t_snap, mid.rho.values.copy(),
-                           mid.s.values.copy()))
-    return QuantumRunData(grid, step_limit, dt, *np.array(rows).T, fields,
+            fields.append((i * t_snap, grid.x, mid.rho.values, mid.s.values))
+    return QuantumRunData(grid, step_limit, dt, np.array(rows), fields,
                           propagation_steps=2 + n_snapshots * n_sub)
 
 
@@ -271,17 +258,6 @@ def quantum_run_autowiden(V, grid, eps0, r0, p0, hbar, t_final, n_snapshots,
 # ----------------------------------------------------------------------
 # Scan drivers
 # ----------------------------------------------------------------------
-
-def _field_dump_entries(run_index, data):
-    """(filename, header, array) triples for the optional per-snapshot
-    field dumps (x, rho, S columns)."""
-    out = []
-    for j, (t, rho, s) in enumerate(data.fields):
-        arr = np.column_stack([data.grid.x, rho, s])
-        out.append((f"run_{run_index:03d}_fields_{j:03d}.csv",
-                    f"# t = {t!r}\nx,rho,S", arr))
-    return out
-
 
 def _decreasing_scan(values, name, minimum=3, span=99.0):
     vals = [float(v) for v in values]
@@ -309,11 +285,10 @@ def _quantum_scan(cfg, experiment, V, r0, p0, points, t_final, n_snapshots,
     eps)` gives each record's fits.  The grid comes from the config or from
     auto_grid, and a BoundaryLeak widens it and retries.  With tighten_dt
     each point's step is capped at 0.9x the previous point's, so splitting
-    error on the means falls along the scan.  Returns (records, field
-    dumps).
+    error on the means falls along the scan.  Each record carries its run's
+    field dumps when the config asks for them.
     """
     records = []
-    dumps = []
     dt_cap = np.inf
     for label, hbar, eps in points:
         grid = cfg.grid_spec() or auto_grid(V, eps, r0, p0, hbar, t_final)
@@ -321,15 +296,14 @@ def _quantum_scan(cfg, experiment, V, r0, p0, points, t_final, n_snapshots,
                                      n_snapshots, dt_cap, cfg.dump_fields())
         if tighten_dt:
             dt_cap = 0.9 * data.step_limit
-        dumps.extend(_field_dump_entries(len(records), data))
         fits = point_fits(data, hbar, eps)
         fits.update(grid_n=data.grid.n, dt=data.dt,
                     propagation_steps=data.propagation_steps,
                     widen_retries=data.widen_retries)
         records.append(RunRecord(
             experiment, label, cfg.echo_lines(), QUANTUM_COLUMNS,
-            data.rows(), fits=fits))
-    return records, dumps
+            data.rows, fits=fits, field_dumps=data.fields))
+    return records
 
 
 def _fit_list(records, key):
@@ -347,11 +321,12 @@ def run_standard_limit(cfg):
     n_snapshots = cfg.get_int("numerics", "n_snapshots", 16)
 
     def point_fits(data, hbar, eps):
-        return {"terminal_quantum_term_norm": data.quantum_norm[-1],
+        norm = data.column("quantum_term_norm")[-1]
+        return {"terminal_quantum_term_norm": norm,
                 "classical_over_quantum_norm":
-                    data.hj_classical[-1] / data.quantum_norm[-1]}
+                    data.column("hj_classical_residual")[-1] / norm}
 
-    records, dumps = _quantum_scan(
+    records = _quantum_scan(
         cfg, "standard_limit", V, r0, p0,
         [(f"hbar={hbar!r}", hbar, eps0) for hbar in hbar_list],
         t_final, n_snapshots, point_fits)
@@ -363,7 +338,7 @@ def run_standard_limit(cfg):
         "classical_residual_over_quantum_norm":
             _fit_list(records, "classical_over_quantum_norm"),
     }
-    return ScanResult("standard_limit", records, fits, dumps)
+    return ScanResult("standard_limit", records, fits)
 
 
 def _bracket_max(grid, eps, hbar, m, r_star):
@@ -401,12 +376,13 @@ def run_deterministic_limit(cfg):
     r_star = traj.r[-1]
 
     def point_fits(data, hbar, eps):
-        return {"terminal_width": data.width[-1],
-                "width_over_epsilon": data.width[-1] / eps,
+        width = data.column("width")[-1]
+        return {"terminal_width": width,
+                "width_over_epsilon": width / eps,
                 "bracket_max": _bracket_max(ref_grid, eps, hbar, V.mass,
                                             r_star)}
 
-    records, dumps = _quantum_scan(
+    records = _quantum_scan(
         cfg, "deterministic_limit", V, r0, p0,
         [(f"epsilon={eps!r}", hbar, eps) for eps in eps_list],
         t_star, n_snapshots, point_fits)
@@ -420,7 +396,7 @@ def run_deterministic_limit(cfg):
         "bracket_exponent": _loglog_slope(
             eps_list, _fit_list(records, "bracket_max")),
     }
-    return ScanResult("deterministic_limit", records, fits, dumps)
+    return ScanResult("deterministic_limit", records, fits)
 
 
 def run_combined_limit(cfg):
@@ -444,12 +420,12 @@ def run_combined_limit(cfg):
     def point_fits(data, hbar, eps):
         return {"epsilon": eps,
                 "trajectory_deviation_max":
-                    float(np.max(np.abs(data.x_mean - traj.r))),
-                "terminal_width": data.width[-1],
+                    float(np.max(np.abs(data.column("x_mean") - traj.r))),
+                "terminal_width": data.column("width")[-1],
                 "kurtosis_excess_max":
-                    float(np.max(np.abs(data.kurtosis)))}
+                    float(np.max(np.abs(data.column("kurtosis_excess"))))}
 
-    records, dumps = _quantum_scan(
+    records = _quantum_scan(
         cfg, "combined_limit", V, r0, p0,
         [(f"hbar={hbar!r}", hbar, k * hbar) for hbar in hbar_list],
         t_final, n_snapshots, point_fits, tighten_dt=True)
@@ -462,7 +438,7 @@ def run_combined_limit(cfg):
         "kurtosis_excess_max": _fit_list(records, "kurtosis_excess_max"),
         "detpot_verdict": detpot.classify(V).verdict,
     }
-    return ScanResult("combined_limit", records, fits, dumps)
+    return ScanResult("combined_limit", records, fits)
 
 
 def run_detpot(cfg):
@@ -480,10 +456,7 @@ def run_detpot(cfg):
                        DETPOT_COLUMNS, rows,
                        fits={"verdict": report.verdict,
                              "scaling_exponent": report.scaling_exponent})
-    fits = {"verdict": report.verdict,
-            "scaling_exponent": report.scaling_exponent,
-            "tol": tol}
-    return ScanResult("detpot", [record], fits)
+    return ScanResult("detpot", [record], dict(record.fits, tol=tol))
 
 
 def run_uncertainty(cfg):
@@ -496,21 +469,20 @@ def run_uncertainty(cfg):
     n_snapshots = cfg.get_int("numerics", "n_snapshots", 64)
 
     def point_fits(data, hbar, eps):
-        u_min = float(np.min(data.uncertainty))
+        u_min = float(np.min(data.column("uncertainty_product")))
         return {"hbar": hbar,
                 "uncertainty_min": u_min,
                 "hbar_over_2": hbar / 2.0,
                 "floor_satisfied": bool(u_min >= 0.5 * hbar * (1.0 - 1e-6))}
 
-    records, dumps = _quantum_scan(
+    records = _quantum_scan(
         cfg, "simulate", V, r0, p0, [(f"hbar={hbar!r}", hbar, eps0)],
         t_final, n_snapshots, point_fits)
     fits = records[0].fits
     return ScanResult("simulate", records,
                       {key: fits[key] for key in ("hbar", "uncertainty_min",
                                                   "hbar_over_2",
-                                                  "floor_satisfied")},
-                      dumps)
+                                                  "floor_satisfied")})
 
 
 def run_phj_demo(cfg):
@@ -584,7 +556,7 @@ def run_liouville_demo(cfg):
 
 
 # ----------------------------------------------------------------------
-# Dispatch and output writing
+# Dispatch
 # ----------------------------------------------------------------------
 
 # [experiment] kind -> (the CLI command that runs it, its runner); a config
@@ -611,28 +583,3 @@ def run_experiment(cfg):
     result = EXPERIMENTS[kind][1](cfg)
     result.wall_clock = time.perf_counter() - start
     return result
-
-
-def write_outputs(result, outdir):
-    """One CSV per run record plus one plain-text scan summary (and the
-    optional field dumps); returns the written paths, records ordered by
-    scan index."""
-    os.makedirs(outdir, exist_ok=True)
-    paths = []
-    for i, rec in enumerate(result.records):
-        paths.append(write_csv(rec, os.path.join(outdir, f"run_{i:03d}.csv")))
-    for fname, header, arr in (result.field_dumps or ()):
-        path = os.path.join(outdir, fname)
-        lines = [header]
-        for row in arr:
-            lines.append(",".join(repr(float(v)) for v in row))
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-        paths.append(path)
-    summary = summary_text(result.experiment, result.records, result.fits,
-                           result.wall_clock)
-    spath = os.path.join(outdir, "summary.txt")
-    with open(spath, "w", encoding="utf-8") as fh:
-        fh.write(summary)
-    paths.append(spath)
-    return paths

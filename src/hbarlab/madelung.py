@@ -329,9 +329,10 @@ def _gouy_phase(case, epsilon0, hbar, m, omega, t):
 
 
 def analytic_packet_fields(case, grid, epsilon0, p0, hbar, m, t,
-                           omega=None, f0=None, r0=0.0):
+                           omega=None, f0=None):
     """Closed-form (rho, S) fields of the Gaussian packet at time t, plus the
-    analytic dS/dt field, for the free, constant-force, and harmonic cases.
+    analytic dS/dt field, for the free, constant-force, and harmonic cases,
+    for a packet that starts at r0 = 0.
 
     S(x,t) = (m/4)(deps/eps)(x-r)^2 + p(t) x - p(t) r(t)/2 + gouy(t),
     with the width eps(t) from the closed forms and the phase term whose
@@ -340,7 +341,7 @@ def analytic_packet_fields(case, grid, epsilon0, p0, hbar, m, t,
     solutions), which the test suite exercises.
     """
     st = analytic_gaussian(case, epsilon0, p0, hbar, m, t,
-                           omega=omega, f0=f0, r0=r0)
+                           omega=omega, f0=f0)
     eps, deps, d2eps = _width_derivatives(case, epsilon0, hbar, m, omega, t)
     r, p = st.r_t, st.p_t
     if case == "free":
@@ -352,8 +353,7 @@ def analytic_packet_fields(case, grid, epsilon0, p0, hbar, m, t,
         # A linear potential leaves an uncancelled -f0*r(t)/2 in the
         # action equation's constant balance, so the phase accumulates
         # (f0/2) * integral of r dt on top of the spreading phase.
-        extra = 0.5 * f0 * (r0 * t + 0.5 * p0 * t ** 2 / m
-                            + f0 * t ** 3 / (6.0 * m))
+        extra = 0.5 * f0 * (0.5 * p0 * t ** 2 / m + f0 * t ** 3 / (6.0 * m))
         extra_rate = 0.5 * f0 * r
     else:
         pdot = -m * omega ** 2 * r

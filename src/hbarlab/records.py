@@ -1,17 +1,21 @@
-"""Run records and their serialization.
+"""Run records and every file and line a run emits.
 
-One CSV per run: a commented header block (schema version, experiment,
-label, full config echo -- a record alone suffices to rerun), one header
-row with the pinned column names, one row per snapshot.  Floats are written
-with repr (shortest round-trip representation), so identical runs produce
-byte-identical files; wall-clock time stays out of the CSV for the same
-reason and goes to the plain-text scan summary instead.
+`write_outputs` writes run_000.csv, ... (one per record, in scan order),
+the optional field dumps run_000_fields_000.csv, ... and summary.txt.  Both
+kinds of CSV are one table format: commented header lines (schema version,
+experiment, label and config echo, so a record alone suffices to rerun; or
+a dump's snapshot time), the column names, the rows.  Floats are written
+with repr, so identical runs give byte-identical files; wall-clock time
+goes to summary.txt only, whose record lines the CLI prints as well.
 """
 
 import os
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .errors import DomainError
 
 __all__ = [
     "QUANTUM_COLUMNS",
@@ -21,7 +25,10 @@ __all__ = [
     "RunRecord",
     "to_csv_text",
     "write_csv",
+    "record_line",
     "summary_text",
+    "write_outputs",
+    "run_csv_paths",
     "read_csv",
 ]
 
@@ -42,12 +49,14 @@ class RunRecord:
     label: str
     config_echo: tuple
     columns: tuple
-    rows: tuple                      # tuple of tuples
+    rows: tuple                      # rows of values in `columns` order
     fits: dict = field(default_factory=dict)
-    schema_version: str = SCHEMA_VERSION
+    field_dumps: tuple = ()          # (t, x, rho, S) per dumped snapshot
 
 
 def _fmt(value):
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return "[" + ", ".join(map(_fmt, value)) + "]"
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     if isinstance(value, (int, np.integer)):
@@ -55,47 +64,80 @@ def _fmt(value):
     return str(value)
 
 
-def to_csv_text(record):
-    lines = [f"# schema_version = {record.schema_version}",
-             f"# experiment = {record.experiment}",
-             f"# label = {record.label}"]
-    lines += [f"# {line}" for line in record.config_echo]
-    lines.append(",".join(record.columns))
-    for row in record.rows:
-        if len(row) != len(record.columns):
+def _table_text(comments, columns, rows):
+    lines = [f"# {line}" for line in comments]
+    lines.append(",".join(columns))
+    for row in rows:
+        if len(row) != len(columns):
             raise ValueError(
-                f"row width {len(row)} != {len(record.columns)} columns")
+                f"row width {len(row)} != {len(columns)} columns")
         lines.append(",".join(_fmt(v) for v in row))
     return "\n".join(lines) + "\n"
 
 
-def write_csv(record, path):
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+def _write_text(path, text):
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(to_csv_text(record))
+        fh.write(text)
     return path
 
 
-def summary_text(experiment, records, scan_fits, wall_clock):
-    lines = [f"experiment: {experiment}", f"runs: {len(records)}"]
-    for rec in records:
-        fit_str = "  ".join(f"{k}={_fmt(v)}" for k, v in rec.fits.items())
-        lines.append(f"  {rec.label}: {len(rec.rows)} snapshots  {fit_str}")
-    for key, value in scan_fits.items():
-        if isinstance(value, (list, tuple, np.ndarray)):
-            value = "[" + ", ".join(_fmt(v) for v in value) + "]"
-        lines.append(f"{key} = {_fmt(value)}")
-    lines.append(f"wall_clock_s = {wall_clock:.3f}")
+def to_csv_text(record):
+    comments = [f"schema_version = {SCHEMA_VERSION}",
+                f"experiment = {record.experiment}",
+                f"label = {record.label}", *record.config_echo]
+    return _table_text(comments, record.columns, record.rows)
+
+
+def write_csv(record, path):
+    return _write_text(path, to_csv_text(record))
+
+
+def record_line(record):
+    """One record's line: label, snapshot count and its fits."""
+    fit_str = "  ".join(f"{k}={_fmt(v)}" for k, v in record.fits.items())
+    return f"{record.label}: {len(record.rows)} snapshots  {fit_str}"
+
+
+def summary_text(result):
+    lines = [f"experiment: {result.experiment}",
+             f"runs: {len(result.records)}"]
+    lines += [f"  {record_line(rec)}" for rec in result.records]
+    lines += [f"{key} = {_fmt(value)}" for key, value in result.fits.items()]
+    lines.append(f"wall_clock_s = {result.wall_clock:.3f}")
     return "\n".join(lines) + "\n"
 
 
+def write_outputs(result, outdir):
+    """One CSV per run record, its field dumps, and one plain-text scan
+    summary; returns the written paths, records ordered by scan index."""
+    os.makedirs(outdir, exist_ok=True)
+    paths = []
+    for i, rec in enumerate(result.records):
+        paths.append(write_csv(rec, os.path.join(outdir, f"run_{i:03d}.csv")))
+        for j, (t, x, rho, s) in enumerate(rec.field_dumps):
+            text = _table_text([f"t = {_fmt(t)}"], ("x", "rho", "S"),
+                               zip(x.tolist(), rho.tolist(), s.tolist()))
+            paths.append(_write_text(
+                os.path.join(outdir, f"run_{i:03d}_fields_{j:03d}.csv"), text))
+    paths.append(_write_text(os.path.join(outdir, "summary.txt"),
+                             summary_text(result)))
+    return paths
+
+
+def run_csv_paths(outdir):
+    """A run directory's run-record CSVs in scan order, without dumps."""
+    return sorted(os.path.join(outdir, f) for f in os.listdir(outdir)
+                  if re.fullmatch(r"run_\d{3,}\.csv", f))
+
+
 def read_csv(path):
-    """Parse a run CSV back into (meta dict, columns, data array)."""
+    """Parse a run CSV back into (meta dict, columns, data array); a file
+    that is not one raises DomainError naming the path and line."""
     meta = {}
     columns = None
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        for lineno, raw in enumerate(fh, 1):
             line = raw.rstrip("\n")
             if line.startswith("# "):
                 if " = " in line:
@@ -107,6 +149,13 @@ def read_csv(path):
             if columns is None:
                 columns = tuple(line.split(","))
                 continue
-            rows.append([float(v) for v in line.split(",")])
-    data = np.array(rows) if rows else np.empty((0, len(columns or ())))
+            try:     # reshape refuses a row of the wrong width
+                rows.append(np.array(line.split(","), dtype=float)
+                            .reshape(len(columns)))
+            except ValueError:
+                raise DomainError(f"{path}:{lineno}: not a row of "
+                                  f"{len(columns)} numbers") from None
+    if columns is None:
+        raise DomainError(f"{path}: no header row")
+    data = np.array(rows) if rows else np.empty((0, len(columns)))
     return meta, columns, data

@@ -13,10 +13,10 @@ from hbarlab.experiments import (
     run_combined_limit,
     run_detpot,
     run_deterministic_limit,
-    write_outputs,
 )
 from hbarlab.grid import make_grid, real_field
 from hbarlab.potential import PotentialSpec, eval_force, force_field
+from hbarlab.records import write_outputs
 
 from helpers import rel_err
 

@@ -18,10 +18,15 @@ from hbarlab.experiments import (
     run_experiment,
     run_standard_limit,
     run_uncertainty,
-    write_outputs,
 )
 from hbarlab.potential import PotentialSpec
-from hbarlab.records import QUANTUM_COLUMNS, RunRecord, read_csv, to_csv_text
+from hbarlab.records import (
+    QUANTUM_COLUMNS,
+    RunRecord,
+    read_csv,
+    to_csv_text,
+    write_outputs,
+)
 
 CONFIG_TEXT = """
 [experiment]
@@ -249,7 +254,7 @@ class TestExperiments:
             quantum_run(V, tight, 0.5, 0.0, 0.0, 1.0, 2.0, 4)
         data = quantum_run_autowiden(V, tight, 0.5, 0.0, 0.0, 1.0, 2.0, 4)
         assert data.grid.x_max >= 24.0    # two doublings
-        assert data.width[-1] == pytest.approx(8.5, rel=1e-4)
+        assert data.column("width")[-1] == pytest.approx(8.5, rel=1e-4)
 
     def test_autowiden_counts_its_retries(self):
         from hbarlab.experiments import quantum_run_autowiden
@@ -294,7 +299,7 @@ class TestExperiments:
         assert dt <= min(limit, dt_cap)
         assert calls == ([(dt, 1), (dt, 1)]
                          + [(dt, n_sub - 2), (dt, 1), (dt, 1)] * n_snapshots)
-        assert np.array_equal(data.times,
+        assert np.array_equal(data.column("t"),
                               [i * t_snap for i in range(n_snapshots + 1)])
         assert data.propagation_steps == n_snapshots * n_sub + 2
 
@@ -309,7 +314,8 @@ class TestExperiments:
                                  (force, 1.0, 2.0)):
             grid = auto_grid(V, 0.5, 0.0, 1.0, hbar, t_final)
             data = quantum_run(V, grid, 0.5, 0.0, 1.0, hbar, t_final, 16)
-            ratio = data.hj_classical[1:] / data.quantum_norm[1:]
+            ratio = (data.column("hj_classical_residual")[1:]
+                     / data.column("quantum_term_norm")[1:])
             assert np.max(np.abs(ratio - 1.0)) <= 1e-3
 
     def test_deterministic_limit_slopes(self):
@@ -509,7 +515,10 @@ class TestCLI:
                                                 tmp_path, capsys):
         code = main([command, "--config", preset, "--out", str(tmp_path)])
         assert code == 1
-        assert f"{command} expects experiment kind" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{command} expects experiment kind" in err
+        if command == "simulate":
+            assert "None" not in err
         assert not os.listdir(tmp_path)
 
     def test_phj_focusing_past_caustic_exits_2(self, tmp_path, capsys):
@@ -529,6 +538,45 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "experiment=detpot" in out
 
+    def test_report_lists_run_records_only(self, tmp_path, capsys):
+        code = main(["scan", "--config", "combined_harmonic",
+                     "--set", "scan.hbar_list=1.0,0.5",
+                     "--set", "numerics.t_final=0.5",
+                     "--set", "numerics.n_snapshots=4",
+                     "--dump-fields", "--out", str(tmp_path)])
+        assert code == 0
+        capsys.readouterr()
+        assert main(["report", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        summary = (tmp_path / "summary.txt").read_text()
+        assert f"runs: {len(lines)}\n" in summary
+        assert all("experiment=combined_limit" in line for line in lines)
+
+    @pytest.mark.parametrize("body", ["t,v\n0.5,abc\n",
+                                      "t,v\n0.5,1.0\n0.5\n"])
+    def test_report_malformed_csv_exits_1(self, body, tmp_path, capsys):
+        path = tmp_path / "run_000.csv"
+        path.write_text(body)
+        code = main(["report", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error:" in err and "Traceback" not in err
+        assert str(path) in err
+
+    def test_malformed_potential_table_exits_1(self, tmp_path, capsys):
+        table = tmp_path / "vtable.txt"
+        table.write_text("x V\n0.0 0.0\n0.1 0.01\n")
+        config = tmp_path / "tabulated.cfg"
+        config.write_text("[experiment]\nkind = detpot\n"
+                          f"[potential]\nkind = tabulated\ntable = {table}\n")
+        out = tmp_path / "out"
+        code = main(["detpot", "--config", str(config), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error:" in err and "Traceback" not in err
+        assert str(table) in err
+        assert not out.exists()
+
     def test_dump_fields_flag(self, tmp_path):
         code = main(["simulate", "--config", "uncertainty_coherent",
                      "--set", "numerics.t_final=0.2",
@@ -537,6 +585,14 @@ class TestCLI:
         assert code == 0
         dumps = [f for f in os.listdir(tmp_path) if "fields" in f]
         assert len(dumps) == 3
+        summary = (tmp_path / "summary.txt").read_text()
+        grid_n = int(summary.split("grid_n=")[1].split()[0])
+        for j in range(3):
+            lines = (tmp_path / f"run_000_fields_{j:03d}.csv").read_text() \
+                .splitlines()
+            assert lines[0] == f"# t = {j * (0.2 / 2)!r}"
+            assert lines[1] == "x,rho,S"
+            assert len(lines) == 2 + grid_n
 
     def test_set_override(self, tmp_path):
         code = main(["detpot", "--config", "detpot_quartic",
@@ -608,6 +664,12 @@ class TestCLI:
         assert "grid_n=256" in out
         assert "widen_retries=0" in out
         assert "\nfloor_satisfied = 1\n" in summary
+        # the CLI prints the summary's record line, booleans as 1/0 too
+        records = [line[2:] for line in summary.splitlines()
+                   if line.startswith("  ")]
+        assert out.splitlines() == [f"simulate {line}  -> {tmp_path}"
+                                    for line in records]
+        assert "floor_satisfied=1" in out
         # the one run timer writes the summary's wall clock
         wall = [line for line in summary.splitlines()
                 if line.startswith("wall_clock_s = ")]
