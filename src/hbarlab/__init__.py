@@ -1,59 +1,6 @@
 """hbarlab: a numerical laboratory for 1D wave-packet dynamics,
 Hamilton-Jacobi flows, phase-space transport, and classical-limit
-experiments with hbar as an explicit runtime parameter."""
+experiments with hbar as an explicit runtime parameter.  Import its
+submodules, e.g. `from hbarlab import schrodinger`."""
 
 __version__ = "0.1.0"
-
-from .errors import (  # noqa: F401
-    BoundaryLeak,
-    CausticError,
-    DomainError,
-    EscapeError,
-    InconclusiveError,
-    LabError,
-    MassDriftError,
-    NodeError,
-)
-from .grid import (  # noqa: F401
-    ComplexField,
-    Grid,
-    RealField,
-    complex_field,
-    integrate,
-    make_grid,
-    real_field,
-    spectral_derivative,
-)
-from .potential import PotentialSpec, eval_force, eval_potential, force_field  # noqa: F401
-from .schrodinger import (  # noqa: F401
-    GaussianPacketState,
-    WaveFunction,
-    analytic_gaussian,
-    init_gaussian,
-    max_stable_dt,
-    observables,
-    propagate,
-)
-from .madelung import (  # noqa: F401
-    MadelungFields,
-    from_madelung,
-    hj_residual,
-    quantum_term,
-    to_madelung,
-)
-from .hjflow import (  # noqa: F401
-    CharacteristicFan,
-    HJSolution,
-    integrate_fan,
-    solve_hj,
-    transport_density,
-)
-from .classical import (  # noqa: F401
-    PhaseDensity,
-    Trajectory,
-    delta_ansatz_check,
-    ehrenfest_residuals,
-    liouville_evolve,
-    newton_integrate,
-)
-from .detpot import DetpotReport, classify, detpot_residual, gaussian_convolve  # noqa: F401

@@ -32,7 +32,7 @@ from .errors import CausticError, DomainError, LabError
 from .experiments import EXPERIMENTS, run_experiment
 from .records import read_csv, record_line, run_csv_paths, write_outputs
 
-__all__ = ["main", "cli_main"]
+__all__ = ["cli_main"]
 
 
 class _UsageError(Exception):
@@ -156,9 +156,5 @@ def cli_main(argv=None):
         return 2
 
 
-def main(argv=None):
-    return cli_main(argv)
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(cli_main())

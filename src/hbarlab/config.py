@@ -180,10 +180,6 @@ class RunConfig:
 
     # -- typed views -------------------------------------------------------
 
-    @property
-    def seed(self):
-        return self.get_int("experiment", "seed", 0)
-
     def potential(self):
         kind = self.get("potential", "kind")
         mass = self.get_float("potential", "mass", 1.0)

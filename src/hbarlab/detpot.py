@@ -145,22 +145,14 @@ def fourier_residual_norm(V, epsilon, grid=None):
 
 @dataclass(frozen=True)
 class DetpotReport:
+    """Per-width results index-aligned with the ascending `epsilon_list`;
+    a detpot run CSV's rows are their zip."""
+
     epsilon_list: tuple
     residual_per_epsilon: tuple
     fourier_residual_norms: tuple
     scaling_exponent: float        # None for clean fixed points
     verdict: str                   # "Deterministic" | "NonDeterministic"
-    evidence: tuple                # per-eps dicts
-
-    def __str__(self):
-        lines = [f"verdict: {self.verdict}"]
-        if self.scaling_exponent is not None:
-            lines.append(f"residual ~ eps^{self.scaling_exponent:.3f}")
-        for row in self.evidence:
-            lines.append(
-                f"  eps={row['epsilon']:.6g}  residual={row['residual']:.6e}"
-                f"  fourier={row['fourier_residual_norm']:.6e}")
-        return "\n".join(lines)
 
 
 def classify(V, epsilon_list=None, tol=DEFAULT_TOL, grid=None):
@@ -196,8 +188,5 @@ def classify(V, epsilon_list=None, tol=DEFAULT_TOL, grid=None):
         raise InconclusiveError(
             f"residuals straddle tol={tol:g} across widths: "
             + ", ".join(f"{r:.3e}" for r in residuals))
-    evidence = tuple(
-        {"epsilon": e, "residual": r, "fourier_residual_norm": f}
-        for e, r, f in zip(eps, residuals, fouriers))
     return DetpotReport(tuple(eps), tuple(residuals), tuple(fouriers),
-                        exponent, verdict, evidence)
+                        exponent, verdict)

@@ -2,8 +2,8 @@
 
 Two broad families: configuration/argument problems (`DomainError`) and
 numeric failures detected mid-run (boundary leakage, caustics, mass drift,
-escaping trajectories, inconclusive classification).  The CLI maps the first
-family to exit code 1 and the second to exit code 2.
+escaping trajectories, inconclusive classification, phase nodes, norm
+drift).  The CLI maps the first to exit code 1, the second to exit code 2.
 """
 
 

@@ -450,8 +450,8 @@ def run_detpot(cfg):
                 else cfg.get_float_list("scan", "epsilon_list"))
     tol = cfg.get_float("numerics", "tol", detpot.DEFAULT_TOL)
     report = detpot.classify(V, eps_list, tol, grid)
-    rows = tuple((row["epsilon"], row["residual"],
-                  row["fourier_residual_norm"]) for row in report.evidence)
+    rows = tuple(zip(report.epsilon_list, report.residual_per_epsilon,
+                     report.fourier_residual_norms))
     record = RunRecord("detpot", "classification", cfg.echo_lines(),
                        DETPOT_COLUMNS, rows,
                        fits={"verdict": report.verdict,
@@ -495,7 +495,14 @@ def run_phj_demo(cfg):
     grid = cfg.grid_spec() or make_grid(-8.0, 8.0, 256)
 
     s0 = real_field(grid, p0 * grid.x + c2 * grid.x ** 2)
+    # a report row differences S over its neighbours t +- delta, which
+    # must lie after t = 0 and short of the next report time
     delta = 1e-3
+    if 0.1 * t_final <= delta or 0.85 * t_final <= 2 * delta * (n_report - 1):
+        raise DomainError(
+            f"{cfg.origin}: [numerics] t_final = {t_final!r} and n_snapshots"
+            f" = {n_report} crowd the report times; phj needs 0.1 t_final > "
+            f"{delta:g} and 0.85 t_final / (n_snapshots - 1) > {2 * delta:g}")
     report_times = np.linspace(0.1 * t_final, 0.95 * t_final, n_report)
     snapshot_times = np.unique(np.concatenate(
         [report_times - delta, report_times, report_times + delta]))

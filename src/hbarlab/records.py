@@ -107,10 +107,22 @@ def summary_text(result):
     return "\n".join(lines) + "\n"
 
 
+# the names write_outputs gives run CSVs and, with group 1, field dumps
+_RUN_FILE = re.compile(r"run_\d{3,}(_fields_\d{3,})?\.csv")
+
+
+def _run_files(outdir):
+    return [m for m in map(_RUN_FILE.fullmatch, os.listdir(outdir)) if m]
+
+
 def write_outputs(result, outdir):
     """One CSV per run record, its field dumps, and one plain-text scan
-    summary; returns the written paths, records ordered by scan index."""
+    summary; returns the written paths, records ordered by scan index.
+    Run CSVs and dumps an earlier run left in outdir are removed first, so
+    none survives as this run's; no other file is touched."""
     os.makedirs(outdir, exist_ok=True)
+    for m in _run_files(outdir):
+        os.remove(os.path.join(outdir, m.string))
     paths = []
     for i, rec in enumerate(result.records):
         paths.append(write_csv(rec, os.path.join(outdir, f"run_{i:03d}.csv")))
@@ -126,8 +138,8 @@ def write_outputs(result, outdir):
 
 def run_csv_paths(outdir):
     """A run directory's run-record CSVs in scan order, without dumps."""
-    return sorted(os.path.join(outdir, f) for f in os.listdir(outdir)
-                  if re.fullmatch(r"run_\d{3,}\.csv", f))
+    return sorted(os.path.join(outdir, m.string) for m in _run_files(outdir)
+                  if m.group(1) is None)
 
 
 def read_csv(path):

@@ -80,11 +80,6 @@ class GaussianPacketState:
     epsilon_t: float
     r_t: float
     p_t: float
-    epsilon0: float
-    hbar: float
-    m: float
-    t: float
-    omega: float = None
 
 
 @dataclass(frozen=True)
@@ -246,17 +241,17 @@ def energy_mean(psi, V):
 # Analytic Gaussian-packet family
 # ----------------------------------------------------------------------
 
-def analytic_gaussian(case, epsilon0, p0, hbar, m, t, omega=None, f0=None,
-                      r0=0.0):
-    """Closed-form (eps(t), r(t), p(t)) for the three solvable potentials.
+def analytic_gaussian(case, epsilon0, p0, hbar, m, t, omega=None, f0=None):
+    """Closed-form (eps(t), r(t), p(t)) for the three solvable potentials,
+    for a packet that starts at r0 = 0.
 
     free:           eps(t) = eps0 (1 + (hbar t / (m eps0))^2),
-                    r = r0 + p0 t / m, p = p0.
+                    r = p0 t / m, p = p0.
     constant_force: same spreading as free (a uniform force translates the
                     packet without reshaping it); r and p from uniform
                     acceleration.
     harmonic:       eps(t) = eps0 [cos^2(wt) + (hbar/(eps0 m w))^2 sin^2(wt)],
-                    r = r0 cos(wt) + (p0 / m w) sin(wt), p = m dr/dt.
+                    r = (p0 / m w) sin(wt), p = m dr/dt.
                     eps is constant exactly when eps0 = hbar / (m w)
                     (the coherent packet).
     """
@@ -264,26 +259,22 @@ def analytic_gaussian(case, epsilon0, p0, hbar, m, t, omega=None, f0=None,
         raise DomainError("epsilon0, hbar, and m must all be positive")
     if case == "free":
         eps_t = epsilon0 * (1.0 + (hbar * t / (m * epsilon0)) ** 2)
-        r_t = r0 + p0 * t / m
+        r_t = p0 * t / m
         p_t = p0
-        w = None
     elif case == "constant_force":
         if f0 is None:
             raise DomainError("constant_force case requires f0")
         eps_t = epsilon0 * (1.0 + (hbar * t / (m * epsilon0)) ** 2)
-        r_t = r0 + p0 * t / m + 0.5 * f0 * t ** 2 / m
+        r_t = p0 * t / m + 0.5 * f0 * t ** 2 / m
         p_t = p0 + f0 * t
-        w = None
     elif case == "harmonic":
         if omega is None or omega <= 0:
             raise DomainError("harmonic case requires omega > 0")
         w = float(omega)
         c, s = np.cos(w * t), np.sin(w * t)
         eps_t = epsilon0 * (c ** 2 + (hbar / (epsilon0 * m * w)) ** 2 * s ** 2)
-        r_t = r0 * c + (p0 / (m * w)) * s
-        p_t = -m * w * r0 * s + p0 * c
+        r_t = (p0 / (m * w)) * s
+        p_t = p0 * c
     else:
         raise DomainError(f"unknown analytic case {case!r}")
-    return GaussianPacketState(float(eps_t), float(r_t), float(p_t),
-                               float(epsilon0), float(hbar), float(m),
-                               float(t), w)
+    return GaussianPacketState(float(eps_t), float(r_t), float(p_t))

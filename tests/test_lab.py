@@ -1,14 +1,18 @@
 import os
+import subprocess
+import sys
 from importlib import resources
 
 import numpy as np
 import pytest
 
-from hbarlab.cli import main
+from hbarlab.cli import cli_main as main
 from hbarlab.config import RunConfig, load_potential_table
+from hbarlab.detpot import classify
 from hbarlab.errors import DomainError, LabError, NodeError
 from hbarlab.experiments import (
     EXPERIMENTS,
+    ScanResult,
     auto_grid,
     run_combined_limit,
     run_detpot,
@@ -61,7 +65,6 @@ class TestConfig:
         cfg = RunConfig.from_text(CONFIG_TEXT)
         assert cfg.get("experiment", "kind") == "combined_limit"
         assert EXPERIMENTS["combined_limit"][0] == "scan"
-        assert cfg.seed == 0
         assert cfg.get_float("scan", "k") == 0.5
         assert cfg.get_float_list("scan", "hbar_list") == [1.0, 0.1]
         V = cfg.potential()
@@ -189,6 +192,23 @@ class TestRecords:
         assert meta["experiment"] == "simulate"
         assert columns == ("t", "v")
         assert np.allclose(data, [[0.5, 2.5], [1.0, 0.1]])
+
+    def test_rewrite_removes_earlier_run_files_only(self, tmp_path):
+        x = np.linspace(0.0, 1.0, 4)
+        dumps = tuple((t, x, x, x) for t in (0.0, 0.5, 1.0))
+
+        def result(n_records, n_dumps):
+            records = [RunRecord("simulate", f"r{i}", (), ("t",), ((0.0,),),
+                                 field_dumps=dumps[:n_dumps])
+                       for i in range(n_records)]
+            return ScanResult("simulate", records, {})
+
+        (tmp_path / "notes.txt").write_text("kept\n")
+        write_outputs(result(3, 3), str(tmp_path))
+        paths = write_outputs(result(2, 1), str(tmp_path))
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            [os.path.basename(p) for p in paths] + ["notes.txt"])
+        assert (tmp_path / "notes.txt").read_text() == "kept\n"
 
 
 def small_config(text_overrides):
@@ -399,6 +419,10 @@ class TestExperiments:
         assert result.fits["verdict"] == "NonDeterministic"
         assert result.records[0].columns == (
             "epsilon", "residual", "fourier_residual_norm")
+        report = classify(cfg.potential())
+        assert result.records[0].rows == tuple(zip(
+            report.epsilon_list, report.residual_per_epsilon,
+            report.fourier_residual_norms))
 
     def test_uncertainty_runner(self):
         cfg = RunConfig.from_text(
@@ -520,6 +544,40 @@ class TestCLI:
         if command == "simulate":
             assert "None" not in err
         assert not os.listdir(tmp_path)
+
+    @pytest.mark.parametrize("overrides", [
+        ("numerics.t_final=0.005",),       # first report time at 5e-4
+        ("numerics.t_final=0.1", "numerics.n_snapshots=50"),  # spacing 1.7e-3
+    ])
+    def test_phj_crowded_report_times_exit_1(self, overrides, tmp_path,
+                                             capsys):
+        out = tmp_path / "out"
+        sets = [arg for o in overrides for arg in ("--set", o)]
+        code = main(["phj", "--config", "phj_harmonic", *sets,
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+        assert "t_final" in err and "n_snapshots" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("module", ["hbarlab", "hbarlab.cli"])
+    def test_module_entry_points(self, module, tmp_path):
+        env = dict(os.environ, PYTHONPATH=os.path.join(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            "src"))
+
+        def run(*args):
+            return subprocess.run([sys.executable, "-m", module, *args],
+                                  env=env, capture_output=True, text=True)
+
+        proc = run("detpot", "--config", "detpot_quadratic",
+                   "--out", str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "run_000.csv").is_file()
+        proc = run("detpot", "--config", "detpot_quadratic", "--frobnicate")
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
 
     def test_phj_focusing_past_caustic_exits_2(self, tmp_path, capsys):
         code = main(["phj", "--config", "phj_focusing",

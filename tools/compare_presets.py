@@ -32,6 +32,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from hbarlab.config import RunConfig  # noqa: E402
 from hbarlab.experiments import EXPERIMENTS  # noqa: E402
+from hbarlab.records import read_csv  # noqa: E402
 
 
 def presets():
@@ -74,17 +75,6 @@ def summary_lines(outdir):
                 if not line.startswith("wall_clock_s")]
 
 
-def read_table(path):
-    """(column names, rows of numbers) of a run CSV or field dump; comment
-    lines are skipped."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh
-                 if line.strip() and not line.startswith("#")]
-    columns = lines[0].split(",")
-    return columns, [[float(v) for v in line.split(",")]
-                     for line in lines[1:]]
-
-
 def largest_differences(path_a, path_b):
     """Lines naming, for every column that differs between two CSVs, the
     largest relative difference, its row and the two numbers, or one line
@@ -92,11 +82,10 @@ def largest_differences(path_a, path_b):
     difference is relative to the largest magnitude in its column; a
     column that is roundoff throughout (zero by symmetry) can read O(1),
     and the two numbers show it."""
-    cols_a, rows_a = read_table(path_a)
-    cols_b, rows_b = read_table(path_b)
-    if cols_a != cols_b or len(rows_a) != len(rows_b):
+    _, cols_a, a = read_csv(path_a)
+    _, cols_b, b = read_csv(path_b)
+    if cols_a != cols_b or a.shape != b.shape:
         return ["header or row count differs"]
-    a, b = np.array(rows_a), np.array(rows_b)
     if np.array_equal(a, b, equal_nan=True):
         return ["numbers equal, text differs"]
     with np.errstate(invalid="ignore", divide="ignore"):
