@@ -14,7 +14,9 @@ command must be the one hbarlab.experiments.EXPERIMENTS maps the config's
 every run then starts through `run_experiment`.  hbarlab.records writes
 its outputs to the configured directory (override with --out): one CSV
 per run, summary.txt, field dumps with --dump-fields; the CLI prints each
-record's summary line.  `report` reads run CSVs, not field dumps.
+record's summary line.  An earlier run's outputs in that directory are
+removed before the run starts, so a failed run leaves none behind.
+`report` reads run CSVs, not field dumps.
 
 Exit codes: 0 success; 1 usage or configuration error; 2 numeric failure
 (every other LabError: boundary leakage, caustic, phase-space mass drift,
@@ -30,7 +32,13 @@ from importlib import resources
 from .config import RunConfig
 from .errors import CausticError, DomainError, LabError
 from .experiments import EXPERIMENTS, run_experiment
-from .records import read_csv, record_line, run_csv_paths, write_outputs
+from .records import (
+    clear_outputs,
+    read_csv,
+    record_line,
+    run_csv_paths,
+    write_outputs,
+)
 
 __all__ = ["cli_main"]
 
@@ -109,8 +117,10 @@ def _run_and_write(args):
             f"{args.command} expects experiment kind "
             f"{' or '.join(map(_kind_text, kinds))}, "
             f"config says {_kind_text(kind)}")
-    result = run_experiment(cfg)
     outdir = args.out or cfg.output_directory()
+    # a run that fails must not leave an earlier run's outputs as its own
+    clear_outputs(outdir)
+    result = run_experiment(cfg)
     write_outputs(result, outdir)
     for rec in result.records:
         print(f"{result.experiment} {record_line(rec)}  -> {outdir}")

@@ -33,12 +33,14 @@ liouville_demo    phase-space blob transport checkpoints.
                   uncertainty product against its floor hbar/2.
 
 Numerics policy: grids are auto-sized per run from the packet and
-potential scales (resolution follows the momentum content ~ p/hbar, so
-step sizes shrink linearly with hbar and splitting errors on the means
-drop as hbar^2 across a combined scan); BoundaryLeak triggers an automatic
-rerun on a doubled domain, at most twice.  A quantum run takes one time
-step, the phase-rotation limit of `schrodinger.max_stable_dt` (capped in a
+potential scales (resolution follows the momentum content ~ p/hbar plus
+the packet's own spectral width down to the Madelung support floor, so
+step sizes shrink with hbar and splitting errors on the means drop as
+hbar^2 across a combined scan); BoundaryLeak triggers an automatic rerun
+on a doubled domain, at most twice.  A quantum run takes one time step,
+the phase-rotation limit of `schrodinger.max_stable_dt` (capped in a
 combined scan) shortened to a whole number of steps per snapshot interval;
+its `schrodinger.propagate` calls share one set of phase factors;
 every snapshot is the middle of a triple one step apart, behind the
 centered dS/dt difference.  A run keeps its rows in QUANTUM_COLUMNS order
 (read one with `QuantumRunData.column`) and, with [output] dump_fields, its
@@ -99,8 +101,12 @@ def _next_pow2(n):
 
 def auto_grid(V, eps0, r0, p0, hbar, t_final):
     """Size the domain from the classical extent plus packet tails, and the
-    resolution from the momentum content (p_max/hbar plus the packet's own
-    spectral width at its narrowest)."""
+    resolution from the momentum content: k_max covers 1.3 p_max/hbar plus
+    4/sigma_min, where the spectral density of the packet at its narrowest
+    (density standard deviation sigma_min) has fallen below
+    `madelung.DEFAULT_FLOOR` of its peak.  For a polynomial or tabulated
+    potential p_max also counts the largest V over the packet's tails down
+    to that floor.  n is a power of two, at least 256."""
     m = V.mass
     if V.kind == "harmonic":
         w = V.omega
@@ -136,7 +142,12 @@ def auto_grid(V, eps0, r0, p0, hbar, t_final):
             reachable = np.array([r0])
         extent = float(np.max(np.abs(reachable))) + 0.5
         v_min = float(np.min(vs))
-        p_max = float(np.sqrt(2 * m * max(energy - v_min, 0.0))) + abs(p0)
+        # the packet's tails, down to the Madelung support floor, start out
+        # where V may sit far above the mean energy and gain that momentum
+        tail = np.sqrt(np.log(1.0 / madelung.DEFAULT_FLOOR) * eps0)
+        v_top = max(energy, float(np.max(eval_potential(
+            V, r0 + tail * np.linspace(-1.0, 1.0, 201)))))
+        p_max = float(np.sqrt(2 * m * max(v_top - v_min, 0.0))) + abs(p0)
         # width can breathe; bracket it by a factor 4 around eps0
         eps_min = 0.25 * eps0
         eps_max = 4.0 * eps0
@@ -146,10 +157,12 @@ def auto_grid(V, eps0, r0, p0, hbar, t_final):
     # (7 sigma covers ~1e-12 of the mass) must fit in the central 90%
     half = 1.12 * (extent + 7.0 * sigma_max) + 0.5
     # spectral sufficiency: cover the momentum content p_max/hbar plus the
-    # packet's own spectral width (Gaussian tail ~ exp(-(k sigma)^2/2) needs
-    # k sigma ~ 8 to reach the 1e-10 leak floor); the step-size rule then
-    # scales dt ~ 1/k_max^2, so resolution is not over-provisioned
-    k_need = 1.3 * p_max / hbar + 8.0 / sigma_min
+    # packet's own spectral width.  A density of standard deviation sigma
+    # has spectral density ~ exp(-2 (k sigma)^2), which falls below the
+    # Madelung support floor (1e-12 of its peak) at k sigma ~ 3.72, so
+    # k sigma = 4 suffices; the step-size rule scales dt ~ 1/k_max^2, so
+    # every excess k costs steps quadratically
+    k_need = 1.3 * p_max / hbar + 4.0 / sigma_min
     n_k = k_need * (2 * half) / np.pi
     n = int(np.clip(_next_pow2(max(n_k, 256)), 256, 65536))
     return make_grid(-half, half, n)

@@ -1,10 +1,11 @@
 """Run records and every file and line a run emits.
 
 `write_outputs` writes run_000.csv, ... (one per record, in scan order),
-the optional field dumps run_000_fields_000.csv, ... and summary.txt.  Both
-kinds of CSV are one table format: commented header lines (schema version,
-experiment, label and config echo, so a record alone suffices to rerun; or
-a dump's snapshot time), the column names, the rows.  Floats are written
+the optional field dumps run_000_fields_000.csv, ... and summary.txt;
+`clear_outputs` removes those an earlier run left.  Both kinds of CSV are
+one table format: commented header lines (schema version, experiment,
+label and config echo, so a record alone suffices to rerun; or a dump's
+snapshot time), the column names, the rows.  Floats are written
 with repr, so identical runs give byte-identical files; wall-clock time
 goes to summary.txt only, whose record lines the CLI prints as well.
 """
@@ -27,6 +28,7 @@ __all__ = [
     "write_csv",
     "record_line",
     "summary_text",
+    "clear_outputs",
     "write_outputs",
     "run_csv_paths",
     "read_csv",
@@ -115,14 +117,24 @@ def _run_files(outdir):
     return [m for m in map(_RUN_FILE.fullmatch, os.listdir(outdir)) if m]
 
 
+def clear_outputs(outdir):
+    """Remove the run CSVs, field dumps and summary.txt an earlier run left
+    in outdir, so none survives as a later run's; no other file is touched
+    and a missing outdir is left missing."""
+    if not os.path.isdir(outdir):
+        return
+    for name in [m.string for m in _run_files(outdir)] + ["summary.txt"]:
+        path = os.path.join(outdir, name)
+        if os.path.isfile(path):
+            os.remove(path)
+
+
 def write_outputs(result, outdir):
     """One CSV per run record, its field dumps, and one plain-text scan
     summary; returns the written paths, records ordered by scan index.
-    Run CSVs and dumps an earlier run left in outdir are removed first, so
-    none survives as this run's; no other file is touched."""
+    The outputs of an earlier run in outdir are cleared first."""
     os.makedirs(outdir, exist_ok=True)
-    for m in _run_files(outdir):
-        os.remove(os.path.join(outdir, m.string))
+    clear_outputs(outdir)
     paths = []
     for i, rec in enumerate(result.records):
         paths.append(write_csv(rec, os.path.join(outdir, f"run_{i:03d}.csv")))

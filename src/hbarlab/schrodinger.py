@@ -144,12 +144,47 @@ def max_stable_dt(grid, V, hbar, m):
     return dt_kin
 
 
+# (key, phase factors) of the last propagate call; the key is
+# (grid, V, hbar, m, dt), grids compared by value and V by identity
+_phase_memo = None
+
+
+def _phases(g, V, hbar, m, dt):
+    """Kinetic, half- and full-potential phase factors of a Strang step,
+    built once per (grid, V, hbar, m, dt) and reused while the key repeats.
+    Grids, potential coefficients and tables are read-only, so a repeated
+    key gives the same factors; the stability verdict is a function of the
+    key too, so only a key that passed it is stored."""
+    global _phase_memo
+    memo = _phase_memo
+    if (memo is not None and memo[0][1] is V and memo[0][0] == g
+            and memo[0][2:] == (hbar, m, dt)):
+        return memo[1]
+    dt_max = max_stable_dt(g, V, hbar, m)
+    if dt > dt_max * (1.0 + 1e-12):
+        raise DomainError(
+            f"dt={dt:.3e} exceeds the phase-rotation limit {dt_max:.3e}")
+    exp_kin = np.exp(-0.5j * hbar * g.k ** 2 * dt / m)
+    exp_v_half = np.exp(-0.5j * eval_potential(V, g.x) * dt / hbar)
+    # the closing half phase of one step and the opening half phase of the
+    # next are one full phase
+    phases = (exp_kin, exp_v_half, exp_v_half * exp_v_half)
+    for a in phases:
+        a.setflags(write=False)
+    _phase_memo = ((g, V, hbar, m, dt), phases)
+    return phases
+
+
 def propagate(psi, V, dt, n_steps):
     """Advance a wave function by n_steps Strang steps of size dt.
 
     Returns a new WaveFunction at t + n_steps*dt.  Raises DomainError for
     dt <= 0 or dt above the stability rule, BoundaryLeak (carrying the
-    final state) when packet mass reaches the boundary margin.
+    final state) when packet mass reaches the boundary margin, LabError
+    when the norm drifts; both checks run on every call.  The phase
+    factors, and the stability verdict with them, are built once and
+    reused by the following calls with the same grid, potential object,
+    hbar, m and dt.
     """
     if dt <= 0:
         raise DomainError(f"dt must be positive, got {dt}")
@@ -158,16 +193,7 @@ def propagate(psi, V, dt, n_steps):
         raise DomainError(f"n_steps must be >= 1, got {n_steps}")
     g = psi.grid
     hbar, m = psi.hbar, psi.m
-    dt_max = max_stable_dt(g, V, hbar, m)
-    if dt > dt_max * (1.0 + 1e-12):
-        raise DomainError(
-            f"dt={dt:.3e} exceeds the phase-rotation limit {dt_max:.3e}")
-
-    exp_kin = np.exp(-0.5j * hbar * g.k ** 2 * dt / m)
-    exp_v_half = np.exp(-0.5j * eval_potential(V, g.x) * dt / hbar)
-    # the closing half phase of one step and the opening half phase of the
-    # next are one full phase
-    exp_v = exp_v_half * exp_v_half
+    exp_kin, exp_v_half, exp_v = _phases(g, V, hbar, m, dt)
     norm0 = g.dx * np.sum(np.abs(psi.values) ** 2)
     values = exp_v_half * psi.values
     for _ in range(n_steps - 1):

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +9,7 @@ from hypothesis import strategies as st
 
 from hbarlab.errors import BoundaryLeak, DomainError
 from hbarlab.grid import complex_field, make_grid
-from hbarlab.potential import PotentialSpec
+from hbarlab.potential import PotentialSpec, eval_potential
 from hbarlab.schrodinger import (
     WaveFunction,
     analytic_gaussian,
@@ -143,6 +147,75 @@ class TestPropagate:
         err1 = np.linalg.norm(terminal(1) - ref)
         err2 = np.linalg.norm(terminal(2) - ref)
         assert 3.0 <= err1 / err2 <= 5.0
+
+
+# Two grids and two potentials under one step, so the phase memo of
+# `propagate` sees keys that differ in the grid only or in V only.
+MEMO_POTENTIALS = (PotentialSpec.harmonic(1.0, 1.0),
+                   PotentialSpec.polynomial([0.0, 0.3, 0.2, 0.0, 0.05]))
+MEMO_GRIDS = ((-10.0, 10.0, 256), (-12.0, 12.0, 512))
+MEMO_DT = 0.5 * min(max_stable_dt(make_grid(*g), V, 1.0, 1.0)
+                    for g in MEMO_GRIDS for V in MEMO_POTENTIALS)
+
+
+def memo_case(i_grid, i_potential):
+    """Five steps of one (grid, V) case on a freshly built, equal grid."""
+    grid = make_grid(*MEMO_GRIDS[i_grid])
+    psi = init_gaussian(grid, 0.5, 0.3, 0.5, 1.0, 1.0)
+    return propagate(psi, MEMO_POTENTIALS[i_potential], MEMO_DT, 5).values
+
+
+def strang_reference(psi, V, dt, n_steps):
+    """Unfused Strang steps with phases built here, on numpy's FFT."""
+    g = psi.grid
+    half = np.exp(-0.5j * eval_potential(V, g.x) * dt / psi.hbar)
+    kin = np.exp(-0.5j * psi.hbar * g.k ** 2 * dt / psi.m)
+    values = psi.values
+    for _ in range(n_steps):
+        values = half * np.fft.ifft(kin * np.fft.fft(half * values))
+    return values
+
+
+class TestPhaseMemo:
+    def test_alternating_keys_match_a_fresh_interpreter(self, tmp_path):
+        cases = [(0, 0), (1, 0), (0, 1), (1, 1)]
+        ref = tmp_path / "fresh.npz"
+        tests_dir = os.path.dirname(os.path.abspath(__file__))
+        src = os.path.join(os.path.dirname(tests_dir), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests_dir]))
+        script = ("import sys, numpy as np\n"
+                  "from test_schrodinger import memo_case\n"
+                  f"np.savez(sys.argv[1], *[memo_case(*c) for c in {cases}])")
+        proc = subprocess.run([sys.executable, "-c", script, str(ref)],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        with np.load(ref) as fresh:
+            expected = [fresh[f"arr_{i}"] for i in range(len(cases))]
+        # repeats (memo hits) and switches of grid, of V and of both
+        for i in (0, 0, 1, 0, 1, 1, 2, 3, 2, 0, 3, 3, 1, 2):
+            got = memo_case(*cases[i])
+            assert got.tobytes() == expected[i].tobytes(), cases[i]
+
+    def test_guard_after_a_valid_call(self):
+        g = make_grid(-10, 10, 256)
+        V = MEMO_POTENTIALS[0]
+        psi = init_gaussian(g, 0.5, 0.0, 0.0, 1.0, 1.0)
+        limit = max_stable_dt(g, V, 1.0, 1.0)
+        propagate(psi, V, limit, 3)
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                propagate(psi, V, 10 * limit, 3)
+        propagate(psi, V, limit, 3)
+
+    def test_each_potential_gets_its_own_phases(self):
+        g = make_grid(-10, 10, 256)
+        psi = init_gaussian(g, 0.5, 0.3, 0.5, 1.0, 1.0)
+        outputs = [propagate(psi, V, MEMO_DT, 5).values
+                   for V in MEMO_POTENTIALS]
+        for V, values in zip(MEMO_POTENTIALS, outputs):
+            ref = strang_reference(psi, V, MEMO_DT, 5)
+            assert np.max(np.abs(values - ref)) <= 1e-12
+        assert np.max(np.abs(outputs[0] - outputs[1])) > 1e-6
 
 
 # Random real polynomials of degree <= 4 and random packets on a 256-point
