@@ -18,8 +18,11 @@ import numpy as np
 
 
 def _horner(c, x):
-    acc = 0.0
-    for j in range(c.size - 1, -1, -1):
+    """sum_j c[j] x**j by Horner's rule from the leading coefficient, bit
+    for bit numpy's polyval; a size-1 c gives the scalar c[0], which
+    broadcasts against x."""
+    acc = c[-1]
+    for j in range(c.size - 2, -1, -1):
         acc = acc * x + c[j]
     return acc
 
@@ -91,17 +94,31 @@ def fan_path(fc, vc, m, x0, p0, dt, n_steps, save_steps):
     return x_out, p_out, a_out, caustic_step
 
 
-def liouville_pullback(fc, m, x_nodes, p_nodes, dt, n_sub, rho0,
-                       x0_min, dx0, p0_min, dp0):
+def liouville_pullback(fc, m, x_nodes, p_nodes, dt, n_sub, n_checkpoints,
+                       rho0, x0_min, dx0, p0_min, dp0):
     """Pull every phase-space node (x, p) backward through the Newton flow
-    for n_sub steps of size dt, then sample rho0 bilinearly at the foot.
-    Feet outside the source rectangle contribute zero."""
-    nx = x_nodes.size
-    npp = p_nodes.size
-    X, P = np.meshgrid(x_nodes, p_nodes, indexing="ij")
-    for _, x, p, _ in _kdk(partial(_horner, fc), m, X.ravel(), P.ravel(),
-                           -dt, n_sub):
-        pass          # only the feet, the final (x, p), are needed
+    for n_sub steps of size dt, and sample rho0 bilinearly at the feet
+    after every n_sub / n_checkpoints steps (n_checkpoints divides n_sub).
+    Returns one (nx, np) array per checkpoint.  Feet outside the source
+    rectangle contribute zero."""
+    stride = n_sub // n_checkpoints
+    nx, npp = x_nodes.size, p_nodes.size
+    out = []
+    # the flat nodes are held by nothing else, so they are freed once the
+    # first step moves the feet, leaving room for the checkpoints kept
+    for step, x, p, _ in _kdk(partial(_horner, fc), m,
+                              np.repeat(x_nodes, npp), np.tile(p_nodes, nx),
+                              -dt, n_sub):
+        if step % stride == 0:
+            out.append(_bilinear(rho0, x, p, x0_min, dx0, p0_min, dp0)
+                       .reshape(nx, npp))
+    return out
+
+
+def _bilinear(rho0, x, p, x0_min, dx0, p0_min, dp0):
+    """rho0 (on the node grid from (x0_min, p0_min) with spacings dx0, dp0)
+    sampled bilinearly at the points (x, p); zero outside the grid."""
+    nx, npp = rho0.shape
     fx = (x - x0_min) / dx0
     fp = (p - p0_min) / dp0
     inside = (fx >= 0.0) & (fx <= nx - 1) & (fp >= 0.0) & (fp <= npp - 1)
@@ -114,4 +131,4 @@ def liouville_pullback(fc, m, x_nodes, p_nodes, dt, n_sub, rho0,
             + rho0[i0c, j0c + 1] * (1.0 - wx) * wp
             + rho0[i0c + 1, j0c + 1] * wx * wp)
     vals[~inside] = 0.0
-    return vals.reshape(nx, npp)
+    return vals

@@ -4,8 +4,9 @@ evolution checks.
 newton_integrate is a velocity-Verlet (symplectic, second order)
 integrator; liouville_evolve advances a phase-space density by the backward
 semi-Lagrangian method (each node is pulled back through the Newton flow
-and the initial density is sampled bilinearly once, so there is no CFL
-limit and interpolation diffusion is paid a single time per call).
+and the initial density is sampled bilinearly at the feet, so there is no
+CFL limit and interpolation diffusion is paid once per checkpoint, never
+compounded across checkpoints).
 
 delta_ansatz_check verifies in weak form that a point density riding a
 Newton trajectory solves the phase-space transport equation: for smooth
@@ -147,32 +148,43 @@ def gaussian_phase_blob(x0, p0, sigma_x, sigma_p, x_min, x_max, p_min, p_max,
     return _validated(PhaseDensity(x_min, x_max, nx, p_min, p_max, n_p, vals))
 
 
-def liouville_evolve(rho0, V, t, dt):
-    """Semi-Lagrangian advance of a phase density by time t.
+def liouville_evolve(rho0, V, t, dt, n_checkpoints=1):
+    """Semi-Lagrangian advance of a phase density to the n_checkpoints
+    times t k / n_checkpoints, k = 1..n_checkpoints.
 
-    Every node is pulled backward through the Newton flow (sub-stepped by
-    dt) and rho0 is sampled bilinearly at the foot -- one interpolation per
-    call regardless of t.  Raises MassDriftError when the advected mass
-    drifts beyond 1e-3 (grid too coarse or support reaching the boundary).
+    One backward pass pulls every node through the Newton flow in uniform
+    sub-steps of at most dt.  The flow is autonomous, so the feet at one
+    checkpoint are where the pull back to the next starts; at each
+    checkpoint rho0 is sampled bilinearly at the feet -- one interpolation
+    per checkpoint regardless of t.  Returns a tuple of PhaseDensity, one
+    per checkpoint.  Raises MassDriftError when the advected mass at any
+    checkpoint drifts beyond 1e-3 (grid too coarse or support reaching the
+    boundary).
     """
     if V.kind == "tabulated":
         raise DomainError(
             "liouville_evolve requires a polynomial-backed potential")
     if dt <= 0 or t <= 0:
         raise DomainError("t and dt must be positive")
+    if n_checkpoints < 1:
+        raise DomainError(
+            f"n_checkpoints must be >= 1, got {n_checkpoints}")
     _validated(rho0)
-    n_sub = max(1, int(np.ceil(t / dt)))
+    n_sub = n_checkpoints * max(1, int(np.ceil(t / (n_checkpoints * dt))))
     dt_eff = t / n_sub
-    vals = _kernels.liouville_pullback(
+    checkpoints = _kernels.liouville_pullback(
         V.force_coeffs(), V.mass, rho0.x_nodes, rho0.p_nodes, dt_eff, n_sub,
-        np.ascontiguousarray(rho0.values), rho0.x_min, rho0.dx,
-        rho0.p_min, rho0.dp)
-    out = PhaseDensity(rho0.x_min, rho0.x_max, rho0.nx,
-                       rho0.p_min, rho0.p_max, rho0.n_p, vals)
-    drift = abs(phase_mass(out) - 1.0)
-    if drift > MASS_DRIFT_TOL:
-        raise MassDriftError(
-            f"phase mass drifted by {drift:.3e} (> {MASS_DRIFT_TOL})")
+        n_checkpoints, np.ascontiguousarray(rho0.values), rho0.x_min,
+        rho0.dx, rho0.p_min, rho0.dp)
+    out = tuple(PhaseDensity(rho0.x_min, rho0.x_max, rho0.nx,
+                             rho0.p_min, rho0.p_max, rho0.n_p, vals)
+                for vals in checkpoints)
+    for k, rho in enumerate(out, 1):
+        drift = abs(phase_mass(rho) - 1.0)
+        if drift > MASS_DRIFT_TOL:
+            raise MassDriftError(
+                f"phase mass drifted by {drift:.3e} (> {MASS_DRIFT_TOL}) "
+                f"at t = {t * k / n_checkpoints:.6g}")
     return out
 
 

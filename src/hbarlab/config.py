@@ -229,10 +229,16 @@ class RunConfig:
         return make_grid(*self._bounds_and_counts("grid", "xmin,xmax,n", 1))
 
     def phase_grid(self):
-        """[numerics] phase_grid = xmin,xmax,pmin,pmax,nx,np."""
-        return self._bounds_and_counts(
+        """[numerics] phase_grid = xmin,xmax,pmin,pmax,nx,np, with
+        xmax > xmin and pmax > pmin."""
+        x_min, x_max, p_min, p_max, nx, n_p = self._bounds_and_counts(
             "phase_grid", "xmin,xmax,pmin,pmax,nx,np", 2,
             [-3.0, 3.0, -3.0, 3.0, 256.0, 256.0])
+        if x_max <= x_min or p_max <= p_min:
+            raise DomainError(
+                f"{self.origin}: [numerics] phase_grid needs xmax > xmin and "
+                f"pmax > pmin, got {self.get('numerics', 'phase_grid')!r}")
+        return [x_min, x_max, p_min, p_max, nx, n_p]
 
     def output_directory(self):
         return self.get("output", "directory", "runs")

@@ -558,12 +558,13 @@ def run_liouville_demo(cfg):
     sigma = np.sqrt(eps / 2.0)
     rho0 = classical.gaussian_phase_blob(r0, p0, sigma, sigma,
                                          x_min, x_max, p_min, p_max, nx, n_p)
+    X, P = np.meshgrid(rho0.x_nodes, rho0.p_nodes, indexing="ij")
+    densities = classical.liouville_evolve(rho0, V, t_final, dt, n_check)
     rows = []
-    for t in np.linspace(t_final / n_check, t_final, n_check):
-        rho_t = classical.liouville_evolve(rho0, V, t, dt)
+    for t, rho_t in zip(np.linspace(t_final / n_check, t_final, n_check),
+                        densities):
         w = rho_t.values * rho_t.dx * rho_t.dp
         mass = float(w.sum())
-        X, P = np.meshgrid(rho_t.x_nodes, rho_t.p_nodes, indexing="ij")
         cx = float((w * X).sum() / mass)
         cp = float((w * P).sum() / mass)
         l1 = float(np.sum(np.abs(rho_t.values - rho0.values))

@@ -82,7 +82,7 @@ class TestLiouville:
         # (1, 0) lands at (0, -1) after a quarter period.
         V = PotentialSpec.harmonic(1.0, 1.0)
         rho0 = gaussian_phase_blob(1.0, 0.0, 0.3, 0.3, -3, 3, -3, 3)
-        out = liouville_evolve(rho0, V, np.pi / 2, dt=1e-3)
+        (out,) = liouville_evolve(rho0, V, np.pi / 2, dt=1e-3)
         X, P = np.meshgrid(out.x_nodes, out.p_nodes, indexing="ij")
         w = out.values * out.dx * out.dp
         cx = float(np.sum(w * X) / np.sum(w))
@@ -93,7 +93,7 @@ class TestLiouville:
     def test_free_shear_preserves_momentum_marginal(self):
         V = PotentialSpec.free()
         rho0 = gaussian_phase_blob(0.0, 0.0, 0.3, 0.3, -4, 4, -2, 2)
-        out = liouville_evolve(rho0, V, 1.0, dt=1e-2)
+        (out,) = liouville_evolve(rho0, V, 1.0, dt=1e-2)
         marg0 = rho0.values.sum(axis=0) * rho0.dx
         marg1 = out.values.sum(axis=0) * out.dx
         assert np.max(np.abs(marg1 - marg0)) <= 1e-10
@@ -101,7 +101,7 @@ class TestLiouville:
     def test_full_period_returns(self):
         V = PotentialSpec.harmonic(1.0, 1.0)
         rho0 = gaussian_phase_blob(1.0, 0.0, 0.3, 0.3, -3, 3, -3, 3)
-        out = liouville_evolve(rho0, V, 2 * np.pi, dt=1e-3)
+        (out,) = liouville_evolve(rho0, V, 2 * np.pi, dt=1e-3)
         l1 = np.sum(np.abs(out.values - rho0.values)) * out.dx * out.dp
         assert l1 <= 0.02
 
@@ -109,9 +109,9 @@ class TestLiouville:
         V = PotentialSpec.harmonic(1.0, 1.0)
         rho0 = gaussian_phase_blob(1.0, 0.0, 0.4, 0.4, -3.5, 3.5, -3.5, 3.5)
         t1, t2 = 0.7, 0.9
-        once = liouville_evolve(rho0, V, t1 + t2, dt=1e-3)
-        twice = liouville_evolve(liouville_evolve(rho0, V, t1, dt=1e-3),
-                                 V, t2, dt=1e-3)
+        (once,) = liouville_evolve(rho0, V, t1 + t2, dt=1e-3)
+        (half,) = liouville_evolve(rho0, V, t1, dt=1e-3)
+        (twice,) = liouville_evolve(half, V, t2, dt=1e-3)
         l1 = np.sum(np.abs(once.values - twice.values)) * once.dx * once.dp
         assert l1 <= 1e-3
 
@@ -120,6 +120,30 @@ class TestLiouville:
         rho0 = gaussian_phase_blob(2.0, 1.5, 0.3, 0.3, -3, 3, -3, 3)
         with pytest.raises(MassDriftError):
             liouville_evolve(rho0, V, 2.0, dt=1e-2)  # drifts past x_max
+
+    def test_checkpoints_match_separate_runs(self):
+        # one backward pass sampled at t k / 4 gives the density a separate
+        # pullback to each t k / 4 gives, up to roundoff in the step size
+        V = PotentialSpec.harmonic(1.0, 1.0)
+        rho0 = gaussian_phase_blob(1.0, 0.0, 0.3, 0.3, -3, 3, -3, 3,
+                                   nx=128, n_p=128)
+        checkpoints = liouville_evolve(rho0, V, 2 * np.pi, 1e-3, 4)
+        assert len(checkpoints) == 4
+        for k, rho in enumerate(checkpoints, 1):
+            (alone,) = liouville_evolve(rho0, V, 2 * np.pi * k / 4, 1e-3)
+            l1 = np.sum(np.abs(rho.values - alone.values)) * rho.dx * rho.dp
+            assert l1 <= 1e-6
+
+    def test_mass_drift_error_at_a_checkpoint(self):
+        V = PotentialSpec.free()
+        rho0 = gaussian_phase_blob(2.0, 1.5, 0.3, 0.3, -3, 3, -3, 3)
+        with pytest.raises(MassDriftError):
+            liouville_evolve(rho0, V, 2.0, 1e-2, 4)
+
+    def test_checkpoint_count_must_be_positive(self):
+        rho0 = gaussian_phase_blob(0.0, 0.0, 0.3, 0.3, -3, 3, -3, 3)
+        with pytest.raises(DomainError):
+            liouville_evolve(rho0, PotentialSpec.free(), 1.0, 1e-2, 0)
 
 
 class TestDeltaAnsatz:

@@ -3,11 +3,25 @@ from functools import partial
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hbarlab import _kernels
 
 # unit-scale polynomials and times up to 1 keep every flow bounded
 unit = st.floats(-1.0, 1.0)
+# bounded so that no power overflows
+coeff = st.floats(-1e3, 1e3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(c=arrays(np.float64, st.integers(1, 6), elements=coeff),
+       x=coeff | arrays(np.float64, st.integers(0, 8), elements=coeff))
+def test_horner_is_polyval_bit_for_bit(c, x):
+    # the same multiply-add sequence as numpy's polyval; a size-1 c gives a
+    # scalar that broadcasts against x
+    expected = np.polynomial.polynomial.polyval(x, c)
+    got = np.broadcast_to(_kernels._horner(c, x), np.shape(expected))
+    assert np.array_equal(got, expected)
 
 
 @settings(max_examples=60, deadline=None)

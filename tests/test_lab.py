@@ -488,6 +488,23 @@ class TestExperiments:
         assert cx == pytest.approx(0.0, abs=0.05)
         assert cp == pytest.approx(-1.0, abs=0.05)
 
+    def test_liouville_preset_rotates_the_blob(self):
+        # m = omega = 1: the phase flow is a rigid rotation, so the shipped
+        # preset's blob at (1, 0) passes the quarter-period points in turn
+        cfg = _preset_config("liouville_harmonic")
+        x_min, x_max, p_min, p_max, nx, n_p = cfg.phase_grid()
+        dx = (x_max - x_min) / (nx - 1)
+        dp = (p_max - p_min) / (n_p - 1)
+        result = run_liouville_demo(cfg)
+        rows = result.records[0].rows
+        assert len(rows) == 4
+        for (_, mass, cx, cp, _), (x, p) in zip(
+                rows, [(0.0, -1.0), (-1.0, 0.0), (0.0, 1.0), (1.0, 0.0)]):
+            assert mass == pytest.approx(1.0, abs=1e-3)
+            assert abs(cx - x) <= 2 * dx
+            assert abs(cp - p) <= 2 * dp
+        assert result.fits["l1_final"] <= 0.02
+
 
 # the bundled quantum presets whose potentials have closed-form packets
 CLOSED_FORM_PRESETS = ("standard_free", "standard_harmonic",
@@ -749,6 +766,18 @@ class TestCLI:
         err = capsys.readouterr().err
         assert code == 1
         assert "error:" in err and "Traceback" not in err
+        assert not os.listdir(tmp_path)
+
+    @pytest.mark.parametrize("phase_grid", [
+        "3,-3,-3,3,64,64", "-3,3,3,-3,64,64", "-3,-3,-3,3,64,64"])
+    def test_reversed_or_empty_phase_grid_exits_1(self, phase_grid, tmp_path,
+                                                  capsys):
+        code = main(["liouville", "--config", "liouville_harmonic",
+                     "--set", f"numerics.phase_grid={phase_grid}",
+                     "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "phase_grid" in err and "Traceback" not in err
         assert not os.listdir(tmp_path)
 
     @pytest.mark.parametrize("error", [
