@@ -120,18 +120,23 @@ class RunConfig:
             return default
 
     def get_float(self, section, key, default=_MISSING):
+        """A finite number; nan and inf are refused like any non-number."""
         val = self.get(section, key, default)
         if val is default and default is not _MISSING:
             return default
         try:
-            return float(val)
+            out = float(val)
         except (TypeError, ValueError):
             raise DomainError(
                 f"{self.origin}: [{section}] {key} = {val!r} is not a number")
+        if not np.isfinite(out):
+            raise DomainError(
+                f"{self.origin}: [{section}] {key} = {val!r} is not finite")
+        return out
 
     def get_positive(self, section, key, default=_MISSING):
         """get_float for a quantity that must be > 0: a packet width, hbar,
-        a time span or a step."""
+        a time span, a step or a tolerance."""
         val = self.get_float(section, key, default)
         if not val > 0:
             raise DomainError(
@@ -172,6 +177,10 @@ class RunConfig:
                 f"comma-separated number list")
         if not out:
             raise DomainError(f"{self.origin}: [{section}] {key} is empty")
+        if not np.all(np.isfinite(out)):
+            raise DomainError(
+                f"{self.origin}: [{section}] {key} = {val!r} has an entry "
+                f"that is not finite")
         return out
 
     def echo_lines(self):

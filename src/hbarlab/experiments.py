@@ -41,10 +41,12 @@ on a doubled domain, at most twice.  A quantum run takes one time step,
 the phase-rotation limit of `schrodinger.max_stable_dt` (capped in a
 combined scan) shortened to a whole number of steps per snapshot interval;
 its `schrodinger.propagate` calls share one set of phase factors;
-every snapshot is the middle of a triple one step apart, behind the
-centered dS/dt difference.  A run keeps its rows in QUANTUM_COLUMNS order
-(read one with `QuantumRunData.column`) and, with [output] dump_fields, its
-(t, x, rho, S) snapshots for the record.  Each quantum record's fits
+every snapshot is the middle of a triple one step apart, whose centered
+phase difference gives the dS/dt of `madelung.weighted_action_terms`.  A
+run keeps its rows in QUANTUM_COLUMNS order (read one with
+`QuantumRunData.column`) and, with [output] dump_fields, its (t, x, rho, S)
+snapshots for the record; only those call `madelung.to_madelung`, so only
+they can raise NodeError.  Each quantum record's fits
 carry grid_n, dt, propagation_steps and widen_retries; they reach
 summary.txt and the CLI line, not the CSV.  The three limit scans and the
 uncertainty run share one loop over scan points, `_quantum_scan`.
@@ -195,18 +197,17 @@ def _time_reversed(psi):
 
 
 def _snapshot_row(triple, V, dt):
-    """One QUANTUM_COLUMNS row (without t) plus the middle Madelung fields,
-    from a snapshot triple (psi(t - dt), psi(t), psi(t + dt))."""
-    fm, mid, fp = madelung.anchored_series(list(triple))
+    """One QUANTUM_COLUMNS row (without t) from a snapshot triple
+    (psi(t - dt), psi(t), psi(t + dt)): the observables of psi(t) and the
+    dx-weighted L2 norms of the two density-weighted sides of its action
+    equation."""
     snap = triple[1]
-    ds_dt, common = madelung.ds_dt_centered(fm, fp, dt)
     obs = schrodinger.observables(snap)
-    return ((obs.x_mean, obs.p_mean, obs.var_x, obs.var_p,
-             obs.uncertainty_product, obs.width,
-             schrodinger.excess_kurtosis(snap),
-             madelung.quantum_term_norm(mid, snap.m, support=common),
-             madelung.hj_residual(mid, ds_dt, V, "classical",
-                                  support=common)), mid)
+    norms = [float(np.sqrt(snap.grid.dx * np.sum(side.values ** 2)))
+             for side in madelung.weighted_action_terms(triple, V, dt)]
+    return (obs.x_mean, obs.p_mean, obs.var_x, obs.var_p,
+            obs.uncertainty_product, obs.width,
+            schrodinger.excess_kurtosis(snap), *norms)
 
 
 def quantum_run(V, grid, eps0, r0, p0, hbar, t_final, n_snapshots,
@@ -217,8 +218,8 @@ def quantum_run(V, grid, eps0, r0, p0, hbar, t_final, n_snapshots,
     `schrodinger.max_stable_dt`, capped at dt_cap, shortened to a whole
     number (at least 3) of steps per snapshot interval.  Every snapshot,
     t = 0 included, is the middle of a triple one step apart, so the dS/dt
-    entering the classical-residual column is a centered difference; the
-    state before t = 0 comes from time reversal.  The Strang error of the
+    entering the classical-residual column is a centered phase difference;
+    the state before t = 0 comes from time reversal.  The Strang error of the
     observables is bounded by commutators, not by the phase at the grid's
     Nyquist mode (Lubich, From Quantum to Classical Molecular Dynamics,
     2008, ch. III), and every pinned tolerance holds at this step.
@@ -241,9 +242,10 @@ def quantum_run(V, grid, eps0, r0, p0, hbar, t_final, n_snapshots,
             before = step(after, n_sub - 2)
             psi = step(before)
         after = step(psi)
-        row, mid = _snapshot_row((before, psi, after), V, dt)
-        rows.append((i * t_snap,) + row)
+        rows.append((i * t_snap,)
+                    + _snapshot_row((before, psi, after), V, dt))
         if collect_fields:
+            mid = madelung.to_madelung(psi)
             fields.append((i * t_snap, grid.x, mid.rho.values, mid.s.values))
     return QuantumRunData(grid, step_limit, dt, np.array(rows), fields,
                           propagation_steps=2 + n_snapshots * n_sub)
@@ -461,7 +463,7 @@ def run_detpot(cfg):
     eps_raw = cfg.get("scan", "epsilon_list", None)
     eps_list = (detpot.default_epsilon_list(grid) if eps_raw is None
                 else cfg.get_float_list("scan", "epsilon_list"))
-    tol = cfg.get_float("numerics", "tol", detpot.DEFAULT_TOL)
+    tol = cfg.get_positive("numerics", "tol", detpot.DEFAULT_TOL)
     report = detpot.classify(V, eps_list, tol, grid)
     rows = tuple(zip(report.epsilon_list, report.residual_per_epsilon,
                      report.fourier_residual_norms))

@@ -1,5 +1,5 @@
 """Madelung decomposition psi = sqrt(rho) * exp(i S / hbar) and residual
-evaluators for the continuity and Hamilton-Jacobi equations.
+evaluators for the Hamilton-Jacobi (action) equation.
 
 The decomposition turns the Schrödinger equation into a continuity equation
 for rho and an action equation for S that differs from the classical
@@ -10,31 +10,35 @@ Hamilton-Jacobi equation by a single term proportional to hbar^2,
 which couples rho back into S.  ("Quantum potential" is a common but
 unfortunate name for it; a potential is normally an externally controlled
 quantity, while this term is state-dependent, so the neutral name is used
-throughout.)  The residual evaluators below measure how well given (rho, S)
-pairs satisfy either equation, with or without that term.
+throughout.)
 
-Phase handling: S = hbar * arg(psi) is defined up to 2*pi*hbar jumps and is
-undefined where rho vanishes.  Points with rho below DEFAULT_FLOOR * max(rho),
-the one support floor of the lab, are masked; the remaining support must
-be a single connected run, inside which the phase is unwrapped outward
-from the density maximum by a minimal-increment rule.  The reported masked
-fraction is mass-weighted (the fraction of probability sitting on masked
-points): a localized packet on a padded grid masks most *points* while
-carrying ~1e-12 of the mass there, and it is the mass that decides whether
+The lab's per-snapshot measurement, `weighted_action_terms`, never forms
+S: it builds rho Q and rho (dS/dt + (dS/dx)^2/2m + V) straight from a
+snapshot triple of psi, weighted by the density, so both stay bounded where
+rho -> 0 and the identity rho Q + rho (...) = 0 is checked over the whole
+grid, nodes included.
+
+Phase handling: S = hbar * arg(psi), which to_madelung forms for the field
+dumps and the round trip, is defined up to 2*pi*hbar jumps and is undefined
+where rho vanishes.  Points with rho below DEFAULT_FLOOR * max(rho), the one
+support floor of the lab, are masked; the remaining support must be a
+single connected run, inside which the phase is unwrapped outward from the
+density maximum by a minimal-increment rule.  The reported masked fraction
+is mass-weighted (the fraction of probability sitting on masked points): a
+localized packet on a padded grid masks most *points* while carrying
+~1e-12 of the mass there, and it is the mass that decides whether
 S-dependent operations are trustworthy.
 
-Gradient policy: derivatives of decaying fields (rho, sqrt(rho), fluxes)
-use the spectral operator; derivatives of S use second-order finite
-differences, because S is generally not periodic on the grid (a moving
-packet has S ~ p*x) and a spectral derivative would ring.  Central
-differences are exact for the quadratic-in-x action fields of the Gaussian
-family.  Both S-dependent norms, the quantum-term norm and the
-Hamilton-Jacobi residual, are taken over one region: the interior of the
-fields' support, intersected with the common support of a differenced
-snapshot pair when one is given.
+Gradient policy: derivatives of decaying fields (psi, rho, sqrt(rho)) use
+the spectral operator; derivatives of a given S field (hj_residual) use
+second-order finite differences, because S is generally not periodic on
+the grid (a moving packet has S ~ p*x) and a spectral derivative would
+ring.  Central differences are exact for the quadratic-in-x action fields
+of the Gaussian family.  hj_residual and quantum_term_norm take their norms
+over one region, the interior of the fields' support.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,10 +55,8 @@ __all__ = [
     "make_madelung",
     "quantum_term",
     "quantum_term_norm",
-    "continuity_residual",
     "hj_residual",
-    "anchored_series",
-    "ds_dt_centered",
+    "weighted_action_terms",
     "analytic_packet_fields",
 ]
 
@@ -192,17 +194,10 @@ def interior_support(mask):
     return out
 
 
-def _norm_region(f, support):
-    """The region of both S-dependent norms: the interior of f's support,
-    intersected with an extra support mask when one is given."""
-    return interior_support(f.support if support is None
-                            else f.support & support)
-
-
-def quantum_term_norm(f, m, support=None):
+def quantum_term_norm(f, m):
     """L2 norm (dx-weighted) of the quantum term of the fields f, over the
-    same region as hj_residual(f, ..., support=support)."""
-    q = quantum_term(f.rho, f.hbar, m).values[_norm_region(f, support)]
+    same region as hj_residual."""
+    q = quantum_term(f.rho, f.hbar, m).values[interior_support(f.support)]
     return float(np.sqrt(f.grid.dx * np.sum(q ** 2)))
 
 
@@ -210,41 +205,13 @@ def quantum_term_norm(f, m, support=None):
 # Residual evaluators
 # ----------------------------------------------------------------------
 
-def _s_gradient(s_vals, dx):
-    return np.gradient(s_vals, dx, edge_order=2)
-
-
-def continuity_residual(f_t1, f_t2, dt, m):
-    """L2 norm of d(rho)/dt + d/dx (rho dS/dx / m) across two snapshots
-    dt apart, both terms evaluated at the midpoint.
-
-    The flux is formed on the common support (it vanishes with rho
-    elsewhere) and divergenced spectrally; the time derivative is the
-    centered difference, so the residual of an exactly transported pair
-    measures time-discretization error only, O(dt^2).
-    """
-    if f_t1.grid != f_t2.grid:
-        raise DomainError("snapshots live on different grids")
-    g = f_t1.grid
-    rho_mid = 0.5 * (f_t1.rho.values + f_t2.rho.values)
-    s_mid = 0.5 * (f_t1.s.values + f_t2.s.values)
-    common = f_t1.support & f_t2.support
-    grad_s = _s_gradient(s_mid, g.dx)
-    flux = np.where(common, rho_mid * grad_s / m, 0.0)
-    div_flux = spectral_derivative(real_field(g, flux), 1).values
-    drho_dt = (f_t2.rho.values - f_t1.rho.values) / dt
-    return float(np.sqrt(g.dx * np.sum((drho_dt + div_flux) ** 2)))
-
-
-def hj_residual(f, ds_dt, V, mode="quantum", support=None):
-    """L2 norm over the support of dS/dt + (dS/dx)^2/2m + V plus, in
-    quantum mode, the quantum term.
+def hj_residual(f, ds_dt, V, mode="quantum"):
+    """L2 norm over the interior of the support of dS/dt + (dS/dx)^2/2m + V
+    plus, in quantum mode, the quantum term.
 
     Classical mode evaluates the same expression without the hbar-dependent
     term (it ignores f.hbar entirely); quantum mode requires hbar > 0.
-    When dS/dt comes from differencing a snapshot pair, pass the pair's
-    common support so edge points where dS/dt is undefined stay out of the
-    norm; quantum_term_norm(f, m, support) then measures the same region.
+    quantum_term_norm(f, m) measures the same region.
     """
     if mode not in ("quantum", "classical"):
         raise DomainError(f"unknown mode {mode!r}")
@@ -256,47 +223,48 @@ def hj_residual(f, ds_dt, V, mode="quantum", support=None):
             f"{MAX_MASKED_MASS}")
     g = f.grid
     m = V.mass
-    grad_s = _s_gradient(f.s.values, g.dx)
+    grad_s = np.gradient(f.s.values, g.dx, edge_order=2)
     integrand = (ds_dt.values + grad_s ** 2 / (2.0 * m)
                  + eval_potential(V, g.x))
     if mode == "quantum":
         integrand = integrand + quantum_term(f.rho, f.hbar, m).values
-    region = _norm_region(f, support)
+    region = interior_support(f.support)
     return float(np.sqrt(g.dx * np.sum(integrand[region] ** 2)))
 
 
-# ----------------------------------------------------------------------
-# Time-consistent snapshot series
-# ----------------------------------------------------------------------
+def weighted_action_terms(triple, V, dt):
+    """The two density-weighted sides of the action equation at the middle
+    of a snapshot triple (psi(t - dt), psi(t), psi(t + dt)):
 
-def anchored_series(psis):
-    """Decompose a time-ordered list of wave functions with a consistent
-    global phase: each S is shifted by a whole multiple of 2*pi*hbar so
-    that the value at a shared high-density anchor point changes by less
-    than pi*hbar between consecutive snapshots.  Without this, dS/dt
-    differencing would pick up spurious 2*pi*hbar/dt spikes."""
-    fields = [to_madelung(p) for p in psis]
-    out = [fields[0]]
-    for prev, cur in zip(out, fields[1:]):
-        ref = int(np.argmax(np.minimum(prev.rho.values, cur.rho.values)))
-        delta = (cur.s.values[ref] - prev.s.values[ref]) / cur.hbar
-        shift = cur.hbar * (_wrap(delta) - delta)
-        if shift != 0.0:
-            cur = replace(cur, s=real_field(cur.grid, cur.s.values + shift))
-        out.append(cur)
-    return out
+        rho Q = -(hbar^2/2m) (rho''/2 - (Re psi* psi')^2 / rho),
+        rho (dS/dt + (dS/dx)^2/2m + V)
+              = rho hbar arg(psi(t + dt) conj psi(t - dt)) / 2dt
+                + hbar^2 (Im psi* psi')^2 / (2m rho) + rho V,
 
+    with psi' the spectral derivative, as two RealFields over the whole
+    grid.  Re psi* psi' = rho'/2 and Im psi* psi' = rho S'/hbar, so neither
+    side needs S itself: no phase unwrapping and no support mask.  Both
+    quotients are bounded (each square is at most rho |psi'|^2), so they
+    are set to 0 only where rho = 0.  dS/dt is the pointwise phase
+    difference, valid while no point turns by pi over 2 dt; hbar Im(psi*
+    dpsi/dt) from a centered difference of psi would not do, since psi
+    turns at E/hbar and that difference loses accuracy as hbar shrinks.
+    """
+    before, psi, after = triple
+    g, hbar, m = psi.grid, psi.hbar, V.mass
+    rho = np.abs(psi.values) ** 2
+    w = np.conj(psi.values) * spectral_derivative(psi.field, 1).values
+    rho2 = spectral_derivative(real_field(g, rho), 2).values
+    occupied = rho > 0
 
-def ds_dt_centered(f_minus, f_plus, delta_t):
-    """Centered-difference dS/dt field from two anchored snapshots
-    2*delta_t apart.  Returns (field, common_support); the field is zero
-    outside the common support, and the mask should be handed to
-    hj_residual so those points stay out of the norm."""
-    common = f_minus.support & f_plus.support
-    vals = np.where(common,
-                    (f_plus.s.values - f_minus.s.values) / (2.0 * delta_t),
-                    0.0)
-    return real_field(f_minus.grid, vals), common
+    def over_rho(a):
+        return np.divide(a, rho, out=np.zeros(g.n), where=occupied)
+
+    rho_q = -(hbar ** 2) / (2.0 * m) * (0.5 * rho2 - over_rho(w.real ** 2))
+    ds_dt = hbar * np.angle(after.values * np.conj(before.values)) / (2.0 * dt)
+    rho_hj = (rho * (ds_dt + eval_potential(V, g.x))
+              + hbar ** 2 / (2.0 * m) * over_rho(w.imag ** 2))
+    return real_field(g, rho_q), real_field(g, rho_hj)
 
 
 # ----------------------------------------------------------------------

@@ -98,13 +98,6 @@ class TestLiouville:
         marg1 = out.values.sum(axis=0) * out.dx
         assert np.max(np.abs(marg1 - marg0)) <= 1e-10
 
-    def test_full_period_returns(self):
-        V = PotentialSpec.harmonic(1.0, 1.0)
-        rho0 = gaussian_phase_blob(1.0, 0.0, 0.3, 0.3, -3, 3, -3, 3)
-        (out,) = liouville_evolve(rho0, V, 2 * np.pi, dt=1e-3)
-        l1 = np.sum(np.abs(out.values - rho0.values)) * out.dx * out.dp
-        assert l1 <= 0.02
-
     def test_time_splitting_commutes_within_interpolation_tolerance(self):
         V = PotentialSpec.harmonic(1.0, 1.0)
         rho0 = gaussian_phase_blob(1.0, 0.0, 0.4, 0.4, -3.5, 3.5, -3.5, 3.5)

@@ -166,6 +166,15 @@ class TestPresets:
         err = capsys.readouterr().err
         assert code == PRESET_EXIT_CODES.get(name, 0), err
         assert "Traceback" not in err
+        # every row after t = 0 satisfies the density-weighted Madelung
+        # identity: the classical residual of S is the quantum-term norm
+        for path in sorted(tmp_path.glob("run_*.csv")):
+            _, columns, data = read_csv(str(path))
+            if "quantum_term_norm" not in columns:
+                continue
+            ratio = (data[1:, columns.index("hj_classical_residual")]
+                     / data[1:, columns.index("quantum_term_norm")])
+            assert np.max(np.abs(ratio - 1.0)) <= 1e-3, path.name
 
 
 class TestRecords:
@@ -322,9 +331,7 @@ class TestExperiments:
 
     def test_snapshot_norms_share_one_region(self):
         # the classical residual of the propagated S is the quantum-term
-        # norm when both are taken over the same points; a support-edge
-        # point of psi(t +- dt) left in one norm only shifts the ratio by
-        # ~1e-2
+        # norm: both are density-weighted and taken over the whole grid
         from hbarlab.experiments import quantum_run
         free, force = PotentialSpec.free(), PotentialSpec.constant_force(1.0)
         for V, hbar, t_final in ((free, 0.1, 1.0), (free, 1.0, 1.0),
@@ -758,6 +765,15 @@ class TestCLI:
         ("scan", "deterministic_free", "scan.hbar=0"),
         ("scan", "deterministic_free", "numerics.t_star=0"),
         ("scan", "combined_free", "numerics.t_final=0"),
+        ("scan", "standard_free", "scan.hbar_list=1,0.1,nan"),
+        ("simulate", "uncertainty_coherent", "packet.epsilon=inf"),
+        ("simulate", "uncertainty_coherent", "numerics.t_final=inf"),
+        ("simulate", "uncertainty_coherent", "scan.hbar=inf"),
+        ("simulate", "uncertainty_coherent", "packet.p0=nan"),
+        ("simulate", "uncertainty_coherent", "packet.r0=inf"),
+        ("scan", "deterministic_free", "scan.epsilon_list=0.1,nan,0.01"),
+        ("scan", "combined_free", "scan.k=inf"),
+        ("detpot", "detpot_quadratic", "numerics.tol=-1"),
     ])
     def test_malformed_config_value_exits_1(self, command, preset, override,
                                             tmp_path, capsys):

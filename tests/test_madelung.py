@@ -4,18 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hbarlab.errors import DomainError, NodeError
-from hbarlab.grid import make_grid, real_field, spectral_derivative
+from hbarlab.grid import make_grid, real_field
 from hbarlab.madelung import (
     analytic_packet_fields,
-    anchored_series,
-    continuity_residual,
-    ds_dt_centered,
     from_madelung,
     hj_residual,
     make_madelung,
     quantum_term,
     quantum_term_norm,
     to_madelung,
+    weighted_action_terms,
 )
 from hbarlab.potential import PotentialSpec
 from hbarlab.schrodinger import (
@@ -193,70 +191,6 @@ def propagate_triple(psi, V, t_target, dt):
     return prev, mid, nxt
 
 
-class TestContinuityResidual:
-    def test_propagated_pair_small_residual(self):
-        g = make_grid(-16, 16, 256)
-        V = PotentialSpec.harmonic(1.0, 1.0)
-        psi = init_gaussian(g, 0.5, 0.0, 1.0, 1.0, 1.0)
-        dt = 1e-3
-        a = propagate(psi, V, dt, 400)
-        b = propagate(a, V, dt, 1)
-        f1, f2 = anchored_series([a, b])
-        assert continuity_residual(f1, f2, dt, 1.0) <= 1e-3
-
-    def test_static_fields_zero_residual(self):
-        g = make_grid(-10, 10, 256)
-        rho = real_field(g, gauss_rho(g.x, 0.5))
-        s = real_field(g, np.zeros(g.n))
-        f = make_madelung(rho, s, 1.0)
-        assert continuity_residual(f, f, 1e-3, 1.0) <= 1e-12
-
-    def test_corrupted_action_detected(self):
-        g = make_grid(-16, 16, 256)
-        V = PotentialSpec.free()
-        psi = init_gaussian(g, 0.5, 0.0, 1.0, 1.0, 1.0)
-        dt = 1e-3
-        a = propagate(psi, V, dt, 300)
-        b = propagate(a, V, dt, 1)
-        f1, f2 = anchored_series([a, b])
-        base = continuity_residual(f1, f2, dt, 1.0)
-
-        def doubled(f):
-            from dataclasses import replace
-            return replace(f, s=real_field(g, 2.0 * f.s.values))
-
-        corrupted = continuity_residual(doubled(f1), doubled(f2), dt, 1.0)
-        # transport term norm, computed independently
-        mid_rho = 0.5 * (f1.rho.values + f2.rho.values)
-        mid_s = 0.5 * (f1.s.values + f2.s.values)
-        flux = np.where(f1.support & f2.support,
-                        mid_rho * np.gradient(mid_s, g.dx, edge_order=2), 0.0)
-        t_norm = np.sqrt(g.dx * np.sum(
-            spectral_derivative(real_field(g, flux), 1).values ** 2))
-        assert corrupted > 10 * base
-        assert corrupted == pytest.approx(t_norm, rel=0.05)
-
-    def test_second_order_in_dt_on_random_solvable_runs(self):
-        rng = np.random.default_rng(17)
-        g = make_grid(-16, 16, 256)
-        for _ in range(3):
-            eps = float(rng.uniform(0.3, 0.8))
-            p0 = float(rng.uniform(-1.0, 1.0))
-            V = [PotentialSpec.free(), PotentialSpec.constant_force(0.7),
-                 PotentialSpec.harmonic(1.0, 1.0)][int(rng.integers(3))]
-            psi = init_gaussian(g, eps, 0.0, p0, 1.0, 1.0)
-
-            def residual_at(dt):
-                a = propagate(psi, V, dt, int(round(0.4 / dt)))
-                b = propagate(a, V, dt, 2)
-                f1, f2 = anchored_series([a, b])
-                return continuity_residual(f1, f2, 2 * dt, 1.0)
-
-            r1 = residual_at(4e-4)
-            r2 = residual_at(2e-4)
-            assert 3.0 <= r1 / r2 <= 5.0
-
-
 class TestHJResidual:
     def test_analytic_state_satisfies_quantum_hj(self):
         g = make_grid(-12, 12, 1024)
@@ -308,10 +242,9 @@ class TestHJResidual:
         psi = init_gaussian(g, 0.5, 0.0, 1.0, 1.0, 1.0)
 
         def residual_at(delta):
-            prev, mid, nxt = propagate_triple(psi, V, 0.5, delta)
-            fm, f0, fp = anchored_series([prev, mid, nxt])
-            ds_dt, common = ds_dt_centered(fm, fp, delta)
-            return hj_residual(f0, ds_dt, V, "quantum", support=common)
+            rho_q, rho_hj = weighted_action_terms(
+                propagate_triple(psi, V, 0.5, delta), V, delta)
+            return l2(rho_q.values + rho_hj.values, g.dx)
 
         r1 = residual_at(4e-4)
         r2 = residual_at(2e-4)
@@ -323,9 +256,49 @@ class TestHJResidual:
         V = PotentialSpec.harmonic(1.0, 1.0)
         psi = init_gaussian(g, 0.5, 0.0, 1.0, 1.0, 1.0)
         delta = 2e-4
-        prev, mid, nxt = propagate_triple(psi, V, 0.5, delta)
-        fm, f0, fp = anchored_series([prev, mid, nxt])
-        ds_dt, common = ds_dt_centered(fm, fp, delta)
-        res = hj_residual(f0, ds_dt, V, "classical", support=common)
-        qn = quantum_term_norm(f0, 1.0, support=common)
-        assert res == pytest.approx(qn, rel=0.02)
+        rho_q, rho_hj = weighted_action_terms(
+            propagate_triple(psi, V, 0.5, delta), V, delta)
+        assert l2(rho_hj.values, g.dx) == pytest.approx(
+            l2(rho_q.values, g.dx), rel=0.02)
+
+
+def l2(values, dx):
+    return float(np.sqrt(dx * np.sum(values ** 2)))
+
+
+# Two random Gaussians with a random relative momentum and phase interfere,
+# so the density has near-zeros where S jumps; the density-weighted identity
+# rho Q + rho (dS/dt + (dS/dx)^2/2m + V) = 0 needs no S and holds there too.
+# The triple's probe step is 1% of the phase-rotation limit, so each split
+# phase turns by at most 5e-3 rad per step and the O(step^2) errors of the
+# centered phase difference and of the Strang step stay far below the
+# tolerance.
+WEIGHTED_IDENTITY_TOL = 1e-6
+
+
+class TestWeightedIdentityProperty:
+    @settings(max_examples=100, deadline=None)
+    @given(coeffs=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=5),
+           eps=st.tuples(st.floats(0.3, 1.0), st.floats(0.3, 1.0)),
+           r0=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+           p0=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+           theta=st.floats(0.0, 2 * np.pi), hbar=st.floats(0.5, 2.0),
+           m=st.floats(0.5, 2.0), dt_frac=st.floats(0.01, 1.0),
+           n=st.integers(1, 100))
+    def test_superposition_satisfies_weighted_identity(
+            self, coeffs, eps, r0, p0, theta, hbar, m, dt_frac, n):
+        g = ROUND_TRIP_GRID
+        V = PotentialSpec.polynomial(coeffs, mass=m)
+        a, b = (init_gaussian(g, e, r, p, hbar, m).values
+                for e, r, p in zip(eps, r0, p0))
+        vals = a + np.exp(1j * theta) * b
+        vals = vals / np.sqrt(g.dx * np.sum(np.abs(vals) ** 2))
+        psi = WaveFunction(complex_field(g, vals), hbar, m)
+        limit = max_stable_dt(g, V, hbar, m)
+        psi = propagate(psi, V, dt_frac * limit, n)
+        delta = 0.01 * limit
+        triple = (psi, propagate(psi, V, delta, 1),
+                  propagate(psi, V, delta, 2))
+        rho_q, rho_hj = weighted_action_terms(triple, V, delta)
+        assert (l2(rho_q.values + rho_hj.values, g.dx)
+                <= WEIGHTED_IDENTITY_TOL * l2(rho_q.values, g.dx))
