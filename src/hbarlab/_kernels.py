@@ -61,11 +61,11 @@ def fan_path(fc, vc, m, x0, p0, dt, n_steps, save_steps):
     integral of (p^2/2m - V) by the trapezoid rule.
 
     Saves at the step indices in `save_steps` (sorted, may include 0).
-    Also monitors the spatial ordering of the fan each step; the first step
-    at which two adjacent characteristics cross (or coincide) is returned
-    as `caustic_step` (-1 if the fan stays monotone).  Integration
-    continues past the crossing: density transport at later times may
-    still be well defined even though a single-valued action field is not.
+    Also monitors the spatial ordering of the fan each step, and stops at
+    the first step where two adjacent characteristics cross (or coincide):
+    past it no single-valued action field exists.  Returns the saved rows
+    (only those before the crossing) and `caustic_step`, the crossing step
+    or -1 if the fan stayed monotone.
     """
     ns = save_steps.size
     x_out = np.empty((ns, x0.size))
@@ -81,17 +81,18 @@ def fan_path(fc, vc, m, x0, p0, dt, n_steps, save_steps):
         a_out[0] = 0.0
         isave = 1
     for step, x, p, _ in _kdk(partial(_horner, fc), m, x0, p0, dt, n_steps):
+        if np.any(np.diff(x) <= 0.0):
+            caustic_step = step
+            break
         lnew = 0.5 * p * p / m - _horner(vc, x)
         act += 0.5 * dt * (lag + lnew)
         lag = lnew
-        if caustic_step < 0 and np.any(np.diff(x) <= 0.0):
-            caustic_step = step
         if isave < ns and step == save_steps[isave]:
             x_out[isave] = x
             p_out[isave] = p
             a_out[isave] = act
             isave += 1
-    return x_out, p_out, a_out, caustic_step
+    return x_out[:isave], p_out[:isave], a_out[:isave], caustic_step
 
 
 def liouville_pullback(fc, m, x_nodes, p_nodes, dt, n_sub, n_checkpoints,

@@ -16,16 +16,8 @@ class DomainError(LabError, ValueError):
 
 
 class BoundaryLeak(LabError):
-    """Wave-packet mass near the periodic boundary exceeded tolerance.
-
-    Carries the offending state (`psi`) so a driver can inspect it or retry
-    on a wider grid.
-    """
-
-    def __init__(self, message, psi=None, leak=None):
-        super().__init__(message)
-        self.psi = psi
-        self.leak = leak
+    """Wave-packet mass near the periodic boundary exceeded tolerance; a
+    driver may retry on a wider grid."""
 
 
 class NodeError(LabError):
@@ -34,16 +26,11 @@ class NodeError(LabError):
 
 
 class CausticError(LabError):
-    """Hamilton-Jacobi characteristics crossed.
+    """Hamilton-Jacobi characteristics crossed at `t_caustic`."""
 
-    `t_caustic` is the detected crossing time; `partial` holds whatever
-    result was assembled before the caustic (may be None).
-    """
-
-    def __init__(self, message, t_caustic=None, partial=None):
+    def __init__(self, message, t_caustic=None):
         super().__init__(message)
         self.t_caustic = t_caustic
-        self.partial = partial
 
 
 class MassDriftError(LabError):

@@ -1,4 +1,4 @@
-"""Uniform periodic 1D grid with FFT-based differentiation and quadrature.
+"""Uniform periodic 1D grid with FFT-based differentiation.
 
 All field modules share this substrate.  Sample points are
 x_i = x_min + i*dx for i in [0, n); the right endpoint is excluded because
@@ -24,7 +24,6 @@ __all__ = [
     "real_field",
     "complex_field",
     "spectral_derivative",
-    "integrate",
 ]
 
 
@@ -131,12 +130,3 @@ def spectral_derivative(f, order=1):
     if isinstance(f, RealField):
         return real_field(g, out.real)
     return complex_field(g, out)
-
-
-def integrate(f):
-    """Quadrature dx * sum(f); on a periodic grid the Riemann sum and the
-    trapezoid rule coincide."""
-    total = f.grid.dx * np.sum(f.values)
-    if isinstance(f, RealField):
-        return float(total)
-    return complex(total)

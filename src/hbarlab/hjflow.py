@@ -2,16 +2,11 @@
 
 The classical action equation dS/dt + (dS/dx)^2/2m + V = 0 is integrated by
 launching a fan of Newton trajectories with p0 = dS0/dx and accumulating the
-action S_j(t) = S0(x0_j) + int (p^2/2m - V) dt' along each.  The fan also
-transports densities: rho(x_j(t), t) * |dx_j/dx0| = rho0(x0_j).
+action S_j(t) = S0(x0_j) + int (p^2/2m - V) dt' along each.
 
 Characteristics are exact pre-caustic; when neighbors cross, a single-valued
-action field stops existing and solve_hj raises CausticError (carrying the
-crossing time and the pre-caustic snapshots).  Density transport is less
-fragile: the position map can become a bijection again after a perfect
-focus (e.g. the harmonic half period, which reflects x0 -> -x0), so
-transport_density only refuses times at which the map itself is singular or
-folded.
+action field stops existing, so the fan ends there and solve_hj raises
+CausticError with the crossing time.
 
 Grid reconstruction of S uses a cubic Hermite interpolant with the exact
 nodal derivatives dS/dx(x_j) = p_j that the fan provides for free; this is
@@ -26,7 +21,7 @@ across snapshots in t.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline, CubicSpline, PchipInterpolator
+from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
 from . import _kernels
 from .errors import CausticError, DomainError
@@ -39,15 +34,11 @@ __all__ = [
     "HJSolution",
     "integrate_fan",
     "solve_hj",
-    "transport_density",
     "classical_hj_residual",
-    "momentum_field",
     "expectations",
     "deterministic_continuity_check",
     "projected_newton_check",
 ]
-
-JACOBIAN_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -59,19 +50,7 @@ class CharacteristicFan:
     p: np.ndarray        # momenta
     action: np.ndarray   # S0(x0) + accumulated Lagrangian integral
     m: float
-    t_crossing: float = None   # first time adjacent characteristics crossed
-
-    def index_of_time(self, t):
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > 1e-9 * max(1.0, abs(t)):
-            raise DomainError(
-                f"t={t} is not among the saved snapshot times")
-        return i
-
-    def jacobian(self, i):
-        """dx(t)/dx0 by central differences across the fan (one-sided at
-        the ends)."""
-        return np.gradient(self.x[i], self.x0, edge_order=2)
+    t_crossing: float = None   # first crossing of adjacent characteristics
 
 
 @dataclass(frozen=True)
@@ -85,13 +64,15 @@ class HJSolution:
 
 def integrate_fan(s0, V, t_final, dt=2e-4, snapshot_times=None):
     """Launch 8x the grid's point count of characteristics from the initial
-    action field s0 (enough to keep transported-density mass errors below
-    1e-6) and integrate them to t_final, recording positions, momenta, and
-    actions at the snapshot times (default: 9 evenly spaced in [0, t_final]).
+    action field s0 and integrate them to t_final, recording positions,
+    momenta, and actions at the snapshot times (default: 9 evenly spaced in
+    [0, t_final]).
 
-    The fan is integrated through any characteristic crossing (density
-    transport may remain well posed past an isolated focus); the first
-    crossing time, if any, is recorded on the returned fan.
+    The 8x count is kept so the phj outputs stay byte-identical; whether
+    the action fields need that many characteristics is still to be
+    measured (see the fan-step item in ROADMAP.md).  The fan stops at the
+    first crossing of adjacent characteristics: its time is recorded on the
+    returned fan, and only the snapshots before it are kept.
     """
     if V.kind == "tabulated":
         raise DomainError(
@@ -116,7 +97,7 @@ def integrate_fan(s0, V, t_final, dt=2e-4, snapshot_times=None):
     X, P, A, caustic_step = _kernels.fan_path(
         V.force_coeffs(), V.coeffs, V.mass, x0, p0, dt_eff, n_steps,
         save_steps)
-    times = save_steps * dt_eff
+    times = save_steps[:X.shape[0]] * dt_eff
     action = A + s0_at_x0[None, :]
     t_crossing = caustic_step * dt_eff if caustic_step >= 0 else None
     return CharacteristicFan(x0, p0, times, X, P, action, V.mass, t_crossing)
@@ -126,66 +107,23 @@ def solve_hj(s0, V, t_final, dt=2e-4, snapshot_times=None):
     """Integrate the classical action equation from the initial field s0.
 
     Returns an HJSolution with S reconstructed on the grid at the snapshot
-    times.  Raises CausticError(t_caustic, partial=...) when adjacent
-    characteristics cross before t_final; the partial solution holds the
-    strictly pre-caustic snapshots.
+    times.  Raises CausticError(t_caustic) when adjacent characteristics
+    cross before t_final.
     """
     fan = integrate_fan(s0, V, t_final, dt, snapshot_times)
-    g = s0.grid
     if fan.t_crossing is not None:
-        t_c = fan.t_crossing
-        keep = fan.times < t_c
-        partial = _reconstruct(
-            g, CharacteristicFan(fan.x0, fan.p0, fan.times[keep],
-                                 fan.x[keep], fan.p[keep],
-                                 fan.action[keep], fan.m, t_c))
         raise CausticError(
-            f"characteristics crossed at t={t_c:.6g}; single-valued action "
-            f"field ends there", t_caustic=t_c, partial=partial)
-    return _reconstruct(g, fan)
-
-
-def _reconstruct(grid, fan):
+            f"characteristics crossed at t={fan.t_crossing:.6g}; "
+            f"single-valued action field ends there",
+            t_caustic=fan.t_crossing)
+    grid = s0.grid
     s_fields = []
     coverage = []
-    for i in range(fan.times.size):
-        xj = fan.x[i]
-        spline = CubicHermiteSpline(xj, fan.action[i], fan.p[i],
-                                    extrapolate=True)
+    for xj, action, p in zip(fan.x, fan.action, fan.p):
+        spline = CubicHermiteSpline(xj, action, p, extrapolate=True)
         s_fields.append(real_field(grid, spline(grid.x)))
         coverage.append((grid.x >= xj[0]) & (grid.x <= xj[-1]))
     return HJSolution(grid, fan.times, tuple(s_fields), tuple(coverage), fan)
-
-
-def transport_density(rho0, fan, t):
-    """Push a density through the characteristic flow to time t via the
-    Jacobian rule rho(x_j, t) = rho0(x0_j) / |J_j(t)|.
-
-    Raises CausticError when the position map at t is singular (some
-    |J| ~ 0) or folded (mixed Jacobian signs); an orientation-reversing but
-    monotone map, like the harmonic half-period reflection, is fine.
-    """
-    i = fan.index_of_time(t)
-    jac = fan.jacobian(i)
-    if np.min(np.abs(jac)) < JACOBIAN_FLOOR:
-        raise CausticError(
-            f"characteristic map is singular at t={t:.6g}", t_caustic=t)
-    if np.any(jac > 0) and np.any(jac < 0):
-        raise CausticError(
-            f"characteristic map is folded at t={t:.6g}", t_caustic=t)
-    g = rho0.grid
-    # grid -> launch points: cubic spline (4th order) since the grid spacing
-    # is the coarse one; fan -> grid below stays shape-preserving
-    rho0_at_x0 = np.maximum(
-        CubicSpline(g.x, rho0.values, extrapolate=True)(fan.x0), 0.0)
-    xj = fan.x[i]
-    vals = rho0_at_x0 / np.abs(jac)
-    if jac[0] < 0:
-        xj = xj[::-1]
-        vals = vals[::-1]
-    out = PchipInterpolator(xj, vals, extrapolate=False)(g.x)
-    out = np.where(np.isnan(out), 0.0, np.maximum(out, 0.0))
-    return real_field(g, out)
 
 
 def classical_hj_residual(sol, V, i):
@@ -204,12 +142,6 @@ def classical_hj_residual(sol, V, i):
     region = interior_support(
         sol.coverage[i - 1] & sol.coverage[i] & sol.coverage[i + 1])
     return float(np.sqrt(g.dx * np.sum(integrand[region] ** 2)))
-
-
-def momentum_field(s):
-    """dS/dx as a field (finite differences; S is generally not periodic,
-    so a spectral gradient would ring)."""
-    return real_field(s.grid, np.gradient(s.values, s.grid.dx, edge_order=2))
 
 
 def expectations(rho, s, m):

@@ -34,8 +34,8 @@ the spectral operator; derivatives of a given S field (hj_residual) use
 second-order finite differences, because S is generally not periodic on
 the grid (a moving packet has S ~ p*x) and a spectral derivative would
 ring.  Central differences are exact for the quadratic-in-x action fields
-of the Gaussian family.  hj_residual and quantum_term_norm take their norms
-over one region, the interior of the fields' support.
+of the Gaussian family.  hj_residual takes its norm over the interior of
+the fields' support.
 """
 
 from dataclasses import dataclass
@@ -54,7 +54,6 @@ __all__ = [
     "from_madelung",
     "make_madelung",
     "quantum_term",
-    "quantum_term_norm",
     "hj_residual",
     "weighted_action_terms",
     "analytic_packet_fields",
@@ -111,12 +110,15 @@ def _unwrap_from(s0, phase, hbar):
 def to_madelung(psi):
     """Decompose a wave function into (rho, S).
 
-    S is unwrapped along the grid starting from the global density maximum;
-    2*pi jumps between neighbors are resolved by the minimal-increment
-    rule.  Masked points (rho < DEFAULT_FLOOR * max rho) get S = 0 and are
-    excluded from unwrapping.  Raises NodeError when the support is
-    disconnected (e.g. a state with an interior node), since unwrapping
-    across a node would be ambiguous.
+    S is unwrapped along the grid starting from the global density maximum,
+    where it is pinned to hbar * arg(psi) in (-pi hbar, pi hbar]; 2*pi
+    jumps between neighbors are resolved by the minimal-increment rule.  So
+    S is continuous in x within one call, but two calls (say, the field
+    dumps of successive snapshots) agree only modulo 2*pi*hbar.  Masked
+    points (rho < DEFAULT_FLOOR * max rho) get S = 0 and are excluded from
+    unwrapping.  Raises NodeError when the support is disconnected (e.g. a
+    state with an interior node), since unwrapping across a node would be
+    ambiguous.
     """
     g = psi.grid
     rho_vals = np.abs(psi.values) ** 2
@@ -186,37 +188,24 @@ def quantum_term(rho, hbar, m):
 
 def interior_support(mask):
     """Support eroded by one point: difference stencils for S need both
-    neighbors inside the support, so S-dependent norms (and the quantum-term
-    norm they are compared against) are taken over this interior."""
+    neighbors inside the support, so S-dependent norms are taken over this
+    interior."""
     out = mask.copy()
     out[1:] &= mask[:-1]
     out[:-1] &= mask[1:]
     return out
 
 
-def quantum_term_norm(f, m):
-    """L2 norm (dx-weighted) of the quantum term of the fields f, over the
-    same region as hj_residual."""
-    q = quantum_term(f.rho, f.hbar, m).values[interior_support(f.support)]
-    return float(np.sqrt(f.grid.dx * np.sum(q ** 2)))
-
-
 # ----------------------------------------------------------------------
 # Residual evaluators
 # ----------------------------------------------------------------------
 
-def hj_residual(f, ds_dt, V, mode="quantum"):
-    """L2 norm over the interior of the support of dS/dt + (dS/dx)^2/2m + V
-    plus, in quantum mode, the quantum term.
-
-    Classical mode evaluates the same expression without the hbar-dependent
-    term (it ignores f.hbar entirely); quantum mode requires hbar > 0.
-    quantum_term_norm(f, m) measures the same region.
-    """
-    if mode not in ("quantum", "classical"):
-        raise DomainError(f"unknown mode {mode!r}")
-    if mode == "quantum" and f.hbar <= 0:
-        raise DomainError("quantum mode requires hbar > 0")
+def hj_residual(f, ds_dt, V):
+    """L2 norm over the interior of the support of the quantum action
+    equation's residual dS/dt + (dS/dx)^2/2m + V + quantum_term; needs
+    hbar > 0."""
+    if f.hbar <= 0:
+        raise DomainError("the quantum action equation needs hbar > 0")
     if f.masked_mass_fraction > MAX_MASKED_MASS:
         raise DomainError(
             f"masked mass fraction {f.masked_mass_fraction:.3f} exceeds "
@@ -225,9 +214,8 @@ def hj_residual(f, ds_dt, V, mode="quantum"):
     m = V.mass
     grad_s = np.gradient(f.s.values, g.dx, edge_order=2)
     integrand = (ds_dt.values + grad_s ** 2 / (2.0 * m)
-                 + eval_potential(V, g.x))
-    if mode == "quantum":
-        integrand = integrand + quantum_term(f.rho, f.hbar, m).values
+                 + eval_potential(V, g.x)
+                 + quantum_term(f.rho, f.hbar, m).values)
     region = interior_support(f.support)
     return float(np.sqrt(g.dx * np.sum(integrand[region] ** 2)))
 
@@ -305,8 +293,8 @@ def analytic_packet_fields(case, grid, epsilon0, p0, hbar, m, t,
     S(x,t) = (m/4)(deps/eps)(x-r)^2 + p(t) x - p(t) r(t)/2 + gouy(t),
     with the width eps(t) from the closed forms and the phase term whose
     time derivative is -hbar^2/(2 m eps).  These fields satisfy the
-    quantum-mode Hamilton-Jacobi residual identically (they are exact
-    solutions), which the test suite exercises.
+    quantum action equation identically (they are exact solutions), so
+    their hj_residual vanishes, which the test suite exercises.
     """
     st = analytic_gaussian(case, epsilon0, p0, hbar, m, t,
                            omega=omega, f0=f0)

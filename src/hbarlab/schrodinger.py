@@ -109,7 +109,7 @@ def _check_leak(psi):
     if leak > LEAK_TOL:
         raise BoundaryLeak(
             f"boundary density fraction {leak:.3e} exceeds {LEAK_TOL:.0e} "
-            f"at t={psi.t:.6g}", psi=psi, leak=leak)
+            f"at t={psi.t:.6g}")
     return psi
 
 
@@ -179,12 +179,11 @@ def propagate(psi, V, dt, n_steps):
     """Advance a wave function by n_steps Strang steps of size dt.
 
     Returns a new WaveFunction at t + n_steps*dt.  Raises DomainError for
-    dt <= 0 or dt above the stability rule, BoundaryLeak (carrying the
-    final state) when packet mass reaches the boundary margin, LabError
-    when the norm drifts; both checks run on every call.  The phase
-    factors, and the stability verdict with them, are built once and
-    reused by the following calls with the same grid, potential object,
-    hbar, m and dt.
+    dt <= 0 or dt above the stability rule, BoundaryLeak when packet mass
+    reaches the boundary margin, LabError when the norm drifts; both checks
+    run on every call.  The phase factors, and the stability verdict with
+    them, are built once and reused by the following calls with the same
+    grid, potential object, hbar, m and dt.
     """
     if dt <= 0:
         raise DomainError(f"dt must be positive, got {dt}")

@@ -1,19 +1,9 @@
-"""Shared test utilities: independent quadrature/integration oracles and
-tolerance helpers.  Oracles here deliberately avoid the package's own
-numerics (plain Riemann/Simpson sums, hand-rolled Verlet) so that every
-cross-check stays independent of the code path it validates."""
+"""Shared test utilities: an independent integration oracle and tolerance
+helpers.  The oracle deliberately avoids the package's own numerics (a
+hand-rolled Verlet) so that every cross-check stays independent of the code
+path it validates."""
 
 import numpy as np
-
-
-def simpson_quad(f, a, b, n=200001):
-    """Composite Simpson quadrature on [a, b]; n must be odd."""
-    if n % 2 == 0:
-        n += 1
-    x = np.linspace(a, b, n)
-    y = f(x)
-    h = (b - a) / (n - 1)
-    return h / 3.0 * (y[0] + y[-1] + 4 * y[1:-1:2].sum() + 2 * y[2:-2:2].sum())
 
 
 def verlet_oracle(force, m, r0, p0, dt, n_steps):

@@ -144,7 +144,7 @@ def test_criterion_03_combined_limit_trajectories():
     ):
         f, ds_dt = madelung.analytic_packet_fields(
             case, g, k * hbar, 1.0, hbar, 1.0, t=0.7, **kw)
-        res_max = max(res_max, madelung.hj_residual(f, ds_dt, V, "quantum"))
+        res_max = max(res_max, madelung.hj_residual(f, ds_dt, V))
     ok = ok and res_max <= 1e-6
     report(3, ok, "; ".join(details) + f"; analytic-S residual {res_max:.2e}")
 

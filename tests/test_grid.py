@@ -4,13 +4,10 @@ import pytest
 from hbarlab.errors import DomainError
 from hbarlab.grid import (
     complex_field,
-    integrate,
     make_grid,
     real_field,
     spectral_derivative,
 )
-
-from helpers import gauss_rho, simpson_quad
 
 
 def band_limited_field(grid, rng, n_modes=8):
@@ -116,28 +113,5 @@ class TestSpectralDerivative:
         g = make_grid(-4, 4, 128)
         for _ in range(5):
             f = band_limited_field(g, rng)
-            assert abs(integrate(spectral_derivative(f, 1))) <= 1e-12
-
-
-class TestIntegrate:
-    def test_gaussian_density_normalized(self):
-        g = make_grid(-10, 10, 512)
-        rho = real_field(g, gauss_rho(g.x, eps=0.5))
-        assert integrate(rho) == pytest.approx(1.0, abs=1e-12)
-
-    def test_first_moment(self):
-        g = make_grid(-10, 10, 512)
-        f = real_field(g, g.x * gauss_rho(g.x, eps=0.5, r=2.0))
-        assert integrate(f) == pytest.approx(2.0, abs=1e-10)
-
-    def test_second_moment_against_quadrature_oracle(self):
-        # Independent Simpson oracle for the Gaussian second moment; the
-        # closed form eps/2 = 0.25 is frozen below.
-        eps = 0.5
-        oracle = simpson_quad(
-            lambda x: (x ** 2) * gauss_rho(x, eps), -10, 10)
-        assert oracle == pytest.approx(0.25, abs=1e-12)
-        g = make_grid(-10, 10, 512)
-        f = real_field(g, (g.x ** 2) * gauss_rho(g.x, eps))
-        assert integrate(f) == pytest.approx(0.25, abs=1e-10)
-        assert integrate(f) == pytest.approx(oracle, abs=1e-10)
+            d = spectral_derivative(f, 1)
+            assert abs(g.dx * np.sum(d.values)) <= 1e-12

@@ -2,16 +2,14 @@ import numpy as np
 import pytest
 
 from hbarlab.errors import CausticError, DomainError
-from hbarlab.grid import integrate, make_grid, real_field
+from hbarlab.grid import make_grid, real_field
 from hbarlab.hjflow import (
     classical_hj_residual,
     deterministic_continuity_check,
     expectations,
     integrate_fan,
-    momentum_field,
     projected_newton_check,
     solve_hj,
-    transport_density,
 )
 from hbarlab.potential import PotentialSpec, eval_potential
 
@@ -54,9 +52,19 @@ class TestSolveHJ:
         with pytest.raises(CausticError) as err:
             solve_hj(s0, PotentialSpec.free(), t_final=1.5, dt=2e-4)
         assert err.value.t_caustic == pytest.approx(T, rel=0.01)
-        partial = err.value.partial
-        assert partial is not None
-        assert np.all(partial.times < err.value.t_caustic)
+
+    def test_fan_stops_at_first_crossing(self):
+        # the same focusing flow: the fan ends at the crossing and keeps
+        # only the snapshots before it
+        g = make_grid(-8, 8, 256)
+        T = 1.0
+        s0 = real_field(g, -g.x ** 2 / (2 * T))
+        fan = integrate_fan(s0, PotentialSpec.free(), t_final=1.5 * T,
+                            dt=2e-4, snapshot_times=np.linspace(0, 1.5, 7))
+        assert fan.t_crossing == pytest.approx(T, rel=0.01)
+        assert len(fan.times) == fan.x.shape[0] == 4
+        assert np.all(fan.times < fan.t_crossing)
+        assert fan.p.shape == fan.action.shape == fan.x.shape
 
     def test_rejects_tabulated_and_scheduled(self):
         g = make_grid(-8, 8, 256)
@@ -74,68 +82,20 @@ class TestSolveHJ:
         assert drift <= 1e-8
 
 
-class TestTransportDensity:
-    def test_free_uniform_flow_translates(self):
-        g = make_grid(-10, 10, 256)
-        V = PotentialSpec.free()
-        p0, t = 1.5, 0.8
-        fan = integrate_fan(linear_s0(g, p0), V, t_final=t,
-                            snapshot_times=[0.0, t])
-        rho0 = real_field(g, gauss_rho(g.x, 0.5))
-        out = transport_density(rho0, fan, t)
-        expected = gauss_rho(g.x, 0.5, r=p0 * t)
-        assert np.max(np.abs(out.values - expected)) <= 1e-4
-        assert abs(integrate(out) - 1.0) <= 1e-6
-        assert np.max(np.abs(fan.jacobian(fan.index_of_time(t)) - 1.0)) <= 1e-9
-
-    def test_harmonic_half_period_reflects(self):
-        # With S0 = 0 the characteristics are x0 cos(wt): a perfect focus at
-        # the quarter period, then an orientation-reversing bijection at the
-        # half period, where the density must be the reflected initial one.
-        g = make_grid(-10, 10, 256)
-        V = PotentialSpec.harmonic(1.0, 1.0)
-        s0 = real_field(g, np.zeros(g.n))
-        fan = integrate_fan(s0, V, t_final=np.pi, dt=1e-4,
-                            snapshot_times=[0.0, np.pi / 2, np.pi])
-        rho0 = real_field(g, gauss_rho(g.x, 0.5, r=1.2))
-        out = transport_density(rho0, fan, fan.times[-1])
-        expected = gauss_rho(g.x, 0.5, r=-1.2)
-        assert np.max(np.abs(out.values - expected)) <= 1e-4
-        assert abs(integrate(out) - 1.0) <= 1e-6
-        assert fan.t_crossing == pytest.approx(np.pi / 2, rel=0.01)
-
-    def test_singular_map_raises(self):
-        g = make_grid(-10, 10, 256)
-        V = PotentialSpec.harmonic(1.0, 1.0)
-        s0 = real_field(g, np.zeros(g.n))
-        fan = integrate_fan(s0, V, t_final=np.pi, dt=1e-4,
-                            snapshot_times=[0.0, np.pi / 2, np.pi])
-        rho0 = real_field(g, gauss_rho(g.x, 0.5))
-        with pytest.raises(CausticError):
-            transport_density(rho0, fan, fan.times[1])
-
-    def test_focusing_flow_near_caustic_raises(self):
-        g = make_grid(-8, 8, 256)
-        T = 1.0
-        s0 = real_field(g, -g.x ** 2 / (2 * T))
-        fan = integrate_fan(s0, PotentialSpec.free(), t_final=T,
-                            snapshot_times=[0.0, 0.5, T])
-        rho0 = real_field(g, gauss_rho(g.x, 0.3))
-        with pytest.raises(CausticError):
-            transport_density(rho0, fan, fan.times[-1])
-
-
 class TestMomentumFieldAndExpectations:
+    # the fan launches every characteristic with p0 = dS0/dx
     def test_linear_action(self):
         g = make_grid(-6, 6, 128)
-        pf = momentum_field(linear_s0(g, 0.7))
-        assert np.max(np.abs(pf.values - 0.7)) <= 1e-10
+        fan = integrate_fan(linear_s0(g, 0.7), PotentialSpec.free(), 0.1,
+                            snapshot_times=[0.0])
+        assert np.max(np.abs(fan.p0 - 0.7)) <= 1e-10
 
     def test_quadratic_action(self):
         g = make_grid(-6, 6, 128)
         s = real_field(g, 0.5 * 1.3 * g.x ** 2)
-        pf = momentum_field(s)
-        assert np.max(np.abs(pf.values - 1.3 * g.x)) <= 1e-10
+        fan = integrate_fan(s, PotentialSpec.free(), 0.1,
+                            snapshot_times=[0.0])
+        assert np.max(np.abs(fan.p0 - 1.3 * fan.x0)) <= 1e-10
 
     def test_matches_fan_momenta(self):
         # the fan's own momenta are the oracle for dS/dx of the
@@ -146,7 +106,7 @@ class TestMomentumFieldAndExpectations:
         sol = solve_hj(linear_s0(g, 1.0), V, 0.8, dt=1e-4,
                        snapshot_times=[0.0, 0.4, 0.8])
         i = 1
-        pf = momentum_field(sol.s_fields[i]).values
+        pf = np.gradient(sol.s_fields[i].values, g.dx, edge_order=2)
         fan = sol.fan
         p_oracle = PchipInterpolator(fan.x[i], fan.p[i])(g.x)
         region = sol.coverage[i].copy()
@@ -241,22 +201,16 @@ class TestDeterministicContinuity:
 
 class TestQuantumConsistency:
     def test_characteristics_reproduce_vanishing_hbar_packet_fields(self):
-        # In the vanishing-hbar limit the harmonic packet fields are a
-        # rigid-width-scaling Gaussian, eps(t) = eps0 cos^2(wt), riding the
-        # classical trajectory, with a purely quadratic action.  The
-        # characteristic solver must reproduce both fields.
+        # In the vanishing-hbar limit the harmonic packet's width scales
+        # rigidly, eps(t) = eps0 cos^2(wt), along the classical trajectory,
+        # and its action is purely quadratic.  The characteristic solver
+        # must reproduce that action.
         g = make_grid(-10, 10, 512)
         V = PotentialSpec.harmonic(1.0, 1.0)
-        p0, eps0, t_eval = 1.0, 0.25, 0.6
+        p0, t_eval = 1.0, 0.6
         sol = solve_hj(linear_s0(g, p0), V, t_eval, dt=1e-4,
                        snapshot_times=[0.0, t_eval])
-        rho0 = real_field(g, gauss_rho(g.x, eps0))
-        out = transport_density(rho0, sol.fan, t_eval)
-        eps_t = eps0 * np.cos(t_eval) ** 2
         r_t = p0 * np.sin(t_eval)
-        expected_rho = gauss_rho(g.x, eps_t, r=r_t)
-        assert np.max(np.abs(out.values - expected_rho)) <= 1e-4
-
         p_t = p0 * np.cos(t_eval)
         deps_over_eps = -2.0 * np.tan(t_eval)
         expected_s = (0.25 * deps_over_eps * (g.x - r_t) ** 2

@@ -1,3 +1,6 @@
+import ast
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -9,7 +12,16 @@ import pytest
 from hbarlab.cli import cli_main as main
 from hbarlab.config import RunConfig, load_potential_table
 from hbarlab.detpot import classify
-from hbarlab.errors import DomainError, LabError, NodeError
+from hbarlab.errors import (
+    BoundaryLeak,
+    CausticError,
+    DomainError,
+    EscapeError,
+    InconclusiveError,
+    LabError,
+    MassDriftError,
+    NodeError,
+)
 from hbarlab.experiments import (
     EXPERIMENTS,
     ScanResult,
@@ -144,6 +156,39 @@ def _preset_config(name):
 PRESET_EXIT_CODES = {"phj_focusing": 2}     # the caustic at t = 1
 
 
+@pytest.fixture(scope="module")
+def shipped(tmp_path_factory):
+    """Run a preset through the CLI as shipped, once per module however
+    many tests read it: name -> (exit code, stderr, output directory)."""
+    runs = {}
+
+    def run(name):
+        if name not in runs:
+            out = tmp_path_factory.mktemp(name)
+            kind = _preset_config(name).get("experiment", "kind", None)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main([EXPERIMENTS[kind][0], "--config", name,
+                             "--out", str(out)])
+            runs[name] = (code, err.getvalue(), out)
+        return runs[name]
+    return run
+
+
+def _summary_fits(path):
+    """The scan-level `key = value` lines of a summary.txt; lists and
+    numbers parsed, anything else kept as text."""
+    fits = {}
+    for line in path.read_text().splitlines():
+        key, sep, value = line.partition(" = ")
+        if sep and not line.startswith(" "):
+            try:
+                fits[key] = ast.literal_eval(value)
+            except (ValueError, SyntaxError):
+                fits[key] = value
+    return fits
+
+
 class TestPresets:
     def test_all_presets_parse_and_build(self):
         from importlib import resources
@@ -159,16 +204,13 @@ class TestPresets:
             cfg.output_directory()
 
     @pytest.mark.parametrize("name", _preset_names())
-    def test_preset_runs_as_shipped(self, name, tmp_path, capsys):
-        kind = _preset_config(name).get("experiment", "kind", None)
-        code = main([EXPERIMENTS[kind][0], "--config", name,
-                     "--out", str(tmp_path)])
-        err = capsys.readouterr().err
+    def test_preset_runs_as_shipped(self, name, shipped):
+        code, err, out = shipped(name)
         assert code == PRESET_EXIT_CODES.get(name, 0), err
         assert "Traceback" not in err
         # every row after t = 0 satisfies the density-weighted Madelung
         # identity: the classical residual of S is the quantum-term norm
-        for path in sorted(tmp_path.glob("run_*.csv")):
+        for path in sorted(out.glob("run_*.csv")):
             _, columns, data = read_csv(str(path))
             if "quantum_term_norm" not in columns:
                 continue
@@ -401,17 +443,19 @@ class TestExperiments:
             expected = hbar * (1.0 + 1.5 ** 2)
             assert width == pytest.approx(expected, rel=1e-4)
 
-    def test_combined_limit_quartic_keeps_deforming(self):
+    def test_combined_limit_quartic_keeps_deforming(self, shipped):
         # the paper's generic case, as the preset ships it: on a quartic
         # well the combined limit does not give Newton, so at every hbar
         # the packet centre leaves the Newton trajectory and the density
-        # leaves the Gaussian shape
-        result = run_combined_limit(_preset_config("combined_quartic"))
-        assert result.fits["detpot_verdict"] == "NonDeterministic"
-        assert len(result.records) == 2
-        for dev in result.fits["trajectory_deviation_max"]:
+        # leaves the Gaussian shape.  Read from the preset smoke run.
+        code, err, out = shipped("combined_quartic")
+        assert code == 0, err
+        fits = _summary_fits(out / "summary.txt")
+        assert fits["detpot_verdict"] == "NonDeterministic"
+        assert len(list(out.glob("run_*.csv"))) == 2
+        for dev in fits["trajectory_deviation_max"]:
             assert dev >= 0.05
-        for kurt in result.fits["kurtosis_excess_max"]:
+        for kurt in fits["kurtosis_excess_max"]:
             assert kurt >= 1.0
 
     def test_detpot_runner(self):
@@ -799,6 +843,11 @@ class TestCLI:
     @pytest.mark.parametrize("error", [
         NodeError("phase support is disconnected"),
         LabError("norm drifted by 1e-06 over 10 steps"),
+        BoundaryLeak("boundary density fraction 1e-06 exceeds 1e-08"),
+        CausticError("characteristics crossed at t=1", t_caustic=1.0),
+        MassDriftError("phase-space mass drifted by 1e-03"),
+        EscapeError("trajectory left |x| <= 100"),
+        InconclusiveError("residuals straddle the tolerance"),
     ])
     def test_every_lab_error_exits_2(self, error, monkeypatch, tmp_path,
                                      capsys):
@@ -810,6 +859,8 @@ class TestCLI:
         assert code == 2
         err = capsys.readouterr().err
         assert f"numeric failure: {error}" in err
+        if isinstance(error, CausticError):
+            assert "t_caustic=1.0" in err
         assert "Traceback" not in err
 
     def test_run_numerics_in_summary_and_cli_line(self, tmp_path, capsys):

@@ -11,7 +11,6 @@ from hbarlab.madelung import (
     hj_residual,
     make_madelung,
     quantum_term,
-    quantum_term_norm,
     to_madelung,
     weighted_action_terms,
 )
@@ -202,19 +201,11 @@ class TestHJResidual:
         ):
             f, ds_dt = analytic_packet_fields(case, g, 0.1, 1.0, 0.1, 1.0,
                                               t=2.0, **kw)
-            assert hj_residual(f, ds_dt, V, "quantum") <= 1e-6
-
-    def test_classical_mode_sees_quantum_term(self):
-        g = make_grid(-12, 12, 1024)
-        V = PotentialSpec.harmonic(1.0, 1.0)
-        f, ds_dt = analytic_packet_fields("harmonic", g, 0.1, 1.0, 0.1, 1.0,
-                                          t=2.0, omega=1.0)
-        res = hj_residual(f, ds_dt, V, "classical")
-        qnorm = quantum_term_norm(f, 1.0)
-        assert res > 0
-        assert res == pytest.approx(qnorm, rel=1e-4)
+            assert hj_residual(f, ds_dt, V) <= 1e-6
 
     def test_plane_wave_solves_classical_hj(self):
+        # a uniform density has no quantum term, so the quantum residual is
+        # the classical one
         g = make_grid(-5, 5, 64)
         p0, v0, m = 1.3, 0.4, 1.0
         energy = p0 ** 2 / (2 * m) + v0
@@ -223,7 +214,7 @@ class TestHJResidual:
         f = make_madelung(rho, s, 1.0)
         ds_dt = real_field(g, np.full(64, -energy))
         V = PotentialSpec.polynomial([v0], mass=m)
-        assert hj_residual(f, ds_dt, V, "classical") <= 1e-12
+        assert hj_residual(f, ds_dt, V) <= 1e-12
 
     def test_mode_validation(self):
         g = make_grid(-10, 10, 256)
@@ -232,9 +223,7 @@ class TestHJResidual:
         ds_dt = real_field(g, np.zeros(g.n))
         V = PotentialSpec.free()
         with pytest.raises(DomainError):
-            hj_residual(f, ds_dt, V, "quantum")
-        with pytest.raises(DomainError):
-            hj_residual(f, ds_dt, V, "euler")
+            hj_residual(f, ds_dt, V)
 
     def test_propagated_state_quantum_residual_second_order(self):
         g = make_grid(-16, 16, 256)
