@@ -542,7 +542,6 @@ def run_phj_demo(cfg):
         "epsilon": eps,
         "hj_residual_max": float(max(r[1] for r in rows)),
         "projected_newton_residual_max": float(max(r[5] for r in rows)),
-        "caustic_time": sol.fan.t_crossing,
     }
     record = RunRecord("phj_demo", "characteristics", cfg.echo_lines(),
                        PHJ_COLUMNS, tuple(rows), fits=dict(fits))

@@ -1,32 +1,30 @@
 """Classical Hamilton-Jacobi field theory solved by characteristics.
 
 The classical action equation dS/dt + (dS/dx)^2/2m + V = 0 is integrated by
-launching a fan of Newton trajectories with p0 = dS0/dx and accumulating the
-action S_j(t) = S0(x0_j) + int (p^2/2m - V) dt' along each.
+launching one Newton trajectory from every grid node with p0 = dS0/dx and
+accumulating the action S_j(t) = S0(x0_j) + int (p^2/2m - V) dt' along each.
 
 Characteristics are exact pre-caustic; when neighbors cross, a single-valued
 action field stops existing, so the fan ends there and solve_hj raises
 CausticError with the crossing time.
 
-Grid reconstruction of S uses a cubic Hermite interpolant with the exact
-nodal derivatives dS/dx(x_j) = p_j that the fan provides for free; this is
-piecewise-cubic, respects the monotone node ordering pre-caustic, and is
-exact whenever S is quadratic in x (every linear-flow case).
-
-Action-field derivatives here follow the same policy as the Madelung
-module: finite differences in x (S is not periodic), centered differences
-across snapshots in t.
+The one representation of S at a snapshot is the cubic Hermite spline
+through the fan's nodes (x_j, S_j) with the exact nodal slopes
+dS/dx(x_j) = p_j that the fan provides for free: piecewise cubic, valid
+for the monotone node ordering pre-caustic, and exact whenever S is
+quadratic in x (every linear-flow case).  Every x-derivative is the
+spline's own, spline(x, 1) and spline(x, 2); t-derivatives are centered
+differences across snapshots.  A grid point is covered at a snapshot when
+it lies between the fan's two end characteristics.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
+from scipy.interpolate import CubicHermiteSpline
 
 from . import _kernels
 from .errors import CausticError, DomainError
-from .grid import real_field
-from .madelung import interior_support
 from .potential import eval_force, eval_potential
 
 __all__ = [
@@ -43,7 +41,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CharacteristicFan:
-    x0: np.ndarray       # launch points (strictly increasing)
+    x0: np.ndarray       # launch points: the grid's nodes
     p0: np.ndarray       # launch momenta dS0/dx(x0)
     times: np.ndarray    # saved times
     x: np.ndarray        # positions, shape (n_times, n_char)
@@ -57,22 +55,25 @@ class CharacteristicFan:
 class HJSolution:
     grid: object
     times: np.ndarray
-    s_fields: tuple         # RealField per snapshot
-    coverage: tuple         # bool array per snapshot: grid points inside fan
+    actions: tuple          # S per snapshot: CubicHermiteSpline on the fan
     fan: CharacteristicFan
+
+    def covered(self, *snapshots):
+        """Grid points inside the fan at every one of the given snapshots."""
+        ends = self.fan.x[list(snapshots)][:, [0, -1]]
+        x = self.grid.x
+        return (x >= ends[:, 0].max()) & (x <= ends[:, 1].min())
 
 
 def integrate_fan(s0, V, t_final, dt=2e-4, snapshot_times=None):
-    """Launch 8x the grid's point count of characteristics from the initial
-    action field s0 and integrate them to t_final, recording positions,
-    momenta, and actions at the snapshot times (default: 9 evenly spaced in
-    [0, t_final]).
+    """Launch one characteristic from every node of s0's grid, with
+    p0 = dS0/dx by second-order differences (exact for a quadratic S0), and
+    integrate them to t_final, recording positions, momenta, and actions at
+    the snapshot times (default: 9 evenly spaced in [0, t_final]).
 
-    The 8x count is kept so the phj outputs stay byte-identical; whether
-    the action fields need that many characteristics is still to be
-    measured (see the fan-step item in ROADMAP.md).  The fan stops at the
-    first crossing of adjacent characteristics: its time is recorded on the
-    returned fan, and only the snapshots before it are kept.
+    The fan stops at the first crossing of adjacent characteristics: its
+    time is recorded on the returned fan, and only the snapshots before it
+    are kept.
     """
     if V.kind == "tabulated":
         raise DomainError(
@@ -81,10 +82,8 @@ def integrate_fan(s0, V, t_final, dt=2e-4, snapshot_times=None):
     if t_final <= 0:
         raise DomainError(f"t_final must be positive, got {t_final}")
     g = s0.grid
-    x0 = np.linspace(g.x_min, g.x_max, 8 * g.n)
-    grad_s0 = np.gradient(s0.values, g.dx, edge_order=2)
-    p0 = PchipInterpolator(g.x, grad_s0, extrapolate=True)(x0)
-    s0_at_x0 = PchipInterpolator(g.x, s0.values, extrapolate=True)(x0)
+    x0 = g.x
+    p0 = np.gradient(s0.values, g.dx, edge_order=2)
 
     n_steps = int(np.ceil(t_final / dt))
     dt_eff = t_final / n_steps
@@ -98,7 +97,7 @@ def integrate_fan(s0, V, t_final, dt=2e-4, snapshot_times=None):
         V.force_coeffs(), V.coeffs, V.mass, x0, p0, dt_eff, n_steps,
         save_steps)
     times = save_steps[:X.shape[0]] * dt_eff
-    action = A + s0_at_x0[None, :]
+    action = A + s0.values[None, :]
     t_crossing = caustic_step * dt_eff if caustic_step >= 0 else None
     return CharacteristicFan(x0, p0, times, X, P, action, V.mass, t_crossing)
 
@@ -106,9 +105,9 @@ def integrate_fan(s0, V, t_final, dt=2e-4, snapshot_times=None):
 def solve_hj(s0, V, t_final, dt=2e-4, snapshot_times=None):
     """Integrate the classical action equation from the initial field s0.
 
-    Returns an HJSolution with S reconstructed on the grid at the snapshot
-    times.  Raises CausticError(t_caustic) when adjacent characteristics
-    cross before t_final.
+    Returns an HJSolution holding S at each snapshot time as the fan's
+    Hermite spline.  Raises CausticError(t_caustic) when adjacent
+    characteristics cross before t_final.
     """
     fan = integrate_fan(s0, V, t_final, dt, snapshot_times)
     if fan.t_crossing is not None:
@@ -116,14 +115,9 @@ def solve_hj(s0, V, t_final, dt=2e-4, snapshot_times=None):
             f"characteristics crossed at t={fan.t_crossing:.6g}; "
             f"single-valued action field ends there",
             t_caustic=fan.t_crossing)
-    grid = s0.grid
-    s_fields = []
-    coverage = []
-    for xj, action, p in zip(fan.x, fan.action, fan.p):
-        spline = CubicHermiteSpline(xj, action, p, extrapolate=True)
-        s_fields.append(real_field(grid, spline(grid.x)))
-        coverage.append((grid.x >= xj[0]) & (grid.x <= xj[-1]))
-    return HJSolution(grid, fan.times, tuple(s_fields), tuple(coverage), fan)
+    actions = tuple(CubicHermiteSpline(xj, action, p, extrapolate=True)
+                    for xj, action, p in zip(fan.x, fan.action, fan.p))
+    return HJSolution(s0.grid, fan.times, actions, fan)
 
 
 def classical_hj_residual(sol, V, i):
@@ -131,16 +125,15 @@ def classical_hj_residual(sol, V, i):
     dS/dt from centered differencing of the neighboring snapshots.
 
     The norm runs over grid points covered by the fan at all three
-    snapshots (shrunk by one point for the spatial stencil)."""
+    snapshots."""
     if i < 1 or i > sol.times.size - 2:
         raise DomainError("residual needs an interior snapshot index")
     g = sol.grid
     dt2 = sol.times[i + 1] - sol.times[i - 1]
-    ds_dt = (sol.s_fields[i + 1].values - sol.s_fields[i - 1].values) / dt2
-    grad_s = np.gradient(sol.s_fields[i].values, g.dx, edge_order=2)
+    ds_dt = (sol.actions[i + 1](g.x) - sol.actions[i - 1](g.x)) / dt2
+    grad_s = sol.actions[i](g.x, 1)
     integrand = ds_dt + grad_s ** 2 / (2.0 * V.mass) + eval_potential(V, g.x)
-    region = interior_support(
-        sol.coverage[i - 1] & sol.coverage[i] & sol.coverage[i + 1])
+    region = sol.covered(i - 1, i, i + 1)
     return float(np.sqrt(g.dx * np.sum(integrand[region] ** 2)))
 
 
@@ -161,14 +154,6 @@ def expectations(rho, s, m):
 # Deterministic-ansatz diagnostics
 # ----------------------------------------------------------------------
 
-def _interp_gradients(s_field):
-    g = s_field.grid
-    g1 = np.gradient(s_field.values, g.dx, edge_order=2)
-    g2 = np.gradient(g1, g.dx, edge_order=2)
-    return (PchipInterpolator(g.x, g1, extrapolate=True),
-            PchipInterpolator(g.x, g2, extrapolate=True))
-
-
 def deterministic_continuity_check(epsilon, sol, r_t, p_t):
     """Moments of the continuity equation under a narrow Gaussian density of
     width parameter epsilon riding at r(t) with trajectory momentum p(t).
@@ -188,9 +173,9 @@ def deterministic_continuity_check(epsilon, sol, r_t, p_t):
     constant momentum mismatch (term1's (x-r) weight integrates any
     constant mismatch to zero).
 
-    Integrals are 40-node Gauss-Hermite quadrature on interpolated gradient
-    fields, so widths far below the grid spacing are handled exactly for the
-    polynomial action fields the scans use.
+    Integrals are 40-node Gauss-Hermite quadrature on the action spline's
+    own derivatives, so widths far below the grid spacing are handled
+    exactly for the polynomial action fields the scans use.
     """
     if epsilon <= 0:
         raise DomainError("epsilon must be positive")
@@ -200,12 +185,11 @@ def deterministic_continuity_check(epsilon, sol, r_t, p_t):
     term1 = np.empty(sol.times.size)
     term2 = np.empty(sol.times.size)
     p_gap = np.empty(sol.times.size)
-    for i in range(sol.times.size):
-        g1f, g2f = _interp_gradients(sol.s_fields[i])
+    for i, action in enumerate(sol.actions):
         nodes = r_t[i] + se * z
-        grad_vals = g1f(nodes)
+        grad_vals = action(nodes, 1)
         term1[i] = np.sum(w * se * z * (p_t[i] - grad_vals))
-        term2[i] = 0.5 * epsilon * np.sum(w * g2f(nodes))
+        term2[i] = 0.5 * epsilon * np.sum(w * action(nodes, 2))
         p_gap[i] = p_t[i] - np.sum(w * grad_vals)
     return term1, term2, p_gap
 
@@ -220,16 +204,11 @@ def projected_newton_check(sol, V, r_t):
 
     Returns the |field-theory dp/dt - Newton force| series over interior
     snapshots (centered time differencing needs both neighbors)."""
-    g = sol.grid
     out = np.empty(max(sol.times.size - 2, 0))
     for i in range(1, sol.times.size - 1):
+        r = r_t[i]
         dt2 = sol.times[i + 1] - sol.times[i - 1]
-        g1_prev = np.gradient(sol.s_fields[i - 1].values, g.dx, edge_order=2)
-        g1_next = np.gradient(sol.s_fields[i + 1].values, g.dx, edge_order=2)
-        dt_grad = PchipInterpolator(
-            g.x, (g1_next - g1_prev) / dt2, extrapolate=True)(r_t[i])
-        g1f, g2f = _interp_gradients(sol.s_fields[i])
-        advect = g1f(r_t[i]) * g2f(r_t[i]) / V.mass
-        force = eval_force(V, r_t[i])
-        out[i - 1] = abs(dt_grad + advect - force)
+        dt_grad = (sol.actions[i + 1](r, 1) - sol.actions[i - 1](r, 1)) / dt2
+        advect = sol.actions[i](r, 1) * sol.actions[i](r, 2) / V.mass
+        out[i - 1] = abs(dt_grad + advect - eval_force(V, r))
     return out

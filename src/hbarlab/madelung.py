@@ -186,16 +186,6 @@ def quantum_term(rho, hbar, m):
     return real_field(rho.grid, out)
 
 
-def interior_support(mask):
-    """Support eroded by one point: difference stencils for S need both
-    neighbors inside the support, so S-dependent norms are taken over this
-    interior."""
-    out = mask.copy()
-    out[1:] &= mask[:-1]
-    out[:-1] &= mask[1:]
-    return out
-
-
 # ----------------------------------------------------------------------
 # Residual evaluators
 # ----------------------------------------------------------------------
@@ -216,7 +206,10 @@ def hj_residual(f, ds_dt, V):
     integrand = (ds_dt.values + grad_s ** 2 / (2.0 * m)
                  + eval_potential(V, g.x)
                  + quantum_term(f.rho, f.hbar, m).values)
-    region = interior_support(f.support)
+    # the difference stencil for S needs both neighbors inside the support
+    region = f.support.copy()
+    region[1:] &= f.support[:-1]
+    region[:-1] &= f.support[1:]
     return float(np.sqrt(g.dx * np.sum(integrand[region] ** 2)))
 
 

@@ -271,7 +271,8 @@ def test_criterion_07_phj_deterministic_limit():
     from helpers import gauss_rho
     for eps in [3e-2, 1e-2, 3e-3, 1e-3]:
         rho = real_field(gf, gauss_rho(gf.x, eps, r=r_traj))
-        x_mean, p_mean = hjflow.expectations(rho, solf.s_fields[-1], m)
+        x_mean, p_mean = hjflow.expectations(
+            rho, real_field(gf, solf.actions[-1](gf.x)), m)
         gaps.append(abs(p_mean - p_traj) + abs(x_mean - r_traj))
     slope_e = float(np.polyfit(np.log([3e-2, 1e-2, 3e-3, 1e-3]),
                                np.log(gaps), 1)[0])

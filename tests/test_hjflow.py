@@ -28,8 +28,8 @@ class TestSolveHJ:
         sol = solve_hj(linear_s0(g, p0), V, t_final=1.0)
         for i, t in enumerate(sol.times):
             expected = p0 * g.x - p0 ** 2 * t / 2.0
-            cov = sol.coverage[i]
-            err = np.max(np.abs(sol.s_fields[i].values[cov] - expected[cov]))
+            cov = sol.covered(i)
+            err = np.max(np.abs(sol.actions[i](g.x)[cov] - expected[cov]))
             assert err <= 1e-8
         assert classical_hj_residual(sol, V, len(sol.times) // 2) <= 1e-8
 
@@ -83,11 +83,13 @@ class TestSolveHJ:
 
 
 class TestMomentumFieldAndExpectations:
-    # the fan launches every characteristic with p0 = dS0/dx
+    # the fan launches one characteristic from every grid node, with
+    # p0 = dS0/dx
     def test_linear_action(self):
         g = make_grid(-6, 6, 128)
         fan = integrate_fan(linear_s0(g, 0.7), PotentialSpec.free(), 0.1,
                             snapshot_times=[0.0])
+        assert np.array_equal(fan.x0, g.x)
         assert np.max(np.abs(fan.p0 - 0.7)) <= 1e-10
 
     def test_quadratic_action(self):
@@ -95,23 +97,24 @@ class TestMomentumFieldAndExpectations:
         s = real_field(g, 0.5 * 1.3 * g.x ** 2)
         fan = integrate_fan(s, PotentialSpec.free(), 0.1,
                             snapshot_times=[0.0])
+        assert np.array_equal(fan.x0, g.x)
         assert np.max(np.abs(fan.p0 - 1.3 * fan.x0)) <= 1e-10
 
     def test_matches_fan_momenta(self):
-        # the fan's own momenta are the oracle for dS/dx of the
-        # reconstructed action field
+        # the fan's own momenta are the oracle for dS/dx of the action
+        # spline: exact at the nodes, interpolated between them
         from scipy.interpolate import PchipInterpolator
         g = make_grid(-8, 8, 256)
         V = PotentialSpec.harmonic(1.0, 1.0)
         sol = solve_hj(linear_s0(g, 1.0), V, 0.8, dt=1e-4,
                        snapshot_times=[0.0, 0.4, 0.8])
         i = 1
-        pf = np.gradient(sol.s_fields[i].values, g.dx, edge_order=2)
         fan = sol.fan
+        assert np.max(np.abs(sol.actions[i](fan.x[i], 1) - fan.p[i])) \
+            <= 1e-12
+        pf = sol.actions[i](g.x, 1)
         p_oracle = PchipInterpolator(fan.x[i], fan.p[i])(g.x)
-        region = sol.coverage[i].copy()
-        idx = np.where(region)[0]
-        region[idx[:2]] = region[idx[-2:]] = False
+        region = sol.covered(i)
         assert np.max(np.abs(pf[region] - p_oracle[region])) <= 1e-6
 
     def test_expectation_values(self):
@@ -215,7 +218,7 @@ class TestQuantumConsistency:
         deps_over_eps = -2.0 * np.tan(t_eval)
         expected_s = (0.25 * deps_over_eps * (g.x - r_t) ** 2
                       + p_t * g.x - 0.5 * p_t * r_t)
-        got = sol.s_fields[-1].values
+        got = sol.actions[-1](g.x)
         window = np.abs(g.x) <= 5.0
         diff = got[window] - expected_s[window]
         diff -= diff.mean()     # action fields match up to a constant

@@ -8,12 +8,15 @@ REV is checked out with `git worktree` into a temporary directory.  Each
 preset in src/hbarlab/presets runs through `python -m hbarlab` (with
 --dump-fields) under both trees, one run at a time.  The script
 byte-compares every run_*.csv, field dumps included, each summary.txt
-without its wall_clock_s line, and the exit codes, prints one line per
-preset, and exits 1 if anything differs.  For each CSV that differs it also
-prints, for every column that differs, the largest relative difference
-between the two files' numbers, so an intended change of arithmetic can be
-reviewed as numbers, column by column; for a summary that differs it prints
-the differing lines, so a shifted fit shows as its old and new line.
+without its wall_clock_s line, the exit codes and the last line each run
+writes to stderr (the `error:` or `numeric failure:` message of a run that
+fails, empty for one that succeeds), prints one line per preset, and exits
+1 if anything differs.  For each CSV that differs it also prints, for every
+column that differs, the largest relative difference between the two
+files' numbers, so an intended change of arithmetic can be reviewed as
+numbers, column by column; for a summary that differs it prints the
+differing lines, so a shifted fit shows as its old and new line; for a
+stderr line that differs it prints both lines.
 """
 
 import argparse
@@ -48,13 +51,16 @@ def presets():
 
 
 def run(tree, command, preset, outdir):
-    """Exit code of one preset run from the source in `tree`."""
+    """(exit code, last stderr line or "") of one preset run from the source
+    in `tree`."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
     proc = subprocess.run(
         [sys.executable, "-m", "hbarlab", command, "--config", preset,
          "--out", outdir, "--dump-fields"],
-        cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
-    return proc.returncode
+        cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        text=True)
+    lines = proc.stderr.splitlines()
+    return proc.returncode, lines[-1] if lines else ""
 
 
 def run_csvs(outdir):
@@ -109,8 +115,8 @@ def compare(base, tmp):
     for preset, command in presets():
         out_base = os.path.join(tmp, "out", "base", preset)
         out_head = os.path.join(tmp, "out", "head", preset)
-        code_base = run(base, command, preset, out_base)
-        code_head = run(ROOT, command, preset, out_head)
+        code_base, err_base = run(base, command, preset, out_base)
+        code_head, err_head = run(ROOT, command, preset, out_head)
         names = run_csvs(out_base)
         _, differ, missing = filecmp.cmpfiles(out_base, out_head, names,
                                               shallow=False)
@@ -126,6 +132,8 @@ def compare(base, tmp):
             problems.append(f"only in one tree: {' '.join(missing + extra)}")
         if summary_base != summary_head:
             problems.append("summary.txt differs")
+        if err_base != err_head:
+            problems.append("stderr differs")
         status = "; ".join(problems) or "identical"
         print(f"{preset:24s} {command:9s} exit {code_base}/{code_head}  "
               f"{len(names) - len(differ) - len(missing):3d}/{len(names):3d}"
@@ -137,6 +145,9 @@ def compare(base, tmp):
         for line in difflib.ndiff(summary_base, summary_head):
             if line.startswith(("- ", "+ ")):
                 print(f"    summary.txt: {line}", flush=True)
+        if err_base != err_head:
+            print(f"    stderr: - {err_base}\n    stderr: + {err_head}",
+                  flush=True)
         same = same and not problems
     return same
 
