@@ -4,8 +4,9 @@
 It works on scalars and on numpy arrays alike, and run with a negative dt
 it traces the same flow backward.  The three public kernels are short loops
 over it: the scalar Newton trajectory (`verlet_path`), the characteristic
-fan with its action integral (`fan_path`) and the backward semi-Lagrangian
-phase-space pullback (`liouville_pullback`).
+fan with its action integral, in equal steps between its save times
+(`fan_path`), and the backward semi-Lagrangian phase-space pullback
+(`liouville_pullback`).
 
 Everything is serial numpy and evaluation order is fixed, so reruns are
 byte-identical.  Polynomials are coefficient arrays (low -> high degree):
@@ -56,43 +57,54 @@ def verlet_path(force, m, r0, p0, dt, n_steps, stride, escape_bound):
     return np.array(r_out), np.array(p_out), escape_step
 
 
-def fan_path(fc, vc, m, x0, p0, dt, n_steps, save_steps):
+def fan_path(fc, vc, m, x0, p0, save_times, dt_max):
     """Integrate a fan of characteristics, accumulating the action
     integral of (p^2/2m - V) by the trapezoid rule.
 
-    Saves at the step indices in `save_steps` (sorted, may include 0).
-    Also monitors the spatial ordering of the fan each step, and stops at
-    the first step where two adjacent characteristics cross (or coincide):
-    past it no single-valued action field exists.  Returns the saved rows
-    (only those before the crossing) and `caustic_step`, the crossing step
-    or -1 if the fan stayed monotone.
+    The fan runs segment by segment between the sorted save times (the
+    first segment starts at t = 0): each segment [t0, t1] takes
+    n = ceil((t1 - t0) / dt_max) equal steps of (t1 - t0) / n, so every
+    saved row sits exactly at its requested time.  A segment that is a
+    whole multiple of dt_max up to roundoff takes that whole number of
+    steps.  The fan's spatial ordering is checked after every step, and
+    the integration stops at the first step where two adjacent
+    characteristics cross (or coincide): past it no single-valued action
+    field exists.  Returns the rows saved before the crossing and
+    `t_crossing`, the earliest root of the crossed gaps interpolated
+    linearly across that step (exact for free flow), or None if the fan
+    stayed monotone.
     """
-    ns = save_steps.size
+    force = partial(_horner, fc)
+    ns = save_times.size
     x_out = np.empty((ns, x0.size))
     p_out = np.empty((ns, x0.size))
     a_out = np.empty((ns, x0.size))
+    x, p = x0, p0
     act = np.zeros(x0.size)
     lag = 0.5 * p0 * p0 / m - _horner(vc, x0)
-    isave = 0
-    caustic_step = -1
-    if ns > 0 and save_steps[0] == 0:
-        x_out[0] = x0
-        p_out[0] = p0
-        a_out[0] = 0.0
-        isave = 1
-    for step, x, p, _ in _kdk(partial(_horner, fc), m, x0, p0, dt, n_steps):
-        if np.any(np.diff(x) <= 0.0):
-            caustic_step = step
-            break
-        lnew = 0.5 * p * p / m - _horner(vc, x)
-        act += 0.5 * dt * (lag + lnew)
-        lag = lnew
-        if isave < ns and step == save_steps[isave]:
-            x_out[isave] = x
-            p_out[isave] = p
-            a_out[isave] = act
-            isave += 1
-    return x_out[:isave], p_out[:isave], a_out[:isave], caustic_step
+    t0 = 0.0
+    for isave, t1 in enumerate(save_times):
+        # the relative shave keeps roundoff in the quotient from adding a
+        # step to a whole multiple of dt_max
+        n = int(np.ceil((t1 - t0) / dt_max * (1.0 - 1e-12)))
+        dt = (t1 - t0) / max(n, 1)
+        for step, x_new, p, _ in _kdk(force, m, x, p, dt, n):
+            if (x_new[1:] <= x_new[:-1]).any():
+                gap = np.diff(x)
+                gap_new = np.diff(x_new)
+                crossed = gap_new <= 0.0
+                frac = np.min(gap[crossed] / (gap[crossed] - gap_new[crossed]))
+                t_cross = t0 + (step - 1 + frac) * dt
+                return x_out[:isave], p_out[:isave], a_out[:isave], t_cross
+            x = x_new
+            lnew = 0.5 * p * p / m - _horner(vc, x)
+            act += 0.5 * dt * (lag + lnew)
+            lag = lnew
+        x_out[isave] = x
+        p_out[isave] = p
+        a_out[isave] = act
+        t0 = t1
+    return x_out, p_out, a_out, None
 
 
 def liouville_pullback(fc, m, x_nodes, p_nodes, dt, n_sub, n_checkpoints,

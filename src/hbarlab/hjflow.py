@@ -3,10 +3,15 @@
 The classical action equation dS/dt + (dS/dx)^2/2m + V = 0 is integrated by
 launching one Newton trajectory from every grid node with p0 = dS0/dx and
 accumulating the action S_j(t) = S0(x0_j) + int (p^2/2m - V) dt' along each.
+The fan runs segment by segment between the snapshot times, each segment in
+equal Stormer-Verlet steps no longer than the requested dt, so every
+snapshot is taken exactly at its requested time and a centred difference
+across snapshots t - delta, t, t + delta stays centred.
 
 Characteristics are exact pre-caustic; when neighbors cross, a single-valued
 action field stops existing, so the fan ends there and solve_hj raises
-CausticError with the crossing time.
+CausticError with the crossing time, interpolated within the step that
+detects it.
 
 The one representation of S at a snapshot is the cubic Hermite spline
 through the fan's nodes (x_j, S_j) with the exact nodal slopes
@@ -33,7 +38,6 @@ __all__ = [
     "integrate_fan",
     "solve_hj",
     "classical_hj_residual",
-    "expectations",
     "deterministic_continuity_check",
     "projected_newton_check",
 ]
@@ -43,7 +47,7 @@ __all__ = [
 class CharacteristicFan:
     x0: np.ndarray       # launch points: the grid's nodes
     p0: np.ndarray       # launch momenta dS0/dx(x0)
-    times: np.ndarray    # saved times
+    times: np.ndarray    # the snapshot times, each landed on exactly
     x: np.ndarray        # positions, shape (n_times, n_char)
     p: np.ndarray        # momenta
     action: np.ndarray   # S0(x0) + accumulated Lagrangian integral
@@ -68,12 +72,16 @@ class HJSolution:
 def integrate_fan(s0, V, t_final, dt=2e-4, snapshot_times=None):
     """Launch one characteristic from every node of s0's grid, with
     p0 = dS0/dx by second-order differences (exact for a quadratic S0), and
-    integrate them to t_final, recording positions, momenta, and actions at
-    the snapshot times (default: 9 evenly spaced in [0, t_final]).
+    integrate them through t_final, recording positions, momenta, and
+    actions at the snapshot times (default: 9 evenly spaced in
+    [0, t_final]).
 
-    The fan stops at the first crossing of adjacent characteristics: its
-    time is recorded on the returned fan, and only the snapshots before it
-    are kept.
+    dt is the largest step: the fan runs segment by segment between the
+    snapshot times and lands exactly on each, so `fan.times` are the
+    requested times, clipped to [0, t_final], sorted and without repeats.
+    The fan stops at the first crossing of adjacent characteristics, also
+    one after the last snapshot: its time is recorded on the returned fan,
+    and only the snapshots before it are kept.
     """
     if V.kind == "tabulated":
         raise DomainError(
@@ -85,29 +93,26 @@ def integrate_fan(s0, V, t_final, dt=2e-4, snapshot_times=None):
     x0 = g.x
     p0 = np.gradient(s0.values, g.dx, edge_order=2)
 
-    n_steps = int(np.ceil(t_final / dt))
-    dt_eff = t_final / n_steps
     if snapshot_times is None:
         snapshot_times = np.linspace(0.0, t_final, 9)
-    save_steps = np.unique(np.clip(np.rint(
-        np.asarray(snapshot_times, dtype=float) / dt_eff), 0, n_steps)
-    ).astype(np.int64)
-
-    X, P, A, caustic_step = _kernels.fan_path(
-        V.force_coeffs(), V.coeffs, V.mass, x0, p0, dt_eff, n_steps,
-        save_steps)
-    times = save_steps[:X.shape[0]] * dt_eff
-    action = A + s0.values[None, :]
-    t_crossing = caustic_step * dt_eff if caustic_step >= 0 else None
-    return CharacteristicFan(x0, p0, times, X, P, action, V.mass, t_crossing)
+    times = np.unique(np.clip(np.asarray(snapshot_times, dtype=float),
+                              0.0, t_final))
+    X, P, A, t_crossing = _kernels.fan_path(
+        V.force_coeffs(), V.coeffs, V.mass, x0, p0,
+        np.append(times, t_final), dt)
+    kept = min(X.shape[0], times.size)
+    action = A[:kept] + s0.values[None, :]
+    return CharacteristicFan(x0, p0, times[:kept], X[:kept], P[:kept],
+                             action, V.mass, t_crossing)
 
 
 def solve_hj(s0, V, t_final, dt=2e-4, snapshot_times=None):
-    """Integrate the classical action equation from the initial field s0.
+    """Integrate the classical action equation from the initial field s0,
+    with steps of at most dt landing exactly on the snapshot times.
 
     Returns an HJSolution holding S at each snapshot time as the fan's
     Hermite spline.  Raises CausticError(t_caustic) when adjacent
-    characteristics cross before t_final.
+    characteristics cross before t_final, also after the last snapshot.
     """
     fan = integrate_fan(s0, V, t_final, dt, snapshot_times)
     if fan.t_crossing is not None:
@@ -135,19 +140,6 @@ def classical_hj_residual(sol, V, i):
     integrand = ds_dt + grad_s ** 2 / (2.0 * V.mass) + eval_potential(V, g.x)
     region = sol.covered(i - 1, i, i + 1)
     return float(np.sqrt(g.dx * np.sum(integrand[region] ** 2)))
-
-
-def expectations(rho, s, m):
-    """(mean position, mean momentum) of a (rho, S) field pair:
-    x_mean = int x rho dx,  p_mean = int rho dS/dx dx."""
-    g = rho.grid
-    total = g.dx * rho.values.sum()
-    if abs(total - 1.0) > 1e-6:
-        raise DomainError(f"density mass {total} is not 1 within 1e-6")
-    x_mean = float(g.dx * np.sum(g.x * rho.values))
-    p_mean = float(g.dx * np.sum(
-        rho.values * np.gradient(s.values, g.dx, edge_order=2)))
-    return x_mean, p_mean
 
 
 # ----------------------------------------------------------------------

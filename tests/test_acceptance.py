@@ -268,10 +268,10 @@ def test_criterion_07_phj_deterministic_limit():
     p_traj = p0 + 3 * c * x0_traj ** 2
     r_traj = x0_traj + p_traj * t_run / m
     gaps = []
-    from helpers import gauss_rho
+    from helpers import expectations, gauss_rho
     for eps in [3e-2, 1e-2, 3e-3, 1e-3]:
         rho = real_field(gf, gauss_rho(gf.x, eps, r=r_traj))
-        x_mean, p_mean = hjflow.expectations(
+        x_mean, p_mean = expectations(
             rho, real_field(gf, solf.actions[-1](gf.x)), m)
         gaps.append(abs(p_mean - p_traj) + abs(x_mean - r_traj))
     slope_e = float(np.polyfit(np.log([3e-2, 1e-2, 3e-3, 1e-3]),

@@ -6,14 +6,13 @@ from hbarlab.grid import make_grid, real_field
 from hbarlab.hjflow import (
     classical_hj_residual,
     deterministic_continuity_check,
-    expectations,
     integrate_fan,
     projected_newton_check,
     solve_hj,
 )
 from hbarlab.potential import PotentialSpec, eval_potential
 
-from helpers import gauss_rho
+from helpers import expectations, gauss_rho
 
 
 def linear_s0(grid, p0):
@@ -65,6 +64,37 @@ class TestSolveHJ:
         assert len(fan.times) == fan.x.shape[0] == 4
         assert np.all(fan.times < fan.t_crossing)
         assert fan.p.shape == fan.action.shape == fan.x.shape
+
+    def test_crossing_after_last_snapshot_still_raises(self):
+        # the fan runs through t_final, so the focusing caustic at t = T
+        # ends it even when every snapshot comes before T
+        g = make_grid(-8, 8, 256)
+        T = 1.0
+        s0 = real_field(g, -g.x ** 2 / (2 * T))
+        fan = integrate_fan(s0, PotentialSpec.free(), t_final=1.5 * T,
+                            dt=2e-4, snapshot_times=[0.0, 0.5])
+        assert np.array_equal(fan.times, [0.0, 0.5])
+        assert fan.t_crossing == pytest.approx(T, abs=1e-9)
+        with pytest.raises(CausticError):
+            solve_hj(s0, PotentialSpec.free(), t_final=1.5 * T, dt=2e-4,
+                     snapshot_times=[0.0, 0.5])
+
+    def test_fan_lands_on_incommensurate_snapshot_times(self):
+        # report spacing 0.1275 with +-delta neighbours is no multiple of
+        # dt = 2e-4: the fan still saves exactly at every requested time,
+        # so the centred differences stay centred
+        g = make_grid(-8, 8, 256)
+        V = PotentialSpec.harmonic(1.0, 1.0)
+        report = np.linspace(0.12, 1.14, 9)
+        ts = np.unique(np.concatenate([report - 1e-3, report,
+                                       report + 1e-3]))
+        sol = solve_hj(linear_s0(g, 1.0), V, 1.2, dt=2e-4,
+                       snapshot_times=ts)
+        assert np.array_equal(sol.times, ts)
+        # the report rows are the snapshots 1, 4, 7, ... (residual entries
+        # 0, 3, 6, ...); their neighbours sit at -+ delta
+        res = projected_newton_check(sol, V, np.sin(sol.times))[::3]
+        assert np.max(res) <= 1e-5
 
     def test_rejects_tabulated_and_scheduled(self):
         g = make_grid(-8, 8, 256)

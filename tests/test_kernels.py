@@ -40,14 +40,16 @@ def test_stepper_retraces_its_path_backward(fc, x0, p0, dt, n):
 
 
 def test_single_characteristic_fan_is_the_verlet_trajectory():
+    # one segment of 5000 whole steps of dt_max: the same arithmetic as
+    # verlet_path, so the end points agree bit for bit
     fc = np.array([0.0, -0.6, 0.0, -0.2])       # V = 0.3 x^2 + 0.05 x^4
     vc = np.array([0.0, 0.0, 0.3, 0.0, 0.05])
     r, p, escape = _kernels.verlet_path(
-        partial(_kernels._horner, fc), 1.0, 0.7, -0.3, 1e-3, 5000, 100, 1e6)
+        partial(_kernels._horner, fc), 1.0, 0.7, -0.3, 1e-3, 5000, 5000, 1e6)
     assert escape == -1
-    save_steps = np.arange(0, 5001, 100)
-    x_fan, p_fan, _, _ = _kernels.fan_path(
-        fc, vc, 1.0, np.array([0.7]), np.array([-0.3]), 1e-3, 5000,
-        save_steps)
+    x_fan, p_fan, _, t_crossing = _kernels.fan_path(
+        fc, vc, 1.0, np.array([0.7]), np.array([-0.3]),
+        np.array([0.0, 5.0]), 1e-3)
+    assert t_crossing is None
     assert np.array_equal(x_fan[:, 0], r)
     assert np.array_equal(p_fan[:, 0], p)

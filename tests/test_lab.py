@@ -9,6 +9,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from hbarlab import hjflow
 from hbarlab.cli import cli_main as main
 from hbarlab.config import RunConfig, load_potential_table
 from hbarlab.detpot import classify
@@ -525,6 +526,26 @@ class TestExperiments:
         result = run_phj_demo(cfg)
         assert result.fits["projected_newton_residual_max"] <= 1e-5
 
+    def test_phj_report_rows_sit_between_neighbours_at_delta(
+            self, monkeypatch):
+        # every report row's dS/dt is the centred difference over the
+        # snapshots at t -+ delta, so both must sit exactly delta away
+        solve = hjflow.solve_hj
+        solved = []
+
+        def solve_and_keep(*args, **kwargs):
+            solved.append(solve(*args, **kwargs))
+            return solved[-1]
+        monkeypatch.setattr(hjflow, "solve_hj", solve_and_keep)
+        result = run_phj_demo(_preset_config("phj_harmonic"))
+        times = solved[0].times
+        rows = result.records[0].rows
+        assert len(rows) == 9
+        for row in rows:
+            i = int(np.flatnonzero(times == row[0])[0])
+            assert times[i] - times[i - 1] == pytest.approx(1e-3, abs=1e-15)
+            assert times[i + 1] - times[i] == pytest.approx(1e-3, abs=1e-15)
+
     def test_liouville_runner(self):
         cfg = RunConfig.from_text(
             "[experiment]\nkind = liouville_demo\n"
@@ -714,7 +735,11 @@ class TestCLI:
                      "--out", str(tmp_path)])
         assert code == 2
         err = capsys.readouterr().err
-        assert "t_caustic=1.0" in err
+        # the crossing time is interpolated within the detecting step, so
+        # it reads the exact caustic of the free focusing flow, t = 1
+        assert "crossed at t=1;" in err
+        t_caustic = float(err.split("t_caustic=")[1].split(")")[0])
+        assert abs(t_caustic - 1.0) <= 1e-9
 
     def test_report(self, tmp_path, capsys):
         code = main(["detpot", "--config", "detpot_quadratic",
