@@ -32,14 +32,16 @@ liouville_demo    phase-space blob transport checkpoints.
 (no kind)         the uncertainty run of `simulate`: one packet, the
                   uncertainty product against its floor hbar/2.
 
-Numerics policy: grids are auto-sized per run from the packet and
-potential scales (resolution follows the momentum content ~ p/hbar plus
-the packet's own spectral width down to the Madelung support floor, so
-step sizes shrink with hbar and splitting errors on the means drop as
-hbar^2 across a combined scan); BoundaryLeak triggers an automatic rerun
-on a doubled domain, at most twice.  A quantum run takes one time step,
-the phase-rotation limit of `schrodinger.max_stable_dt` (capped in a
-combined scan) shortened to a whole number of steps per snapshot interval;
+Numerics policy: every quantum run sizes its own grid from its packet
+and potential scales (resolution follows the momentum content ~ p/hbar
+plus the packet's own spectral width down to the Madelung support floor,
+so step sizes shrink with hbar and splitting errors on the means drop as
+hbar^2 across a combined scan); a packet that no grid of at most
+MAX_GRID_N points resolves is refused with DomainError.  BoundaryLeak
+triggers an automatic rerun on a doubled domain, at most twice.  A
+quantum run takes one time step, the phase-rotation limit of
+`schrodinger.max_stable_dt` on its own grid shortened to a whole number
+of steps per snapshot interval;
 its `schrodinger.propagate` calls share one set of phase factors;
 every snapshot is the middle of a triple one step apart, whose centered
 phase difference gives the dS/dt of `madelung.weighted_action_terms`.  A
@@ -83,6 +85,8 @@ __all__ = [
 ]
 
 MAX_WIDEN_RETRIES = 2
+MIN_GRID_N = 64                 # auto_grid's fewest points
+MAX_GRID_N = 1 << 16            # most points of any auto-sized or widened grid
 
 
 @dataclass
@@ -108,7 +112,9 @@ def auto_grid(V, eps0, r0, p0, hbar, t_final):
     (density standard deviation sigma_min) has fallen below
     `madelung.DEFAULT_FLOOR` of its peak.  For a polynomial or tabulated
     potential p_max also counts the largest V over the packet's tails down
-    to that floor.  n is a power of two, at least 256."""
+    to that floor.  n is the next power of two of what the packet needs, at
+    least MIN_GRID_N; a packet that needs more than MAX_GRID_N points is
+    refused with DomainError, since a clipped grid would not resolve it."""
     m = V.mass
     if V.kind == "harmonic":
         w = V.omega
@@ -166,7 +172,11 @@ def auto_grid(V, eps0, r0, p0, hbar, t_final):
     # every excess k costs steps quadratically
     k_need = 1.3 * p_max / hbar + 4.0 / sigma_min
     n_k = k_need * (2 * half) / np.pi
-    n = int(np.clip(_next_pow2(max(n_k, 256)), 256, 65536))
+    n = _next_pow2(max(n_k, MIN_GRID_N))
+    if n > MAX_GRID_N:
+        raise DomainError(
+            f"the packet needs a grid of {n} points (k_max {k_need:.4g} on "
+            f"[{-half:.4g}, {half:.4g}]); at most {MAX_GRID_N} are allowed")
     return make_grid(-half, half, n)
 
 
@@ -177,7 +187,6 @@ def auto_grid(V, eps0, r0, p0, hbar, t_final):
 @dataclass
 class QuantumRunData:
     grid: object
-    step_limit: float              # step bound before rounding
     dt: float                      # the one step of the run
     rows: np.ndarray               # one QUANTUM_COLUMNS row per snapshot
     fields: list                   # (t, x, rho, S) per snapshot if collected
@@ -211,11 +220,11 @@ def _snapshot_row(triple, V, dt):
 
 
 def quantum_run(V, grid, eps0, r0, p0, hbar, t_final, n_snapshots,
-                dt_cap=np.inf, collect_fields=False):
+                collect_fields=False):
     """Propagate a packet and collect the pinned per-snapshot observables.
 
     The run takes one step dt = t_snap / n_sub: the phase-rotation limit of
-    `schrodinger.max_stable_dt`, capped at dt_cap, shortened to a whole
+    `schrodinger.max_stable_dt` on this run's grid, shortened to a whole
     number (at least 3) of steps per snapshot interval.  Every snapshot,
     t = 0 included, is the middle of a triple one step apart, so the dS/dt
     entering the classical-residual column is a centered phase difference;
@@ -225,10 +234,10 @@ def quantum_run(V, grid, eps0, r0, p0, hbar, t_final, n_snapshots,
     2008, ch. III), and every pinned tolerance holds at this step.
     """
     m = V.mass
-    step_limit = min(schrodinger.max_stable_dt(grid, V, hbar, m), dt_cap)
     t_snap = t_final / n_snapshots
     # >= 3 steps per snapshot interval, so consecutive triples do not overlap
-    n_sub = max(3, int(np.ceil(t_snap / step_limit)))
+    n_sub = max(3, int(np.ceil(
+        t_snap / schrodinger.max_stable_dt(grid, V, hbar, m))))
     dt = t_snap / n_sub
 
     def step(state, n_steps=1):
@@ -247,23 +256,24 @@ def quantum_run(V, grid, eps0, r0, p0, hbar, t_final, n_snapshots,
         if collect_fields:
             mid = madelung.to_madelung(psi)
             fields.append((i * t_snap, grid.x, mid.rho.values, mid.s.values))
-    return QuantumRunData(grid, step_limit, dt, np.array(rows), fields,
+    return QuantumRunData(grid, dt, np.array(rows), fields,
                           propagation_steps=2 + n_snapshots * n_sub)
 
 
 def quantum_run_autowiden(V, grid, eps0, r0, p0, hbar, t_final, n_snapshots,
-                          dt_cap=np.inf, collect_fields=False):
+                          collect_fields=False):
     """quantum_run with the domain-doubling retry policy on BoundaryLeak;
-    the run's widen_retries counts the doublings."""
+    the run's widen_retries counts the doublings.  A doubling doubles n
+    too, up to MAX_GRID_N."""
     for attempt in range(MAX_WIDEN_RETRIES + 1):
         try:
             data = quantum_run(V, grid, eps0, r0, p0, hbar, t_final,
-                               n_snapshots, dt_cap, collect_fields)
+                               n_snapshots, collect_fields)
         except BoundaryLeak:
             if attempt == MAX_WIDEN_RETRIES:
                 raise
             half = grid.length            # doubled half-width
-            grid = make_grid(-half, half, min(2 * grid.n, 1 << 17))
+            grid = make_grid(-half, half, min(2 * grid.n, MAX_GRID_N))
             continue
         data.widen_retries = attempt
         return data
@@ -293,24 +303,21 @@ def _loglog_slope(x, y):
 
 
 def _quantum_scan(cfg, experiment, V, r0, p0, points, t_final, n_snapshots,
-                  point_fits, tighten_dt=False):
+                  point_fits):
     """One quantum run and one RunRecord per scan point.
 
     `points` holds (label, hbar, eps) triples and `point_fits(data, hbar,
-    eps)` gives each record's fits.  The grid comes from the config or from
-    auto_grid, and a BoundaryLeak widens it and retries.  With tighten_dt
-    each point's step is capped at 0.9x the previous point's, so splitting
-    error on the means falls along the scan.  Each record carries its run's
-    field dumps when the config asks for them.
+    eps)` gives each record's fits.  Each point's grid comes from the config
+    or from auto_grid for that point's packet, a BoundaryLeak widens it and
+    retries, and the run takes its own grid's step; no point's step depends
+    on another's.  Each record carries its run's field dumps when the
+    config asks for them.
     """
     records = []
-    dt_cap = np.inf
     for label, hbar, eps in points:
         grid = cfg.grid_spec() or auto_grid(V, eps, r0, p0, hbar, t_final)
         data = quantum_run_autowiden(V, grid, eps, r0, p0, hbar, t_final,
-                                     n_snapshots, dt_cap, cfg.dump_fields())
-        if tighten_dt:
-            dt_cap = 0.9 * data.step_limit
+                                     n_snapshots, cfg.dump_fields())
         fits = point_fits(data, hbar, eps)
         fits.update(grid_n=data.grid.n, dt=data.dt,
                     propagation_steps=data.propagation_steps,
@@ -443,7 +450,7 @@ def run_combined_limit(cfg):
     records = _quantum_scan(
         cfg, "combined_limit", V, r0, p0,
         [(f"hbar={hbar!r}", hbar, k * hbar) for hbar in hbar_list],
-        t_final, n_snapshots, point_fits, tighten_dt=True)
+        t_final, n_snapshots, point_fits)
     fits = {
         "k": k,
         "hbar_list": hbar_list,

@@ -8,6 +8,8 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hbarlab import hjflow
 from hbarlab.cli import cli_main as main
@@ -336,8 +338,7 @@ class TestExperiments:
         data = quantum_run_autowiden(V, wide, 0.5, 0.0, 0.0, 1.0, 2.0, 4)
         assert data.widen_retries == 0
 
-    @pytest.mark.parametrize("cap_fraction", [None, 0.3])
-    def test_quantum_run_step_schedule(self, cap_fraction, monkeypatch):
+    def test_quantum_run_step_schedule(self, monkeypatch):
         # one step dt throughout: a backward and a forward step around
         # t = 0, then per snapshot one span call and a centred triple
         from hbarlab import schrodinger
@@ -347,9 +348,8 @@ class TestExperiments:
         grid = make_grid(-10, 10, 256)
         hbar, t_final, n_snapshots = 1.0, 0.4, 4
         limit = schrodinger.max_stable_dt(grid, V, hbar, 1.0)
-        dt_cap = np.inf if cap_fraction is None else cap_fraction * limit
         t_snap = t_final / n_snapshots
-        n_sub = int(np.ceil(t_snap / min(limit, dt_cap)))
+        n_sub = int(np.ceil(t_snap / limit))
         assert n_sub >= 10
 
         calls = []
@@ -361,16 +361,34 @@ class TestExperiments:
 
         monkeypatch.setattr(schrodinger, "propagate", spy)
         data = quantum_run(V, grid, 0.5, 0.5, 0.5, hbar, t_final,
-                           n_snapshots, dt_cap)
+                           n_snapshots)
 
         dt = data.dt
         assert dt == t_snap / n_sub
-        assert dt <= min(limit, dt_cap)
+        assert dt <= limit
         assert calls == ([(dt, 1), (dt, 1)]
                          + [(dt, n_sub - 2), (dt, 1), (dt, 1)] * n_snapshots)
         assert np.array_equal(data.column("t"),
                               [i * t_snap for i in range(n_snapshots + 1)])
         assert data.propagation_steps == n_snapshots * n_sub + 2
+
+    def test_combined_scan_points_take_their_own_step(self):
+        # each point steps at its own auto grid's limit, whatever the
+        # points before it took
+        from hbarlab.schrodinger import max_stable_dt
+        cfg = small_config(["scan.hbar_list=1.0,0.1,0.01",
+                            "numerics.t_final=0.5",
+                            "numerics.n_snapshots=4"])
+        V = cfg.potential()
+        r0, p0 = cfg.packet_center()
+        t_snap = 0.5 / 4
+        result = run_combined_limit(cfg)
+        for rec, hbar in zip(result.records, [1.0, 0.1, 0.01]):
+            grid = auto_grid(V, 0.5 * hbar, r0, p0, hbar, 0.5)
+            limit = max_stable_dt(grid, V, hbar, V.mass)
+            assert rec.fits["grid_n"] == grid.n
+            assert rec.fits["dt"] == t_snap / max(3, int(np.ceil(
+                t_snap / limit)))
 
     def test_snapshot_norms_share_one_region(self):
         # the classical residual of the propagated S is the quantum-term
@@ -647,6 +665,40 @@ class TestAutoGrid:
         g = auto_grid(V, 0.5, 0.0, 1.0, 1.0, 1.0)
         assert g.x_max >= 1.5   # E ~ 1 -> turning point ~ 1. plus margin
 
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(),
+           kind=st.sampled_from(("free", "constant_force", "harmonic",
+                                 "quartic")),
+           hbar=st.floats(0.01, 1.0), eps=st.floats(0.005, 1.0),
+           r0=st.floats(-2.0, 2.0), p0=st.floats(-2.0, 2.0),
+           t_final=st.floats(0.1, 2.0))
+    def test_grid_resolves_initial_packet(self, data, kind, hbar, eps, r0,
+                                          p0, t_final):
+        # with no floor padding the resolution, the t = 0 packet must still
+        # sit inside the grid's spectrum and away from its edges
+        from hbarlab.madelung import DEFAULT_FLOOR
+        from hbarlab.schrodinger import (
+            LEAK_TOL,
+            boundary_leak_fraction,
+            init_gaussian,
+        )
+        if kind == "free":
+            V = PotentialSpec.free()
+        elif kind == "constant_force":
+            V = PotentialSpec.constant_force(data.draw(st.floats(-2.0, 2.0)))
+        elif kind == "harmonic":
+            V = PotentialSpec.harmonic(1.0, data.draw(st.floats(0.5, 2.0)))
+        else:
+            V = PotentialSpec.polynomial(
+                [0, 0, data.draw(st.floats(-1.0, 1.0)), 0,
+                 data.draw(st.floats(0.1, 1.0))])
+        grid = auto_grid(V, eps, r0, p0, hbar, t_final)
+        assert 64 <= grid.n <= 65536 and grid.n & (grid.n - 1) == 0
+        psi = init_gaussian(grid, eps, r0, p0, hbar, V.mass)
+        power = np.abs(np.fft.fft(psi.values)) ** 2
+        assert power[grid.n // 2] <= DEFAULT_FLOOR * power.max()
+        assert boundary_leak_fraction(psi) <= LEAK_TOL
+
 
 class TestCLI:
     def test_missing_config_exits_1(self, capsys):
@@ -902,7 +954,7 @@ class TestCLI:
             assert summary.count(f" {key}=") == 1
             assert f"\n{key} = " not in summary
             assert key not in meta and key not in columns
-        assert "grid_n=256" in out
+        assert "grid_n=64" in out
         assert "widen_retries=0" in out
         assert "\nfloor_satisfied = 1\n" in summary
         # the CLI prints the summary's record line, booleans as 1/0 too
@@ -915,6 +967,15 @@ class TestCLI:
         wall = [line for line in summary.splitlines()
                 if line.startswith("wall_clock_s = ")]
         assert len(wall) == 1 and float(wall[0].split("=")[1]) > 0
+
+    def test_unresolvable_packet_exits_1(self, tmp_path, capsys):
+        code = main(["simulate", "--config", "uncertainty_coherent",
+                     "--set", "packet.r0=1e6", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        assert "error: the packet needs a grid of " in err
+        assert "at most 65536" in err
 
     def test_scan_preset_writes_csv(self, tmp_path):
         code = main(["scan", "--config", "combined_harmonic",
