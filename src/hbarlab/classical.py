@@ -1,5 +1,4 @@
-"""Newtonian trajectories, phase-space transport, and expectation-value
-evolution checks.
+"""Newtonian trajectories and phase-space transport.
 
 newton_integrate is a velocity-Verlet (symplectic, second order)
 integrator; liouville_evolve advances a phase-space density by the backward
@@ -7,20 +6,6 @@ semi-Lagrangian method (each node is pulled back through the Newton flow
 and the initial density is sampled bilinearly at the feet, so there is no
 CFL limit and interpolation diffusion is paid once per checkpoint, never
 compounded across checkpoints).
-
-delta_ansatz_check verifies in weak form that a point density riding a
-Newton trajectory solves the phase-space transport equation: for smooth
-test functions phi(x, p),
-
-    d/dt phi(r(t), p(t)) = (p/m) dphi/dx - dV/dx dphi/dp
-
-along the trajectory.  This is the distribution statement behind the
-delta-function ansatz, tested without grid artifacts.
-
-ehrenfest_residuals checks the two expectation-value evolution laws,
-d<x>/dt = <p>/m and d<p>/dt = <-dV/dx>, on a series of wave functions.
-Both laws hold for every potential; what is special about potentials of
-degree <= 2 is only that the mean force equals the force at the mean.
 """
 
 from dataclasses import dataclass
@@ -31,7 +16,6 @@ import numpy as np
 from . import _kernels
 from .errors import DomainError, EscapeError, MassDriftError
 from .potential import eval_force, eval_potential
-from .schrodinger import observables
 
 __all__ = [
     "Trajectory",
@@ -41,9 +25,6 @@ __all__ = [
     "gaussian_phase_blob",
     "liouville_evolve",
     "phase_mass",
-    "weak_liouville_residual",
-    "delta_ansatz_check",
-    "ehrenfest_residuals",
 ]
 
 MASS_DRIFT_TOL = 1e-3
@@ -186,73 +167,3 @@ def liouville_evolve(rho0, V, t, dt, n_checkpoints=1):
                 f"phase mass drifted by {drift:.3e} (> {MASS_DRIFT_TOL}) "
                 f"at t = {t * k / n_checkpoints:.6g}")
     return out
-
-
-# ----------------------------------------------------------------------
-# Weak-form transport check for the point-density ansatz
-# ----------------------------------------------------------------------
-
-DEFAULT_TEST_FUNCTIONS = (
-    # (phi, dphi/dx, dphi/dp)
-    (lambda x, p: x, lambda x, p: 1.0, lambda x, p: 0.0),
-    (lambda x, p: p, lambda x, p: 0.0, lambda x, p: 1.0),
-    (lambda x, p: x * x, lambda x, p: 2 * x, lambda x, p: 0.0),
-    (lambda x, p: x * p, lambda x, p: p, lambda x, p: x),
-    (lambda x, p: p * p, lambda x, p: 0.0, lambda x, p: 2 * p),
-)
-
-
-def weak_liouville_residual(traj, V, test_functions=DEFAULT_TEST_FUNCTIONS):
-    """Max over test functions and interior times of
-    | d/dt phi(r, p) - [(p/m) dphi/dx - dV/dx dphi/dp] |."""
-    r, p, times = traj.r, traj.p, traj.times
-    if r.size < 3:
-        raise DomainError("need at least 3 samples")
-    h = times[1] - times[0]
-    force = eval_force(V, r)
-    worst = 0.0
-    for phi, phi_x, phi_p in test_functions:
-        series = phi(r, p) * np.ones_like(r)
-        dseries = (series[2:] - series[:-2]) / (2 * h)
-        rhs = ((p / traj.m) * phi_x(r, p) + force * phi_p(r, p)
-               * np.ones_like(r))[1:-1]
-        worst = max(worst, float(np.max(np.abs(dseries - rhs))))
-    return worst
-
-
-def delta_ansatz_check(V, r0, p0, t_final):
-    """Integrate a Newton trajectory (step 2e-4) and verify the weak-form
-    transport identity along it; returns the max residual over the default
-    test functions.  The sample spacing bounds the centered-differencing
-    error: ~8000 samples give ~1e-7 residuals on unit-scale problems."""
-    n_steps = int(np.ceil(t_final / 2e-4))
-    stride = max(1, n_steps // 8000)
-    n_steps = stride * int(np.ceil(n_steps / stride))
-    traj = newton_integrate(V, r0, p0, t_final / n_steps, n_steps,
-                            save_stride=stride)
-    return weak_liouville_residual(traj, V)
-
-
-# ----------------------------------------------------------------------
-# Expectation-value evolution residuals
-# ----------------------------------------------------------------------
-
-def ehrenfest_residuals(snapshots, V):
-    """Residual series of the two expectation-value laws on a series of
-    wave functions: residual1 = d<x>/dt - <p>/m and residual2 = d<p>/dt -
-    <F>, with second-order centered differences (one-sided at the ends)."""
-    if len(snapshots) < 3:
-        raise DomainError("need at least 3 snapshots")
-    times = np.array([s.t for s in snapshots])
-    h = times[1] - times[0]
-    if not np.allclose(np.diff(times), h, rtol=1e-9, atol=1e-12):
-        raise DomainError("snapshots must be uniformly spaced in time")
-    obs = [observables(s) for s in snapshots]
-    x_bar = np.array([o.x_mean for o in obs])
-    p_bar = np.array([o.p_mean for o in obs])
-    f_bar = np.array([s.grid.dx * np.sum(np.abs(s.values) ** 2
-                                         * eval_force(V, s.grid.x))
-                      for s in snapshots])
-    res1 = np.gradient(x_bar, h, edge_order=2) - p_bar / V.mass
-    res2 = np.gradient(p_bar, h, edge_order=2) - f_bar
-    return res1, res2

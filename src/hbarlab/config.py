@@ -92,7 +92,12 @@ class RunConfig:
     @classmethod
     def from_file(cls, path):
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_text(fh.read(), origin=str(path))
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as err:
+                raise DomainError(
+                    f"{path}: not a UTF-8 text file: {err}") from None
+        return cls.from_text(text, origin=str(path))
 
     def with_overrides(self, pairs):
         """Apply 'section.key=value' override strings."""

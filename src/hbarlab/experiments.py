@@ -105,16 +105,14 @@ def _next_pow2(n):
     return 1 << int(np.ceil(np.log2(max(n, 1))))
 
 
-def auto_grid(V, eps0, r0, p0, hbar, t_final):
-    """Size the domain from the classical extent plus packet tails, and the
-    resolution from the momentum content: k_max covers 1.3 p_max/hbar plus
-    4/sigma_min, where the spectral density of the packet at its narrowest
-    (density standard deviation sigma_min) has fallen below
-    `madelung.DEFAULT_FLOOR` of its peak.  For a polynomial or tabulated
-    potential p_max also counts the largest V over the packet's tails down
-    to that floor.  n is the next power of two of what the packet needs, at
-    least MIN_GRID_N; a packet that needs more than MAX_GRID_N points is
-    refused with DomainError, since a clipped grid would not resolve it."""
+def _packet_need(V, eps0, r0, p0, hbar, t_final):
+    """(half, k_need): the half-length of the domain, from the classical
+    extent plus packet tails, and the k_max the packet needs, 1.3
+    p_max/hbar plus 4/sigma_min, where the spectral density of the packet
+    at its narrowest (density standard deviation sigma_min) has fallen
+    below `madelung.DEFAULT_FLOOR` of its peak.  For a polynomial or
+    tabulated potential p_max also counts the largest V over the packet's
+    tails down to that floor."""
     m = V.mass
     if V.kind == "harmonic":
         w = V.omega
@@ -171,8 +169,22 @@ def auto_grid(V, eps0, r0, p0, hbar, t_final):
     # k sigma = 4 suffices; the step-size rule scales dt ~ 1/k_max^2, so
     # every excess k costs steps quadratically
     k_need = 1.3 * p_max / hbar + 4.0 / sigma_min
-    n_k = k_need * (2 * half) / np.pi
-    n = _next_pow2(max(n_k, MIN_GRID_N))
+    return half, k_need
+
+
+def auto_grid(V, eps0, r0, p0, hbar, t_final):
+    """The grid `_packet_need` asks for: n is the next power of two of the
+    points k_need needs on [-half, half], at least MIN_GRID_N.  A packet
+    that needs more than MAX_GRID_N points is refused with DomainError,
+    since a clipped grid would not resolve it; so is one whose need
+    overflows a float (an extreme packet, mass or hbar)."""
+    try:
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            half, k_need = _packet_need(V, eps0, r0, p0, hbar, t_final)
+            n_k = k_need * (2 * half) / np.pi
+    except OverflowError:           # a Python float power past 1.8e308
+        half = k_need = n_k = np.inf
+    n = _next_pow2(max(n_k, MIN_GRID_N)) if np.isfinite(n_k) else np.inf
     if n > MAX_GRID_N:
         raise DomainError(
             f"the packet needs a grid of {n} points (k_max {k_need:.4g} on "

@@ -10,20 +10,14 @@ phase of the next are applied as one full phase, so a step costs one FFT
 pair (scipy.fft) and two multiplies; a single-step call is the plain
 half-kinetic-half sequence.
 
-The module also carries the analytic Gaussian-packet family used as an
-oracle throughout the test suite: for free, constant-force, and harmonic
-potentials an initial packet
+Width convention: init_gaussian's packet of width parameter eps,
 
-    psi(x, 0) = (pi*eps)^(-1/4) exp(-(x - r0)^2 / (2 eps)) exp(i p0 x / hbar)
+    psi(x, 0) = (pi*eps)^(-1/4) exp(-(x - r0)^2 / (2 eps)) exp(i p0 x / hbar),
 
-stays Gaussian, its center follows the classical trajectory, and its width
-parameter eps(t) (defined so that 2*Var(x) = eps) obeys a closed form.
-
-Width convention: the density of the packet above is
-rho(x) = (pi*eps)^(-1/2) exp(-(x-r0)^2/eps) with variance eps/2 per axis,
-so the "measured width" A(t) is defined as 2*Var(x) and A(0) = eps.  This
-removes a silent factor-of-two trap when comparing against the closed
-forms.
+has density rho(x) = (pi*eps)^(-1/2) exp(-(x-r0)^2/eps) with variance
+eps/2, so the "measured width" A(t), `Observables.width`, is defined as
+2*Var(x) and A(0) = eps.  This removes a silent factor-of-two trap when
+comparing against the closed-form width laws.
 """
 
 from dataclasses import dataclass
@@ -37,17 +31,13 @@ from .potential import eval_potential
 
 __all__ = [
     "WaveFunction",
-    "GaussianPacketState",
     "Observables",
     "init_gaussian",
     "propagate",
     "max_stable_dt",
     "boundary_leak_fraction",
     "observables",
-    "width",
     "excess_kurtosis",
-    "energy_mean",
-    "analytic_gaussian",
 ]
 
 LEAK_TOL = 1e-10        # max density fraction in the outer 5% of each side
@@ -71,15 +61,6 @@ class WaveFunction:
     @property
     def values(self):
         return self.field.values
-
-
-@dataclass(frozen=True)
-class GaussianPacketState:
-    """Analytic packet state (eps(t), r(t), p(t)) for the closed-form cases."""
-
-    epsilon_t: float
-    r_t: float
-    p_t: float
 
 
 @dataclass(frozen=True)
@@ -241,65 +222,7 @@ def observables(psi):
                        float(np.sqrt(max(var_x, 0.0) * max(var_p, 0.0))))
 
 
-def width(psi):
-    """Measured width A = 2*Var(x), so A(0) equals the packet's eps."""
-    _, var_x, _ = _density_moments(psi)
-    return 2.0 * var_x
-
-
 def excess_kurtosis(psi):
     """Excess kurtosis of |psi|^2; zero for a Gaussian density."""
     _, var, m4 = _density_moments(psi)
     return float(m4 / var ** 2 - 3.0)
-
-
-def energy_mean(psi, V):
-    """<H> = int |hbar dpsi/dx|^2 / 2m + V |psi|^2 dx."""
-    g = psi.grid
-    dpsi = spectral_derivative(psi.field, 1).values
-    kin = g.dx * np.sum(np.abs(psi.hbar * dpsi) ** 2) / (2.0 * psi.m)
-    pot = g.dx * np.sum(eval_potential(V, g.x) * np.abs(psi.values) ** 2)
-    return float(kin + pot)
-
-
-# ----------------------------------------------------------------------
-# Analytic Gaussian-packet family
-# ----------------------------------------------------------------------
-
-def analytic_gaussian(case, epsilon0, p0, hbar, m, t, omega=None, f0=None):
-    """Closed-form (eps(t), r(t), p(t)) for the three solvable potentials,
-    for a packet that starts at r0 = 0.
-
-    free:           eps(t) = eps0 (1 + (hbar t / (m eps0))^2),
-                    r = p0 t / m, p = p0.
-    constant_force: same spreading as free (a uniform force translates the
-                    packet without reshaping it); r and p from uniform
-                    acceleration.
-    harmonic:       eps(t) = eps0 [cos^2(wt) + (hbar/(eps0 m w))^2 sin^2(wt)],
-                    r = (p0 / m w) sin(wt), p = m dr/dt.
-                    eps is constant exactly when eps0 = hbar / (m w)
-                    (the coherent packet).
-    """
-    if epsilon0 <= 0 or hbar <= 0 or m <= 0:
-        raise DomainError("epsilon0, hbar, and m must all be positive")
-    if case == "free":
-        eps_t = epsilon0 * (1.0 + (hbar * t / (m * epsilon0)) ** 2)
-        r_t = p0 * t / m
-        p_t = p0
-    elif case == "constant_force":
-        if f0 is None:
-            raise DomainError("constant_force case requires f0")
-        eps_t = epsilon0 * (1.0 + (hbar * t / (m * epsilon0)) ** 2)
-        r_t = p0 * t / m + 0.5 * f0 * t ** 2 / m
-        p_t = p0 + f0 * t
-    elif case == "harmonic":
-        if omega is None or omega <= 0:
-            raise DomainError("harmonic case requires omega > 0")
-        w = float(omega)
-        c, s = np.cos(w * t), np.sin(w * t)
-        eps_t = epsilon0 * (c ** 2 + (hbar / (epsilon0 * m * w)) ** 2 * s ** 2)
-        r_t = (p0 / (m * w)) * s
-        p_t = p0 * c
-    else:
-        raise DomainError(f"unknown analytic case {case!r}")
-    return GaussianPacketState(float(eps_t), float(r_t), float(p_t))

@@ -6,7 +6,7 @@ import os
 
 import numpy as np
 
-from hbarlab import classical, detpot, hjflow, madelung, schrodinger
+from hbarlab import classical, detpot, hjflow, schrodinger
 from hbarlab.config import RunConfig
 from hbarlab.experiments import (
     auto_grid,
@@ -18,7 +18,14 @@ from hbarlab.grid import make_grid, real_field
 from hbarlab.potential import PotentialSpec, eval_force, force_field
 from hbarlab.records import write_outputs
 
-from helpers import rel_err
+from helpers import (
+    analytic_gaussian,
+    analytic_packet_fields,
+    delta_ansatz_check,
+    ehrenfest_residuals,
+    hj_residual,
+    rel_err,
+)
 
 
 def report(criterion, ok, detail):
@@ -39,12 +46,12 @@ def run_widths(V, grid, eps, r0, p0, hbar, m, t_final, n_snap, label,
     t_snap = t_final / n_snap
     n_sub = int(np.ceil(t_snap / dt_max))
     times = [0.0]
-    widths = [schrodinger.width(psi)]
+    widths = [schrodinger.observables(psi).width]
     unc = [schrodinger.observables(psi).uncertainty_product]
     for i in range(1, n_snap + 1):
         psi = schrodinger.propagate(psi, V, t_snap / n_sub, n_sub)
         times.append(i * t_snap)
-        widths.append(schrodinger.width(psi))
+        widths.append(schrodinger.observables(psi).width)
         unc.append(schrodinger.observables(psi).uncertainty_product)
     UNCERTAINTY_SERIES[label] = (hbar, np.array(unc))
     return np.array(times), np.array(widths)
@@ -58,7 +65,7 @@ def test_criterion_01_free_packet_spreading():
     times, widths = run_widths(V, grid, eps, 0.0, 0.0, hbar, m, 2.0, 40,
                                "c1_free")
     analytic = np.array([
-        schrodinger.analytic_gaussian("free", eps, 0.0, hbar, m, t).epsilon_t
+        analytic_gaussian("free", eps, 0.0, hbar, m, t).epsilon_t
         for t in times])
     i1 = int(np.argmin(np.abs(times - 1.0)))
     err_at_1 = rel_err(widths[i1], 2.5)
@@ -142,9 +149,9 @@ def test_criterion_03_combined_limit_trajectories():
         ("free", PotentialSpec.free(), {}),
         ("harmonic", PotentialSpec.harmonic(1.0, 1.0), {"omega": 1.0}),
     ):
-        f, ds_dt = madelung.analytic_packet_fields(
+        f, ds_dt = analytic_packet_fields(
             case, g, k * hbar, 1.0, hbar, 1.0, t=0.7, **kw)
-        res_max = max(res_max, madelung.hj_residual(f, ds_dt, V))
+        res_max = max(res_max, hj_residual(f, ds_dt, V))
     ok = ok and res_max <= 1e-6
     report(3, ok, "; ".join(details) + f"; analytic-S residual {res_max:.2e}")
 
@@ -227,7 +234,7 @@ def test_criterion_06_ehrenfest_universality():
         snaps.append(psi)
     UNCERTAINTY_SERIES["c6_quartic"] = (hbar, np.array(
         [schrodinger.observables(s).uncertainty_product for s in snaps]))
-    res1, res2 = classical.ehrenfest_residuals(snaps, V)
+    res1, res2 = ehrenfest_residuals(snaps, V)
     gap = 0.0
     for s in snaps:
         rho = np.abs(s.values) ** 2
@@ -293,7 +300,7 @@ def test_criterion_07_phj_deterministic_limit():
 
 def test_criterion_08_liouville_newton_consistency():
     V = PotentialSpec.harmonic(1.0, 1.0)
-    res = classical.delta_ansatz_check(V, 1.0, 0.5, 2 * np.pi)
+    res = delta_ansatz_check(V, 1.0, 0.5, 2 * np.pi)
     rho0 = classical.gaussian_phase_blob(1.0, 0.0, 0.3, 0.3, -3, 3, -3, 3)
     (out,) = classical.liouville_evolve(rho0, V, 2 * np.pi, dt=1e-3)
     l1 = float(np.sum(np.abs(out.values - rho0.values)) * out.dx * out.dp)

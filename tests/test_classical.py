@@ -3,18 +3,21 @@ import pytest
 
 from hbarlab.classical import (
     Trajectory,
-    delta_ansatz_check,
-    ehrenfest_residuals,
     gaussian_phase_blob,
     liouville_evolve,
     newton_integrate,
     sample_trajectory,
-    weak_liouville_residual,
 )
 from hbarlab.errors import DomainError, EscapeError, MassDriftError
 from hbarlab.grid import make_grid
 from hbarlab.potential import PotentialSpec, eval_force
 from hbarlab.schrodinger import init_gaussian, max_stable_dt, propagate
+
+from helpers import (
+    delta_ansatz_check,
+    ehrenfest_residuals,
+    weak_liouville_residual,
+)
 
 
 class TestNewtonIntegrate:

@@ -706,6 +706,17 @@ class TestCLI:
         assert code == 1
         assert "/no/such/file.cfg" in capsys.readouterr().err
 
+    def test_non_utf8_config_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "utf16.cfg"
+        path.write_bytes(b"\xff\xfe[experiment]\n")
+        code = main(["simulate", "--config", str(path),
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        assert f"error: {path}: not a UTF-8 text file" in err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_flag_exits_1(self, capsys):
         code = main(["detpot", "--config", "detpot_quartic",
                      "--frobnicate"])
@@ -772,6 +783,20 @@ class TestCLI:
         proc = run("detpot", "--config", "detpot_quadratic", "--frobnicate")
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
+
+    def test_newton_side_imports_no_quantum_solver(self):
+        # classical and madelung stand without schrodinger and scipy
+        env = dict(os.environ, PYTHONPATH=os.path.join(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            "src"))
+        code = ("import sys\n"
+                "import hbarlab.classical, hbarlab.madelung\n"
+                "print(sorted(m for m in ('hbarlab.schrodinger', 'scipy')\n"
+                "             if m in sys.modules))\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_failed_run_leaves_no_earlier_outputs(self, tmp_path, capsys):
         out = str(tmp_path)
@@ -968,14 +993,33 @@ class TestCLI:
                 if line.startswith("wall_clock_s = ")]
         assert len(wall) == 1 and float(wall[0].split("=")[1]) > 0
 
-    def test_unresolvable_packet_exits_1(self, tmp_path, capsys):
-        code = main(["simulate", "--config", "uncertainty_coherent",
-                     "--set", "packet.r0=1e6", "--out", str(tmp_path)])
+    UNRESOLVABLE = [
+        ("simulate", "uncertainty_coherent", "packet.r0=1e6"),
+        # needs past the largest float: Python's ** overflows, or the point
+        # count is inf
+        ("simulate", "uncertainty_coherent", "packet.p0=1e300"),
+        ("simulate", "uncertainty_coherent", "packet.r0=1e300"),
+        ("simulate", "uncertainty_coherent", "packet.epsilon=1e300"),
+        ("simulate", "uncertainty_coherent", "potential.mass=1e-300"),
+        ("simulate", "uncertainty_coherent", "scan.hbar=1e-300"),
+        ("simulate", "uncertainty_coherent", "scan.hbar=1e300"),
+        ("scan", "deterministic_harmonic", "potential.omega=1e-300"),
+        ("scan", "combined_harmonic", "scan.k=1e300"),
+        ("scan", "standard_free", "scan.hbar_list=1e300,1e299,1e297"),
+    ]
+
+    @pytest.mark.parametrize("command, preset, override", UNRESOLVABLE,
+                             ids=[case[2] for case in UNRESOLVABLE])
+    def test_unresolvable_packet_exits_1(self, command, preset, override,
+                                         tmp_path, capsys):
+        code = main([command, "--config", preset,
+                     "--set", override, "--out", str(tmp_path)])
         err = capsys.readouterr().err
         assert code == 1
         assert "Traceback" not in err
         assert "error: the packet needs a grid of " in err
         assert "at most 65536" in err
+        assert not os.listdir(tmp_path)
 
     def test_scan_preset_writes_csv(self, tmp_path):
         code = main(["scan", "--config", "combined_harmonic",

@@ -5,15 +5,7 @@ from hypothesis import strategies as st
 
 from hbarlab.errors import DomainError, NodeError
 from hbarlab.grid import make_grid, real_field
-from hbarlab.madelung import (
-    analytic_packet_fields,
-    from_madelung,
-    hj_residual,
-    make_madelung,
-    quantum_term,
-    to_madelung,
-    weighted_action_terms,
-)
+from hbarlab.madelung import to_madelung, weighted_action_terms
 from hbarlab.potential import PotentialSpec
 from hbarlab.schrodinger import (
     WaveFunction,
@@ -21,11 +13,18 @@ from hbarlab.schrodinger import (
     max_stable_dt,
     observables,
     propagate,
-    width,
 )
 from hbarlab.grid import complex_field
 
-from helpers import gauss_rho, rel_err
+from helpers import (
+    analytic_packet_fields,
+    from_madelung,
+    gauss_rho,
+    hj_residual,
+    make_madelung,
+    quantum_term,
+    rel_err,
+)
 
 
 def fidelity(psi_a, psi_b):
@@ -104,7 +103,7 @@ class TestFromMadelung:
         ref = from_madelung(f2, m=1.0, t=t2)
         obs = observables(out)
         st_eps = 0.5 * (np.cos(t2) ** 2 + 4.0 * np.sin(t2) ** 2)
-        assert rel_err(width(out), st_eps) <= 1e-4
+        assert rel_err(observables(out).width, st_eps) <= 1e-4
         assert rel_err(obs.x_mean, np.sin(t2)) <= 1e-4
         assert fidelity(out, ref) >= 1.0 - 1e-4
 

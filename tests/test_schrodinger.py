@@ -12,17 +12,14 @@ from hbarlab.grid import complex_field, make_grid
 from hbarlab.potential import PotentialSpec, eval_potential
 from hbarlab.schrodinger import (
     WaveFunction,
-    analytic_gaussian,
-    energy_mean,
     excess_kurtosis,
     init_gaussian,
     max_stable_dt,
     observables,
     propagate,
-    width,
 )
 
-from helpers import rel_err, verlet_oracle
+from helpers import analytic_gaussian, energy_mean, rel_err, verlet_oracle
 
 
 def run_to(psi, V, t_final, safety=0.5):
@@ -85,7 +82,7 @@ class TestPropagate:
         g = make_grid(-20, 20, 512)
         psi = init_gaussian(g, 0.5, 0.0, 0.0, 1.0, 1.0)
         out = run_to(psi, PotentialSpec.free(), 1.0)
-        assert rel_err(width(out), 2.5) <= 1e-4
+        assert rel_err(observables(out).width, 2.5) <= 1e-4
 
     def test_coherent_width_constant_over_period(self):
         g = make_grid(-10, 10, 128)
@@ -96,7 +93,7 @@ class TestPropagate:
         n_chunk = int(np.ceil(2 * np.pi / (n_per * dt)))
         for _ in range(n_per):
             psi = propagate(psi, V, dt, n_chunk)
-            assert abs(width(psi) - 1.0) <= 1e-6
+            assert abs(observables(psi).width - 1.0) <= 1e-6
 
     def test_harmonic_width_quarter_period(self):
         # A_h(pi/2 / omega) = hbar^2 / (eps m^2 omega^2) = 2.0
@@ -104,7 +101,7 @@ class TestPropagate:
         V = PotentialSpec.harmonic(mass=1.0, omega=1.0)
         psi = init_gaussian(g, 0.5, 0.0, 0.0, 1.0, 1.0)
         out = run_to(psi, V, np.pi / 2, safety=0.25)
-        assert rel_err(width(out), 2.0) <= 1e-4
+        assert rel_err(observables(out).width, 2.0) <= 1e-4
 
     def test_norm_conserved_per_step(self):
         g = make_grid(-10, 10, 256)
@@ -316,7 +313,7 @@ class TestOracleAgreement:
                 ref = analytic_gaussian(case, eps, p0, hbar, m, psi.t,
                                         omega=omega, f0=f0)
                 obs = observables(psi)
-                assert rel_err(width(psi), ref.epsilon_t) <= 1e-4
+                assert rel_err(observables(psi).width, ref.epsilon_t) <= 1e-4
                 assert rel_err(obs.x_mean, ref.r_t) <= 1e-4
                 assert rel_err(obs.p_mean, ref.p_t) <= 1e-4
 
