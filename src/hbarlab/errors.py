@@ -3,7 +3,8 @@
 Two broad families: configuration/argument problems (`DomainError`) and
 numeric failures detected mid-run (boundary leakage, caustics, mass drift,
 escaping trajectories, inconclusive classification, phase nodes, norm
-drift).  The CLI maps the first to exit code 1, the second to exit code 2.
+drift, a result row holding nan or inf).  The CLI maps the first to exit
+code 1, the second to exit code 2.
 """
 
 

@@ -7,8 +7,8 @@ ordered by scan index, so reruns of the same configuration produce
 byte-identical CSVs.  EXPERIMENTS is the one
 list of experiment kinds: it maps each [experiment] kind to the CLI command
 that runs it and to its runner.  `run_experiment` is how a run starts: it
-refuses an unknown kind and times the runner, and that one timer's reading
-is the summary's wall_clock_s.
+refuses an unknown kind, times the runner, and refuses a result whose rows
+hold nan or inf; that one timer's reading is the summary's wall_clock_s.
 
 standard_limit    fixed packet width, shrinking hbar: the hbar^2 term in
                   the action equation is measured directly (its norm) and
@@ -60,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classical, detpot, hjflow, madelung, schrodinger
-from .errors import BoundaryLeak, DomainError
+from .errors import BoundaryLeak, DomainError, LabError
 from .grid import complex_field, make_grid, real_field
 from .potential import eval_potential
 from .records import (
@@ -172,24 +172,32 @@ def _packet_need(V, eps0, r0, p0, hbar, t_final):
     return half, k_need
 
 
+def _finite_need(V, eps0, r0, p0, hbar, t_final):
+    """`_packet_need`, with inf for a need that overflows a float (an
+    extreme packet, mass or hbar)."""
+    try:
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            return _packet_need(V, eps0, r0, p0, hbar, t_final)
+    except OverflowError:           # a Python float power past 1.8e308
+        return np.inf, np.inf
+
+
 def auto_grid(V, eps0, r0, p0, hbar, t_final):
     """The grid `_packet_need` asks for: n is the next power of two of the
     points k_need needs on [-half, half], at least MIN_GRID_N.  A packet
     that needs more than MAX_GRID_N points is refused with DomainError,
     since a clipped grid would not resolve it; so is one whose need
-    overflows a float (an extreme packet, mass or hbar)."""
-    try:
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            half, k_need = _packet_need(V, eps0, r0, p0, hbar, t_final)
-            n_k = k_need * (2 * half) / np.pi
-    except OverflowError:           # a Python float power past 1.8e308
-        half = k_need = n_k = np.inf
-    n = _next_pow2(max(n_k, MIN_GRID_N)) if np.isfinite(n_k) else np.inf
-    if n > MAX_GRID_N:
+    overflows a float."""
+    half, k_need = _finite_need(V, eps0, r0, p0, hbar, t_final)
+    with np.errstate(over="ignore", invalid="ignore"):
+        n_k = k_need * (2 * half) / np.pi
+    if not n_k <= MAX_GRID_N:
+        count = f"{n_k:.3g}" if np.isfinite(n_k) else "over 1.8e+308"
         raise DomainError(
-            f"the packet needs a grid of {n} points (k_max {k_need:.4g} on "
-            f"[{-half:.4g}, {half:.4g}]); at most {MAX_GRID_N} are allowed")
-    return make_grid(-half, half, n)
+            f"the packet needs a grid of {count} points (k_max {k_need:.4g} "
+            f"on [{-half:.4g}, {half:.4g}]); at most {MAX_GRID_N} are "
+            f"allowed")
+    return make_grid(-half, half, _next_pow2(max(n_k, MIN_GRID_N)))
 
 
 # ----------------------------------------------------------------------
@@ -319,15 +327,25 @@ def _quantum_scan(cfg, experiment, V, r0, p0, points, t_final, n_snapshots,
     """One quantum run and one RunRecord per scan point.
 
     `points` holds (label, hbar, eps) triples and `point_fits(data, hbar,
-    eps)` gives each record's fits.  Each point's grid comes from the config
-    or from auto_grid for that point's packet, a BoundaryLeak widens it and
-    retries, and the run takes its own grid's step; no point's step depends
-    on another's.  Each record carries its run's field dumps when the
+    eps)` gives each record's fits.  Each point's grid comes from auto_grid
+    for that point's packet, or from the config, which must then reach the
+    k_max auto_grid would ask for; a BoundaryLeak widens it and retries,
+    and the run takes its own grid's step; no point's step depends on
+    another's.  Each record carries its run's field dumps when the
     config asks for them.
     """
     records = []
     for label, hbar, eps in points:
-        grid = cfg.grid_spec() or auto_grid(V, eps, r0, p0, hbar, t_final)
+        grid = cfg.grid_spec()
+        if grid is None:
+            grid = auto_grid(V, eps, r0, p0, hbar, t_final)
+        else:
+            k_need = _finite_need(V, eps, r0, p0, hbar, t_final)[1]
+            if not np.pi / grid.dx >= k_need:
+                raise DomainError(
+                    f"{cfg.origin}: [numerics] grid reaches k_max "
+                    f"{np.pi / grid.dx:.4g}, but the packet at {label} needs "
+                    f"{k_need:.4g}; use a finer grid or grid = auto")
         data = quantum_run_autowiden(V, grid, eps, r0, p0, hbar, t_final,
                                      n_snapshots, cfg.dump_fields())
         fits = point_fits(data, hbar, eps)
@@ -479,9 +497,15 @@ def run_detpot(cfg):
     """Thin wrapper over the convolution classifier."""
     V = cfg.potential()
     grid = cfg.grid_spec() or detpot.default_grid()
-    eps_raw = cfg.get("scan", "epsilon_list", None)
-    eps_list = (detpot.default_epsilon_list(grid) if eps_raw is None
-                else cfg.get_float_list("scan", "epsilon_list"))
+    if cfg.get("scan", "epsilon_list", None) is not None:
+        eps_list = cfg.get_float_list("scan", "epsilon_list")
+    else:
+        try:
+            eps_list = detpot.default_epsilon_list(grid)
+        except OverflowError:
+            raise DomainError(
+                f"{cfg.origin}: [numerics] grid is too long for the default "
+                f"epsilon_list (L/12)^2 to be a float") from None
     tol = cfg.get_positive("numerics", "tol", detpot.DEFAULT_TOL)
     report = detpot.classify(V, eps_list, tol, grid)
     rows = tuple(zip(report.epsilon_list, report.residual_per_epsilon,
@@ -620,7 +644,9 @@ EXPERIMENTS = {
 
 def run_experiment(cfg):
     """Run the config's [experiment] kind; the one timer of a run sets the
-    result's wall_clock, which summary.txt reports as wall_clock_s."""
+    result's wall_clock, which summary.txt reports as wall_clock_s.  A
+    record row holding nan or inf raises LabError: such a number means the
+    run overflowed, not that it measured something."""
     kind = cfg.get("experiment", "kind", None)
     if kind not in EXPERIMENTS:
         raise DomainError(f"unknown experiment kind {kind!r}; expected one "
@@ -628,4 +654,11 @@ def run_experiment(cfg):
     start = time.perf_counter()
     result = EXPERIMENTS[kind][1](cfg)
     result.wall_clock = time.perf_counter() - start
+    for rec in result.records:
+        rows = np.asarray(rec.rows, dtype=float).reshape(-1, len(rec.columns))
+        bad = ~np.isfinite(rows).all(axis=0)
+        if bad.any():
+            raise LabError(
+                f"{rec.experiment} {rec.label}: column "
+                f"{rec.columns[int(np.argmax(bad))]} holds nan or inf")
     return result

@@ -13,20 +13,21 @@ action field stops existing, so the fan ends there and solve_hj raises
 CausticError with the crossing time, interpolated within the step that
 detects it.
 
-The one representation of S at a snapshot is the cubic Hermite spline
-through the fan's nodes (x_j, S_j) with the exact nodal slopes
-dS/dx(x_j) = p_j that the fan provides for free: piecewise cubic, valid
-for the monotone node ordering pre-caustic, and exact whenever S is
-quadratic in x (every linear-flow case).  Every x-derivative is the
-spline's own, spline(x, 1) and spline(x, 2); t-derivatives are centered
-differences across snapshots.  A grid point is covered at a snapshot when
-it lies between the fan's two end characteristics.
+The one representation of S at a snapshot is the fan's own arrays: S is
+the cubic Hermite spline through the fan's nodes (x_j, S_j) with the exact
+nodal slopes dS/dx(x_j) = p_j that the fan provides for free, evaluated
+straight from those arrays by `HJSolution.action`.  It is piecewise cubic
+and C^1, valid for the monotone node ordering pre-caustic, exact whenever S
+is quadratic in x (every linear-flow case), and its end cubics extend past
+the fan's ends.  Every x-derivative is the spline's own, action(i, x, 1)
+and action(i, x, 2); t-derivatives are centered differences across
+snapshots.  A grid point is covered at a snapshot when it lies between the
+fan's two end characteristics.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 from . import _kernels
 from .errors import CausticError, DomainError
@@ -58,9 +59,32 @@ class CharacteristicFan:
 @dataclass(frozen=True)
 class HJSolution:
     grid: object
-    times: np.ndarray
-    actions: tuple          # S per snapshot: CubicHermiteSpline on the fan
     fan: CharacteristicFan
+
+    @property
+    def times(self):
+        return self.fan.times
+
+    def action(self, i, x, order=0):
+        """S at snapshot i, or its order-th x-derivative (order 0, 1 or 2),
+        at x: the cubic Hermite through the fan's (x_j, S_j) with slopes
+        p_j, whose end cubics extend past the fan's ends."""
+        xs, s, p = self.fan.x[i], self.fan.action[i], self.fan.p[i]
+        j = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, xs.size - 2)
+        h = xs[j + 1] - xs[j]
+        slope = (s[j + 1] - s[j]) / h
+        t = (p[j] + p[j + 1] - 2.0 * slope) / h
+        c2 = (slope - p[j]) / h - t
+        c3 = t / h
+        u = x - xs[j]
+        # ascending powers, summed in scipy's PPoly order
+        if order == 0:
+            return s[j] + p[j] * u + c2 * (u * u) + c3 * (u * u * u)
+        if order == 1:
+            return p[j] + c2 * u * 2.0 + c3 * (u * u) * 3.0
+        if order == 2:
+            return c2 * 2.0 + c3 * u * 6.0
+        raise DomainError(f"action order must be 0, 1 or 2, got {order}")
 
     def covered(self, *snapshots):
         """Grid points inside the fan at every one of the given snapshots."""
@@ -110,7 +134,7 @@ def solve_hj(s0, V, t_final, dt=2e-4, snapshot_times=None):
     """Integrate the classical action equation from the initial field s0,
     with steps of at most dt landing exactly on the snapshot times.
 
-    Returns an HJSolution holding S at each snapshot time as the fan's
+    Returns an HJSolution that reads S at each snapshot time off the fan's
     Hermite spline.  Raises CausticError(t_caustic) when adjacent
     characteristics cross before t_final, also after the last snapshot.
     """
@@ -120,9 +144,7 @@ def solve_hj(s0, V, t_final, dt=2e-4, snapshot_times=None):
             f"characteristics crossed at t={fan.t_crossing:.6g}; "
             f"single-valued action field ends there",
             t_caustic=fan.t_crossing)
-    actions = tuple(CubicHermiteSpline(xj, action, p, extrapolate=True)
-                    for xj, action, p in zip(fan.x, fan.action, fan.p))
-    return HJSolution(s0.grid, fan.times, actions, fan)
+    return HJSolution(s0.grid, fan)
 
 
 def classical_hj_residual(sol, V, i):
@@ -135,8 +157,8 @@ def classical_hj_residual(sol, V, i):
         raise DomainError("residual needs an interior snapshot index")
     g = sol.grid
     dt2 = sol.times[i + 1] - sol.times[i - 1]
-    ds_dt = (sol.actions[i + 1](g.x) - sol.actions[i - 1](g.x)) / dt2
-    grad_s = sol.actions[i](g.x, 1)
+    ds_dt = (sol.action(i + 1, g.x) - sol.action(i - 1, g.x)) / dt2
+    grad_s = sol.action(i, g.x, 1)
     integrand = ds_dt + grad_s ** 2 / (2.0 * V.mass) + eval_potential(V, g.x)
     region = sol.covered(i - 1, i, i + 1)
     return float(np.sqrt(g.dx * np.sum(integrand[region] ** 2)))
@@ -177,11 +199,11 @@ def deterministic_continuity_check(epsilon, sol, r_t, p_t):
     term1 = np.empty(sol.times.size)
     term2 = np.empty(sol.times.size)
     p_gap = np.empty(sol.times.size)
-    for i, action in enumerate(sol.actions):
+    for i in range(sol.times.size):
         nodes = r_t[i] + se * z
-        grad_vals = action(nodes, 1)
+        grad_vals = sol.action(i, nodes, 1)
         term1[i] = np.sum(w * se * z * (p_t[i] - grad_vals))
-        term2[i] = 0.5 * epsilon * np.sum(w * action(nodes, 2))
+        term2[i] = 0.5 * epsilon * np.sum(w * sol.action(i, nodes, 2))
         p_gap[i] = p_t[i] - np.sum(w * grad_vals)
     return term1, term2, p_gap
 
@@ -200,7 +222,7 @@ def projected_newton_check(sol, V, r_t):
     for i in range(1, sol.times.size - 1):
         r = r_t[i]
         dt2 = sol.times[i + 1] - sol.times[i - 1]
-        dt_grad = (sol.actions[i + 1](r, 1) - sol.actions[i - 1](r, 1)) / dt2
-        advect = sol.actions[i](r, 1) * sol.actions[i](r, 2) / V.mass
+        dt_grad = (sol.action(i + 1, r, 1) - sol.action(i - 1, r, 1)) / dt2
+        advect = sol.action(i, r, 1) * sol.action(i, r, 2) / V.mass
         out[i - 1] = abs(dt_grad + advect - eval_force(V, r))
     return out

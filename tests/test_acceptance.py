@@ -279,7 +279,7 @@ def test_criterion_07_phj_deterministic_limit():
     for eps in [3e-2, 1e-2, 3e-3, 1e-3]:
         rho = real_field(gf, gauss_rho(gf.x, eps, r=r_traj))
         x_mean, p_mean = expectations(
-            rho, real_field(gf, solf.actions[-1](gf.x)), m)
+            rho, real_field(gf, solf.action(-1, gf.x)), m)
         gaps.append(abs(p_mean - p_traj) + abs(x_mean - r_traj))
     slope_e = float(np.polyfit(np.log([3e-2, 1e-2, 3e-3, 1e-3]),
                                np.log(gaps), 1)[0])

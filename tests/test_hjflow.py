@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hbarlab.errors import CausticError, DomainError
 from hbarlab.grid import make_grid, real_field
 from hbarlab.hjflow import (
+    CharacteristicFan,
+    HJSolution,
     classical_hj_residual,
     deterministic_continuity_check,
     integrate_fan,
@@ -19,6 +24,40 @@ def linear_s0(grid, p0):
     return real_field(grid, p0 * grid.x)
 
 
+@st.composite
+def hermite_nodes(draw):
+    """(x, s, p): strictly increasing nodes with values and slopes."""
+    n = draw(st.integers(2, 12))
+    gaps = draw(arrays(np.float64, n - 1, elements=st.floats(0.05, 1.0)))
+    x = draw(st.floats(-5.0, 5.0)) + np.concatenate([[0.0], np.cumsum(gaps)])
+    value = arrays(np.float64, n, elements=st.floats(-5.0, 5.0))
+    return x, draw(value), draw(value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nodes=hermite_nodes(),
+       q=arrays(np.float64, st.integers(1, 20), elements=st.floats(0.0, 1.0)))
+def test_action_is_scipys_cubic_hermite(nodes, q):
+    # scipy's spline, with its end cubics extrapolating, is the oracle:
+    # at the nodes, between them and up to 3 beyond either end
+    from scipy.interpolate import CubicHermiteSpline
+    x, s, p = nodes
+    fan = CharacteristicFan(x, p, np.zeros(1), x[None], p[None], s[None],
+                            1.0)
+    sol = HJSolution(None, fan)
+    spline = CubicHermiteSpline(x, s, p, extrapolate=True)
+    xq = np.concatenate([x, x[0] - 3.0 + (x[-1] - x[0] + 6.0) * q])
+    for order in range(3):
+        want = spline(xq, order)
+        scale = 1.0 + np.max(np.abs(want))
+        assert np.allclose(sol.action(0, xq, order), want, rtol=0.0,
+                           atol=1e-12 * scale)
+    assert np.allclose(sol.action(0, x), s, rtol=0.0, atol=1e-13)
+    assert np.allclose(sol.action(0, x, 1), p, rtol=0.0, atol=1e-12)
+    with pytest.raises(DomainError):
+        sol.action(0, x, 3)
+
+
 class TestSolveHJ:
     def test_free_linear_flow_exact(self):
         g = make_grid(-8, 8, 256)
@@ -28,7 +67,7 @@ class TestSolveHJ:
         for i, t in enumerate(sol.times):
             expected = p0 * g.x - p0 ** 2 * t / 2.0
             cov = sol.covered(i)
-            err = np.max(np.abs(sol.actions[i](g.x)[cov] - expected[cov]))
+            err = np.max(np.abs(sol.action(i, g.x)[cov] - expected[cov]))
             assert err <= 1e-8
         assert classical_hj_residual(sol, V, len(sol.times) // 2) <= 1e-8
 
@@ -140,9 +179,9 @@ class TestMomentumFieldAndExpectations:
                        snapshot_times=[0.0, 0.4, 0.8])
         i = 1
         fan = sol.fan
-        assert np.max(np.abs(sol.actions[i](fan.x[i], 1) - fan.p[i])) \
+        assert np.max(np.abs(sol.action(i, fan.x[i], 1) - fan.p[i])) \
             <= 1e-12
-        pf = sol.actions[i](g.x, 1)
+        pf = sol.action(i, g.x, 1)
         p_oracle = PchipInterpolator(fan.x[i], fan.p[i])(g.x)
         region = sol.covered(i)
         assert np.max(np.abs(pf[region] - p_oracle[region])) <= 1e-6
@@ -248,7 +287,7 @@ class TestQuantumConsistency:
         deps_over_eps = -2.0 * np.tan(t_eval)
         expected_s = (0.25 * deps_over_eps * (g.x - r_t) ** 2
                       + p_t * g.x - 0.5 * p_t * r_t)
-        got = sol.actions[-1](g.x)
+        got = sol.action(-1, g.x)
         window = np.abs(g.x) <= 5.0
         diff = got[window] - expected_s[window]
         diff -= diff.mean()     # action fields match up to a constant

@@ -785,18 +785,22 @@ class TestCLI:
         assert "Traceback" not in proc.stderr
 
     def test_newton_side_imports_no_quantum_solver(self):
-        # classical and madelung stand without schrodinger and scipy
+        # classical and madelung stand without schrodinger and scipy, and
+        # the whole CLI without scipy.interpolate: the phj action is
+        # evaluated in numpy, and scipy serves only propagate's FFT
         env = dict(os.environ, PYTHONPATH=os.path.join(
             os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
             "src"))
         code = ("import sys\n"
                 "import hbarlab.classical, hbarlab.madelung\n"
                 "print(sorted(m for m in ('hbarlab.schrodinger', 'scipy')\n"
-                "             if m in sys.modules))\n")
+                "             if m in sys.modules))\n"
+                "import hbarlab.cli\n"
+                "print('scipy.interpolate' in sys.modules)\n")
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert proc.stdout.split() == ["[]", "False"]
 
     def test_failed_run_leaves_no_earlier_outputs(self, tmp_path, capsys):
         out = str(tmp_path)
@@ -995,6 +999,7 @@ class TestCLI:
 
     UNRESOLVABLE = [
         ("simulate", "uncertainty_coherent", "packet.r0=1e6"),
+        ("simulate", "uncertainty_coherent", "packet.r0=1e100"),
         # needs past the largest float: Python's ** overflows, or the point
         # count is inf
         ("simulate", "uncertainty_coherent", "packet.p0=1e300"),
@@ -1019,6 +1024,63 @@ class TestCLI:
         assert "Traceback" not in err
         assert "error: the packet needs a grid of " in err
         assert "at most 65536" in err
+        # the point count prints in short form, however large the need
+        assert all(len(line) <= 160 for line in err.splitlines()
+                   if line.startswith("error:"))
+        assert not os.listdir(tmp_path)
+
+    UNRESOLVED_GRID = [
+        ("simulate", "uncertainty_coherent", "numerics.grid=-1000,1000,16"),
+        ("simulate", "uncertainty_coherent", "numerics.grid=-1e300,1e300,64"),
+        ("simulate", "uncertainty_coherent", "numerics.grid=-20,20,16"),
+        ("detpot", "detpot_quadratic", "numerics.grid=-1e300,1e300,64"),
+    ]
+
+    @pytest.mark.parametrize("command, preset, override", UNRESOLVED_GRID,
+                             ids=[case[2] for case in UNRESOLVED_GRID])
+    def test_unresolving_explicit_grid_exits_1(self, command, preset,
+                                               override, tmp_path, capsys):
+        # an explicit quantum grid must reach the k_max auto_grid asks for
+        code = main([command, "--config", preset,
+                     "--set", override, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        assert "error: preset:" in err and "[numerics] grid" in err
+        assert not os.listdir(tmp_path)
+
+    def test_explicit_grid_that_resolves_the_packet_runs(self, tmp_path,
+                                                         capsys):
+        # k_max = pi / 0.25 = 12.6 against the packet's need of 6.96
+        code = main(["simulate", "--config", "uncertainty_coherent",
+                     "--set", "numerics.grid=-8,8,64",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        assert "grid_n=64" in capsys.readouterr().out
+
+    NON_FINITE = [
+        ("phj", "phj_harmonic", "packet.s0_curvature=1e300",
+         "phj_demo characteristics"),
+        ("phj", "phj_harmonic", "packet.s0_curvature=1e200",
+         "phj_demo characteristics"),
+        ("phj", "phj_harmonic", "packet.s0_curvature=1e150",
+         "phj_demo characteristics"),
+        ("detpot", "detpot_quadratic", "numerics.grid=-1e150,1e150,64",
+         "detpot classification"),
+    ]
+
+    @pytest.mark.parametrize("command, preset, override, record", NON_FINITE,
+                             ids=[case[2] for case in NON_FINITE])
+    def test_non_finite_row_exits_2(self, command, preset, override, record,
+                                    tmp_path, capsys):
+        # an overflowed run is a numeric failure, not a result
+        code = main([command, "--config", preset,
+                     "--set", override, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert f"numeric failure: {record}: column " in err
+        assert "holds nan or inf" in err
         assert not os.listdir(tmp_path)
 
     def test_scan_preset_writes_csv(self, tmp_path):
