@@ -2,11 +2,14 @@
 
 `_kdk` is the only kick-drift-kick (Stormer-Verlet) loop in the package.
 It works on scalars and on numpy arrays alike, and run with a negative dt
-it traces the same flow backward.  The three public kernels are short loops
-over it: the scalar Newton trajectory (`verlet_path`), the characteristic
-fan with its action integral, in equal steps between its save times
-(`fan_path`), and the backward semi-Lagrangian phase-space pullback
-(`liouville_pullback`).
+it traces the same flow backward.  It steps copies of its start arrays in
+place, so a step makes no new node arrays; what it yields is valid only
+until its next step, and a kernel that needs the previous step keeps its
+own copy.  The three public kernels are short loops over it: the scalar
+Newton trajectory (`verlet_path`), the characteristic fan with its action
+integral, in equal steps between its save times (`fan_path`), and the
+backward semi-Lagrangian phase-space pullback (`liouville_pullback`).
+MAX_STEPS bounds the time steps of any one run, classical or quantum.
 
 Everything is serial numpy and evaluation order is fixed, so reruns are
 byte-identical.  Polynomials are coefficient arrays (low -> high degree):
@@ -17,26 +20,55 @@ from functools import partial
 
 import numpy as np
 
+from .errors import DomainError
+
+# the most time steps one run may take, classical or quantum
+MAX_STEPS = 10 ** 7
+
+
+def check_steps(n_steps, keys):
+    """Refuse, before the first step, a run of n_steps time steps (a float
+    or inf before rounding) above MAX_STEPS with DomainError naming the
+    [numerics] keys that set the count."""
+    if not n_steps <= MAX_STEPS:
+        raise DomainError(
+            f"the run would take {n_steps:.3g} time steps, more than "
+            f"{MAX_STEPS:.0e}; the count follows from [numerics] {keys}")
+
 
 def _horner(c, x):
     """sum_j c[j] x**j by Horner's rule from the leading coefficient, bit
     for bit numpy's polyval; a size-1 c gives the scalar c[0], which
-    broadcasts against x."""
-    acc = c[-1]
-    for j in range(c.size - 2, -1, -1):
-        acc = acc * x + c[j]
+    broadcasts against x.  An array x gets one new array, updated in
+    place."""
+    if c.size == 1:
+        return c[0]
+    acc = c[-1] * x
+    for j in range(c.size - 2, 0, -1):
+        acc += c[j]
+        acc *= x
+    acc += c[0]
     return acc
 
 
 def _kdk(force, m, x, p, dt, n_steps):
     """Kick-drift-kick steps from (x, p) under the force x -> F(x); yields
-    (step, x, p, f) after each of the steps 1..n_steps, f = F(x)."""
+    (step, x, p, f) after each of the steps 1..n_steps, f = F(x).
+
+    x and p are copied once at entry and then updated in place, so the
+    caller's arrays are never touched and an array step makes no new x or
+    p; the yielded arrays are valid only until the next step.  On scalars
+    the same augmented assignments just rebind."""
+    x = x * 1.0
+    p = p * 1.0
+    h = 0.5 * dt
+    dtm = dt / m
     f = force(x)
     for step in range(1, n_steps + 1):
-        ph = p + 0.5 * dt * f
-        x = x + dt * ph / m
+        p += h * f
+        x += dtm * p
         f = force(x)
-        p = ph + 0.5 * dt * f
+        p += h * f
         yield step, x, p, f
 
 
@@ -79,7 +111,9 @@ def fan_path(fc, vc, m, x0, p0, save_times, dt_max):
     x_out = np.empty((ns, x0.size))
     p_out = np.empty((ns, x0.size))
     a_out = np.empty((ns, x0.size))
-    x, p = x0, p0
+    # x keeps the previous step's positions for the crossing interpolation:
+    # the stepper updates its own x in place
+    x, p = x0.copy(), p0
     act = np.zeros(x0.size)
     lag = 0.5 * p0 * p0 / m - _horner(vc, x0)
     t0 = 0.0
@@ -96,7 +130,7 @@ def fan_path(fc, vc, m, x0, p0, save_times, dt_max):
                 frac = np.min(gap[crossed] / (gap[crossed] - gap_new[crossed]))
                 t_cross = t0 + (step - 1 + frac) * dt
                 return x_out[:isave], p_out[:isave], a_out[:isave], t_cross
-            x = x_new
+            np.copyto(x, x_new)
             lnew = 0.5 * p * p / m - _horner(vc, x)
             act += 0.5 * dt * (lag + lnew)
             lag = lnew
@@ -117,8 +151,6 @@ def liouville_pullback(fc, m, x_nodes, p_nodes, dt, n_sub, n_checkpoints,
     stride = n_sub // n_checkpoints
     nx, npp = x_nodes.size, p_nodes.size
     out = []
-    # the flat nodes are held by nothing else, so they are freed once the
-    # first step moves the feet, leaving room for the checkpoints kept
     for step, x, p, _ in _kdk(partial(_horner, fc), m,
                               np.repeat(x_nodes, npp), np.tile(p_nodes, nx),
                               -dt, n_sub):

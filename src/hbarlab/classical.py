@@ -138,9 +138,10 @@ def liouville_evolve(rho0, V, t, dt, n_checkpoints=1):
     checkpoint are where the pull back to the next starts; at each
     checkpoint rho0 is sampled bilinearly at the feet -- one interpolation
     per checkpoint regardless of t.  Returns a tuple of PhaseDensity, one
-    per checkpoint.  Raises MassDriftError when the advected mass at any
-    checkpoint drifts beyond 1e-3 (grid too coarse or support reaching the
-    boundary).
+    per checkpoint.  More than `_kernels.MAX_STEPS` sub-steps raise
+    DomainError before the first.  Raises MassDriftError when the advected
+    mass at any checkpoint drifts beyond 1e-3 (grid too coarse or support
+    reaching the boundary).
     """
     if V.kind == "tabulated":
         raise DomainError(
@@ -151,7 +152,9 @@ def liouville_evolve(rho0, V, t, dt, n_checkpoints=1):
         raise DomainError(
             f"n_checkpoints must be >= 1, got {n_checkpoints}")
     _validated(rho0)
-    n_sub = n_checkpoints * max(1, int(np.ceil(t / (n_checkpoints * dt))))
+    n_per = max(1.0, np.ceil(t / (n_checkpoints * dt)))
+    _kernels.check_steps(n_checkpoints * n_per, "t_final, dt and n_snapshots")
+    n_sub = n_checkpoints * int(n_per)
     dt_eff = t / n_sub
     checkpoints = _kernels.liouville_pullback(
         V.force_coeffs(), V.mass, rho0.x_nodes, rho0.p_nodes, dt_eff, n_sub,

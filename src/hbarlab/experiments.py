@@ -41,7 +41,8 @@ MAX_GRID_N points resolves is refused with DomainError.  BoundaryLeak
 triggers an automatic rerun on a doubled domain, at most twice.  A
 quantum run takes one time step, the phase-rotation limit of
 `schrodinger.max_stable_dt` on its own grid shortened to a whole number
-of steps per snapshot interval;
+of steps per snapshot interval, and a run of more than
+`_kernels.MAX_STEPS` steps is refused with DomainError before its first;
 its `schrodinger.propagate` calls share one set of phase factors;
 every snapshot is the middle of a triple one step apart, whose centered
 phase difference gives the dS/dt of `madelung.weighted_action_terms`.  A
@@ -60,6 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classical, detpot, hjflow, madelung, schrodinger
+from ._kernels import check_steps
 from .errors import BoundaryLeak, DomainError, LabError
 from .grid import complex_field, make_grid, real_field
 from .potential import eval_potential
@@ -256,8 +258,10 @@ def quantum_run(V, grid, eps0, r0, p0, hbar, t_final, n_snapshots,
     m = V.mass
     t_snap = t_final / n_snapshots
     # >= 3 steps per snapshot interval, so consecutive triples do not overlap
-    n_sub = max(3, int(np.ceil(
-        t_snap / schrodinger.max_stable_dt(grid, V, hbar, m))))
+    n_sub = max(3.0, np.ceil(
+        t_snap / schrodinger.max_stable_dt(grid, V, hbar, m)))
+    check_steps(2 + n_snapshots * n_sub, "t_final (or t_star) and n_snapshots")
+    n_sub = int(n_sub)
     dt = t_snap / n_sub
 
     def step(state, n_steps=1):
@@ -423,7 +427,9 @@ def run_deterministic_limit(cfg):
     # shared reference grid (largest domain: the smallest width spreads most)
     ref_grid = cfg.grid_spec() or auto_grid(V, eps_list[-1], r0, p0, hbar,
                                             t_star)
-    n_ref = int(np.ceil(t_star / 1e-3))
+    n_ref = np.ceil(t_star / 1e-3)
+    check_steps(n_ref, "t_star")
+    n_ref = int(n_ref)
     traj = classical.newton_integrate(V, r0, p0, t_star / n_ref, n_ref)
     r_star = traj.r[-1]
 
@@ -465,7 +471,9 @@ def run_combined_limit(cfg):
     n_snapshots = cfg.get_int("numerics", "n_snapshots", 64)
 
     t_snap = t_final / n_snapshots
-    n_per = int(np.ceil(t_snap / 1e-4))
+    n_per = np.ceil(t_snap / 1e-4)
+    check_steps(n_per * n_snapshots, "t_final")
+    n_per = int(n_per)
     traj = classical.newton_integrate(
         V, r0, p0, t_snap / n_per, n_per * n_snapshots, save_stride=n_per)
 
@@ -572,7 +580,9 @@ def run_phj_demo(cfg):
     sol = hjflow.solve_hj(s0, V, t_final, dt=delta / 4,
                           snapshot_times=snapshot_times)
 
-    n_traj = int(np.ceil(t_final / 1e-4))
+    n_traj = np.ceil(t_final / 1e-4)
+    check_steps(n_traj, "t_final")
+    n_traj = int(n_traj)
     traj = classical.newton_integrate(V, r0, p0, t_final / n_traj, n_traj,
                                       save_stride=max(1, n_traj // 4000))
     r_t, p_t = classical.sample_trajectory(traj, sol.times)
@@ -646,13 +656,15 @@ def run_experiment(cfg):
     """Run the config's [experiment] kind; the one timer of a run sets the
     result's wall_clock, which summary.txt reports as wall_clock_s.  A
     record row holding nan or inf raises LabError: such a number means the
-    run overflowed, not that it measured something."""
+    run overflowed, not that it measured something, so numpy's
+    floating-point warnings are silenced while the run computes."""
     kind = cfg.get("experiment", "kind", None)
     if kind not in EXPERIMENTS:
         raise DomainError(f"unknown experiment kind {kind!r}; expected one "
                           f"of {', '.join(map(repr, EXPERIMENTS))}")
     start = time.perf_counter()
-    result = EXPERIMENTS[kind][1](cfg)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        result = EXPERIMENTS[kind][1](cfg)
     result.wall_clock = time.perf_counter() - start
     for rec in result.records:
         rows = np.asarray(rec.rows, dtype=float).reshape(-1, len(rec.columns))

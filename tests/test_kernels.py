@@ -53,3 +53,27 @@ def test_single_characteristic_fan_is_the_verlet_trajectory():
     assert t_crossing is None
     assert np.array_equal(x_fan[:, 0], r)
     assert np.array_equal(p_fan[:, 0], p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fc=st.lists(unit, min_size=1, max_size=4),
+       nodes=st.lists(st.tuples(unit, unit), min_size=1, max_size=8),
+       m=st.floats(0.5, 2.0), dt=st.floats(-1e-2, 1e-2),
+       n=st.integers(1, 50))
+def test_array_steps_are_the_scalar_steps(fc, nodes, m, dt, n):
+    # the array path updates its own copies in place; every node must
+    # still follow its scalar path bit for bit, and the caller's arrays
+    # stay as they were
+    force = partial(_kernels._horner, np.array(fc))
+    x0 = np.array([x for x, _ in nodes])
+    p0 = np.array([p for _, p in nodes])
+    x_start, p_start = x0.copy(), p0.copy()
+    scalar = [[(x, p) for _, x, p, _ in _kernels._kdk(force, m, x, p, dt, n)]
+              for x, p in nodes]
+    for step, x, p, _ in _kernels._kdk(force, m, x0, p0, dt, n):
+        assert x.tobytes() == np.array(
+            [path[step - 1][0] for path in scalar]).tobytes()
+        assert p.tobytes() == np.array(
+            [path[step - 1][1] for path in scalar]).tobytes()
+    assert x0.tobytes() == x_start.tobytes()
+    assert p0.tobytes() == p_start.tobytes()

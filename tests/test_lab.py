@@ -4,6 +4,7 @@ import io
 import os
 import subprocess
 import sys
+import warnings
 from importlib import resources
 
 import numpy as np
@@ -1073,14 +1074,51 @@ class TestCLI:
                              ids=[case[2] for case in NON_FINITE])
     def test_non_finite_row_exits_2(self, command, preset, override, record,
                                     tmp_path, capsys):
-        # an overflowed run is a numeric failure, not a result
+        # an overflowed run is a numeric failure, not a result, and the
+        # failure line is all it prints: no numpy warnings ahead of it
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([command, "--config", preset,
+                         "--set", override, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert not caught
+        [line] = err.splitlines()
+        assert line.startswith(f"numeric failure: {record}: column ")
+        assert line.endswith(" holds nan or inf")
+        assert not os.listdir(tmp_path)
+
+    TOO_MANY_STEPS = [
+        ("liouville", "liouville_harmonic", "numerics.t_final=1e300",
+         "t_final, dt and n_snapshots"),
+        ("liouville", "liouville_harmonic", "numerics.dt=1e-300",
+         "t_final, dt and n_snapshots"),
+        ("simulate", "uncertainty_coherent", "numerics.t_final=1e300",
+         "t_final (or t_star) and n_snapshots"),
+        ("simulate", "uncertainty_coherent", "numerics.n_snapshots=100000000",
+         "t_final (or t_star) and n_snapshots"),
+        # the Newton reference runs first; t_final / 1e-4 overflows a float
+        ("scan", "combined_harmonic", "numerics.t_final=1e308", "t_final"),
+        ("scan", "deterministic_harmonic", "numerics.t_star=1e300",
+         "t_star"),
+        ("phj", "phj_harmonic", "numerics.t_final=1e300", "t_final"),
+    ]
+
+    @pytest.mark.parametrize("command, preset, override, keys",
+                             TOO_MANY_STEPS,
+                             ids=[f"{case[0]}-{case[2]}"
+                                  for case in TOO_MANY_STEPS])
+    def test_too_many_steps_exits_1(self, command, preset, override, keys,
+                                    tmp_path, capsys):
+        # refused before the first step, where it used to run without end
         code = main([command, "--config", preset,
                      "--set", override, "--out", str(tmp_path)])
         err = capsys.readouterr().err
-        assert code == 2
+        assert code == 1
         assert "Traceback" not in err
-        assert f"numeric failure: {record}: column " in err
-        assert "holds nan or inf" in err
+        assert "error: the run would take " in err
+        assert (f" time steps, more than 1e+07; the count follows from "
+                f"[numerics] {keys}\n") in err
         assert not os.listdir(tmp_path)
 
     def test_scan_preset_writes_csv(self, tmp_path):
