@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DomainError, EscapeError, MassDriftError
-from .potential import eval_force, eval_potential
+from .potential import eval_force
 
 __all__ = [
     "Trajectory",
@@ -36,7 +36,6 @@ class Trajectory:
     times: np.ndarray
     r: np.ndarray
     p: np.ndarray
-    energy: np.ndarray
     m: float
 
 
@@ -62,8 +61,7 @@ def newton_integrate(V, r0, p0, dt, n_steps, save_stride=1,
         raise EscapeError(
             f"trajectory left |r| <= {escape_bound:g} at t={esc * dt:.6g}")
     times = dt * save_stride * np.arange(r_out.size)
-    energy = 0.5 * p_out ** 2 / V.mass + eval_potential(V, r_out)
-    return Trajectory(times, r_out, p_out, energy, V.mass)
+    return Trajectory(times, r_out, p_out, V.mass)
 
 
 def sample_trajectory(traj, times):

@@ -240,7 +240,12 @@ class RunConfig:
         """Explicit grid from [numerics] grid = xmin,xmax,n; None for auto."""
         if str(self.get("numerics", "grid", "auto")).strip().lower() == "auto":
             return None
-        return make_grid(*self._bounds_and_counts("grid", "xmin,xmax,n", 1))
+        bounds = self._bounds_and_counts("grid", "xmin,xmax,n", 1)
+        try:
+            return make_grid(*bounds)
+        except DomainError as err:
+            raise DomainError(
+                f"{self.origin}: [numerics] grid: {err}") from None
 
     def phase_grid(self):
         """[numerics] phase_grid = xmin,xmax,pmin,pmax,nx,np, with

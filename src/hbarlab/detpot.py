@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InconclusiveError
-from .grid import make_grid, real_field
-from .potential import force_field
+from .grid import make_grid
+from .potential import eval_force
 
 __all__ = [
     "DetpotReport",
@@ -65,29 +65,27 @@ def _windowed_norm(grid, values, window):
     return float(np.sqrt(grid.dx * np.sum(values[window] ** 2)))
 
 
-def gaussian_convolve(f, epsilon):
-    """Circular convolution of a field with the normalized Gaussian kernel
-    of variance eps/2, via FFT.
+def gaussian_convolve(grid, values, epsilon):
+    """Circular convolution of values sampled on grid with the normalized
+    Gaussian kernel of variance eps/2, via FFT, as an array.
 
     The kernel is sampled on the periodic grid and renormalized so its
-    discrete mass is exactly one (a constant field is then a fixed point to
-    machine precision).  eps = 0 returns the field unchanged.
+    discrete mass is exactly one (a constant is then a fixed point to
+    machine precision).  eps = 0 returns a copy of the values.
     """
     if epsilon < 0:
         raise DomainError(f"epsilon must be nonnegative, got {epsilon}")
     if epsilon == 0.0:
-        return real_field(f.grid, f.values.copy())
-    g = f.grid
-    if np.sqrt(epsilon) > g.length / 12.0:
+        return np.array(values, dtype=float)
+    if np.sqrt(epsilon) > grid.length / 12.0:
         raise DomainError(
             f"kernel width sqrt(eps)={np.sqrt(epsilon):.3g} exceeds L/12 "
-            f"= {g.length / 12.0:.3g}; wrap-around would contaminate")
-    dist = g.x - g.x_min
-    dist = np.minimum(dist, g.length - dist)   # periodic distance to 0
+            f"= {grid.length / 12.0:.3g}; wrap-around would contaminate")
+    dist = grid.x - grid.x_min
+    dist = np.minimum(dist, grid.length - dist)   # periodic distance to 0
     kernel = np.exp(-dist ** 2 / epsilon)
-    kernel /= g.dx * kernel.sum()
-    conv = np.fft.ifft(np.fft.fft(f.values) * np.fft.fft(kernel)).real * g.dx
-    return real_field(g, conv)
+    kernel /= grid.dx * kernel.sum()
+    return np.fft.ifft(np.fft.fft(values) * np.fft.fft(kernel)).real * grid.dx
 
 
 def detpot_residual(V, epsilon, grid=None):
@@ -95,11 +93,10 @@ def detpot_residual(V, epsilon, grid=None):
     norms over the central window."""
     if grid is None:
         grid = default_grid()
-    F = force_field(V, grid)
-    conv = gaussian_convolve(F, epsilon)
+    F = eval_force(V, grid.x)
     window = _window(grid)
-    num = _windowed_norm(grid, F.values - conv.values, window)
-    den = _windowed_norm(grid, F.values, window)
+    num = _windowed_norm(grid, F - gaussian_convolve(grid, F, epsilon), window)
+    den = _windowed_norm(grid, F, window)
     return num / (den + TINY)
 
 
@@ -112,26 +109,24 @@ def _seam_slope(V, grid):
     problem -- precisely the content the convolution factor annihilates."""
     if V.kind == "tabulated":
         return 0.0
-    from .potential import eval_force
     return (eval_force(V, grid.x_min + grid.length)
             - eval_force(V, grid.x_min)) / grid.length
 
 
 def fourier_residual(V, epsilon, grid=None):
     """Per-mode residual |F(k)| (1 - exp(-eps k^2 / 4)) of the seam-detrended
-    force, returned as a field whose values live on the wavenumber axis
-    (grid.k ordering, transform scaled by dx)."""
+    force, as an array on the wavenumber axis (grid.k ordering, transform
+    scaled by dx)."""
     if grid is None:
         grid = default_grid()
     if epsilon < 0:
         raise DomainError(f"epsilon must be nonnegative, got {epsilon}")
     if epsilon > 0 and np.sqrt(epsilon) > grid.length / 12.0:
         raise DomainError("kernel too wide for the domain")
-    F = force_field(V, grid)
-    vals = F.values - _seam_slope(V, grid) * (grid.x - grid.x_min)
+    vals = eval_force(V, grid.x) - _seam_slope(V, grid) * (grid.x - grid.x_min)
     f_hat = grid.dx * np.fft.fft(vals)
     factor = 1.0 - np.exp(-epsilon * grid.k ** 2 / 4.0)
-    return real_field(grid, np.abs(f_hat) * factor)
+    return np.abs(f_hat) * factor
 
 
 def fourier_residual_norm(V, epsilon, grid=None):
@@ -140,7 +135,7 @@ def fourier_residual_norm(V, epsilon, grid=None):
     if grid is None:
         grid = default_grid()
     res = fourier_residual(V, epsilon, grid)
-    return float(np.sqrt(np.sum(res.values ** 2) / grid.length))
+    return float(np.sqrt(np.sum(res ** 2) / grid.length))
 
 
 @dataclass(frozen=True)
@@ -169,11 +164,11 @@ def classify(V, epsilon_list=None, tol=DEFAULT_TOL, grid=None):
         epsilon_list = default_epsilon_list(grid)
     eps = sorted(float(e) for e in epsilon_list)
     if len(eps) < 3:
-        raise DomainError("need at least 3 widths")
+        raise DomainError("epsilon_list needs at least 3 widths")
     if eps[0] <= 0:
-        raise DomainError("widths must be positive")
+        raise DomainError("epsilon_list widths must be positive")
     if eps[-1] / eps[0] < 99.0:
-        raise DomainError("widths must span at least 2 decades")
+        raise DomainError("epsilon_list must span at least 2 decades")
 
     residuals = [detpot_residual(V, e, grid) for e in eps]
     fouriers = [fourier_residual_norm(V, e, grid) for e in eps]

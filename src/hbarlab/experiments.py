@@ -63,7 +63,7 @@ import numpy as np
 from . import classical, detpot, hjflow, madelung, schrodinger
 from ._kernels import check_steps
 from .errors import BoundaryLeak, DomainError, LabError
-from .grid import complex_field, make_grid, real_field
+from .grid import make_grid, real_field
 from .potential import eval_potential
 from .records import (
     DETPOT_COLUMNS,
@@ -223,8 +223,8 @@ class QuantumRunData:
 def _time_reversed(psi):
     """conj(psi) at -t.  For a real potential conj U(dt) conj = U(-dt), so
     reversing, propagating and reversing again steps backward in time."""
-    return schrodinger.WaveFunction(
-        complex_field(psi.grid, np.conj(psi.values)), psi.hbar, psi.m, -psi.t)
+    return schrodinger.WaveFunction(psi.grid, np.conj(psi.values), psi.hbar,
+                                    psi.m, -psi.t)
 
 
 def _snapshot_row(triple, V, dt):
@@ -234,11 +234,10 @@ def _snapshot_row(triple, V, dt):
     equation."""
     snap = triple[1]
     obs = schrodinger.observables(snap)
-    norms = [float(np.sqrt(snap.grid.dx * np.sum(side.values ** 2)))
+    norms = [float(np.sqrt(snap.grid.dx * np.sum(side ** 2)))
              for side in madelung.weighted_action_terms(triple, V, dt)]
     return (obs.x_mean, obs.p_mean, obs.var_x, obs.var_p,
-            obs.uncertainty_product, obs.width,
-            schrodinger.excess_kurtosis(snap), *norms)
+            obs.uncertainty_product, obs.width, obs.kurtosis_excess, *norms)
 
 
 def quantum_run(V, grid, eps0, r0, p0, hbar, t_final, n_snapshots,
@@ -472,7 +471,7 @@ def run_combined_limit(cfg):
 
     t_snap = t_final / n_snapshots
     n_per = np.ceil(t_snap / 1e-4)
-    check_steps(n_per * n_snapshots, "t_final")
+    check_steps(n_per * n_snapshots, "t_final and n_snapshots")
     n_per = int(n_per)
     traj = classical.newton_integrate(
         V, r0, p0, t_snap / n_per, n_per * n_snapshots, save_stride=n_per)
@@ -583,8 +582,7 @@ def run_phj_demo(cfg):
     n_traj = np.ceil(t_final / 1e-4)
     check_steps(n_traj, "t_final")
     n_traj = int(n_traj)
-    traj = classical.newton_integrate(V, r0, p0, t_final / n_traj, n_traj,
-                                      save_stride=max(1, n_traj // 4000))
+    traj = classical.newton_integrate(V, r0, p0, t_final / n_traj, n_traj)
     r_t, p_t = classical.sample_trajectory(traj, sol.times)
     term1, term2, p_gap = hjflow.deterministic_continuity_check(
         eps, sol, r_t, p_t)
@@ -615,8 +613,12 @@ def run_liouville_demo(cfg):
     dt = cfg.get_positive("numerics", "dt", 1e-3)
     x_min, x_max, p_min, p_max, nx, n_p = cfg.phase_grid()
     sigma = np.sqrt(eps / 2.0)
-    rho0 = classical.gaussian_phase_blob(r0, p0, sigma, sigma,
-                                         x_min, x_max, p_min, p_max, nx, n_p)
+    try:
+        rho0 = classical.gaussian_phase_blob(
+            r0, p0, sigma, sigma, x_min, x_max, p_min, p_max, nx, n_p)
+    except DomainError as err:
+        raise DomainError(f"{cfg.origin}: [packet] epsilon, r0, p0 and "
+                          f"[numerics] phase_grid: {err}") from None
     X, P = np.meshgrid(rho0.x_nodes, rho0.p_nodes, indexing="ij")
     densities = classical.liouville_evolve(rho0, V, t_final, dt, n_check)
     rows = []

@@ -1,13 +1,19 @@
 """Uniform periodic 1D grid with FFT-based differentiation.
 
-All field modules share this substrate.  Sample points are
-x_i = x_min + i*dx for i in [0, n); the right endpoint is excluded because
-the domain is periodic with length L = x_max - x_min.  Wavenumbers follow
-the standard FFT layout (0, 1, ..., n/2-1, -n/2, ..., -1) * 2*pi/L, so a
-field is differentiated by multiplying its transform with (ik)^order.
+Sample points are x_i = x_min + i*dx for i in [0, n); the right endpoint
+is excluded because the domain is periodic with length L = x_max - x_min.
+Wavenumbers follow the standard FFT layout
+(0, 1, ..., n/2-1, -n/2, ..., -1) * 2*pi/L, so sampled values are
+differentiated by multiplying their transform with (ik)^order.
 
-Grids are power-of-two only (n >= 16); fields are immutable after
-construction and safe to share across threads.
+The lab's functions pass sampled values as plain arrays beside their grid.
+A RealField carries the grid with its values only where the callee cannot
+know the grid: a potential table read from a file, phj's initial action
+s0 and the (rho, S) of a field dump.
+
+Grids are power-of-two only (n >= 16).  A RealField's values, like a wave
+function's, are a read-only copy checked for length and finiteness at
+construction, so both are safe to share across threads.
 """
 
 from dataclasses import dataclass
@@ -19,10 +25,8 @@ from .errors import DomainError
 __all__ = [
     "Grid",
     "RealField",
-    "ComplexField",
     "make_grid",
     "real_field",
-    "complex_field",
     "spectral_derivative",
 ]
 
@@ -81,6 +85,8 @@ def make_grid(x_min, x_max, n):
 
 
 def _check_values(grid, values, dtype):
+    """A read-only copy of values as dtype, refused with DomainError unless
+    it holds one finite sample per grid point."""
     values = np.asarray(values, dtype=dtype)
     if values.shape != (grid.n,):
         raise DomainError(
@@ -96,37 +102,25 @@ class RealField:
     values: np.ndarray
 
 
-@dataclass(frozen=True)
-class ComplexField:
-    grid: Grid
-    values: np.ndarray
-
-
 def real_field(grid, values):
     return RealField(grid, _check_values(grid, values, float))
 
 
-def complex_field(grid, values):
-    return ComplexField(grid, _check_values(grid, values, complex))
-
-
-def spectral_derivative(f, order=1):
-    """FFT-based derivative of a field; exact for band-limited inputs.
+def spectral_derivative(grid, values, order=1):
+    """FFT-based derivative of values sampled on grid, as an array: real
+    for real values, complex otherwise; exact for band-limited inputs.
 
     order 1 zeroes the unpaired Nyquist mode so real inputs stay real;
     order 2 keeps it (the -k^2 multiplier is real).  The caller is
-    responsible for the field being effectively periodic on the grid.
+    responsible for the values being effectively periodic on the grid.
     """
     if order not in (1, 2):
         raise DomainError(f"derivative order must be 1 or 2, got {order}")
-    g = f.grid
-    fk = np.fft.fft(f.values)
+    fk = np.fft.fft(values)
     if order == 1:
-        mult = 1j * g.k.copy()
-        mult[g.n // 2] = 0.0  # unpaired Nyquist mode
+        mult = 1j * grid.k.copy()
+        mult[grid.n // 2] = 0.0  # unpaired Nyquist mode
     else:
-        mult = -(g.k ** 2)
+        mult = -(grid.k ** 2)
     out = np.fft.ifft(mult * fk)
-    if isinstance(f, RealField):
-        return real_field(g, out.real)
-    return complex_field(g, out)
+    return out.real if np.isrealobj(values) else out

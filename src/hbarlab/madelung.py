@@ -129,9 +129,9 @@ def weighted_action_terms(triple, V, dt):
               = rho hbar arg(psi(t + dt) conj psi(t - dt)) / 2dt
                 + hbar^2 (Im psi* psi')^2 / (2m rho) + rho V,
 
-    with psi' the spectral derivative, as two RealFields over the whole
-    grid.  Re psi* psi' = rho'/2 and Im psi* psi' = rho S'/hbar, so neither
-    side needs S itself: no phase unwrapping and no support mask.  Both
+    with psi' the spectral derivative, as two arrays over the whole grid.
+    Re psi* psi' = rho'/2 and Im psi* psi' = rho S'/hbar, so neither side
+    needs S itself: no phase unwrapping and no support mask.  Both
     quotients are bounded (each square is at most rho |psi'|^2), so they
     are set to 0 only where rho = 0.  dS/dt is the pointwise phase
     difference, valid while no point turns by pi over 2 dt; hbar Im(psi*
@@ -141,15 +141,17 @@ def weighted_action_terms(triple, V, dt):
     before, psi, after = triple
     g, hbar, m = psi.grid, psi.hbar, V.mass
     rho = np.abs(psi.values) ** 2
-    w = np.conj(psi.values) * spectral_derivative(psi.field, 1).values
-    rho2 = spectral_derivative(real_field(g, rho), 2).values
+    w = np.conj(psi.values) * spectral_derivative(g, psi.values, 1)
+    rho2 = spectral_derivative(g, rho, 2)
     occupied = rho > 0
 
     def over_rho(a):
         return np.divide(a, rho, out=np.zeros(g.n), where=occupied)
 
-    rho_q = -(hbar ** 2) / (2.0 * m) * (0.5 * rho2 - over_rho(w.real ** 2))
+    # a numpy scalar's ** 2 overflows to inf where a float's raises
+    h2m = np.float64(hbar) ** 2 / (2.0 * m)
+    rho_q = -h2m * (0.5 * rho2 - over_rho(w.real ** 2))
     ds_dt = hbar * np.angle(after.values * np.conj(before.values)) / (2.0 * dt)
     rho_hj = (rho * (ds_dt + eval_potential(V, g.x))
-              + hbar ** 2 / (2.0 * m) * over_rho(w.imag ** 2))
-    return real_field(g, rho_q), real_field(g, rho_hj)
+              + h2m * over_rho(w.imag ** 2))
+    return rho_q, rho_hj

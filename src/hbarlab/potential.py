@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .grid import RealField, real_field
+from .grid import RealField
 
-__all__ = ["PotentialSpec", "eval_potential", "eval_force", "force_field"]
+__all__ = ["PotentialSpec", "eval_potential", "eval_force"]
 
 MAX_DEGREE = 8
 
@@ -29,8 +29,8 @@ def _as_coeffs(c):
         raise DomainError("polynomial coefficients must be a 1D sequence")
     if c.size - 1 > MAX_DEGREE:
         raise DomainError(
-            f"polynomial degree {c.size - 1} exceeds the supported maximum "
-            f"{MAX_DEGREE}")
+            f"polynomial coeffs of degree {c.size - 1} exceed the supported "
+            f"maximum {MAX_DEGREE}")
     if not np.all(np.isfinite(c)):
         raise DomainError("polynomial coefficients must be finite")
     c = c.copy()
@@ -72,8 +72,13 @@ class PotentialSpec:
         _check_mass(mass)
         omega = float(omega)
         if omega <= 0:
-            raise DomainError(f"harmonic frequency must be positive, got {omega}")
-        c = _as_coeffs([0.0, 0.0, 0.5 * mass * omega * omega])
+            raise DomainError(
+                f"harmonic frequency omega must be positive, got {omega}")
+        c2 = 0.5 * mass * omega * omega
+        if not np.isfinite(c2):
+            raise DomainError(f"harmonic V = mass omega^2 x^2 / 2 overflows "
+                              f"for mass {mass:g} and omega {omega:g}")
+        c = _as_coeffs([0.0, 0.0, c2])
         return PotentialSpec("harmonic", float(mass), coeffs=c, omega=omega)
 
     @staticmethod
@@ -105,21 +110,21 @@ def _check_mass(mass):
         raise DomainError(f"mass must be positive, got {mass}")
 
 
-def _table_lookup(table, x):
-    g = table.grid
+def _table_lookup(g, values, x):
+    """values sampled on grid g, read at the node nearest each x."""
     x = np.asarray(x, dtype=float)
     if np.any(x < g.x_min) or np.any(x > g.x_max):
         raise DomainError(
             f"tabulated lookup outside grid range [{g.x_min}, {g.x_max}]")
     idx = np.rint((x - g.x_min) / g.dx).astype(int)
     idx = np.minimum(idx, g.n - 1)
-    return table.values[idx]
+    return values[idx]
 
 
 def eval_potential(spec, x):
     """V(x); x may be a scalar or an array."""
     if spec.kind == "tabulated":
-        out = _table_lookup(spec.table, x)
+        out = _table_lookup(spec.table.grid, spec.table.values, x)
     else:
         out = np.polynomial.polynomial.polyval(np.asarray(x, dtype=float),
                                                spec.coeffs)
@@ -139,15 +144,10 @@ def eval_force(spec, x):
     if spec.kind == "tabulated":
         g = spec.table.grid
         dv = np.gradient(spec.table.values, g.dx, edge_order=2)
-        out = -_table_lookup(RealField(g, dv), x)
+        out = -_table_lookup(g, dv, x)
     else:
         fc = spec.force_coeffs()
         out = np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), fc)
     if np.ndim(x) == 0:
         return float(out)
     return np.asarray(out, dtype=float)
-
-
-def force_field(spec, grid):
-    """Force sampled on a grid as a RealField."""
-    return real_field(grid, eval_force(spec, grid.x))

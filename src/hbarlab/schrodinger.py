@@ -30,7 +30,7 @@ import numpy as np
 from scipy import fft
 
 from .errors import BoundaryLeak, DomainError, LabError
-from .grid import complex_field, spectral_derivative
+from .grid import _check_values, spectral_derivative
 from .potential import eval_potential
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "max_stable_dt",
     "boundary_leak_fraction",
     "observables",
-    "excess_kurtosis",
 ]
 
 LEAK_TOL = 1e-10        # max density fraction in the outer 5% of each side
@@ -51,20 +50,20 @@ EDGE_FRACTION = 0.05
 
 @dataclass(frozen=True)
 class WaveFunction:
-    """Complex field on a grid plus its hbar, mass, and current time."""
+    """Complex samples on a grid plus their hbar, mass, and current time.
 
-    field: object           # ComplexField
+    The values are stored as a read-only complex copy, refused with
+    DomainError unless they hold one finite sample per grid point."""
+
+    grid: object            # Grid
+    values: np.ndarray
     hbar: float
     m: float
     t: float = 0.0
 
-    @property
-    def grid(self):
-        return self.field.grid
-
-    @property
-    def values(self):
-        return self.field.values
+    def __post_init__(self):
+        object.__setattr__(self, "values",
+                           _check_values(self.grid, self.values, complex))
 
 
 @dataclass(frozen=True)
@@ -74,6 +73,7 @@ class Observables:
     var_x: float
     var_p: float
     uncertainty_product: float
+    kurtosis_excess: float          # of |psi|^2; zero for a Gaussian
 
     @property
     def width(self):
@@ -111,7 +111,7 @@ def init_gaussian(grid, epsilon, r0, p0, hbar, m):
         -((x - r0) ** 2) / (2.0 * epsilon) + 1j * p0 * x / hbar)
     nrm = np.sqrt(grid.dx * np.sum(np.abs(psi) ** 2))
     psi = psi / nrm
-    wf = WaveFunction(complex_field(grid, psi), float(hbar), float(m), 0.0)
+    wf = WaveFunction(grid, psi, float(hbar), float(m), 0.0)
     return _check_leak(wf)
 
 
@@ -188,8 +188,7 @@ def propagate(psi, V, dt, n_steps):
     if abs(norm1 - norm0) > NORM_TOL:
         raise LabError(
             f"norm drifted by {abs(norm1 - norm0):.3e} over {n_steps} steps")
-    out = WaveFunction(complex_field(g, values), hbar, m,
-                       psi.t + n_steps * dt)
+    out = WaveFunction(g, values, hbar, m, psi.t + n_steps * dt)
     return _check_leak(out)
 
 
@@ -197,36 +196,27 @@ def propagate(psi, V, dt, n_steps):
 # Observables
 # ----------------------------------------------------------------------
 
-def _density_moments(psi):
-    g = psi.grid
-    rho = np.abs(psi.values) ** 2
-    w = g.dx * rho
-    x_mean = float(np.sum(w * g.x))
-    u = g.x - x_mean
-    var = float(np.sum(w * u ** 2))
-    m4 = float(np.sum(w * u ** 4))
-    return x_mean, var, m4
-
-
 def observables(psi):
-    """Position/momentum means and variances plus the uncertainty product.
+    """Position/momentum means and variances, the uncertainty product and
+    the excess kurtosis of |psi|^2, from one pass over the density.
 
     Momentum moments use the spectral derivative:
     <p> = Re int conj(psi) (-i hbar dpsi/dx) dx and <p^2> = int |hbar dpsi/dx|^2 dx
     (equal to <psi|p^2|psi> on the periodic grid by parts).
     """
     g = psi.grid
-    x_mean, var_x, _ = _density_moments(psi)
-    dpsi = spectral_derivative(psi.field, 1).values
+    w = g.dx * np.abs(psi.values) ** 2
+    x_mean = float(np.sum(w * g.x))
+    u = g.x - x_mean
+    var_x = float(np.sum(w * u ** 2))
+    m4 = float(np.sum(w * u ** 4))
+    dpsi = spectral_derivative(g, psi.values, 1)
     p_mean = float(np.real(g.dx * np.sum(
         np.conj(psi.values) * (-1j * psi.hbar) * dpsi)))
     p2 = float(g.dx * np.sum(np.abs(psi.hbar * dpsi) ** 2))
-    var_p = p2 - p_mean ** 2
+    # a numpy scalar's ** 2 (C pow, like a float's) overflows to inf where
+    # a float's raises OverflowError
+    var_p = p2 - float(np.float64(p_mean) ** 2)
     return Observables(x_mean, p_mean, var_x, var_p,
-                       float(np.sqrt(max(var_x, 0.0) * max(var_p, 0.0))))
-
-
-def excess_kurtosis(psi):
-    """Excess kurtosis of |psi|^2; zero for a Gaussian density."""
-    _, var, m4 = _density_moments(psi)
-    return float(m4 / var ** 2 - 3.0)
+                       float(np.sqrt(max(var_x, 0.0) * max(var_p, 0.0))),
+                       float(m4 / np.float64(var_x) ** 2 - 3.0))

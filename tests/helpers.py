@@ -43,7 +43,7 @@ import numpy as np
 
 from hbarlab.classical import newton_integrate
 from hbarlab.errors import DomainError
-from hbarlab.grid import complex_field, real_field, spectral_derivative
+from hbarlab.grid import real_field, spectral_derivative
 from hbarlab.madelung import (
     DEFAULT_FLOOR,
     MadelungFields,
@@ -146,7 +146,7 @@ def analytic_gaussian(case, epsilon0, p0, hbar, m, t, omega=None, f0=None):
 def energy_mean(psi, V):
     """<H> = int |hbar dpsi/dx|^2 / 2m + V |psi|^2 dx."""
     g = psi.grid
-    dpsi = spectral_derivative(psi.field, 1).values
+    dpsi = spectral_derivative(g, psi.values, 1)
     kin = g.dx * np.sum(np.abs(psi.hbar * dpsi) ** 2) / (2.0 * psi.m)
     pot = g.dx * np.sum(eval_potential(V, g.x) * np.abs(psi.values) ** 2)
     return float(kin + pot)
@@ -184,19 +184,19 @@ def from_madelung(f, m=1.0, t=0.0):
     # rho is normalized to 1e-6; the wave function itself carries unit norm
     # to machine precision
     vals /= np.sqrt(f.rho.grid.dx * np.sum(np.abs(vals) ** 2))
-    return WaveFunction(complex_field(f.rho.grid, vals), f.hbar, float(m), t)
+    return WaveFunction(f.rho.grid, vals, f.hbar, float(m), t)
 
 
 def quantum_term(rho, hbar, m):
-    """-(hbar^2/2m) lap(sqrt(rho))/sqrt(rho) on the support; 0 on masked
-    points.  The Laplacian is spectral: sqrt(rho) decays (or is uniform),
-    so it is periodic-friendly even when S is not."""
+    """-(hbar^2/2m) lap(sqrt(rho))/sqrt(rho) on rho's grid, as an array; 0
+    on masked points.  The Laplacian is spectral: sqrt(rho) decays (or is
+    uniform), so it is periodic-friendly even when S is not."""
     amp = np.sqrt(np.maximum(rho.values, 0.0))
-    lap = spectral_derivative(real_field(rho.grid, amp), 2).values
+    lap = spectral_derivative(rho.grid, amp, 2)
     support = rho.values >= DEFAULT_FLOOR * rho.values.max()
     out = np.zeros(rho.grid.n)
     out[support] = -(hbar ** 2) / (2.0 * m) * lap[support] / amp[support]
-    return real_field(rho.grid, out)
+    return out
 
 
 def hj_residual(f, ds_dt, V):
@@ -212,9 +212,8 @@ def hj_residual(f, ds_dt, V):
     g = f.rho.grid
     m = V.mass
     grad_s = np.gradient(f.s.values, g.dx, edge_order=2)
-    integrand = (ds_dt.values + grad_s ** 2 / (2.0 * m)
-                 + eval_potential(V, g.x)
-                 + quantum_term(f.rho, f.hbar, m).values)
+    integrand = (ds_dt + grad_s ** 2 / (2.0 * m) + eval_potential(V, g.x)
+                 + quantum_term(f.rho, f.hbar, m))
     # the difference stencil for S needs both neighbors inside the support
     region = f.support.copy()
     region[1:] &= f.support[:-1]
@@ -250,8 +249,8 @@ def _gouy_phase(case, epsilon0, hbar, m, omega, t):
 def analytic_packet_fields(case, grid, epsilon0, p0, hbar, m, t,
                            omega=None, f0=None):
     """Closed-form (rho, S) fields of the Gaussian packet at time t, plus the
-    analytic dS/dt field, for the free, constant-force, and harmonic cases,
-    for a packet that starts at r0 = 0.
+    analytic dS/dt on the grid, for the free, constant-force, and harmonic
+    cases, for a packet that starts at r0 = 0.
 
     S(x,t) = (m/4)(deps/eps)(x-r)^2 + p(t) x - p(t) r(t)/2 + gouy(t),
     with the width eps(t) from the closed forms and the phase term whose
@@ -292,7 +291,7 @@ def analytic_packet_fields(case, grid, epsilon0, p0, hbar, m, t,
 
     rho = real_field(grid, rho_vals / (grid.dx * rho_vals.sum()))
     fields = make_madelung(rho, real_field(grid, s_vals), hbar)
-    return fields, real_field(grid, ds_dt_vals)
+    return fields, ds_dt_vals
 
 
 # ----------------------------------------------------------------------

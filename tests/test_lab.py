@@ -2,8 +2,10 @@ import ast
 import contextlib
 import io
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from importlib import resources
 
@@ -767,6 +769,16 @@ class TestCLI:
         assert "t_final" in err and "n_snapshots" in err
         assert not out.exists()
 
+    def test_phj_newton_reference_takes_any_step_count(self, tmp_path,
+                                                       capsys):
+        # 12,002 Newton steps: the reference trajectory saves every one
+        code = main(["phj", "--config", "phj_harmonic",
+                     "--set", "numerics.t_final=1.20013",
+                     "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 0, err
+        assert (tmp_path / "run_000.csv").is_file()
+
     @pytest.mark.parametrize("module", ["hbarlab", "hbarlab.cli"])
     def test_module_entry_points(self, module, tmp_path):
         env = dict(os.environ, PYTHONPATH=os.path.join(
@@ -1068,18 +1080,24 @@ class TestCLI:
          "phj_demo characteristics"),
         ("detpot", "detpot_quadratic", "numerics.grid=-1e150,1e150,64",
          "detpot classification"),
+        ("detpot", "detpot_quartic", "numerics.grid=-1e150,1e150,64",
+         "detpot classification"),
+        # the moments of a 1e150-wide packet overflow a float's ** 2
+        ("simulate", "uncertainty_coherent",
+         "scan.hbar=1e300 packet.epsilon=1e300", "simulate hbar=1e+300"),
     ]
 
-    @pytest.mark.parametrize("command, preset, override, record", NON_FINITE,
+    @pytest.mark.parametrize("command, preset, overrides, record", NON_FINITE,
                              ids=[case[2] for case in NON_FINITE])
-    def test_non_finite_row_exits_2(self, command, preset, override, record,
+    def test_non_finite_row_exits_2(self, command, preset, overrides, record,
                                     tmp_path, capsys):
         # an overflowed run is a numeric failure, not a result, and the
         # failure line is all it prints: no numpy warnings ahead of it
+        sets = [arg for o in overrides.split() for arg in ("--set", o)]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code = main([command, "--config", preset,
-                         "--set", override, "--out", str(tmp_path)])
+            code = main([command, "--config", preset, *sets,
+                         "--out", str(tmp_path)])
         err = capsys.readouterr().err
         assert code == 2
         assert not caught
@@ -1098,7 +1116,8 @@ class TestCLI:
         ("simulate", "uncertainty_coherent", "numerics.n_snapshots=100000000",
          "t_final (or t_star) and n_snapshots"),
         # the Newton reference runs first; t_final / 1e-4 overflows a float
-        ("scan", "combined_harmonic", "numerics.t_final=1e308", "t_final"),
+        ("scan", "combined_harmonic", "numerics.t_final=1e308",
+         "t_final and n_snapshots"),
         ("scan", "deterministic_harmonic", "numerics.t_star=1e300",
          "t_star"),
         ("phj", "phj_harmonic", "numerics.t_final=1e300", "t_final"),
@@ -1131,6 +1150,88 @@ class TestCLI:
         assert (tmp_path / "run_000.csv").is_file()
         assert (tmp_path / "run_001.csv").is_file()
         assert (tmp_path / "summary.txt").is_file()
+
+
+# edge values per config key: zero, negative, nan, inf, +-1e300, empty,
+# reversed or empty bounds, and sizes that are not powers of two
+EDGE = ("0", "-1", "nan", "inf", "-inf", "1e300", "-1e300", "")
+FUZZ_VALUES = {
+    "packet.epsilon": EDGE,
+    "packet.r0": EDGE,
+    "packet.p0": EDGE,
+    "packet.s0_curvature": EDGE,
+    "potential.mass": EDGE,
+    "potential.omega": EDGE,
+    "potential.f0": EDGE,
+    "potential.coeffs": EDGE + ("1,,2", "0,0,0,0,0,0,0,0,0,1"),
+    "scan.hbar": EDGE,
+    "scan.k": EDGE,
+    "scan.hbar_list": EDGE + ("0.01,0.1,1", "1,1,1"),
+    "scan.epsilon_list": EDGE + ("0.01,0.1,1", "0.1,0.1,0.01"),
+    "numerics.grid": EDGE + ("8,-8,64", "-8,-8,64", "-8,8,100",
+                             "-8,8,64.5", "-8,8,8", "-8,8"),
+    "numerics.t_final": EDGE,
+    "numerics.t_star": EDGE,
+    "numerics.n_snapshots": ("0", "-1", "2.5", "", "1e300", "100000000"),
+    "numerics.dt": EDGE,
+    "numerics.tol": EDGE,
+    "numerics.phase_grid": EDGE + ("3,-3,-3,3,32,32", "-3,-3,-3,3,32,32",
+                                   "-3,3,-3,3,31,32", "-3,3,-3,3,1,32",
+                                   "-3,3,-3,3,32"),
+    "output.dump_fields": ("1", "maybe", ""),
+}
+
+# set ahead of the drawn overrides, so that a draw that runs stays short
+CHEAP = {
+    "scan": ("numerics.t_final=0.05", "numerics.t_star=0.05",
+             "numerics.n_snapshots=2"),
+    "simulate": ("numerics.t_final=0.05", "numerics.n_snapshots=2"),
+    "phj": ("numerics.t_final=0.2", "numerics.n_snapshots=3"),
+    "liouville": ("numerics.t_final=0.05", "numerics.n_snapshots=2",
+                  "numerics.phase_grid=-3,3,-3,3,32,32"),
+    "detpot": ("numerics.grid=-8,8,256",),
+}
+
+
+def _names_a_key(message, keys):
+    """True when message names one of the section.key overrides: the
+    key's name appears as a word.  Two refusals answer for a joint need
+    instead of one key: a packet no grid resolves (its need follows from
+    the packet, hbar, the potential and the time span at once), and a run
+    whose step, set by the potential's range over the grid, makes too many
+    steps."""
+    if "the packet needs a grid of " in message:
+        return True
+    if "the run would take " in message and any(
+            key.startswith("potential.") for key in keys):
+        return True
+    return any(re.search(rf"(?<![\w.]){re.escape(key.split('.', 1)[1])}"
+                         rf"(?!\w)", message) for key in keys)
+
+
+class TestCLIFuzzProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(preset=st.sampled_from(_preset_names()), data=st.data())
+    def test_edge_overrides_exit_cleanly(self, preset, data):
+        keys = data.draw(st.lists(st.sampled_from(sorted(FUZZ_VALUES)),
+                                  min_size=1, max_size=2, unique=True))
+        overrides = [f"{key}={data.draw(st.sampled_from(FUZZ_VALUES[key]))}"
+                     for key in keys]
+        command = EXPERIMENTS[
+            _preset_config(preset).get("experiment", "kind", None)][0]
+        args = [command, "--config", preset]
+        for override in CHEAP[command] + tuple(overrides):
+            args += ["--set", override]
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as out:
+            with contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                code = main(args + ["--out", out])
+        err = err.getvalue()
+        assert code in (0, 1, 2), err
+        assert "Traceback" not in err
+        if code == 1:
+            assert _names_a_key(err.splitlines()[-1], keys), err
 
 
 class TestAuditProperty:

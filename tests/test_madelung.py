@@ -14,7 +14,6 @@ from hbarlab.schrodinger import (
     observables,
     propagate,
 )
-from hbarlab.grid import complex_field
 
 from helpers import (
     analytic_packet_fields,
@@ -54,7 +53,7 @@ class TestToMadelung:
         g = make_grid(-12, 12, 512)
         vals = g.x * np.exp(-0.5 * g.x ** 2)  # first excited HO state
         vals = vals / np.sqrt(g.dx * np.sum(np.abs(vals) ** 2))
-        psi = WaveFunction(complex_field(g, vals.astype(complex)), 1.0, 1.0)
+        psi = WaveFunction(g, vals, 1.0, 1.0)
         with pytest.raises(NodeError):
             to_madelung(psi)
 
@@ -131,8 +130,7 @@ class TestRoundTripProperty:
         V = PotentialSpec.polynomial(coeffs, mass=m)
         psi = propagate(init_gaussian(g, eps, r0, p0, hbar, m), V,
                         dt_frac * max_stable_dt(g, V, hbar, m), n)
-        psi = WaveFunction(complex_field(g, np.exp(1j * theta) * psi.values),
-                           hbar, m)
+        psi = WaveFunction(g, np.exp(1j * theta) * psi.values, hbar, m)
         f = to_madelung(psi)
         back = from_madelung(f, m=m).values
         overlap = np.sum(np.conj(psi.values) * back)
@@ -156,27 +154,26 @@ class TestQuantumTerm:
         # the 1e-12 support floor the FFT roundoff is amplified ~1e6x.
         region = rho.values >= 1e-9 * rho.values.max()
         expected = hbar ** 2 / (2 * m * eps ** 2) * (eps - (g.x - r) ** 2)
-        assert np.max(np.abs(q.values[region] - expected[region])) <= 1e-8
+        assert np.max(np.abs(q[region] - expected[region])) <= 1e-8
         ir = np.argmin(np.abs(g.x - r))
-        assert q.values[ir] == pytest.approx(hbar ** 2 / (2 * m * eps),
-                                             rel=1e-6)
+        assert q[ir] == pytest.approx(hbar ** 2 / (2 * m * eps), rel=1e-6)
 
     def test_uniform_density_gives_zero(self):
         g = make_grid(-5, 5, 64)
         q = quantum_term(real_field(g, np.full(64, 0.1)), 1.0, 1.0)
-        assert np.max(np.abs(q.values)) <= 1e-12
+        assert np.max(np.abs(q)) <= 1e-12
 
     def test_zero_hbar_gives_zero(self):
         g = make_grid(-10, 10, 256)
         rho = real_field(g, gauss_rho(g.x, 0.5))
         q = quantum_term(rho, 0.0, 1.0)
-        assert np.all(q.values == 0.0)
+        assert np.all(q == 0.0)
 
     def test_hbar_squared_scaling_exact(self):
         g = make_grid(-10, 10, 256)
         rho = real_field(g, gauss_rho(g.x, 0.7, 0.2))
-        q1 = quantum_term(rho, 1.0, 1.0).values
-        q2 = quantum_term(rho, 2.0, 1.0).values
+        q1 = quantum_term(rho, 1.0, 1.0)
+        q2 = quantum_term(rho, 2.0, 1.0)
         assert np.array_equal(q2, 4.0 * q1)
 
 
@@ -211,7 +208,7 @@ class TestHJResidual:
         rho = real_field(g, np.full(64, 1.0 / g.length))
         s = real_field(g, p0 * g.x)
         f = make_madelung(rho, s, 1.0)
-        ds_dt = real_field(g, np.full(64, -energy))
+        ds_dt = np.full(64, -energy)
         V = PotentialSpec.polynomial([v0], mass=m)
         assert hj_residual(f, ds_dt, V) <= 1e-12
 
@@ -219,7 +216,7 @@ class TestHJResidual:
         g = make_grid(-10, 10, 256)
         rho = real_field(g, gauss_rho(g.x, 0.5))
         f = make_madelung(rho, real_field(g, np.zeros(g.n)), hbar=0.0)
-        ds_dt = real_field(g, np.zeros(g.n))
+        ds_dt = np.zeros(g.n)
         V = PotentialSpec.free()
         with pytest.raises(DomainError):
             hj_residual(f, ds_dt, V)
@@ -232,7 +229,7 @@ class TestHJResidual:
         def residual_at(delta):
             rho_q, rho_hj = weighted_action_terms(
                 propagate_triple(psi, V, 0.5, delta), V, delta)
-            return l2(rho_q.values + rho_hj.values, g.dx)
+            return l2(rho_q + rho_hj, g.dx)
 
         r1 = residual_at(4e-4)
         r2 = residual_at(2e-4)
@@ -246,8 +243,7 @@ class TestHJResidual:
         delta = 2e-4
         rho_q, rho_hj = weighted_action_terms(
             propagate_triple(psi, V, 0.5, delta), V, delta)
-        assert l2(rho_hj.values, g.dx) == pytest.approx(
-            l2(rho_q.values, g.dx), rel=0.02)
+        assert l2(rho_hj, g.dx) == pytest.approx(l2(rho_q, g.dx), rel=0.02)
 
 
 def l2(values, dx):
@@ -281,12 +277,12 @@ class TestWeightedIdentityProperty:
                 for e, r, p in zip(eps, r0, p0))
         vals = a + np.exp(1j * theta) * b
         vals = vals / np.sqrt(g.dx * np.sum(np.abs(vals) ** 2))
-        psi = WaveFunction(complex_field(g, vals), hbar, m)
+        psi = WaveFunction(g, vals, hbar, m)
         limit = max_stable_dt(g, V, hbar, m)
         psi = propagate(psi, V, dt_frac * limit, n)
         delta = 0.01 * limit
         triple = (psi, propagate(psi, V, delta, 1),
                   propagate(psi, V, delta, 2))
         rho_q, rho_hj = weighted_action_terms(triple, V, delta)
-        assert (l2(rho_q.values + rho_hj.values, g.dx)
-                <= WEIGHTED_IDENTITY_TOL * l2(rho_q.values, g.dx))
+        assert (l2(rho_q + rho_hj, g.dx)
+                <= WEIGHTED_IDENTITY_TOL * l2(rho_q, g.dx))

@@ -3,7 +3,7 @@ import pytest
 
 from hbarlab.errors import DomainError
 from hbarlab.grid import make_grid, real_field, spectral_derivative
-from hbarlab.potential import PotentialSpec, eval_force, eval_potential, force_field
+from hbarlab.potential import PotentialSpec, eval_force, eval_potential
 
 
 class TestEvalPotential:
@@ -49,26 +49,26 @@ class TestEvalForce:
 class TestForceField:
     def test_free_zero(self):
         g = make_grid(-1, 1, 64)
-        assert np.all(force_field(PotentialSpec.free(), g).values == 0.0)
+        assert np.all(eval_force(PotentialSpec.free(), g.x) == 0.0)
 
     def test_harmonic_linear(self):
         g = make_grid(-1, 1, 64)
-        f = force_field(PotentialSpec.harmonic(1.0, 1.0), g)
-        assert np.allclose(f.values, -g.x, atol=1e-14)
+        f = eval_force(PotentialSpec.harmonic(1.0, 1.0), g.x)
+        assert np.allclose(f, -g.x, atol=1e-14)
 
     def test_tabulated_matches_polynomial(self):
         g = make_grid(-4, 4, 512)
         table = real_field(g, g.x ** 2)
         Vt = PotentialSpec.tabulated(table)
         Vp = PotentialSpec.polynomial([0, 0, 1.0])
-        ft = force_field(Vt, g).values
-        fp = force_field(Vp, g).values
+        ft = eval_force(Vt, g.x)
+        fp = eval_force(Vp, g.x)
         assert np.max(np.abs(ft - fp)) <= 1e-8
 
     def test_harmonic_force_exact_everywhere(self):
         g = make_grid(-7, 7, 128)
         V = PotentialSpec.harmonic(mass=1.3, omega=0.8)
-        f = force_field(V, g).values
+        f = eval_force(V, g.x)
         assert np.allclose(f, -1.3 * 0.8 ** 2 * g.x, rtol=0, atol=1e-13)
 
 
@@ -82,8 +82,7 @@ class TestSpectralConsistency:
         V = PotentialSpec.polynomial([0.3, -0.2, 0.5, 0.05])
         w = (0.5 * (1 + np.tanh((g.x + 8.5) / 0.13))
              * 0.5 * (1 + np.tanh((8.5 - g.x) / 0.13)))
-        sampled = real_field(g, eval_potential(V, g.x) * w)
-        dv = spectral_derivative(sampled, 1).values
+        dv = spectral_derivative(g, eval_potential(V, g.x) * w, 1)
         central = np.abs(g.x) <= 5.0
         err = np.max(np.abs(-dv[central] - eval_force(V, g.x[central])))
         assert err <= 1e-8

@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hbarlab.errors import BoundaryLeak, DomainError
-from hbarlab.grid import complex_field, make_grid
+from hbarlab.grid import make_grid
 from hbarlab.potential import PotentialSpec, eval_potential
 from hbarlab.schrodinger import (
     WaveFunction,
-    excess_kurtosis,
     init_gaussian,
     max_stable_dt,
     observables,
@@ -52,6 +51,23 @@ class TestInitGaussian:
         g = make_grid(-10, 10, 512)
         with pytest.raises(DomainError):
             init_gaussian(g, epsilon=-1.0, r0=0.0, p0=0.0, hbar=1.0, m=1.0)
+
+
+class TestWaveFunction:
+    def test_stores_a_read_only_complex_copy(self):
+        g = make_grid(-1, 1, 16)
+        vals = np.ones(16)
+        psi = WaveFunction(g, vals, 1.0, 1.0)
+        vals[0] = 2.0
+        assert psi.values.dtype == complex and np.all(psi.values == 1.0)
+        with pytest.raises(ValueError):
+            psi.values[0] = 1.0
+
+    @pytest.mark.parametrize("vals", [np.zeros(17), np.full(16, np.nan),
+                                      np.full(16, np.inf * 1j)])
+    def test_rejects_bad_values(self, vals):
+        with pytest.raises(DomainError):
+            WaveFunction(make_grid(-1, 1, 16), vals, 1.0, 1.0)
 
 
 class TestObservables:
@@ -256,8 +272,7 @@ class TestPropagatorProperties:
         V, psi, dt = _random_run(coeffs, eps, r0, p0, hbar, m, dt_frac)
 
         def conj(wf):
-            return WaveFunction(complex_field(wf.grid, np.conj(wf.values)),
-                                wf.hbar, wf.m)
+            return WaveFunction(wf.grid, np.conj(wf.values), wf.hbar, wf.m)
 
         back = conj(propagate(conj(propagate(psi, V, dt, n)), V, dt, n))
         assert _l2(back.values - psi.values) <= PROPERTY_TOL
@@ -279,12 +294,12 @@ class TestTranslationCovariance:
                 + weight * init_gaussian(g, eps[1], r0[1], p0[1], hbar,
                                          1.0).values)
         vals = vals / np.sqrt(g.dx * np.sum(np.abs(vals) ** 2))
-        obs = observables(WaveFunction(complex_field(g, vals), hbar, 1.0))
-        moved = observables(WaveFunction(
-            complex_field(g, np.roll(vals, shift)), hbar, 1.0))
+        obs = observables(WaveFunction(g, vals, hbar, 1.0))
+        moved = observables(WaveFunction(g, np.roll(vals, shift), hbar, 1.0))
         tol = dict(rel=PROPERTY_COVARIANCE_TOL, abs=PROPERTY_COVARIANCE_TOL)
         assert moved.x_mean == pytest.approx(obs.x_mean + shift * g.dx, **tol)
-        for name in ("p_mean", "var_x", "var_p", "uncertainty_product"):
+        for name in ("p_mean", "var_x", "var_p", "uncertainty_product",
+                     "kurtosis_excess"):
             assert getattr(moved, name) == pytest.approx(
                 getattr(obs, name), **tol)
 
@@ -326,7 +341,7 @@ class TestGaussianForm:
             psi = init_gaussian(g, 0.5, 0.0, 0.5, 1.0, 1.0)
             for _ in range(5):
                 psi = run_to(psi, V, 0.3)
-                assert abs(excess_kurtosis(psi)) <= 1e-3
+                assert abs(observables(psi).kurtosis_excess) <= 1e-3
 
     def test_kurtosis_grows_for_quartic(self):
         g = make_grid(-8, 8, 256)
@@ -335,7 +350,7 @@ class TestGaussianForm:
         worst = 0.0
         for _ in range(6):
             psi = run_to(psi, V, 0.25)
-            worst = max(worst, abs(excess_kurtosis(psi)))
+            worst = max(worst, abs(observables(psi).kurtosis_excess))
         assert worst > 1e-2
 
 
