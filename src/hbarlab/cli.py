@@ -68,7 +68,7 @@ def _build_parser():
         p.add_argument("--out", default=None,
                        help="output directory (overrides [output] directory)")
         p.add_argument("--dump-fields", action="store_true",
-                       help="write per-snapshot x,rho,S files")
+                       help="write per-snapshot x,re_psi,im_psi files")
         return p
 
     add_run_command("simulate", "single quantum run with uncertainty floor")

@@ -2,9 +2,9 @@
 
 Two broad families: configuration/argument problems (`DomainError`) and
 numeric failures detected mid-run (boundary leakage, caustics, mass drift,
-escaping trajectories, inconclusive classification, phase nodes, norm
-drift, a result row holding nan or inf).  The CLI maps the first to exit
-code 1, the second to exit code 2.
+escaping trajectories, inconclusive classification, norm drift, a result
+row holding nan or inf).  The CLI maps the first to exit code 1, the
+second to exit code 2.
 """
 
 
@@ -19,11 +19,6 @@ class DomainError(LabError, ValueError):
 class BoundaryLeak(LabError):
     """Wave-packet mass near the periodic boundary exceeded tolerance; a
     driver may retry on a wider grid."""
-
-
-class NodeError(LabError):
-    """Phase extraction failed: the region where the phase is defined is
-    disconnected, so unwrapping would be ambiguous."""
 
 
 class CausticError(LabError):

@@ -47,9 +47,8 @@ its `schrodinger.propagate` calls share one set of phase factors;
 every snapshot is the middle of a triple one step apart, whose centered
 phase difference gives the dS/dt of `madelung.weighted_action_terms`.  A
 run keeps its rows in QUANTUM_COLUMNS order (read one with
-`QuantumRunData.column`) and, with [output] dump_fields, its (t, x, rho, S)
-snapshots for the record; only those call `madelung.to_madelung`, so only
-they can raise NodeError.  Each quantum record's fits
+`QuantumRunData.column`) and, with [output] dump_fields, each snapshot's
+(t, x, psi) for the record.  Each quantum record's fits
 carry grid_n, dt, propagation_steps and widen_retries; they reach
 summary.txt and the CLI line, not the CSV.  The three limit scans and the
 uncertainty run share one loop over scan points, `_quantum_scan`.
@@ -211,7 +210,7 @@ class QuantumRunData:
     grid: object
     dt: float                      # the one step of the run
     rows: np.ndarray               # one QUANTUM_COLUMNS row per snapshot
-    fields: list                   # (t, x, rho, S) per snapshot if collected
+    fields: list                   # (t, x, psi) per snapshot if collected
     propagation_steps: int = 0     # Strang steps taken
     widen_retries: int = 0         # domain doublings before this run
 
@@ -277,8 +276,7 @@ def quantum_run(V, grid, eps0, r0, p0, hbar, t_final, n_snapshots,
         rows.append((i * t_snap,)
                     + _snapshot_row((before, psi, after), V, dt))
         if collect_fields:
-            mid = madelung.to_madelung(psi)
-            fields.append((i * t_snap, grid.x, mid.rho.values, mid.s.values))
+            fields.append((i * t_snap, grid.x, psi.values))
     return QuantumRunData(grid, dt, np.array(rows), fields,
                           propagation_steps=2 + n_snapshots * n_sub)
 

@@ -8,8 +8,8 @@ differentiated by multiplying their transform with (ik)^order.
 
 The lab's functions pass sampled values as plain arrays beside their grid.
 A RealField carries the grid with its values only where the callee cannot
-know the grid: a potential table read from a file, phj's initial action
-s0 and the (rho, S) of a field dump.
+know the grid: a potential table read from a file and phj's initial
+action s0.
 
 Grids are power-of-two only (n >= 16).  A RealField's values, like a wave
 function's, are a read-only copy checked for length and finiteness at

@@ -53,7 +53,7 @@ class RunRecord:
     columns: tuple
     rows: tuple                      # rows of values in `columns` order
     fits: dict = field(default_factory=dict)
-    field_dumps: tuple = ()          # (t, x, rho, S) per dumped snapshot
+    field_dumps: tuple = ()          # (t, x, psi) per dumped snapshot
 
 
 def _fmt(value):
@@ -138,9 +138,10 @@ def write_outputs(result, outdir):
     paths = []
     for i, rec in enumerate(result.records):
         paths.append(write_csv(rec, os.path.join(outdir, f"run_{i:03d}.csv")))
-        for j, (t, x, rho, s) in enumerate(rec.field_dumps):
-            text = _table_text([f"t = {_fmt(t)}"], ("x", "rho", "S"),
-                               zip(x.tolist(), rho.tolist(), s.tolist()))
+        for j, (t, x, psi) in enumerate(rec.field_dumps):
+            text = _table_text([f"t = {_fmt(t)}"], ("x", "re_psi", "im_psi"),
+                               zip(x.tolist(), psi.real.tolist(),
+                                   psi.imag.tolist()))
             paths.append(_write_text(
                 os.path.join(outdir, f"run_{i:03d}_fields_{j:03d}.csv"), text))
     paths.append(_write_text(os.path.join(outdir, "summary.txt"),

@@ -14,14 +14,17 @@ own numerics; the Madelung and Ehrenfest helpers below differentiate with
   stays Gaussian there, its center follows the classical trajectory, and
   its width parameter eps(t) (2*Var(x) = eps) obeys a closed form.
 - `energy_mean`: <H> of a wave function.
-- `make_madelung`, `from_madelung`, `quantum_term`, `hj_residual`,
-  `analytic_packet_fields`: (rho, S) fields, their reassembly into psi, the
-  hbar^2 term -(hbar^2/2m) lap(sqrt(rho))/sqrt(rho) and the residual of the
-  quantum action equation on given fields.  Derivatives of decaying fields
-  (sqrt(rho)) are spectral; derivatives of a given S field (hj_residual)
-  are second-order finite differences, because S is generally not periodic
-  on the grid (a moving packet has S ~ p*x) and a spectral derivative would
-  ring.  Central differences are exact for the quadratic-in-x action
+- `MadelungFields`, `support_mask`, `make_madelung`, `from_madelung`,
+  `quantum_term`, `hj_residual`, `analytic_packet_fields`: (rho, S) fields
+  with the support where S is defined (rho >= DEFAULT_FLOOR * max rho) and
+  the mass off it, their reassembly into psi, the hbar^2 term
+  -(hbar^2/2m) lap(sqrt(rho))/sqrt(rho) and the residual of the quantum
+  action equation on given fields.  The package itself never forms S (its
+  field dumps write psi), so these oracles are the only Madelung fields.
+  Derivatives of decaying fields (sqrt(rho)) are spectral; derivatives of
+  a given S field (hj_residual) are second-order finite differences,
+  because S is generally not periodic on the grid (a moving packet has
+  S ~ p*x) and a spectral derivative would ring.  Central differences are exact for the quadratic-in-x action
   fields of the Gaussian family.  hj_residual takes its norm over the
   interior of the fields' support.
 - `weak_liouville_residual`, `delta_ansatz_check`: the weak-form statement
@@ -43,12 +46,8 @@ import numpy as np
 
 from hbarlab.classical import newton_integrate
 from hbarlab.errors import DomainError
-from hbarlab.grid import real_field, spectral_derivative
-from hbarlab.madelung import (
-    DEFAULT_FLOOR,
-    MadelungFields,
-    _support_and_fraction,
-)
+from hbarlab.grid import RealField, real_field, spectral_derivative
+from hbarlab.madelung import DEFAULT_FLOOR
 from hbarlab.potential import eval_force, eval_potential
 from hbarlab.schrodinger import WaveFunction, observables
 
@@ -156,6 +155,23 @@ def energy_mean(psi, V):
 # Madelung fields, the quantum term and the action-equation residual
 # ----------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class MadelungFields:
+    rho: RealField
+    s: RealField
+    hbar: float
+    support: np.ndarray          # True where S is defined
+    masked_mass_fraction: float
+
+
+def support_mask(rho_vals, dx):
+    """(points with rho >= DEFAULT_FLOOR * max rho, the probability mass
+    off them).  The fraction is mass-weighted: a localized packet on a
+    padded grid masks most points but ~1e-12 of its mass."""
+    support = rho_vals >= DEFAULT_FLOOR * rho_vals.max()
+    return support, float(dx * rho_vals[~support].sum())
+
+
 def make_madelung(rho, s, hbar):
     """Assemble MadelungFields from density and action fields, validating
     normalization and computing the support mask."""
@@ -166,7 +182,7 @@ def make_madelung(rho, s, hbar):
     total = rho.grid.dx * rho.values.sum()
     if abs(total - 1.0) > NORM_TOL:
         raise DomainError(f"density mass {total} is not 1 within {NORM_TOL}")
-    support, masked = _support_and_fraction(rho.values, rho.grid.dx)
+    support, masked = support_mask(rho.values, rho.grid.dx)
     return MadelungFields(rho, s, float(hbar), support, masked)
 
 
@@ -193,7 +209,7 @@ def quantum_term(rho, hbar, m):
     uniform), so it is periodic-friendly even when S is not."""
     amp = np.sqrt(np.maximum(rho.values, 0.0))
     lap = spectral_derivative(rho.grid, amp, 2)
-    support = rho.values >= DEFAULT_FLOOR * rho.values.max()
+    support, _ = support_mask(rho.values, rho.grid.dx)
     out = np.zeros(rho.grid.n)
     out[support] = -(hbar ** 2) / (2.0 * m) * lap[support] / amp[support]
     return out

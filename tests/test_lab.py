@@ -26,7 +26,6 @@ from hbarlab.errors import (
     InconclusiveError,
     LabError,
     MassDriftError,
-    NodeError,
 )
 from hbarlab.experiments import (
     EXPERIMENTS,
@@ -49,6 +48,7 @@ from hbarlab.records import (
     to_csv_text,
     write_outputs,
 )
+from hbarlab.schrodinger import WaveFunction, init_gaussian, observables
 
 CONFIG_TEXT = """
 [experiment]
@@ -249,7 +249,7 @@ class TestRecords:
 
     def test_rewrite_removes_earlier_run_files_only(self, tmp_path):
         x = np.linspace(0.0, 1.0, 4)
-        dumps = tuple((t, x, x, x) for t in (0.0, 0.5, 1.0))
+        dumps = tuple((t, x, x + 1j * x) for t in (0.0, 0.5, 1.0))
 
         def result(n_records, n_dumps):
             records = [RunRecord("simulate", f"r{i}", (), ("t",), ((0.0,),),
@@ -898,8 +898,23 @@ class TestCLI:
             lines = (tmp_path / f"run_000_fields_{j:03d}.csv").read_text() \
                 .splitlines()
             assert lines[0] == f"# t = {j * (0.2 / 2)!r}"
-            assert lines[1] == "x,rho,S"
+            assert lines[1] == "x,re_psi,im_psi"
             assert len(lines) == 2 + grid_n
+
+    def test_dump_fields_of_a_split_density(self, tmp_path):
+        # a packet launched from the barrier top of a double well splits in
+        # two; the run succeeds, so asking for its dumps must not fail it
+        code = main(["simulate", "--config", "uncertainty_coherent",
+                     "--set", "potential.kind=polynomial",
+                     "--set", "potential.coeffs=0,0,-2,0,1",
+                     "--set", "scan.hbar=0.3", "--set", "packet.epsilon=0.3",
+                     "--set", "packet.r0=0", "--set", "packet.p0=1",
+                     "--set", "numerics.t_final=0.82",
+                     "--set", "numerics.n_snapshots=1",
+                     "--dump-fields", "--out", str(tmp_path)])
+        assert code == 0
+        assert sorted(f for f in os.listdir(tmp_path) if "fields" in f) == [
+            "run_000_fields_000.csv", "run_000_fields_001.csv"]
 
     def test_set_override(self, tmp_path):
         code = main(["detpot", "--config", "detpot_quartic",
@@ -959,7 +974,6 @@ class TestCLI:
         assert not os.listdir(tmp_path)
 
     @pytest.mark.parametrize("error", [
-        NodeError("phase support is disconnected"),
         LabError("norm drifted by 1e-06 over 10 steps"),
         BoundaryLeak("boundary density fraction 1e-06 exceeds 1e-08"),
         CausticError("characteristics crossed at t=1", t_caustic=1.0),
@@ -1274,13 +1288,33 @@ class TestDeterminism:
     def test_dump_fields(self, tmp_path):
         cfg = RunConfig.from_text(
             "[potential]\nkind = free\n"
-            "[packet]\nepsilon = 0.5\n"
+            "[packet]\nepsilon = 0.5\np0 = 1.0\n"
             "[scan]\nhbar = 1.0\n"
             "[numerics]\nt_final = 0.2\nn_snapshots = 2\n"
             "[output]\ndump_fields = true\n")
         result = run_uncertainty(cfg)
         write_outputs(result, str(tmp_path))
-        dumps = [f for f in os.listdir(tmp_path) if "fields" in f]
+        dumps = sorted(f for f in os.listdir(tmp_path) if "fields" in f)
         assert len(dumps) == 3      # t=0 plus two snapshots
-        text = (tmp_path / sorted(dumps)[0]).read_text()
-        assert text.splitlines()[1] == "x,rho,S"
+        text = (tmp_path / dumps[0]).read_text()
+        assert text.splitlines()[1] == "x,re_psi,im_psi"
+        # a dump is its snapshot's exact state: read back, it gives the
+        # run's own row, and the first dump is the initial packet
+        V = cfg.potential()
+        eps, r0, p0 = cfg.packet()
+        grid = auto_grid(V, eps, r0, p0, 1.0, 0.2)
+        assert result.records[0].fits["widen_retries"] == 0
+        _, columns, rows = read_csv(str(tmp_path / "run_000.csv"))
+        for name, row in zip(dumps, rows):
+            row = dict(zip(columns, row))
+            meta, _, data = read_csv(str(tmp_path / name))
+            assert float(meta["t"]) == row["t"]
+            assert np.array_equal(data[:, 0], grid.x)
+            psi = WaveFunction(grid, data[:, 1] + 1j * data[:, 2], 1.0,
+                               V.mass)
+            obs = observables(psi)
+            assert (obs.x_mean, obs.var_x, obs.width) == (
+                row["x_mean"], row["var_x"], row["width"])
+        _, _, data = read_csv(str(tmp_path / dumps[0]))
+        packet = init_gaussian(grid, eps, r0, p0, 1.0, V.mass).values
+        assert np.array_equal(data[:, 1] + 1j * data[:, 2], packet)

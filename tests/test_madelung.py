@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hbarlab.errors import DomainError, NodeError
+from hbarlab.errors import DomainError
 from hbarlab.grid import make_grid, real_field
-from hbarlab.madelung import to_madelung, weighted_action_terms
+from hbarlab.madelung import weighted_action_terms
 from hbarlab.potential import PotentialSpec
 from hbarlab.schrodinger import (
     WaveFunction,
@@ -31,44 +31,19 @@ def fidelity(psi_a, psi_b):
     return abs(g.dx * np.sum(np.conj(psi_a.values) * psi_b.values))
 
 
-class TestToMadelung:
-    def test_boosted_packet_has_linear_phase(self):
-        g = make_grid(-10, 10, 512)
-        psi = init_gaussian(g, 0.5, 0.0, 2.0, 1.0, 1.0)
-        f = to_madelung(psi)
-        grad = np.gradient(f.s.values, g.dx, edge_order=2)
-        interior = f.support.copy()
-        # drop the two outermost support points (one-sided stencil there)
-        idx = np.where(interior)[0]
-        interior[idx[:2]] = interior[idx[-2:]] = False
-        assert np.max(np.abs(grad[interior] - 2.0)) <= 1e-8
-
-    def test_real_packet_has_zero_phase(self):
-        g = make_grid(-10, 10, 512)
-        psi = init_gaussian(g, 0.5, 0.0, 0.0, 1.0, 1.0)
-        f = to_madelung(psi)
-        assert np.max(np.abs(f.s.values[f.support])) <= 1e-12
-
-    def test_node_disconnects_support(self):
-        g = make_grid(-12, 12, 512)
-        vals = g.x * np.exp(-0.5 * g.x ** 2)  # first excited HO state
-        vals = vals / np.sqrt(g.dx * np.sum(np.abs(vals) ** 2))
-        psi = WaveFunction(g, vals, 1.0, 1.0)
-        with pytest.raises(NodeError):
-            to_madelung(psi)
-
-    def test_masked_mass_fraction_tiny_for_packet(self):
-        g = make_grid(-20, 20, 1024)
-        psi = init_gaussian(g, 0.5, 0.0, 1.0, 1.0, 1.0)
-        f = to_madelung(psi)
-        assert f.masked_mass_fraction <= 1e-10
+def wrapped_madelung(psi):
+    """(rho, S) of psi with S = hbar * arg(psi), wrapped, not unwrapped."""
+    g = psi.grid
+    return make_madelung(real_field(g, np.abs(psi.values) ** 2),
+                         real_field(g, psi.hbar * np.angle(psi.values)),
+                         psi.hbar)
 
 
 class TestFromMadelung:
     def test_round_trip_fidelity(self):
         g = make_grid(-10, 10, 512)
         psi = init_gaussian(g, 0.5, 0.3, 1.7, 1.0, 1.0)
-        back = from_madelung(to_madelung(psi), m=1.0)
+        back = from_madelung(wrapped_madelung(psi), m=1.0)
         assert fidelity(psi, back) >= 1.0 - 1e-10
 
     def test_uniform_density_zero_phase(self):
@@ -123,7 +98,7 @@ class TestRoundTripProperty:
            n=st.integers(1, 100), theta=st.floats(0.0, 2 * np.pi))
     def test_round_trip_up_to_global_phase(self, coeffs, eps, r0, p0, hbar,
                                            m, dt_frac, n, theta):
-        # from_madelung(to_madelung(psi)) = c psi with |c| = 1 on the
+        # from_madelung(wrapped_madelung(psi)) = c psi with |c| = 1 on the
         # support; masked points lose their phase, so off the support the
         # difference is bounded by the masked mass
         g = ROUND_TRIP_GRID
@@ -131,7 +106,7 @@ class TestRoundTripProperty:
         psi = propagate(init_gaussian(g, eps, r0, p0, hbar, m), V,
                         dt_frac * max_stable_dt(g, V, hbar, m), n)
         psi = WaveFunction(g, np.exp(1j * theta) * psi.values, hbar, m)
-        f = to_madelung(psi)
+        f = wrapped_madelung(psi)
         back = from_madelung(f, m=m).values
         overlap = np.sum(np.conj(psi.values) * back)
         diff = back - overlap / abs(overlap) * psi.values

@@ -11,8 +11,11 @@ byte-compares every run_*.csv, field dumps included, each summary.txt
 without its wall_clock_s line, the exit codes and the last line each run
 writes to stderr (the `error:` or `numeric failure:` message of a run that
 fails, empty for one that succeeds), prints one line per preset, and exits
-1 if anything differs.  For each CSV that differs it also prints, for every
-column that differs, the largest relative difference between the two
+1 if anything differs.  A preset's line counts its run-record CSVs and its
+field dumps apart, and names differing run CSVs but only counts differing
+dumps, since one preset writes up to a few hundred of them.  For each run
+CSV that differs, and for the first dump that differs, it also prints, for
+every column that differs, the largest relative difference between the two
 files' numbers, so an intended change of arithmetic can be reviewed as
 numbers, column by column; for a summary that differs it prints the
 differing lines, so a shifted fit shows as its old and new line; for a
@@ -70,6 +73,10 @@ def run_csvs(outdir):
                   if f.startswith("run_") and f.endswith(".csv"))
 
 
+def is_dump(name):
+    return "_fields_" in name
+
+
 def summary_lines(outdir):
     """Lines of a run's summary.txt without the wall_clock_s line (the only
     one that changes between identical runs); [] when there is none."""
@@ -117,28 +124,39 @@ def compare(base, tmp):
         out_head = os.path.join(tmp, "out", "head", preset)
         code_base, err_base = run(base, command, preset, out_base)
         code_head, err_head = run(ROOT, command, preset, out_head)
-        names = run_csvs(out_base)
+        names = sorted(set(run_csvs(out_base)) | set(run_csvs(out_head)))
         _, differ, missing = filecmp.cmpfiles(out_base, out_head, names,
                                               shallow=False)
-        extra = sorted(set(run_csvs(out_head)) - set(names))
         summary_base = summary_lines(out_base)
         summary_head = summary_lines(out_head)
+        n_dumps = sum(map(is_dump, names))
+        runs_differ = [n for n in differ if not is_dump(n)]
+        runs_missing = [n for n in missing if not is_dump(n)]
+        dumps_differ = [n for n in differ if is_dump(n)]
+        dumps_missing = len(missing) - len(runs_missing)
         problems = []
         if code_base != code_head:
             problems.append(f"exit code {code_base} -> {code_head}")
-        if differ:
-            problems.append(f"differ: {' '.join(differ)}")
-        if missing or extra:
-            problems.append(f"only in one tree: {' '.join(missing + extra)}")
+        if runs_differ:
+            problems.append(f"differ: {' '.join(runs_differ)}")
+        if runs_missing:
+            problems.append(f"only in one tree: {' '.join(runs_missing)}")
+        if dumps_differ:
+            problems.append(f"{len(dumps_differ)} dumps differ")
+        if dumps_missing:
+            problems.append(f"{dumps_missing} dumps in one tree only")
         if summary_base != summary_head:
             problems.append("summary.txt differs")
         if err_base != err_head:
             problems.append("stderr differs")
         status = "; ".join(problems) or "identical"
+        n_runs = len(names) - n_dumps
         print(f"{preset:24s} {command:9s} exit {code_base}/{code_head}  "
-              f"{len(names) - len(differ) - len(missing):3d}/{len(names):3d}"
-              f" csv identical  {status}", flush=True)
-        for name in differ:
+              f"{n_runs - len(runs_differ) - len(runs_missing)}/{n_runs} "
+              f"run csv identical, "
+              f"{n_dumps - len(dumps_differ) - dumps_missing}/{n_dumps} "
+              f"dumps identical  {status}", flush=True)
+        for name in runs_differ + dumps_differ[:1]:
             for line in largest_differences(os.path.join(out_base, name),
                                             os.path.join(out_head, name)):
                 print(f"    {name}: {line}", flush=True)
