@@ -20,8 +20,7 @@ removed before the run starts, so a failed run leaves none behind.
 
 Exit codes: 0 success; 1 usage or configuration error; 2 numeric failure
 (every other LabError: boundary leakage, caustic, phase-space mass drift,
-escaping trajectory, inconclusive classification, phase nodes, norm
-drift).
+escaping trajectory, inconclusive classification, norm drift).
 """
 
 import argparse

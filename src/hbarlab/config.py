@@ -37,7 +37,7 @@ import os
 import numpy as np
 
 from .errors import DomainError
-from .grid import make_grid, real_field
+from .grid import make_grid
 from .potential import PotentialSpec
 
 __all__ = ["RunConfig"]
@@ -210,7 +210,7 @@ class RunConfig:
                 self.get_float_list("potential", "coeffs"), mass)
         if kind == "tabulated":
             return PotentialSpec.tabulated(
-                load_potential_table(self.get("potential", "table")), mass)
+                *load_potential_table(self.get("potential", "table")), mass)
         raise DomainError(f"unknown potential kind {kind!r}")
 
     def packet(self):
@@ -267,8 +267,8 @@ class RunConfig:
 
 
 def load_potential_table(path):
-    """Two-column whitespace-delimited (x, V) file -> RealField on the
-    periodic grid implied by the uniform x column."""
+    """Two-column whitespace-delimited (x, V) file -> (grid, V samples),
+    on the periodic grid implied by the uniform x column."""
     if not os.path.isfile(path):
         raise DomainError(f"tabulated potential file not found: {path}")
     try:
@@ -282,5 +282,6 @@ def load_potential_table(path):
     dx = np.diff(x)
     if dx.size == 0 or not np.allclose(dx, dx[0], rtol=1e-9, atol=1e-12):
         raise DomainError(f"{path}: x column must be uniformly spaced")
-    grid = make_grid(x[0], x[0] + dx[0] * x.size, x.size)
-    return real_field(grid, v)
+    if not np.all(np.isfinite(v)):
+        raise DomainError(f"{path}: V column holds nan or inf")
+    return make_grid(x[0], x[0] + dx[0] * x.size, x.size), v

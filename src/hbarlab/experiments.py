@@ -34,7 +34,7 @@ liouville_demo    phase-space blob transport checkpoints.
 
 Numerics policy: every quantum run sizes its own grid from its packet
 and potential scales (resolution follows the momentum content ~ p/hbar
-plus the packet's own spectral width down to the Madelung support floor,
+plus the packet's own spectral width down to DEFAULT_FLOOR of its peak,
 so step sizes shrink with hbar and splitting errors on the means drop as
 hbar^2 across a combined scan); a packet that no grid of at most
 MAX_GRID_N points resolves is refused with DomainError.  BoundaryLeak
@@ -62,7 +62,7 @@ import numpy as np
 from . import classical, detpot, hjflow, madelung, schrodinger
 from ._kernels import check_steps
 from .errors import BoundaryLeak, DomainError, LabError
-from .grid import make_grid, real_field
+from .grid import make_grid
 from .potential import eval_potential
 from .records import (
     DETPOT_COLUMNS,
@@ -88,6 +88,9 @@ __all__ = [
 MAX_WIDEN_RETRIES = 2
 MIN_GRID_N = 64                 # auto_grid's fewest points
 MAX_GRID_N = 1 << 16            # most points of any auto-sized or widened grid
+# auto_grid resolves a packet's density tails and spectrum down to this
+# fraction of their peak
+DEFAULT_FLOOR = 1e-12
 
 
 @dataclass
@@ -111,9 +114,9 @@ def _packet_need(V, eps0, r0, p0, hbar, t_final):
     extent plus packet tails, and the k_max the packet needs, 1.3
     p_max/hbar plus 4/sigma_min, where the spectral density of the packet
     at its narrowest (density standard deviation sigma_min) has fallen
-    below `madelung.DEFAULT_FLOOR` of its peak.  For a polynomial or
-    tabulated potential p_max also counts the largest V over the packet's
-    tails down to that floor."""
+    below DEFAULT_FLOOR of its peak.  For a polynomial or tabulated
+    potential p_max also counts the largest V over the packet's tails down
+    to that floor."""
     m = V.mass
     if V.kind == "harmonic":
         w = V.omega
@@ -149,9 +152,9 @@ def _packet_need(V, eps0, r0, p0, hbar, t_final):
             reachable = np.array([r0])
         extent = float(np.max(np.abs(reachable))) + 0.5
         v_min = float(np.min(vs))
-        # the packet's tails, down to the Madelung support floor, start out
-        # where V may sit far above the mean energy and gain that momentum
-        tail = np.sqrt(np.log(1.0 / madelung.DEFAULT_FLOOR) * eps0)
+        # the packet's tails, down to DEFAULT_FLOOR, start out where V may
+        # sit far above the mean energy and gain that momentum
+        tail = np.sqrt(np.log(1.0 / DEFAULT_FLOOR) * eps0)
         v_top = max(energy, float(np.max(eval_potential(
             V, r0 + tail * np.linspace(-1.0, 1.0, 201)))))
         p_max = float(np.sqrt(2 * m * max(v_top - v_min, 0.0))) + abs(p0)
@@ -165,8 +168,8 @@ def _packet_need(V, eps0, r0, p0, hbar, t_final):
     half = 1.12 * (extent + 7.0 * sigma_max) + 0.5
     # spectral sufficiency: cover the momentum content p_max/hbar plus the
     # packet's own spectral width.  A density of standard deviation sigma
-    # has spectral density ~ exp(-2 (k sigma)^2), which falls below the
-    # Madelung support floor (1e-12 of its peak) at k sigma ~ 3.72, so
+    # has spectral density ~ exp(-2 (k sigma)^2), which falls below
+    # DEFAULT_FLOOR (1e-12 of its peak) at k sigma ~ 3.72, so
     # k sigma = 4 suffices; the step-size rule scales dt ~ 1/k_max^2, so
     # every excess k costs steps quadratically
     k_need = 1.3 * p_max / hbar + 4.0 / sigma_min
@@ -557,7 +560,12 @@ def run_phj_demo(cfg):
     n_report = cfg.get_int("numerics", "n_snapshots", 9)
     grid = cfg.grid_spec() or make_grid(-8.0, 8.0, 256)
 
-    s0 = real_field(grid, p0 * grid.x + c2 * grid.x ** 2)
+    s0 = p0 * grid.x + c2 * grid.x ** 2
+    if not np.all(np.isfinite(s0)):
+        raise DomainError(
+            f"{cfg.origin}: [packet] p0 = {p0!r} and s0_curvature = {c2!r} "
+            f"overflow the initial action p0 x + s0_curvature x^2 on the "
+            f"grid")
     # a report row differences S over its neighbours t +- delta, which
     # must lie after t = 0 and short of the next report time
     delta = 1e-3
@@ -574,7 +582,7 @@ def run_phj_demo(cfg):
     # centred dS/dt divided by delta, and four steps per delta keep the
     # projected Newton residual a factor ~5 inside its 1e-5 pin (two steps
     # per delta miss it)
-    sol = hjflow.solve_hj(s0, V, t_final, dt=delta / 4,
+    sol = hjflow.solve_hj(grid, s0, V, t_final, dt=delta / 4,
                           snapshot_times=snapshot_times)
 
     n_traj = np.ceil(t_final / 1e-4)
@@ -622,12 +630,11 @@ def run_liouville_demo(cfg):
     rows = []
     for t, rho_t in zip(np.linspace(t_final / n_check, t_final, n_check),
                         densities):
-        w = rho_t.values * rho_t.dx * rho_t.dp
+        w = rho_t * rho0.dx * rho0.dp
         mass = float(w.sum())
         cx = float((w * X).sum() / mass)
         cp = float((w * P).sum() / mass)
-        l1 = float(np.sum(np.abs(rho_t.values - rho0.values))
-                   * rho_t.dx * rho_t.dp)
+        l1 = float(np.sum(np.abs(rho_t - rho0.values)) * rho0.dx * rho0.dp)
         rows.append((t, mass, cx, cp, l1))
     fits = {"l1_final": rows[-1][4], "mass_final": rows[-1][1]}
     record = RunRecord("liouville_demo", "blob", cfg.echo_lines(),

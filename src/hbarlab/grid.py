@@ -6,14 +6,11 @@ Wavenumbers follow the standard FFT layout
 (0, 1, ..., n/2-1, -n/2, ..., -1) * 2*pi/L, so sampled values are
 differentiated by multiplying their transform with (ik)^order.
 
-The lab's functions pass sampled values as plain arrays beside their grid.
-A RealField carries the grid with its values only where the callee cannot
-know the grid: a potential table read from a file and phj's initial
-action s0.
-
-Grids are power-of-two only (n >= 16).  A RealField's values, like a wave
-function's, are a read-only copy checked for length and finiteness at
-construction, so both are safe to share across threads.
+Every sampled field travels as a plain array beside the grid its caller
+already holds.  Grids are power-of-two only (n >= 16) and compare by
+identity.  `_check_values` gives the read-only copy, checked for length
+and finiteness, that a wave function and a potential table keep, so both
+are safe to share across threads.
 """
 
 from dataclasses import dataclass
@@ -24,9 +21,7 @@ from .errors import DomainError
 
 __all__ = [
     "Grid",
-    "RealField",
     "make_grid",
-    "real_field",
     "spectral_derivative",
 ]
 
@@ -41,7 +36,7 @@ def _readonly(a):
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Grid:
     """Periodic spatial lattice: bounds, point count, samples, wavenumbers."""
 
@@ -55,15 +50,6 @@ class Grid:
     @property
     def length(self):
         return self.x_max - self.x_min
-
-    def __eq__(self, other):
-        if not isinstance(other, Grid):
-            return NotImplemented
-        return (self.x_min == other.x_min and self.x_max == other.x_max
-                and self.n == other.n)
-
-    def __hash__(self):
-        return hash((self.x_min, self.x_max, self.n))
 
 
 def make_grid(x_min, x_max, n):
@@ -94,16 +80,6 @@ def _check_values(grid, values, dtype):
     if not np.all(np.isfinite(values)):
         raise DomainError("field contains NaN or Inf")
     return _readonly(values.copy())
-
-
-@dataclass(frozen=True)
-class RealField:
-    grid: Grid
-    values: np.ndarray
-
-
-def real_field(grid, values):
-    return RealField(grid, _check_values(grid, values, float))
 
 
 def spectral_derivative(grid, values, order=1):

@@ -93,11 +93,11 @@ class HJSolution:
         return (x >= ends[:, 0].max()) & (x <= ends[:, 1].min())
 
 
-def integrate_fan(s0, V, t_final, dt=2e-4, snapshot_times=None):
-    """Launch one characteristic from every node of s0's grid, with
-    p0 = dS0/dx by second-order differences (exact for a quadratic S0), and
-    integrate them through t_final, recording positions, momenta, and
-    actions at the snapshot times (default: 9 evenly spaced in
+def integrate_fan(grid, s0, V, t_final, dt=2e-4, snapshot_times=None):
+    """Launch one characteristic from every node of grid, with p0 = dS0/dx
+    of the samples s0 by second-order differences (exact for a quadratic
+    S0), and integrate them through t_final, recording positions, momenta,
+    and actions at the snapshot times (default: 9 evenly spaced in
     [0, t_final]).
 
     dt is the largest step: the fan runs segment by segment between the
@@ -113,9 +113,8 @@ def integrate_fan(s0, V, t_final, dt=2e-4, snapshot_times=None):
             "potential")
     if t_final <= 0:
         raise DomainError(f"t_final must be positive, got {t_final}")
-    g = s0.grid
-    x0 = g.x
-    p0 = np.gradient(s0.values, g.dx, edge_order=2)
+    x0 = grid.x
+    p0 = np.gradient(s0, grid.dx, edge_order=2)
 
     if snapshot_times is None:
         snapshot_times = np.linspace(0.0, t_final, 9)
@@ -127,26 +126,27 @@ def integrate_fan(s0, V, t_final, dt=2e-4, snapshot_times=None):
         V.force_coeffs(), V.coeffs, V.mass, x0, p0,
         np.append(times, t_final), dt)
     kept = min(X.shape[0], times.size)
-    action = A[:kept] + s0.values[None, :]
+    action = A[:kept] + s0[None, :]
     return CharacteristicFan(x0, p0, times[:kept], X[:kept], P[:kept],
                              action, V.mass, t_crossing)
 
 
-def solve_hj(s0, V, t_final, dt=2e-4, snapshot_times=None):
-    """Integrate the classical action equation from the initial field s0,
-    with steps of at most dt landing exactly on the snapshot times.
+def solve_hj(grid, s0, V, t_final, dt=2e-4, snapshot_times=None):
+    """Integrate the classical action equation from the initial action s0
+    sampled on grid, with steps of at most dt landing exactly on the
+    snapshot times.
 
     Returns an HJSolution that reads S at each snapshot time off the fan's
     Hermite spline.  Raises CausticError(t_caustic) when adjacent
     characteristics cross before t_final, also after the last snapshot.
     """
-    fan = integrate_fan(s0, V, t_final, dt, snapshot_times)
+    fan = integrate_fan(grid, s0, V, t_final, dt, snapshot_times)
     if fan.t_crossing is not None:
         raise CausticError(
             f"characteristics crossed at t={fan.t_crossing:.6g}; "
             f"single-valued action field ends there",
             t_caustic=fan.t_crossing)
-    return HJSolution(s0.grid, fan)
+    return HJSolution(grid, fan)
 
 
 def classical_hj_residual(sol, V, i):

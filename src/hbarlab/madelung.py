@@ -25,12 +25,7 @@ import numpy as np
 from .grid import spectral_derivative
 from .potential import eval_potential
 
-__all__ = [
-    "DEFAULT_FLOOR",
-    "weighted_action_terms",
-]
-
-DEFAULT_FLOOR = 1e-12   # support floor, relative to max(rho)
+__all__ = ["weighted_action_terms"]
 
 
 def weighted_action_terms(triple, V, dt):

@@ -2,8 +2,9 @@
 
 Every built-in kind (free, constant force, harmonic) reduces internally to
 polynomial coefficients, so evaluation and the hot integrator kernels share
-one code path.  Tabulated potentials use nearest-node lookup and a
-finite-difference derivative for the force; they exist for exploratory use
+one code path.  A tabulated potential keeps its table's grid and a
+read-only copy of its samples, and uses nearest-node lookup and a
+finite-difference derivative for the force; it exists for exploratory use
 only.
 
 Potentials are static.  The particle mass lives here so that every
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .grid import RealField
+from .grid import _check_values
 
 __all__ = ["PotentialSpec", "eval_potential", "eval_force"]
 
@@ -49,7 +50,8 @@ class PotentialSpec:
     kind: str
     mass: float
     coeffs: np.ndarray = None            # V polynomial, low -> high degree
-    table: RealField = None
+    grid: object = None                  # the table's Grid
+    table: np.ndarray = None             # V sampled on grid, read-only
     omega: float = None
     f0: float = None
 
@@ -88,11 +90,12 @@ class PotentialSpec:
         return PotentialSpec("polynomial", float(mass), coeffs=_as_coeffs(coeffs))
 
     @staticmethod
-    def tabulated(table, mass=1.0):
+    def tabulated(grid, values, mass=1.0):
+        """V sampled at the nodes of grid; DomainError unless values hold
+        one finite sample per node."""
         _check_mass(mass)
-        if not isinstance(table, RealField):
-            raise DomainError("tabulated potential requires a RealField")
-        return PotentialSpec("tabulated", float(mass), table=table)
+        return PotentialSpec("tabulated", float(mass), grid=grid,
+                             table=_check_values(grid, values, float))
 
     # -- helpers -----------------------------------------------------------
 
@@ -124,7 +127,7 @@ def _table_lookup(g, values, x):
 def eval_potential(spec, x):
     """V(x); x may be a scalar or an array."""
     if spec.kind == "tabulated":
-        out = _table_lookup(spec.table.grid, spec.table.values, x)
+        out = _table_lookup(spec.grid, spec.table, x)
     else:
         out = np.polynomial.polynomial.polyval(np.asarray(x, dtype=float),
                                                spec.coeffs)
@@ -142,8 +145,8 @@ def eval_force(spec, x):
     quadratic tables and boundary-safe.
     """
     if spec.kind == "tabulated":
-        g = spec.table.grid
-        dv = np.gradient(spec.table.values, g.dx, edge_order=2)
+        g = spec.grid
+        dv = np.gradient(spec.table, g.dx, edge_order=2)
         out = -_table_lookup(g, dv, x)
     else:
         fc = spec.force_coeffs()

@@ -130,7 +130,7 @@ def max_stable_dt(grid, V, hbar, m):
 
 
 # (key, phase factors) of the last propagate call; the key is
-# (grid, V, hbar, m, dt), grids compared by value and V by identity
+# (grid, V, hbar, m, dt), grid and V compared by identity
 _phase_memo = None
 
 
@@ -142,7 +142,7 @@ def _phases(g, V, hbar, m, dt):
     key too, so only a key that passed it is stored."""
     global _phase_memo
     memo = _phase_memo
-    if (memo is not None and memo[0][1] is V and memo[0][0] == g
+    if (memo is not None and memo[0][0] is g and memo[0][1] is V
             and memo[0][2:] == (hbar, m, dt)):
         return memo[1]
     dt_max = max_stable_dt(g, V, hbar, m)
@@ -168,7 +168,7 @@ def propagate(psi, V, dt, n_steps):
     reaches the boundary margin, LabError when the norm drifts; both checks
     run on every call.  The phase factors, and the stability verdict with
     them, are built once and reused by the following calls with the same
-    grid, potential object, hbar, m and dt.
+    grid and potential objects, hbar, m and dt.
     """
     if dt <= 0:
         raise DomainError(f"dt must be positive, got {dt}")

@@ -16,7 +16,8 @@ own numerics; the Madelung and Ehrenfest helpers below differentiate with
 - `energy_mean`: <H> of a wave function.
 - `MadelungFields`, `support_mask`, `make_madelung`, `from_madelung`,
   `quantum_term`, `hj_residual`, `analytic_packet_fields`: (rho, S) fields
-  with the support where S is defined (rho >= DEFAULT_FLOOR * max rho) and
+  on a grid with the support where S is defined (rho >= DEFAULT_FLOOR * max
+  rho, the floor `experiments.auto_grid` resolves packets down to) and
   the mass off it, their reassembly into psi, the hbar^2 term
   -(hbar^2/2m) lap(sqrt(rho))/sqrt(rho) and the residual of the quantum
   action equation on given fields.  The package itself never forms S (its
@@ -46,8 +47,8 @@ import numpy as np
 
 from hbarlab.classical import newton_integrate
 from hbarlab.errors import DomainError
-from hbarlab.grid import RealField, real_field, spectral_derivative
-from hbarlab.madelung import DEFAULT_FLOOR
+from hbarlab.experiments import DEFAULT_FLOOR
+from hbarlab.grid import spectral_derivative
 from hbarlab.potential import eval_force, eval_potential
 from hbarlab.schrodinger import WaveFunction, observables
 
@@ -77,16 +78,14 @@ def gauss_rho(x, eps, r=0.0):
     return (np.pi * eps) ** (-0.5) * np.exp(-((x - r) ** 2) / eps)
 
 
-def expectations(rho, s, m):
-    """(mean position, mean momentum) of a (rho, S) field pair:
-    x_mean = int x rho dx,  p_mean = int rho dS/dx dx."""
-    g = rho.grid
-    total = g.dx * rho.values.sum()
+def expectations(g, rho, s, m):
+    """(mean position, mean momentum) of a (rho, S) field pair sampled on
+    grid g: x_mean = int x rho dx,  p_mean = int rho dS/dx dx."""
+    total = g.dx * rho.sum()
     if abs(total - 1.0) > 1e-6:
         raise DomainError(f"density mass {total} is not 1 within 1e-6")
-    x_mean = float(g.dx * np.sum(g.x * rho.values))
-    p_mean = float(g.dx * np.sum(
-        rho.values * np.gradient(s.values, g.dx, edge_order=2)))
+    x_mean = float(g.dx * np.sum(g.x * rho))
+    p_mean = float(g.dx * np.sum(rho * np.gradient(s, g.dx, edge_order=2)))
     return x_mean, p_mean
 
 
@@ -157,8 +156,9 @@ def energy_mean(psi, V):
 
 @dataclass(frozen=True)
 class MadelungFields:
-    rho: RealField
-    s: RealField
+    grid: object
+    rho: np.ndarray
+    s: np.ndarray
     hbar: float
     support: np.ndarray          # True where S is defined
     masked_mass_fraction: float
@@ -172,18 +172,20 @@ def support_mask(rho_vals, dx):
     return support, float(dx * rho_vals[~support].sum())
 
 
-def make_madelung(rho, s, hbar):
-    """Assemble MadelungFields from density and action fields, validating
-    normalization and computing the support mask."""
-    if rho.grid != s.grid:
-        raise DomainError("rho and S live on different grids")
-    if np.any(rho.values < 0):
+def make_madelung(g, rho, s, hbar):
+    """Assemble MadelungFields from density and action samples on grid g,
+    validating normalization and computing the support mask."""
+    rho = np.asarray(rho, dtype=float)
+    s = np.asarray(s, dtype=float)
+    if rho.shape != (g.n,) or s.shape != (g.n,):
+        raise DomainError("rho and S need one sample per grid point")
+    if np.any(rho < 0):
         raise DomainError("density must be nonnegative")
-    total = rho.grid.dx * rho.values.sum()
+    total = g.dx * rho.sum()
     if abs(total - 1.0) > NORM_TOL:
         raise DomainError(f"density mass {total} is not 1 within {NORM_TOL}")
-    support, masked = support_mask(rho.values, rho.grid.dx)
-    return MadelungFields(rho, s, float(hbar), support, masked)
+    support, masked = support_mask(rho, g.dx)
+    return MadelungFields(g, rho, s, float(hbar), support, masked)
 
 
 def from_madelung(f, m=1.0, t=0.0):
@@ -192,25 +194,26 @@ def from_madelung(f, m=1.0, t=0.0):
         raise DomainError(
             f"masked mass fraction {f.masked_mass_fraction:.3f} exceeds "
             f"{MAX_MASKED_MASS}; S is untrustworthy")
-    total = f.rho.grid.dx * f.rho.values.sum()
+    total = f.grid.dx * f.rho.sum()
     if abs(total - 1.0) > NORM_TOL:
         raise DomainError(f"density mass {total} is not 1 within {NORM_TOL}")
-    phase = np.where(f.support, f.s.values / f.hbar, 0.0)
-    vals = np.sqrt(f.rho.values) * np.exp(1j * phase)
+    phase = np.where(f.support, f.s / f.hbar, 0.0)
+    vals = np.sqrt(f.rho) * np.exp(1j * phase)
     # rho is normalized to 1e-6; the wave function itself carries unit norm
     # to machine precision
-    vals /= np.sqrt(f.rho.grid.dx * np.sum(np.abs(vals) ** 2))
-    return WaveFunction(f.rho.grid, vals, f.hbar, float(m), t)
+    vals /= np.sqrt(f.grid.dx * np.sum(np.abs(vals) ** 2))
+    return WaveFunction(f.grid, vals, f.hbar, float(m), t)
 
 
-def quantum_term(rho, hbar, m):
-    """-(hbar^2/2m) lap(sqrt(rho))/sqrt(rho) on rho's grid, as an array; 0
-    on masked points.  The Laplacian is spectral: sqrt(rho) decays (or is
-    uniform), so it is periodic-friendly even when S is not."""
-    amp = np.sqrt(np.maximum(rho.values, 0.0))
-    lap = spectral_derivative(rho.grid, amp, 2)
-    support, _ = support_mask(rho.values, rho.grid.dx)
-    out = np.zeros(rho.grid.n)
+def quantum_term(g, rho, hbar, m):
+    """-(hbar^2/2m) lap(sqrt(rho))/sqrt(rho) for rho sampled on grid g, as
+    an array; 0 on masked points.  The Laplacian is spectral: sqrt(rho)
+    decays (or is uniform), so it is periodic-friendly even when S is
+    not."""
+    amp = np.sqrt(np.maximum(rho, 0.0))
+    lap = spectral_derivative(g, amp, 2)
+    support, _ = support_mask(rho, g.dx)
+    out = np.zeros(g.n)
     out[support] = -(hbar ** 2) / (2.0 * m) * lap[support] / amp[support]
     return out
 
@@ -225,11 +228,11 @@ def hj_residual(f, ds_dt, V):
         raise DomainError(
             f"masked mass fraction {f.masked_mass_fraction:.3f} exceeds "
             f"{MAX_MASKED_MASS}")
-    g = f.rho.grid
+    g = f.grid
     m = V.mass
-    grad_s = np.gradient(f.s.values, g.dx, edge_order=2)
+    grad_s = np.gradient(f.s, g.dx, edge_order=2)
     integrand = (ds_dt + grad_s ** 2 / (2.0 * m) + eval_potential(V, g.x)
-                 + quantum_term(f.rho, f.hbar, m))
+                 + quantum_term(g, f.rho, f.hbar, m))
     # the difference stencil for S needs both neighbors inside the support
     region = f.support.copy()
     region[1:] &= f.support[:-1]
@@ -305,8 +308,8 @@ def analytic_packet_fields(case, grid, epsilon0, p0, hbar, m, t,
                   + pdot * x - 0.5 * (pdot * r + p * rdot)
                   - hbar ** 2 / (2.0 * m * eps) + extra_rate)
 
-    rho = real_field(grid, rho_vals / (grid.dx * rho_vals.sum()))
-    fields = make_madelung(rho, real_field(grid, s_vals), hbar)
+    fields = make_madelung(grid, rho_vals / (grid.dx * rho_vals.sum()),
+                           s_vals, hbar)
     return fields, ds_dt_vals
 
 

@@ -13,7 +13,7 @@ from hbarlab.detpot import (
     gaussian_convolve,
 )
 from hbarlab.errors import DomainError, InconclusiveError
-from hbarlab.grid import make_grid, real_field
+from hbarlab.grid import make_grid
 from hbarlab.potential import PotentialSpec, eval_force
 
 
@@ -121,7 +121,7 @@ class TestFourierResidual:
         q = 2 * np.pi * 8 / g.length
         eps = 0.1
         # V = cos(qx)/q gives F = sin(qx)
-        V = PotentialSpec.tabulated(real_field(g, np.cos(q * g.x) / q))
+        V = PotentialSpec.tabulated(g, np.cos(q * g.x) / q)
         fr = fourier_residual_norm(V, eps, g)
         f_norm = np.sqrt(g.dx * np.sum(np.sin(q * g.x) ** 2))
         expected = abs(1 - np.exp(-eps * q ** 2 / 4)) * f_norm
@@ -150,7 +150,7 @@ class TestFourierResidual:
             phase = float(rng.uniform(0, 2 * np.pi))
             q = 2 * np.pi * j / g.length
             table = -np.cos(q * g.x + phase) / q   # F = -dV/dx = -sin(...)
-            V = PotentialSpec.tabulated(real_field(g, table))
+            V = PotentialSpec.tabulated(g, table)
             real_rel = detpot_residual(V, eps, g)
             F = eval_force(V, g.x)
             f_norm = np.sqrt(g.dx * np.sum(F ** 2))
@@ -169,7 +169,7 @@ class TestClassify:
         g = default_grid()
         cubic = PotentialSpec.polynomial([0, 0, 0, 1.0])
         quartic = PotentialSpec.polynomial([0, 0, 0, 0, 1.0])
-        cos_v = PotentialSpec.tabulated(real_field(g, np.cos(g.x)))
+        cos_v = PotentialSpec.tabulated(g, np.cos(g.x))
         for V in (cubic, quartic, cos_v):
             report = classify(V, grid=g)
             assert report.verdict == "NonDeterministic"

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from hbarlab.errors import DomainError
-from hbarlab.grid import make_grid, real_field, spectral_derivative
+from hbarlab.grid import make_grid, spectral_derivative
+from hbarlab.potential import PotentialSpec
 
 
 def band_limited_field(grid, rng, n_modes=8):
@@ -39,23 +40,24 @@ class TestMakeGrid:
 
 
 class TestFields:
+    # a potential table keeps its samples as `_check_values` gives them
     def test_rejects_nan(self):
         g = make_grid(-1, 1, 16)
         vals = np.zeros(16)
         vals[3] = np.nan
         with pytest.raises(DomainError):
-            real_field(g, vals)
+            PotentialSpec.tabulated(g, vals)
 
     def test_rejects_length_mismatch(self):
         g = make_grid(-1, 1, 16)
         with pytest.raises(DomainError):
-            real_field(g, np.zeros(17))
+            PotentialSpec.tabulated(g, np.zeros(17))
 
     def test_values_immutable(self):
         g = make_grid(-1, 1, 16)
-        f = real_field(g, np.zeros(16))
+        V = PotentialSpec.tabulated(g, np.zeros(16))
         with pytest.raises(ValueError):
-            f.values[0] = 1.0
+            V.table[0] = 1.0
 
 
 class TestSpectralDerivative:

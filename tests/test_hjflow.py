@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hbarlab.errors import CausticError, DomainError
-from hbarlab.grid import make_grid, real_field
+from hbarlab.grid import make_grid
 from hbarlab.hjflow import (
     CharacteristicFan,
     HJSolution,
@@ -21,7 +21,7 @@ from helpers import expectations, gauss_rho
 
 
 def linear_s0(grid, p0):
-    return real_field(grid, p0 * grid.x)
+    return p0 * grid.x
 
 
 @st.composite
@@ -63,7 +63,7 @@ class TestSolveHJ:
         g = make_grid(-8, 8, 256)
         V = PotentialSpec.free()
         p0 = 1.3
-        sol = solve_hj(linear_s0(g, p0), V, t_final=1.0)
+        sol = solve_hj(g, linear_s0(g, p0), V, t_final=1.0)
         for i, t in enumerate(sol.times):
             expected = p0 * g.x - p0 ** 2 * t / 2.0
             cov = sol.covered(i)
@@ -77,7 +77,7 @@ class TestSolveHJ:
         g = make_grid(-8, 8, 256)
         V = PotentialSpec.harmonic(1.0, 1.0)
         ts = [0.0, 0.5999, 0.6, 0.6001, 1.2]
-        sol = solve_hj(linear_s0(g, 1.0), V, t_final=1.2, dt=5e-5,
+        sol = solve_hj(g, linear_s0(g, 1.0), V, t_final=1.2, dt=5e-5,
                        snapshot_times=ts)
         assert classical_hj_residual(sol, V, 2) <= 1e-6
 
@@ -86,9 +86,9 @@ class TestSolveHJ:
         # at t = T: x(t) = x0 (1 - t/T).
         g = make_grid(-8, 8, 256)
         T = 1.0
-        s0 = real_field(g, -g.x ** 2 / (2 * T))
+        s0 = -g.x ** 2 / (2 * T)
         with pytest.raises(CausticError) as err:
-            solve_hj(s0, PotentialSpec.free(), t_final=1.5, dt=2e-4)
+            solve_hj(g, s0, PotentialSpec.free(), t_final=1.5, dt=2e-4)
         assert err.value.t_caustic == pytest.approx(T, rel=0.01)
 
     def test_fan_stops_at_first_crossing(self):
@@ -96,8 +96,8 @@ class TestSolveHJ:
         # only the snapshots before it
         g = make_grid(-8, 8, 256)
         T = 1.0
-        s0 = real_field(g, -g.x ** 2 / (2 * T))
-        fan = integrate_fan(s0, PotentialSpec.free(), t_final=1.5 * T,
+        s0 = -g.x ** 2 / (2 * T)
+        fan = integrate_fan(g, s0, PotentialSpec.free(), t_final=1.5 * T,
                             dt=2e-4, snapshot_times=np.linspace(0, 1.5, 7))
         assert fan.t_crossing == pytest.approx(T, rel=0.01)
         assert len(fan.times) == fan.x.shape[0] == 4
@@ -109,13 +109,13 @@ class TestSolveHJ:
         # ends it even when every snapshot comes before T
         g = make_grid(-8, 8, 256)
         T = 1.0
-        s0 = real_field(g, -g.x ** 2 / (2 * T))
-        fan = integrate_fan(s0, PotentialSpec.free(), t_final=1.5 * T,
+        s0 = -g.x ** 2 / (2 * T)
+        fan = integrate_fan(g, s0, PotentialSpec.free(), t_final=1.5 * T,
                             dt=2e-4, snapshot_times=[0.0, 0.5])
         assert np.array_equal(fan.times, [0.0, 0.5])
         assert fan.t_crossing == pytest.approx(T, abs=1e-9)
         with pytest.raises(CausticError):
-            solve_hj(s0, PotentialSpec.free(), t_final=1.5 * T, dt=2e-4,
+            solve_hj(g, s0, PotentialSpec.free(), t_final=1.5 * T, dt=2e-4,
                      snapshot_times=[0.0, 0.5])
 
     def test_fan_lands_on_incommensurate_snapshot_times(self):
@@ -127,7 +127,7 @@ class TestSolveHJ:
         report = np.linspace(0.12, 1.14, 9)
         ts = np.unique(np.concatenate([report - 1e-3, report,
                                        report + 1e-3]))
-        sol = solve_hj(linear_s0(g, 1.0), V, 1.2, dt=2e-4,
+        sol = solve_hj(g, linear_s0(g, 1.0), V, 1.2, dt=2e-4,
                        snapshot_times=ts)
         assert np.array_equal(sol.times, ts)
         # the report rows are the snapshots 1, 4, 7, ... (residual entries
@@ -137,14 +137,14 @@ class TestSolveHJ:
 
     def test_rejects_tabulated_and_scheduled(self):
         g = make_grid(-8, 8, 256)
-        tab = PotentialSpec.tabulated(real_field(g, g.x ** 2))
+        tab = PotentialSpec.tabulated(g, g.x ** 2)
         with pytest.raises(DomainError):
-            solve_hj(linear_s0(g, 1.0), tab, 1.0)
+            solve_hj(g, linear_s0(g, 1.0), tab, 1.0)
 
     def test_fan_energy_conservation(self):
         g = make_grid(-2, 2, 64)
         V = PotentialSpec.harmonic(1.0, 1.0)
-        fan = integrate_fan(linear_s0(g, 1.0), V, t_final=1.2, dt=1e-4,
+        fan = integrate_fan(g, linear_s0(g, 1.0), V, t_final=1.2, dt=1e-4,
                             snapshot_times=np.linspace(0, 1.2, 7))
         energy = 0.5 * fan.p ** 2 / fan.m + eval_potential(V, fan.x)
         drift = np.max(np.abs(energy - energy[0]))
@@ -156,15 +156,15 @@ class TestMomentumFieldAndExpectations:
     # p0 = dS0/dx
     def test_linear_action(self):
         g = make_grid(-6, 6, 128)
-        fan = integrate_fan(linear_s0(g, 0.7), PotentialSpec.free(), 0.1,
+        fan = integrate_fan(g, linear_s0(g, 0.7), PotentialSpec.free(), 0.1,
                             snapshot_times=[0.0])
         assert np.array_equal(fan.x0, g.x)
         assert np.max(np.abs(fan.p0 - 0.7)) <= 1e-10
 
     def test_quadratic_action(self):
         g = make_grid(-6, 6, 128)
-        s = real_field(g, 0.5 * 1.3 * g.x ** 2)
-        fan = integrate_fan(s, PotentialSpec.free(), 0.1,
+        s = 0.5 * 1.3 * g.x ** 2
+        fan = integrate_fan(g, s, PotentialSpec.free(), 0.1,
                             snapshot_times=[0.0])
         assert np.array_equal(fan.x0, g.x)
         assert np.max(np.abs(fan.p0 - 1.3 * fan.x0)) <= 1e-10
@@ -175,7 +175,7 @@ class TestMomentumFieldAndExpectations:
         from scipy.interpolate import PchipInterpolator
         g = make_grid(-8, 8, 256)
         V = PotentialSpec.harmonic(1.0, 1.0)
-        sol = solve_hj(linear_s0(g, 1.0), V, 0.8, dt=1e-4,
+        sol = solve_hj(g, linear_s0(g, 1.0), V, 0.8, dt=1e-4,
                        snapshot_times=[0.0, 0.4, 0.8])
         i = 1
         fan = sol.fan
@@ -188,9 +188,8 @@ class TestMomentumFieldAndExpectations:
 
     def test_expectation_values(self):
         g = make_grid(-10, 10, 1024)
-        rho = real_field(g, gauss_rho(g.x, 0.25, r=1.5))
-        s = linear_s0(g, 0.9)
-        x_mean, p_mean = expectations(rho, s, m=1.0)
+        rho = gauss_rho(g.x, 0.25, r=1.5)
+        x_mean, p_mean = expectations(g, rho, linear_s0(g, 0.9), m=1.0)
         assert x_mean == pytest.approx(1.5, abs=1e-10)
         assert p_mean == pytest.approx(0.9, abs=1e-10)
 
@@ -198,12 +197,11 @@ class TestMomentumFieldAndExpectations:
         # With a cubic action, p_mean - dS/dx(r) = (3c/2) eps exactly.
         g = make_grid(-4, 4, 4096)
         c, r = 0.05, 0.4
-        s = real_field(g, 1.0 * g.x + c * g.x ** 3)
+        s = 1.0 * g.x + c * g.x ** 3
         gaps = []
         eps_list = [3e-2, 1e-2, 3e-3, 1e-3]
         for eps in eps_list:
-            rho = real_field(g, gauss_rho(g.x, eps, r=r))
-            _, p_mean = expectations(rho, s, m=1.0)
+            _, p_mean = expectations(g, gauss_rho(g.x, eps, r=r), s, m=1.0)
             gaps.append(p_mean - (1.0 + 3 * c * r ** 2))
         slope = np.polyfit(np.log(eps_list), np.log(np.abs(gaps)), 1)[0]
         assert slope == pytest.approx(1.0, abs=0.02)
@@ -216,7 +214,7 @@ class TestDeterministicContinuity:
         V = PotentialSpec.free()
         p0 = 1.0
         ts = np.linspace(0.0, 1.0, 5)
-        sol = solve_hj(linear_s0(g, p0), V, 1.0, snapshot_times=ts)
+        sol = solve_hj(g, linear_s0(g, p0), V, 1.0, snapshot_times=ts)
         r_t = p0 * sol.times
         p_t = np.full_like(sol.times, p0)
         term1, term2, p_gap = deterministic_continuity_check(
@@ -233,7 +231,8 @@ class TestDeterministicContinuity:
         V = PotentialSpec.harmonic(1.0, 1.0)
         p0, t_eval = 1.0, 0.6
         ts = [0.0, t_eval, 1.2]
-        sol = solve_hj(linear_s0(g, p0), V, 1.2, dt=1e-4, snapshot_times=ts)
+        sol = solve_hj(g, linear_s0(g, p0), V, 1.2, dt=1e-4,
+                       snapshot_times=ts)
         r_t = p0 * np.sin(sol.times)
         p_t = p0 * np.cos(sol.times)
         eps = 1e-4
@@ -247,7 +246,7 @@ class TestDeterministicContinuity:
         g = make_grid(-8, 8, 256)
         V = PotentialSpec.harmonic(1.0, 1.0)
         p0 = 1.0
-        sol = solve_hj(linear_s0(g, p0), V, 1.2, dt=1e-4,
+        sol = solve_hj(g, linear_s0(g, p0), V, 1.2, dt=1e-4,
                        snapshot_times=[0.0, 0.6, 1.2])
         r_t = p0 * np.sin(sol.times)
         p_t = p0 * np.cos(sol.times)
@@ -261,7 +260,7 @@ class TestDeterministicContinuity:
         g = make_grid(-8, 8, 256)
         V = PotentialSpec.harmonic(1.0, 1.0)
         p0 = 1.0
-        sol = solve_hj(linear_s0(g, p0), V, 1.2, dt=1e-4,
+        sol = solve_hj(g, linear_s0(g, p0), V, 1.2, dt=1e-4,
                        snapshot_times=[0.0, 0.6, 1.2])
         r_t = p0 * np.sin(sol.times)
         p_wrong = p0 * np.cos(sol.times) + 1.0
@@ -280,7 +279,7 @@ class TestQuantumConsistency:
         g = make_grid(-10, 10, 512)
         V = PotentialSpec.harmonic(1.0, 1.0)
         p0, t_eval = 1.0, 0.6
-        sol = solve_hj(linear_s0(g, p0), V, t_eval, dt=1e-4,
+        sol = solve_hj(g, linear_s0(g, p0), V, t_eval, dt=1e-4,
                        snapshot_times=[0.0, t_eval])
         r_t = p0 * np.sin(t_eval)
         p_t = p0 * np.cos(t_eval)
@@ -297,7 +296,7 @@ class TestQuantumConsistency:
         g = make_grid(-8, 8, 256)
         V = PotentialSpec.harmonic(1.0, 1.0)
         p0 = 1.0
-        sol = solve_hj(linear_s0(g, p0), V, 1.2, dt=1e-4,
+        sol = solve_hj(g, linear_s0(g, p0), V, 1.2, dt=1e-4,
                        snapshot_times=[0.0, 0.6, 1.2])
         r_t = p0 * np.sin(sol.times)
         p_t = p0 * np.cos(sol.times)
@@ -313,7 +312,7 @@ class TestProjectedNewton:
         V = PotentialSpec.harmonic(1.0, 1.0)
         p0, t0 = 1.0, 0.5
         ts = t0 + 2e-3 * np.arange(-2, 3)
-        sol = solve_hj(linear_s0(g, p0), V, ts[-1], dt=1e-4,
+        sol = solve_hj(g, linear_s0(g, p0), V, ts[-1], dt=1e-4,
                        snapshot_times=ts)
         r_t = p0 * np.sin(sol.times)
         res = projected_newton_check(sol, V, r_t)
@@ -322,7 +321,7 @@ class TestProjectedNewton:
     def test_free_flow_zero(self):
         g = make_grid(-8, 8, 256)
         V = PotentialSpec.free()
-        sol = solve_hj(linear_s0(g, 1.0), V, 1.0,
+        sol = solve_hj(g, linear_s0(g, 1.0), V, 1.0,
                        snapshot_times=np.linspace(0, 1, 5))
         r_t = 1.0 * sol.times
         assert np.max(projected_newton_check(sol, V, r_t)) <= 1e-8
@@ -335,7 +334,7 @@ class TestProjectedNewton:
         V_traj = PotentialSpec.harmonic(1.0, 1.0)
         p0, t0 = 0.5, 0.2
         ts = t0 + 2e-3 * np.arange(-2, 3)
-        sol = solve_hj(linear_s0(g, p0), V_field, ts[-1], dt=1e-4,
+        sol = solve_hj(g, linear_s0(g, p0), V_field, ts[-1], dt=1e-4,
                        snapshot_times=ts)
         r_t = p0 * np.sin(sol.times)
         res = projected_newton_check(sol, V_traj, r_t)

@@ -11,7 +11,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hbarlab import hjflow
@@ -28,8 +28,11 @@ from hbarlab.errors import (
     MassDriftError,
 )
 from hbarlab.experiments import (
+    DEFAULT_FLOOR,
     EXPERIMENTS,
+    MAX_GRID_N,
     ScanResult,
+    _finite_need,
     auto_grid,
     run_combined_limit,
     run_detpot,
@@ -137,13 +140,26 @@ class TestConfig:
         g = np.linspace(-4, 4, 64, endpoint=False)
         path = tmp_path / "table.txt"
         np.savetxt(path, np.column_stack([g, g ** 2]))
-        field = load_potential_table(str(path))
-        assert field.grid.n == 64
-        assert field.grid.x_min == -4.0
+        grid, values = load_potential_table(str(path))
+        assert grid.n == 64
+        assert grid.x_min == -4.0
+        assert np.array_equal(values, g ** 2)
         cfg = RunConfig.from_text(
             "[potential]\nkind = tabulated\n"
             f"table = {path}\n")
-        assert cfg.potential().kind == "tabulated"
+        V = cfg.potential()
+        assert V.kind == "tabulated"
+        assert np.array_equal(V.grid.x, g) and np.array_equal(V.table, g ** 2)
+
+    def test_tabulated_file_holding_nan_names_the_file(self, tmp_path):
+        g = np.linspace(-4, 4, 64, endpoint=False)
+        v = g ** 2
+        v[10] = np.nan
+        path = tmp_path / "table.txt"
+        np.savetxt(path, np.column_stack([g, v]))
+        with pytest.raises(DomainError) as err:
+            load_potential_table(str(path))
+        assert str(path) in str(err.value)
 
 
 def _preset_names():
@@ -630,9 +646,8 @@ class TestAutoGrid:
     @pytest.mark.parametrize("name", CLOSED_FORM_PRESETS)
     def test_spectral_headroom(self, name):
         # the auto grid's k_max clears the packet's spectrum: at every
-        # snapshot the outer 5% of |k| holds at most the Madelung support
-        # floor relative to the spectral peak
-        from hbarlab.madelung import DEFAULT_FLOOR
+        # snapshot the outer 5% of |k| holds at most DEFAULT_FLOOR of the
+        # spectral peak
         from hbarlab.schrodinger import (
             init_gaussian,
             max_stable_dt,
@@ -669,34 +684,37 @@ class TestAutoGrid:
         assert g.x_max >= 1.5   # E ~ 1 -> turning point ~ 1. plus margin
 
     @settings(max_examples=80, deadline=None)
-    @given(data=st.data(),
-           kind=st.sampled_from(("free", "constant_force", "harmonic",
+    @given(kind=st.sampled_from(("free", "constant_force", "harmonic",
                                  "quartic")),
            hbar=st.floats(0.01, 1.0), eps=st.floats(0.005, 1.0),
            r0=st.floats(-2.0, 2.0), p0=st.floats(-2.0, 2.0),
-           t_final=st.floats(0.1, 2.0))
-    def test_grid_resolves_initial_packet(self, data, kind, hbar, eps, r0,
-                                          p0, t_final):
+           t_final=st.floats(0.1, 2.0), f0=st.floats(-2.0, 2.0),
+           omega=st.floats(0.5, 2.0), c2=st.floats(-1.0, 1.0),
+           c4=st.floats(0.1, 1.0))
+    # a packet auto_grid refuses: it needs 9.08e4 points
+    @example(kind="quartic", hbar=0.01, eps=1.0, r0=-2.0, p0=-2.0,
+             t_final=0.1, f0=0.0, omega=1.0, c2=-1.0, c4=1.0)
+    def test_grid_resolves_initial_packet(self, kind, hbar, eps, r0, p0,
+                                          t_final, f0, omega, c2, c4):
         # with no floor padding the resolution, the t = 0 packet must still
-        # sit inside the grid's spectrum and away from its edges
-        from hbarlab.madelung import DEFAULT_FLOOR
+        # sit inside the grid's spectrum and away from its edges, unless
+        # auto_grid refuses it for needing more than MAX_GRID_N points
         from hbarlab.schrodinger import (
             LEAK_TOL,
             boundary_leak_fraction,
             init_gaussian,
         )
-        if kind == "free":
-            V = PotentialSpec.free()
-        elif kind == "constant_force":
-            V = PotentialSpec.constant_force(data.draw(st.floats(-2.0, 2.0)))
-        elif kind == "harmonic":
-            V = PotentialSpec.harmonic(1.0, data.draw(st.floats(0.5, 2.0)))
-        else:
-            V = PotentialSpec.polynomial(
-                [0, 0, data.draw(st.floats(-1.0, 1.0)), 0,
-                 data.draw(st.floats(0.1, 1.0))])
-        grid = auto_grid(V, eps, r0, p0, hbar, t_final)
-        assert 64 <= grid.n <= 65536 and grid.n & (grid.n - 1) == 0
+        V = {"free": PotentialSpec.free(),
+             "constant_force": PotentialSpec.constant_force(f0),
+             "harmonic": PotentialSpec.harmonic(1.0, omega),
+             "quartic": PotentialSpec.polynomial([0, 0, c2, 0, c4])}[kind]
+        try:
+            grid = auto_grid(V, eps, r0, p0, hbar, t_final)
+        except DomainError:
+            half, k_need = _finite_need(V, eps, r0, p0, hbar, t_final)
+            assert k_need * (2 * half) / np.pi > MAX_GRID_N
+            return
+        assert 64 <= grid.n <= MAX_GRID_N and grid.n & (grid.n - 1) == 0
         psi = init_gaussian(grid, eps, r0, p0, hbar, V.mass)
         power = np.abs(np.fft.fft(psi.values)) ** 2
         assert power[grid.n // 2] <= DEFAULT_FLOOR * power.max()
@@ -870,6 +888,16 @@ class TestCLI:
         assert "error:" in err and "Traceback" not in err
         assert str(path) in err
 
+    @pytest.mark.parametrize("key", ["packet.p0", "packet.s0_curvature"])
+    def test_overflowing_initial_action_exits_1(self, key, tmp_path,
+                                                capsys):
+        code = main(["phj", "--config", "phj_harmonic", "--set",
+                     f"{key}=1e308", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "[packet] p0" in err and "s0_curvature" in err
+        assert "Traceback" not in err
+
     def test_malformed_potential_table_exits_1(self, tmp_path, capsys):
         table = tmp_path / "vtable.txt"
         table.write_text("x V\n0.0 0.0\n0.1 0.01\n")
@@ -980,7 +1008,7 @@ class TestCLI:
         MassDriftError("phase-space mass drifted by 1e-03"),
         EscapeError("trajectory left |x| <= 100"),
         InconclusiveError("residuals straddle the tolerance"),
-    ])
+    ], ids=lambda error: type(error).__name__)
     def test_every_lab_error_exits_2(self, error, monkeypatch, tmp_path,
                                      capsys):
         def fail(cfg):
@@ -1172,8 +1200,8 @@ EDGE = ("0", "-1", "nan", "inf", "-inf", "1e300", "-1e300", "")
 FUZZ_VALUES = {
     "packet.epsilon": EDGE,
     "packet.r0": EDGE,
-    "packet.p0": EDGE,
-    "packet.s0_curvature": EDGE,
+    "packet.p0": EDGE + ("1e308",),
+    "packet.s0_curvature": EDGE + ("1e308",),
     "potential.mass": EDGE,
     "potential.omega": EDGE,
     "potential.f0": EDGE,

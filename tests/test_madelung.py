@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hbarlab.errors import DomainError
-from hbarlab.grid import make_grid, real_field
+from hbarlab.grid import make_grid
 from hbarlab.madelung import weighted_action_terms
 from hbarlab.potential import PotentialSpec
 from hbarlab.schrodinger import (
@@ -34,9 +34,8 @@ def fidelity(psi_a, psi_b):
 def wrapped_madelung(psi):
     """(rho, S) of psi with S = hbar * arg(psi), wrapped, not unwrapped."""
     g = psi.grid
-    return make_madelung(real_field(g, np.abs(psi.values) ** 2),
-                         real_field(g, psi.hbar * np.angle(psi.values)),
-                         psi.hbar)
+    return make_madelung(g, np.abs(psi.values) ** 2,
+                         psi.hbar * np.angle(psi.values), psi.hbar)
 
 
 class TestFromMadelung:
@@ -48,8 +47,8 @@ class TestFromMadelung:
 
     def test_uniform_density_zero_phase(self):
         g = make_grid(-5, 5, 64)
-        f = make_madelung(real_field(g, np.full(64, 1.0 / g.length)),
-                          real_field(g, np.zeros(64)), hbar=1.0)
+        f = make_madelung(g, np.full(64, 1.0 / g.length), np.zeros(64),
+                          hbar=1.0)
         psi = from_madelung(f)
         assert np.allclose(psi.values, psi.values[0])
         assert np.allclose(np.abs(psi.values) ** 2, 1.0 / g.length)
@@ -57,8 +56,7 @@ class TestFromMadelung:
     def test_unnormalized_density_rejected(self):
         g = make_grid(-5, 5, 64)
         with pytest.raises(DomainError):
-            make_madelung(real_field(g, np.full(64, 0.2)),
-                          real_field(g, np.zeros(64)), hbar=1.0)
+            make_madelung(g, np.full(64, 0.2), np.zeros(64), hbar=1.0)
 
     def test_propagated_analytic_state_matches_analytic_evolution(self):
         # Reconstruct psi from the closed-form (rho, S) at t1, propagate with
@@ -123,11 +121,11 @@ class TestQuantumTerm:
         g = make_grid(-10, 10, 512)
         eps, hbar, m = 0.5, 1.3, 0.9
         r = 18 * g.dx  # on a grid point, so the peak check is exact
-        rho = real_field(g, gauss_rho(g.x, eps, r))
-        q = quantum_term(rho, hbar, m)
+        rho = gauss_rho(g.x, eps, r)
+        q = quantum_term(g, rho, hbar, m)
         # Compare where the division by sqrt(rho) is well conditioned; at
         # the 1e-12 support floor the FFT roundoff is amplified ~1e6x.
-        region = rho.values >= 1e-9 * rho.values.max()
+        region = rho >= 1e-9 * rho.max()
         expected = hbar ** 2 / (2 * m * eps ** 2) * (eps - (g.x - r) ** 2)
         assert np.max(np.abs(q[region] - expected[region])) <= 1e-8
         ir = np.argmin(np.abs(g.x - r))
@@ -135,20 +133,19 @@ class TestQuantumTerm:
 
     def test_uniform_density_gives_zero(self):
         g = make_grid(-5, 5, 64)
-        q = quantum_term(real_field(g, np.full(64, 0.1)), 1.0, 1.0)
+        q = quantum_term(g, np.full(64, 0.1), 1.0, 1.0)
         assert np.max(np.abs(q)) <= 1e-12
 
     def test_zero_hbar_gives_zero(self):
         g = make_grid(-10, 10, 256)
-        rho = real_field(g, gauss_rho(g.x, 0.5))
-        q = quantum_term(rho, 0.0, 1.0)
+        q = quantum_term(g, gauss_rho(g.x, 0.5), 0.0, 1.0)
         assert np.all(q == 0.0)
 
     def test_hbar_squared_scaling_exact(self):
         g = make_grid(-10, 10, 256)
-        rho = real_field(g, gauss_rho(g.x, 0.7, 0.2))
-        q1 = quantum_term(rho, 1.0, 1.0)
-        q2 = quantum_term(rho, 2.0, 1.0)
+        rho = gauss_rho(g.x, 0.7, 0.2)
+        q1 = quantum_term(g, rho, 1.0, 1.0)
+        q2 = quantum_term(g, rho, 2.0, 1.0)
         assert np.array_equal(q2, 4.0 * q1)
 
 
@@ -180,17 +177,14 @@ class TestHJResidual:
         g = make_grid(-5, 5, 64)
         p0, v0, m = 1.3, 0.4, 1.0
         energy = p0 ** 2 / (2 * m) + v0
-        rho = real_field(g, np.full(64, 1.0 / g.length))
-        s = real_field(g, p0 * g.x)
-        f = make_madelung(rho, s, 1.0)
+        f = make_madelung(g, np.full(64, 1.0 / g.length), p0 * g.x, 1.0)
         ds_dt = np.full(64, -energy)
         V = PotentialSpec.polynomial([v0], mass=m)
         assert hj_residual(f, ds_dt, V) <= 1e-12
 
     def test_mode_validation(self):
         g = make_grid(-10, 10, 256)
-        rho = real_field(g, gauss_rho(g.x, 0.5))
-        f = make_madelung(rho, real_field(g, np.zeros(g.n)), hbar=0.0)
+        f = make_madelung(g, gauss_rho(g.x, 0.5), np.zeros(g.n), hbar=0.0)
         ds_dt = np.zeros(g.n)
         V = PotentialSpec.free()
         with pytest.raises(DomainError):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hbarlab.errors import DomainError
-from hbarlab.grid import make_grid, real_field, spectral_derivative
+from hbarlab.grid import make_grid, spectral_derivative
 from hbarlab.potential import PotentialSpec, eval_force, eval_potential
 
 
@@ -58,8 +58,7 @@ class TestForceField:
 
     def test_tabulated_matches_polynomial(self):
         g = make_grid(-4, 4, 512)
-        table = real_field(g, g.x ** 2)
-        Vt = PotentialSpec.tabulated(table)
+        Vt = PotentialSpec.tabulated(g, g.x ** 2)
         Vp = PotentialSpec.polynomial([0, 0, 1.0])
         ft = eval_force(Vt, g.x)
         fp = eval_force(Vp, g.x)
@@ -91,14 +90,13 @@ class TestSpectralConsistency:
 class TestTabulated:
     def test_nearest_node_lookup(self):
         g = make_grid(0, 8, 16)
-        table = real_field(g, np.arange(16, dtype=float))
-        V = PotentialSpec.tabulated(table)
+        V = PotentialSpec.tabulated(g, np.arange(16, dtype=float))
         assert eval_potential(V, 0.1) == 0.0   # nearest node is x=0
         assert eval_potential(V, 0.3) == 1.0   # nearest node is x=0.5
 
     def test_out_of_range(self):
         g = make_grid(0, 8, 16)
-        V = PotentialSpec.tabulated(real_field(g, np.zeros(16)))
+        V = PotentialSpec.tabulated(g, np.zeros(16))
         with pytest.raises(DomainError):
             eval_potential(V, -0.5)
 
