@@ -31,7 +31,7 @@ MASS_DRIFT_TOL = 1e-3
 DEFAULT_ESCAPE_BOUND = 1e6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     times: np.ndarray
     r: np.ndarray
@@ -74,7 +74,7 @@ def sample_trajectory(traj, times):
 # Phase-space density
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhaseDensity:
     x_min: float
     x_max: float
@@ -141,9 +141,6 @@ def liouville_evolve(rho0, V, t, dt, n_checkpoints=1):
     when the advected mass at any checkpoint drifts beyond 1e-3 (grid too
     coarse or support reaching the boundary).
     """
-    if V.kind == "tabulated":
-        raise DomainError(
-            "liouville_evolve requires a polynomial-backed potential")
     if dt <= 0 or t <= 0:
         raise DomainError("t and dt must be positive")
     if n_checkpoints < 1:

@@ -54,6 +54,7 @@ summary.txt and the CLI line, not the CSV.  The three limit scans and the
 uncertainty run share one loop over scan points, `_quantum_scan`.
 """
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -208,7 +209,7 @@ def auto_grid(V, eps0, r0, p0, hbar, t_final):
 # Quantum run with per-snapshot records
 # ----------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class QuantumRunData:
     grid: object
     dt: float                      # the one step of the run
@@ -474,13 +475,18 @@ def run_combined_limit(cfg):
     n_per = np.ceil(t_snap / 1e-4)
     check_steps(n_per * n_snapshots, "t_final and n_snapshots")
     n_per = int(n_per)
-    traj = classical.newton_integrate(
-        V, r0, p0, t_snap / n_per, n_per * n_snapshots, save_stride=n_per)
+    # integrated once the first point has sized its grid, so a packet no
+    # grid resolves is refused as in the other scans
+    @functools.cache
+    def newton_r():
+        return classical.newton_integrate(
+            V, r0, p0, t_snap / n_per, n_per * n_snapshots,
+            save_stride=n_per).r
 
     def point_fits(data, hbar, eps):
         return {"epsilon": eps,
                 "trajectory_deviation_max":
-                    float(np.max(np.abs(data.column("x_mean") - traj.r))),
+                    float(np.max(np.abs(data.column("x_mean") - newton_r()))),
                 "terminal_width": data.column("width")[-1],
                 "kurtosis_excess_max":
                     float(np.max(np.abs(data.column("kurtosis_excess"))))}

@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CharacteristicFan:
     x0: np.ndarray       # launch points: the grid's nodes
     p0: np.ndarray       # launch momenta dS0/dx(x0)
@@ -107,10 +107,6 @@ def integrate_fan(grid, s0, V, t_final, dt=2e-4, snapshot_times=None):
     one after the last snapshot: its time is recorded on the returned fan,
     and only the snapshots before it are kept.
     """
-    if V.kind == "tabulated":
-        raise DomainError(
-            "characteristic integration requires a polynomial-backed "
-            "potential")
     if t_final <= 0:
         raise DomainError(f"t_final must be positive, got {t_final}")
     x0 = grid.x

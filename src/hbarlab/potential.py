@@ -4,12 +4,14 @@ Every built-in kind (free, constant force, harmonic) reduces internally to
 polynomial coefficients, so evaluation and the hot integrator kernels share
 one code path.  A tabulated potential keeps its table's grid and a
 read-only copy of its samples, and uses nearest-node lookup and a
-finite-difference derivative for the force; it exists for exploratory use
-only.
+finite-difference derivative for the force; it has no force polynomial,
+so `force_coeffs` refuses it.  It exists for exploratory use only.
 
 Potentials are static.  The particle mass lives here so that every
 dynamical module reads a single source of truth.  Specs are immutable and
-evaluation is pure, so they are safe to share across threads.
+evaluation is pure, so they are safe to share across threads.  Like grids,
+specs compare and hash by identity: two specs built from the same inputs
+are different keys of `schrodinger._phases`'s cache.
 """
 
 from dataclasses import dataclass
@@ -39,7 +41,7 @@ def _as_coeffs(c):
     return c
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PotentialSpec:
     """Potential specification: kind tag, mass, and kind-specific data.
 
@@ -100,7 +102,12 @@ class PotentialSpec:
     # -- helpers -----------------------------------------------------------
 
     def force_coeffs(self):
-        """Coefficients of F(x) = -dV/dx, low -> high degree."""
+        """Coefficients of F(x) = -dV/dx, low -> high degree; DomainError
+        for a tabulated potential, which has none."""
+        if self.kind == "tabulated":
+            raise DomainError("a tabulated potential has no force "
+                              "polynomial; this requires a polynomial-backed "
+                              "potential")
         c = self.coeffs
         if c.size == 1:
             return np.zeros(1)

@@ -45,7 +45,7 @@ PHJ_COLUMNS = ("t", "hj_residual", "term1", "term2", "p_gap",
 LIOUVILLE_COLUMNS = ("t", "mass", "center_x", "center_p", "l1_vs_initial")
 
 
-@dataclass
+@dataclass(eq=False)
 class RunRecord:
     experiment: str
     label: str

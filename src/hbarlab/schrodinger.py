@@ -24,6 +24,7 @@ eps/2, so the "measured width" A(t), `Observables.width`, is defined as
 comparing against the closed-form width laws.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +49,7 @@ NORM_TOL = 1e-9         # allowed norm drift per propagation call
 EDGE_FRACTION = 0.05
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WaveFunction:
     """Complex samples on a grid plus their hbar, mass, and current time.
 
@@ -129,22 +130,13 @@ def max_stable_dt(grid, V, hbar, m):
     return dt_kin
 
 
-# (key, phase factors) of the last propagate call; the key is
-# (grid, V, hbar, m, dt), grid and V compared by identity
-_phase_memo = None
-
-
+@functools.lru_cache(maxsize=1)
 def _phases(g, V, hbar, m, dt):
     """Kinetic, half- and full-potential phase factors of a Strang step,
-    built once per (grid, V, hbar, m, dt) and reused while the key repeats.
-    Grids, potential coefficients and tables are read-only, so a repeated
-    key gives the same factors; the stability verdict is a function of the
-    key too, so only a key that passed it is stored."""
-    global _phase_memo
-    memo = _phase_memo
-    if (memo is not None and memo[0][0] is g and memo[0][1] is V
-            and memo[0][2:] == (hbar, m, dt)):
-        return memo[1]
+    cached for the last (grid, V, hbar, m, dt) key.  Grids and potential
+    specs compare by identity and hold read-only arrays, so a repeated key
+    gives the same factors; a dt over the stability limit raises, and
+    lru_cache stores no exception, so it raises on every call."""
     dt_max = max_stable_dt(g, V, hbar, m)
     if dt > dt_max * (1.0 + 1e-12):
         raise DomainError(
@@ -156,7 +148,6 @@ def _phases(g, V, hbar, m, dt):
     phases = (exp_kin, exp_v_half, exp_v_half * exp_v_half)
     for a in phases:
         a.setflags(write=False)
-    _phase_memo = ((g, V, hbar, m, dt), phases)
     return phases
 
 
@@ -167,8 +158,8 @@ def propagate(psi, V, dt, n_steps):
     dt <= 0 or dt above the stability rule, BoundaryLeak when packet mass
     reaches the boundary margin, LabError when the norm drifts; both checks
     run on every call.  The phase factors, and the stability verdict with
-    them, are built once and reused by the following calls with the same
-    grid and potential objects, hbar, m and dt.
+    them, come from `_phases`, whose one-entry cache serves consecutive
+    calls with the same grid and potential objects, hbar, m and dt.
     """
     if dt <= 0:
         raise DomainError(f"dt must be positive, got {dt}")

@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import importlib
 import io
 import os
 import re
@@ -15,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hbarlab import hjflow
+from hbarlab.classical import gaussian_phase_blob, newton_integrate
 from hbarlab.cli import cli_main as main
 from hbarlab.config import RunConfig, load_potential_table
 from hbarlab.detpot import classify
@@ -31,6 +33,7 @@ from hbarlab.experiments import (
     DEFAULT_FLOOR,
     EXPERIMENTS,
     MAX_GRID_N,
+    QuantumRunData,
     ScanResult,
     _finite_need,
     auto_grid,
@@ -43,6 +46,7 @@ from hbarlab.experiments import (
     run_standard_limit,
     run_uncertainty,
 )
+from hbarlab.grid import make_grid
 from hbarlab.potential import PotentialSpec
 from hbarlab.records import (
     QUANTUM_COLUMNS,
@@ -1066,6 +1070,7 @@ class TestCLI:
         ("scan", "deterministic_harmonic", "potential.omega=1e-300"),
         ("scan", "combined_harmonic", "scan.k=1e300"),
         ("scan", "standard_free", "scan.hbar_list=1e300,1e299,1e297"),
+        ("scan", "combined_free", "packet.p0=1e308"),
     ]
 
     @pytest.mark.parametrize("command, preset, override", UNRESOLVABLE,
@@ -1157,7 +1162,8 @@ class TestCLI:
          "t_final (or t_star) and n_snapshots"),
         ("simulate", "uncertainty_coherent", "numerics.n_snapshots=100000000",
          "t_final (or t_star) and n_snapshots"),
-        # the Newton reference runs first; t_final / 1e-4 overflows a float
+        # the Newton reference's step count is checked before any point
+        # runs; t_final / 1e-4 overflows a float
         ("scan", "combined_harmonic", "numerics.t_final=1e308",
          "t_final and n_snapshots"),
         ("scan", "deterministic_harmonic", "numerics.t_star=1e300",
@@ -1274,6 +1280,68 @@ class TestCLIFuzzProperty:
         assert "Traceback" not in err
         if code == 1:
             assert _names_a_key(err.splitlines()[-1], keys), err
+
+
+class TestBenchmarkTracer:
+    # perfbench's tracer binds these layers' arguments by name and reads
+    # attributes of their results, so a rename shows here and not only in
+    # a traced benchmark run
+    RUNS = [("scan", "combined_free"), ("simulate", "uncertainty_coherent"),
+            ("phj", "phj_harmonic"), ("liouville", "liouville_harmonic"),
+            ("detpot", "detpot_quadratic")]
+    COUNTED = ["schrodinger.propagate.calls",
+               "classical.liouville.node_steps", "hjflow.char_steps",
+               "classical.newton.steps", "records.bytes_written"]
+
+    def test_every_counted_layer_counts(self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(os.path.join(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            "perfbench"))
+        tracing = importlib.import_module("tracer")
+        tracer = tracing.Tracer().install()
+        try:
+            for command, preset in self.RUNS:
+                args = [command, "--config", preset]
+                for override in CHEAP[command]:
+                    args += ["--set", override]
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = main(args + ["--out", str(tmp_path / preset)])
+                assert code == 0, preset
+        finally:
+            tracer.restore()
+        metrics = tracing.per_layer(tracer.spans)
+        for name in self.COUNTED:
+            assert metrics[name][0] > 0, name
+
+
+def _array_holders():
+    """Two objects built from the same inputs, per dataclass that holds an
+    ndarray."""
+    g = make_grid(-4.0, 4.0, 64)
+    V = PotentialSpec.harmonic(1.0, 1.0)
+    return {
+        "PotentialSpec": lambda: PotentialSpec.harmonic(1.0, 1.0),
+        "WaveFunction": lambda: WaveFunction(g, np.ones(64), 1.0, 1.0),
+        "PhaseDensity": lambda: gaussian_phase_blob(
+            0.0, 0.0, 0.5, 0.5, -3.0, 3.0, -3.0, 3.0, 32, 32),
+        "Trajectory": lambda: newton_integrate(V, 0.0, 1.0, 0.01, 10),
+        "CharacteristicFan": lambda: hjflow.integrate_fan(
+            g, 0.5 * g.x, V, 0.1, snapshot_times=[0.0]),
+        "QuantumRunData": lambda: QuantumRunData(g, 0.1, np.zeros((2, 3)),
+                                                 []),
+        "RunRecord": lambda: RunRecord("e", "l", (), ("a",),
+                                       np.zeros((1, 1))),
+    }
+
+
+class TestArrayHolders:
+    @pytest.mark.parametrize("name", sorted(_array_holders()))
+    def test_compare_and_hash_by_identity(self, name):
+        build = _array_holders()[name]
+        a, b = build(), build()
+        assert a == a
+        assert a != b
+        hash(a)
 
 
 class TestAuditProperty:

@@ -100,3 +100,9 @@ class TestTabulated:
         with pytest.raises(DomainError):
             eval_potential(V, -0.5)
 
+    def test_has_no_force_polynomial(self):
+        g = make_grid(0, 8, 16)
+        V = PotentialSpec.tabulated(g, np.zeros(16))
+        with pytest.raises(DomainError, match="polynomial-backed"):
+            V.force_coeffs()
+

@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hbarlab.errors import BoundaryLeak, DomainError
+from hbarlab.experiments import quantum_run
 from hbarlab.grid import make_grid
 from hbarlab.potential import PotentialSpec, eval_potential
 from hbarlab.schrodinger import (
     WaveFunction,
+    _phases,
     init_gaussian,
     max_stable_dt,
     observables,
@@ -229,6 +231,17 @@ class TestPhaseMemo:
             ref = strang_reference(psi, V, MEMO_DT, 5)
             assert np.max(np.abs(values - ref)) <= 1e-12
         assert np.max(np.abs(outputs[0] - outputs[1])) > 1e-6
+
+    def test_one_quantum_run_builds_its_phases_once(self):
+        # all 26 propagate calls of an 8-snapshot run share one key: the
+        # first builds the phases and the other 25 reuse them
+        g = make_grid(-10, 10, 256)
+        V = PotentialSpec.harmonic(1.0, 1.0)
+        before = _phases.cache_info()
+        quantum_run(V, g, 0.5, 0.3, 0.5, 1.0, 1.0, 8)
+        after = _phases.cache_info()
+        assert after.misses - before.misses == 1
+        assert after.hits - before.hits == 25
 
 
 # Random real polynomials of degree <= 4 and random packets on a 256-point
