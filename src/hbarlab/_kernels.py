@@ -72,15 +72,15 @@ def _kdk(force, m, x, p, dt, n_steps):
         yield step, x, p, f
 
 
-def verlet_path(force, m, r0, p0, dt, n_steps, stride, escape_bound):
+def verlet_path(force, m, r0, p0, dt, n_steps, stride, r_max):
     """Scalar trajectory under the callable `force`; saves every `stride`
     steps (step 0 included).  Returns (r_saved, p_saved, escape_step) with
-    escape_step = -1 when |r| stayed within escape_bound."""
+    escape_step = -1 when |r| stayed within r_max."""
     r_out = [r0]
     p_out = [p0]
     escape_step = -1
     for step, r, p, _ in _kdk(force, m, r0, p0, dt, n_steps):
-        if abs(r) > escape_bound:
+        if abs(r) > r_max:
             escape_step = step
             break
         if step % stride == 0:

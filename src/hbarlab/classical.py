@@ -1,11 +1,13 @@
 """Newtonian trajectories and phase-space transport.
 
 newton_integrate is a velocity-Verlet (symplectic, second order)
-integrator; liouville_evolve advances a phase-space density by the backward
+integrator that returns its samples as plain (r, p) arrays;
+liouville_evolve advances a phase-space density by the backward
 semi-Lagrangian method (each node is pulled back through the Newton flow
 and the initial density is sampled bilinearly at the feet, so there is no
 CFL limit and interpolation diffusion is paid once per checkpoint, never
-compounded across checkpoints).
+compounded across checkpoints).  Both read the particle mass from the
+potential, V.mass.
 """
 
 from dataclasses import dataclass
@@ -18,10 +20,8 @@ from .errors import DomainError, EscapeError, MassDriftError
 from .potential import eval_force
 
 __all__ = [
-    "Trajectory",
     "PhaseDensity",
     "newton_integrate",
-    "sample_trajectory",
     "gaussian_phase_blob",
     "liouville_evolve",
     "phase_mass",
@@ -31,18 +31,11 @@ MASS_DRIFT_TOL = 1e-3
 DEFAULT_ESCAPE_BOUND = 1e6
 
 
-@dataclass(frozen=True, eq=False)
-class Trajectory:
-    times: np.ndarray
-    r: np.ndarray
-    p: np.ndarray
-    m: float
-
-
-def newton_integrate(V, r0, p0, dt, n_steps, save_stride=1,
-                     escape_bound=DEFAULT_ESCAPE_BOUND):
-    """Velocity-Verlet trajectory under -dV/dx, sampled every save_stride
-    steps.  Raises EscapeError if |r| exceeds escape_bound (unbounded
+def newton_integrate(V, r0, p0, dt, n_steps, save_stride=1):
+    """Velocity-Verlet trajectory of the particle of mass V.mass under
+    -dV/dx, from t = 0.  Returns arrays (r, p) sampled every save_stride
+    steps, step 0 included: sample j is at t = dt * save_stride * j.
+    Raises EscapeError if |r| exceeds DEFAULT_ESCAPE_BOUND (unbounded
     motion guard)."""
     if dt <= 0:
         raise DomainError(f"dt must be positive, got {dt}")
@@ -56,18 +49,11 @@ def newton_integrate(V, r0, p0, dt, n_steps, save_stride=1,
         force = partial(_kernels._horner, V.force_coeffs())
     r_out, p_out, esc = _kernels.verlet_path(
         force, V.mass, float(r0), float(p0), dt, n_steps, save_stride,
-        float(escape_bound))
+        DEFAULT_ESCAPE_BOUND)
     if esc >= 0:
-        raise EscapeError(
-            f"trajectory left |r| <= {escape_bound:g} at t={esc * dt:.6g}")
-    times = dt * save_stride * np.arange(r_out.size)
-    return Trajectory(times, r_out, p_out, V.mass)
-
-
-def sample_trajectory(traj, times):
-    """(r, p) linearly interpolated at the requested times."""
-    return (np.interp(times, traj.times, traj.r),
-            np.interp(times, traj.times, traj.p))
+        raise EscapeError(f"trajectory left |r| <= {DEFAULT_ESCAPE_BOUND:g} "
+                          f"at t={esc * dt:.6g}")
+    return r_out, p_out
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,8 @@ its outputs to the configured directory (override with --out): one CSV
 per run, summary.txt, field dumps with --dump-fields; the CLI prints each
 record's summary line.  An earlier run's outputs in that directory are
 removed before the run starts, so a failed run leaves none behind.
-`report` reads run CSVs, not field dumps.
+`report` reads run CSVs and refuses any other file, field dumps included,
+with exit 1.
 
 Exit codes: 0 success; 1 usage or configuration error; 2 numeric failure
 (every other LabError: boundary leakage, caustic, phase-space mass drift,
@@ -136,8 +137,12 @@ def _cmd_report(args):
         if not os.path.isfile(path):
             raise DomainError(f"run CSV not found: {path}")
         meta, columns, data = read_csv(path)
-        print(f"{path}: experiment={meta.get('experiment', '?')} "
-              f"label={meta.get('label', '?')} rows={data.shape[0]} "
+        missing = [key for key in ("experiment", "label") if key not in meta]
+        if missing:
+            raise DomainError(f"{path}: not a run CSV (its header has no "
+                              f"{' or '.join(missing)} line)")
+        print(f"{path}: experiment={meta['experiment']} "
+              f"label={meta['label']} rows={data.shape[0]} "
               f"columns={len(columns)}")
     return 0
 

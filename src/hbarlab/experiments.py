@@ -227,7 +227,7 @@ def _time_reversed(psi):
     """conj(psi) at -t.  For a real potential conj U(dt) conj = U(-dt), so
     reversing, propagating and reversing again steps backward in time."""
     return schrodinger.WaveFunction(psi.grid, np.conj(psi.values), psi.hbar,
-                                    psi.m, -psi.t)
+                                    t=-psi.t)
 
 
 def _snapshot_row(triple, V, dt):
@@ -257,11 +257,10 @@ def quantum_run(V, grid, eps0, r0, p0, hbar, t_final, n_snapshots,
     Nyquist mode (Lubich, From Quantum to Classical Molecular Dynamics,
     2008, ch. III), and every pinned tolerance holds at this step.
     """
-    m = V.mass
     t_snap = t_final / n_snapshots
     # >= 3 steps per snapshot interval, so consecutive triples do not overlap
     n_sub = max(3.0, np.ceil(
-        t_snap / schrodinger.max_stable_dt(grid, V, hbar, m)))
+        t_snap / schrodinger.max_stable_dt(grid, V, hbar)))
     check_steps(2 + n_snapshots * n_sub, "t_final (or t_star) and n_snapshots")
     n_sub = int(n_sub)
     dt = t_snap / n_sub
@@ -269,7 +268,7 @@ def quantum_run(V, grid, eps0, r0, p0, hbar, t_final, n_snapshots,
     def step(state, n_steps=1):
         return schrodinger.propagate(state, V, dt, n_steps)
 
-    psi = schrodinger.init_gaussian(grid, eps0, r0, p0, hbar, m)
+    psi = schrodinger.init_gaussian(grid, eps0, r0, p0, hbar)
     before = _time_reversed(step(_time_reversed(psi)))
     rows, fields = [], []
     for i in range(n_snapshots + 1):
@@ -431,8 +430,8 @@ def run_deterministic_limit(cfg):
     n_ref = np.ceil(t_star / 1e-3)
     check_steps(n_ref, "t_star")
     n_ref = int(n_ref)
-    traj = classical.newton_integrate(V, r0, p0, t_star / n_ref, n_ref)
-    r_star = traj.r[-1]
+    r_ref, _ = classical.newton_integrate(V, r0, p0, t_star / n_ref, n_ref)
+    r_star = r_ref[-1]
 
     def point_fits(data, hbar, eps):
         width = data.column("width")[-1]
@@ -481,7 +480,7 @@ def run_combined_limit(cfg):
     def newton_r():
         return classical.newton_integrate(
             V, r0, p0, t_snap / n_per, n_per * n_snapshots,
-            save_stride=n_per).r
+            save_stride=n_per)[0]
 
     def point_fits(data, hbar, eps):
         return {"epsilon": eps,
@@ -594,8 +593,9 @@ def run_phj_demo(cfg):
     n_traj = np.ceil(t_final / 1e-4)
     check_steps(n_traj, "t_final")
     n_traj = int(n_traj)
-    traj = classical.newton_integrate(V, r0, p0, t_final / n_traj, n_traj)
-    r_t, p_t = classical.sample_trajectory(traj, sol.times)
+    r, p = classical.newton_integrate(V, r0, p0, t_final / n_traj, n_traj)
+    times = t_final / n_traj * np.arange(n_traj + 1)
+    r_t, p_t = np.interp(sol.times, times, r), np.interp(sol.times, times, p)
     term1, term2, p_gap = hjflow.deterministic_continuity_check(
         eps, sol, r_t, p_t)
     newton_res = hjflow.projected_newton_check(sol, V, r_t)

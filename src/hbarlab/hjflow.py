@@ -52,7 +52,6 @@ class CharacteristicFan:
     x: np.ndarray        # positions, shape (n_times, n_char)
     p: np.ndarray        # momenta
     action: np.ndarray   # S0(x0) + accumulated Lagrangian integral
-    m: float
     t_crossing: float = None   # first crossing of adjacent characteristics
 
 
@@ -124,7 +123,7 @@ def integrate_fan(grid, s0, V, t_final, dt=2e-4, snapshot_times=None):
     kept = min(X.shape[0], times.size)
     action = A[:kept] + s0[None, :]
     return CharacteristicFan(x0, p0, times[:kept], X[:kept], P[:kept],
-                             action, V.mass, t_crossing)
+                             action, t_crossing)
 
 
 def solve_hj(grid, s0, V, t_final, dt=2e-4, snapshot_times=None):

@@ -7,8 +7,11 @@ read-only copy of its samples, and uses nearest-node lookup and a
 finite-difference derivative for the force; it has no force polynomial,
 so `force_coeffs` refuses it.  It exists for exploratory use only.
 
-Potentials are static.  The particle mass lives here so that every
-dynamical module reads a single source of truth.  Specs are immutable and
+Potentials are static.  The particle mass has one owner, the spec's
+`mass`: the Schrödinger propagator, the Newton, fan and Liouville
+integrators and the Madelung diagnostics all read V.mass, and no wave
+function, trajectory or fan copies it, so the quantum and the classical
+side of a comparison cannot disagree about it.  Specs are immutable and
 evaluation is pure, so they are safe to share across threads.  Like grids,
 specs compare and hash by identity: two specs built from the same inputs
 are different keys of `schrodinger._phases`'s cache.

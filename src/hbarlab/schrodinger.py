@@ -12,7 +12,8 @@ half-kinetic-half sequence.  The pair stays on scipy.fft, the package's one
 use of scipy, because np.fft measured slower on a 2-core host: the seven
 quantum presets of the benchmark took a median 4.33 s against 3.70 s over
 6 alternating in-process runs, and a bare Strang step was slower at every
-n from 512 to 16384.
+n from 512 to 16384.  `propagate` imports scipy.fft at its first call, so
+the CLI and the Newton-side experiments start without it.
 
 Width convention: init_gaussian's packet of width parameter eps,
 
@@ -25,10 +26,9 @@ comparing against the closed-form width laws.
 """
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import fft
 
 from .errors import BoundaryLeak, DomainError, LabError
 from .grid import _check_values, spectral_derivative
@@ -51,7 +51,7 @@ EDGE_FRACTION = 0.05
 
 @dataclass(frozen=True, eq=False)
 class WaveFunction:
-    """Complex samples on a grid plus their hbar, mass, and current time.
+    """Complex samples on a grid plus their hbar and current time.
 
     The values are stored as a read-only complex copy, refused with
     DomainError unless they hold one finite sample per grid point."""
@@ -59,8 +59,7 @@ class WaveFunction:
     grid: object            # Grid
     values: np.ndarray
     hbar: float
-    m: float
-    t: float = 0.0
+    t: float = field(default=0.0, kw_only=True)
 
     def __post_init__(self):
         object.__setattr__(self, "values",
@@ -99,31 +98,30 @@ def _check_leak(psi):
     return psi
 
 
-def init_gaussian(grid, epsilon, r0, p0, hbar, m):
-    """Normalized Gaussian packet of width parameter eps at (r0, p0)."""
+def init_gaussian(grid, epsilon, r0, p0, hbar):
+    """Normalized Gaussian packet of width parameter eps at (r0, p0) at
+    t = 0; it is the same for every mass."""
     if epsilon <= 0:
         raise DomainError(f"packet width parameter must be positive, got {epsilon}")
     if hbar <= 0:
         raise DomainError(f"hbar must be positive, got {hbar}")
-    if m <= 0:
-        raise DomainError(f"mass must be positive, got {m}")
     x = grid.x
     psi = (np.pi * epsilon) ** (-0.25) * np.exp(
         -((x - r0) ** 2) / (2.0 * epsilon) + 1j * p0 * x / hbar)
     nrm = np.sqrt(grid.dx * np.sum(np.abs(psi) ** 2))
     psi = psi / nrm
-    wf = WaveFunction(grid, psi, float(hbar), float(m), 0.0)
-    return _check_leak(wf)
+    return _check_leak(WaveFunction(grid, psi, float(hbar)))
 
 
-def max_stable_dt(grid, V, hbar, m):
-    """Largest step such that each split phase rotates < 0.5 rad anywhere.
+def max_stable_dt(grid, V, hbar):
+    """Largest step such that each split phase rotates < 0.5 rad anywhere,
+    for the particle of mass m = V.mass.
 
     Kinetic factor: hbar * k_max^2 * dt / (2m) <= 0.5.
     Potential factor: max|V| * dt / hbar <= 0.5 (no bound for V = 0).
     """
     k_max = np.pi / grid.dx
-    dt_kin = m / (hbar * k_max ** 2)
+    dt_kin = V.mass / (hbar * k_max ** 2)
     vmax = float(np.max(np.abs(eval_potential(V, grid.x))))
     if vmax > 0:
         return min(dt_kin, 0.5 * hbar / vmax)
@@ -131,17 +129,17 @@ def max_stable_dt(grid, V, hbar, m):
 
 
 @functools.lru_cache(maxsize=1)
-def _phases(g, V, hbar, m, dt):
+def _phases(g, V, hbar, dt):
     """Kinetic, half- and full-potential phase factors of a Strang step,
-    cached for the last (grid, V, hbar, m, dt) key.  Grids and potential
-    specs compare by identity and hold read-only arrays, so a repeated key
-    gives the same factors; a dt over the stability limit raises, and
-    lru_cache stores no exception, so it raises on every call."""
-    dt_max = max_stable_dt(g, V, hbar, m)
+    cached for the last (grid, V, hbar, dt) key; V holds the mass.  Grids
+    and potential specs compare by identity and hold read-only arrays, so a
+    repeated key gives the same factors; a dt over the stability limit
+    raises, and lru_cache stores no exception, so it raises on every call."""
+    dt_max = max_stable_dt(g, V, hbar)
     if dt > dt_max * (1.0 + 1e-12):
         raise DomainError(
             f"dt={dt:.3e} exceeds the phase-rotation limit {dt_max:.3e}")
-    exp_kin = np.exp(-0.5j * hbar * g.k ** 2 * dt / m)
+    exp_kin = np.exp(-0.5j * hbar * g.k ** 2 * dt / V.mass)
     exp_v_half = np.exp(-0.5j * eval_potential(V, g.x) * dt / hbar)
     # the closing half phase of one step and the opening half phase of the
     # next are one full phase
@@ -152,23 +150,25 @@ def _phases(g, V, hbar, m, dt):
 
 
 def propagate(psi, V, dt, n_steps):
-    """Advance a wave function by n_steps Strang steps of size dt.
+    """Advance a wave function by n_steps Strang steps of size dt under
+    the potential V, for the particle of mass V.mass.
 
     Returns a new WaveFunction at t + n_steps*dt.  Raises DomainError for
     dt <= 0 or dt above the stability rule, BoundaryLeak when packet mass
     reaches the boundary margin, LabError when the norm drifts; both checks
     run on every call.  The phase factors, and the stability verdict with
     them, come from `_phases`, whose one-entry cache serves consecutive
-    calls with the same grid and potential objects, hbar, m and dt.
+    calls with the same grid and potential objects, hbar and dt.
     """
+    from scipy import fft
+
     if dt <= 0:
         raise DomainError(f"dt must be positive, got {dt}")
     n_steps = int(n_steps)
     if n_steps < 1:
         raise DomainError(f"n_steps must be >= 1, got {n_steps}")
     g = psi.grid
-    hbar, m = psi.hbar, psi.m
-    exp_kin, exp_v_half, exp_v = _phases(g, V, hbar, m, dt)
+    exp_kin, exp_v_half, exp_v = _phases(g, V, psi.hbar, dt)
     norm0 = g.dx * np.sum(np.abs(psi.values) ** 2)
     values = exp_v_half * psi.values
     for _ in range(n_steps - 1):
@@ -179,7 +179,7 @@ def propagate(psi, V, dt, n_steps):
     if abs(norm1 - norm0) > NORM_TOL:
         raise LabError(
             f"norm drifted by {abs(norm1 - norm0):.3e} over {n_steps} steps")
-    out = WaveFunction(g, values, hbar, m, psi.t + n_steps * dt)
+    out = WaveFunction(g, values, psi.hbar, t=psi.t + n_steps * dt)
     return _check_leak(out)
 
 

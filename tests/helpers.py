@@ -142,10 +142,10 @@ def analytic_gaussian(case, epsilon0, p0, hbar, m, t, omega=None, f0=None):
 
 
 def energy_mean(psi, V):
-    """<H> = int |hbar dpsi/dx|^2 / 2m + V |psi|^2 dx."""
+    """<H> = int |hbar dpsi/dx|^2 / 2m + V |psi|^2 dx, m = V.mass."""
     g = psi.grid
     dpsi = spectral_derivative(g, psi.values, 1)
-    kin = g.dx * np.sum(np.abs(psi.hbar * dpsi) ** 2) / (2.0 * psi.m)
+    kin = g.dx * np.sum(np.abs(psi.hbar * dpsi) ** 2) / (2.0 * V.mass)
     pot = g.dx * np.sum(eval_potential(V, g.x) * np.abs(psi.values) ** 2)
     return float(kin + pot)
 
@@ -188,7 +188,7 @@ def make_madelung(g, rho, s, hbar):
     return MadelungFields(g, rho, s, float(hbar), support, masked)
 
 
-def from_madelung(f, m=1.0, t=0.0):
+def from_madelung(f, t=0.0):
     """Reassemble psi = sqrt(rho) exp(iS/hbar); masked points get phase 0."""
     if f.masked_mass_fraction > MAX_MASKED_MASS:
         raise DomainError(
@@ -202,7 +202,7 @@ def from_madelung(f, m=1.0, t=0.0):
     # rho is normalized to 1e-6; the wave function itself carries unit norm
     # to machine precision
     vals /= np.sqrt(f.grid.dx * np.sum(np.abs(vals) ** 2))
-    return WaveFunction(f.grid, vals, f.hbar, float(m), t)
+    return WaveFunction(f.grid, vals, f.hbar, t=t)
 
 
 def quantum_term(g, rho, hbar, m):
@@ -327,19 +327,18 @@ DEFAULT_TEST_FUNCTIONS = (
 )
 
 
-def weak_liouville_residual(traj, V, test_functions=DEFAULT_TEST_FUNCTIONS):
-    """Max over test functions and interior times of
-    | d/dt phi(r, p) - [(p/m) dphi/dx - dV/dx dphi/dp] |."""
-    r, p, times = traj.r, traj.p, traj.times
+def weak_liouville_residual(r, p, h, V, test_functions=DEFAULT_TEST_FUNCTIONS):
+    """Max over test functions and interior samples of
+    | d/dt phi(r, p) - [(p/m) dphi/dx - dV/dx dphi/dp] | along the samples
+    (r, p) of a trajectory, spaced h apart in time; m = V.mass."""
     if r.size < 3:
         raise DomainError("need at least 3 samples")
-    h = times[1] - times[0]
     force = eval_force(V, r)
     worst = 0.0
     for phi, phi_x, phi_p in test_functions:
         series = phi(r, p) * np.ones_like(r)
         dseries = (series[2:] - series[:-2]) / (2 * h)
-        rhs = ((p / traj.m) * phi_x(r, p) + force * phi_p(r, p)
+        rhs = ((p / V.mass) * phi_x(r, p) + force * phi_p(r, p)
                * np.ones_like(r))[1:-1]
         worst = max(worst, float(np.max(np.abs(dseries - rhs))))
     return worst
@@ -353,9 +352,9 @@ def delta_ansatz_check(V, r0, p0, t_final):
     n_steps = int(np.ceil(t_final / 2e-4))
     stride = max(1, n_steps // 8000)
     n_steps = stride * int(np.ceil(n_steps / stride))
-    traj = newton_integrate(V, r0, p0, t_final / n_steps, n_steps,
-                            save_stride=stride)
-    return weak_liouville_residual(traj, V)
+    dt = t_final / n_steps
+    r, p = newton_integrate(V, r0, p0, dt, n_steps, save_stride=stride)
+    return weak_liouville_residual(r, p, dt * stride, V)
 
 
 # ----------------------------------------------------------------------

@@ -38,11 +38,11 @@ def report(criterion, ok, detail):
 UNCERTAINTY_SERIES = {}
 
 
-def run_widths(V, grid, eps, r0, p0, hbar, m, t_final, n_snap, label,
+def run_widths(V, grid, eps, r0, p0, hbar, t_final, n_snap, label,
                safety=0.5):
     """Propagate and sample width/uncertainty at uniform times."""
-    psi = schrodinger.init_gaussian(grid, eps, r0, p0, hbar, m)
-    dt_max = safety * schrodinger.max_stable_dt(grid, V, hbar, m)
+    psi = schrodinger.init_gaussian(grid, eps, r0, p0, hbar)
+    dt_max = safety * schrodinger.max_stable_dt(grid, V, hbar)
     t_snap = t_final / n_snap
     n_sub = int(np.ceil(t_snap / dt_max))
     times = [0.0]
@@ -62,7 +62,7 @@ def test_criterion_01_free_packet_spreading():
     eps, hbar, m = 0.5, 1.0, 1.0
     V = PotentialSpec.free(m)
     grid = auto_grid(V, eps, 0.0, 0.0, hbar, 2.0)
-    times, widths = run_widths(V, grid, eps, 0.0, 0.0, hbar, m, 2.0, 40,
+    times, widths = run_widths(V, grid, eps, 0.0, 0.0, hbar, 2.0, 40,
                                "c1_free")
     analytic = np.array([
         analytic_gaussian("free", eps, 0.0, hbar, m, t).epsilon_t
@@ -81,12 +81,12 @@ def test_criterion_02_harmonic_width_law():
     # quarter period with eps = 0.5: A = hbar^2/(eps m^2 w^2) = 2.0
     eps = 0.5
     grid = auto_grid(V, eps, 0.0, 0.0, hbar, np.pi / 2)
-    times, widths = run_widths(V, grid, eps, 0.0, 0.0, hbar, m,
+    times, widths = run_widths(V, grid, eps, 0.0, 0.0, hbar,
                                np.pi / 2, 10, "c2_squeezed", safety=0.25)
     err_q = rel_err(widths[-1], 2.0)
     # coherent width eps = hbar/(m w): constant over a full period
     grid_c = auto_grid(V, 1.0, 0.0, 1.0, hbar, 2 * np.pi)
-    _, widths_c = run_widths(V, grid_c, 1.0, 0.0, 1.0, hbar, m,
+    _, widths_c = run_widths(V, grid_c, 1.0, 0.0, 1.0, hbar,
                              2 * np.pi, 60, "c2_coherent", safety=0.2)
     coh_err = float(np.max(np.abs(widths_c - 1.0)))
     report(2, err_q <= 1e-4 and coh_err <= 1e-6,
@@ -223,8 +223,8 @@ def test_criterion_06_ehrenfest_universality():
     m = hbar = 1.0
     V = PotentialSpec.polynomial([0, 0, 0, 0, 1.0], m)
     g = make_grid(-8, 8, 256)
-    psi = schrodinger.init_gaussian(g, 0.5, 0.0, 1.0, hbar, m)
-    dt_max = 0.5 * schrodinger.max_stable_dt(g, V, hbar, m)
+    psi = schrodinger.init_gaussian(g, 0.5, 0.0, 1.0, hbar)
+    dt_max = 0.5 * schrodinger.max_stable_dt(g, V, hbar)
     n_snap, t_final = 300, 1.5
     t_snap = t_final / n_snap
     n_sub = int(np.ceil(t_snap / dt_max))

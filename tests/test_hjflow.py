@@ -146,7 +146,7 @@ class TestSolveHJ:
         V = PotentialSpec.harmonic(1.0, 1.0)
         fan = integrate_fan(g, linear_s0(g, 1.0), V, t_final=1.2, dt=1e-4,
                             snapshot_times=np.linspace(0, 1.2, 7))
-        energy = 0.5 * fan.p ** 2 / fan.m + eval_potential(V, fan.x)
+        energy = 0.5 * fan.p ** 2 / V.mass + eval_potential(V, fan.x)
         drift = np.max(np.abs(energy - energy[0]))
         assert drift <= 1e-8
 

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hbarlab import hjflow
-from hbarlab.classical import gaussian_phase_blob, newton_integrate
+from hbarlab.classical import gaussian_phase_blob
 from hbarlab.cli import cli_main as main
 from hbarlab.config import RunConfig, load_potential_table
 from hbarlab.detpot import classify
@@ -370,7 +370,7 @@ class TestExperiments:
         V = PotentialSpec.harmonic(1.0, 1.0)
         grid = make_grid(-10, 10, 256)
         hbar, t_final, n_snapshots = 1.0, 0.4, 4
-        limit = schrodinger.max_stable_dt(grid, V, hbar, 1.0)
+        limit = schrodinger.max_stable_dt(grid, V, hbar)
         t_snap = t_final / n_snapshots
         n_sub = int(np.ceil(t_snap / limit))
         assert n_sub >= 10
@@ -408,7 +408,7 @@ class TestExperiments:
         result = run_combined_limit(cfg)
         for rec, hbar in zip(result.records, [1.0, 0.1, 0.01]):
             grid = auto_grid(V, 0.5 * hbar, r0, p0, hbar, 0.5)
-            limit = max_stable_dt(grid, V, hbar, V.mass)
+            limit = max_stable_dt(grid, V, hbar)
             assert rec.fits["grid_n"] == grid.n
             assert rec.fits["dt"] == t_snap / max(3, int(np.ceil(
                 t_snap / limit)))
@@ -667,8 +667,8 @@ class TestAutoGrid:
             grid = auto_grid(V, eps, r0, p0, hbar, t_final)
             outer = np.abs(grid.k) >= 0.95 * np.max(np.abs(grid.k))
             n_sub = int(np.ceil(
-                t_snap / max_stable_dt(grid, V, hbar, V.mass)))
-            psi = init_gaussian(grid, eps, r0, p0, hbar, V.mass)
+                t_snap / max_stable_dt(grid, V, hbar)))
+            psi = init_gaussian(grid, eps, r0, p0, hbar)
             for i in range(n_snapshots + 1):
                 if i:
                     psi = propagate(psi, V, t_snap / n_sub, n_sub)
@@ -719,7 +719,7 @@ class TestAutoGrid:
             assert k_need * (2 * half) / np.pi > MAX_GRID_N
             return
         assert 64 <= grid.n <= MAX_GRID_N and grid.n & (grid.n - 1) == 0
-        psi = init_gaussian(grid, eps, r0, p0, hbar, V.mass)
+        psi = init_gaussian(grid, eps, r0, p0, hbar)
         power = np.abs(np.fft.fft(psi.values)) ** 2
         assert power[grid.n // 2] <= DEFAULT_FLOOR * power.max()
         assert boundary_leak_fraction(psi) <= LEAK_TOL
@@ -821,8 +821,9 @@ class TestCLI:
 
     def test_newton_side_imports_no_quantum_solver(self):
         # classical and madelung stand without schrodinger and scipy, and
-        # the whole CLI without scipy.interpolate: the phj action is
-        # evaluated in numpy, and scipy serves only propagate's FFT
+        # the whole CLI without any scipy module: the phj action is
+        # evaluated in numpy, and scipy serves only propagate's FFT, which
+        # imports it at its first call
         env = dict(os.environ, PYTHONPATH=os.path.join(
             os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
             "src"))
@@ -831,11 +832,12 @@ class TestCLI:
                 "print(sorted(m for m in ('hbarlab.schrodinger', 'scipy')\n"
                 "             if m in sys.modules))\n"
                 "import hbarlab.cli\n"
-                "print('scipy.interpolate' in sys.modules)\n")
+                "print(sorted(m for m in sys.modules\n"
+                "             if m.split('.')[0] == 'scipy'))\n")
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["[]", "False"]
+        assert proc.stdout.split() == ["[]", "[]"]
 
     def test_failed_run_leaves_no_earlier_outputs(self, tmp_path, capsys):
         out = str(tmp_path)
@@ -881,8 +883,13 @@ class TestCLI:
         assert f"runs: {len(lines)}\n" in summary
         assert all("experiment=combined_limit" in line for line in lines)
 
-    @pytest.mark.parametrize("body", ["t,v\n0.5,abc\n",
-                                      "t,v\n0.5,1.0\n0.5\n"])
+    @pytest.mark.parametrize("body", [
+        "t,v\n0.5,abc\n",
+        "t,v\n0.5,1.0\n0.5\n",
+        # a field dump, and a table with no header: no experiment line
+        "# t = 0.0\nx,re_psi,im_psi\n-1.0,0.5,0.0\n",
+        "a,b\n1,2\n",
+    ])
     def test_report_malformed_csv_exits_1(self, body, tmp_path, capsys):
         path = tmp_path / "run_000.csv"
         path.write_text(body)
@@ -1321,10 +1328,9 @@ def _array_holders():
     V = PotentialSpec.harmonic(1.0, 1.0)
     return {
         "PotentialSpec": lambda: PotentialSpec.harmonic(1.0, 1.0),
-        "WaveFunction": lambda: WaveFunction(g, np.ones(64), 1.0, 1.0),
+        "WaveFunction": lambda: WaveFunction(g, np.ones(64), 1.0),
         "PhaseDensity": lambda: gaussian_phase_blob(
             0.0, 0.0, 0.5, 0.5, -3.0, 3.0, -3.0, 3.0, 32, 32),
-        "Trajectory": lambda: newton_integrate(V, 0.0, 1.0, 0.01, 10),
         "CharacteristicFan": lambda: hjflow.integrate_fan(
             g, 0.5 * g.x, V, 0.1, snapshot_times=[0.0]),
         "QuantumRunData": lambda: QuantumRunData(g, 0.1, np.zeros((2, 3)),
@@ -1406,11 +1412,10 @@ class TestDeterminism:
             meta, _, data = read_csv(str(tmp_path / name))
             assert float(meta["t"]) == row["t"]
             assert np.array_equal(data[:, 0], grid.x)
-            psi = WaveFunction(grid, data[:, 1] + 1j * data[:, 2], 1.0,
-                               V.mass)
+            psi = WaveFunction(grid, data[:, 1] + 1j * data[:, 2], 1.0)
             obs = observables(psi)
             assert (obs.x_mean, obs.var_x, obs.width) == (
                 row["x_mean"], row["var_x"], row["width"])
         _, _, data = read_csv(str(tmp_path / dumps[0]))
-        packet = init_gaussian(grid, eps, r0, p0, 1.0, V.mass).values
+        packet = init_gaussian(grid, eps, r0, p0, 1.0).values
         assert np.array_equal(data[:, 1] + 1j * data[:, 2], packet)

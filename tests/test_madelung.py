@@ -41,8 +41,8 @@ def wrapped_madelung(psi):
 class TestFromMadelung:
     def test_round_trip_fidelity(self):
         g = make_grid(-10, 10, 512)
-        psi = init_gaussian(g, 0.5, 0.3, 1.7, 1.0, 1.0)
-        back = from_madelung(wrapped_madelung(psi), m=1.0)
+        psi = init_gaussian(g, 0.5, 0.3, 1.7, 1.0)
+        back = from_madelung(wrapped_madelung(psi))
         assert fidelity(psi, back) >= 1.0 - 1e-10
 
     def test_uniform_density_zero_phase(self):
@@ -66,13 +66,13 @@ class TestFromMadelung:
         t1, t2 = 0.3, 0.8
         f1, _ = analytic_packet_fields("harmonic", g, 0.5, 1.0, 1.0, 1.0,
                                        t1, omega=1.0)
-        psi = from_madelung(f1, m=1.0, t=t1)
-        dt = 0.4 * max_stable_dt(g, V, 1.0, 1.0)
+        psi = from_madelung(f1, t=t1)
+        dt = 0.4 * max_stable_dt(g, V, 1.0)
         n = int(np.ceil((t2 - t1) / dt))
         out = propagate(psi, V, (t2 - t1) / n, n)
         f2, _ = analytic_packet_fields("harmonic", g, 0.5, 1.0, 1.0, 1.0,
                                        t2, omega=1.0)
-        ref = from_madelung(f2, m=1.0, t=t2)
+        ref = from_madelung(f2, t=t2)
         obs = observables(out)
         st_eps = 0.5 * (np.cos(t2) ** 2 + 4.0 * np.sin(t2) ** 2)
         assert rel_err(observables(out).width, st_eps) <= 1e-4
@@ -101,11 +101,11 @@ class TestRoundTripProperty:
         # difference is bounded by the masked mass
         g = ROUND_TRIP_GRID
         V = PotentialSpec.polynomial(coeffs, mass=m)
-        psi = propagate(init_gaussian(g, eps, r0, p0, hbar, m), V,
-                        dt_frac * max_stable_dt(g, V, hbar, m), n)
-        psi = WaveFunction(g, np.exp(1j * theta) * psi.values, hbar, m)
+        psi = propagate(init_gaussian(g, eps, r0, p0, hbar), V,
+                        dt_frac * max_stable_dt(g, V, hbar), n)
+        psi = WaveFunction(g, np.exp(1j * theta) * psi.values, hbar)
         f = wrapped_madelung(psi)
-        back = from_madelung(f, m=m).values
+        back = from_madelung(f).values
         overlap = np.sum(np.conj(psi.values) * back)
         diff = back - overlap / abs(overlap) * psi.values
         on_support = np.sqrt(g.dx * np.sum(np.abs(diff[f.support]) ** 2))
@@ -193,7 +193,7 @@ class TestHJResidual:
     def test_propagated_state_quantum_residual_second_order(self):
         g = make_grid(-16, 16, 256)
         V = PotentialSpec.harmonic(1.0, 1.0)
-        psi = init_gaussian(g, 0.5, 0.0, 1.0, 1.0, 1.0)
+        psi = init_gaussian(g, 0.5, 0.0, 1.0, 1.0)
 
         def residual_at(delta):
             rho_q, rho_hj = weighted_action_terms(
@@ -208,7 +208,7 @@ class TestHJResidual:
     def test_propagated_state_classical_residual_equals_quantum_norm(self):
         g = make_grid(-16, 16, 256)
         V = PotentialSpec.harmonic(1.0, 1.0)
-        psi = init_gaussian(g, 0.5, 0.0, 1.0, 1.0, 1.0)
+        psi = init_gaussian(g, 0.5, 0.0, 1.0, 1.0)
         delta = 2e-4
         rho_q, rho_hj = weighted_action_terms(
             propagate_triple(psi, V, 0.5, delta), V, delta)
@@ -242,12 +242,12 @@ class TestWeightedIdentityProperty:
             self, coeffs, eps, r0, p0, theta, hbar, m, dt_frac, n):
         g = ROUND_TRIP_GRID
         V = PotentialSpec.polynomial(coeffs, mass=m)
-        a, b = (init_gaussian(g, e, r, p, hbar, m).values
+        a, b = (init_gaussian(g, e, r, p, hbar).values
                 for e, r, p in zip(eps, r0, p0))
         vals = a + np.exp(1j * theta) * b
         vals = vals / np.sqrt(g.dx * np.sum(np.abs(vals) ** 2))
-        psi = WaveFunction(g, vals, hbar, m)
-        limit = max_stable_dt(g, V, hbar, m)
+        psi = WaveFunction(g, vals, hbar)
+        limit = max_stable_dt(g, V, hbar)
         psi = propagate(psi, V, dt_frac * limit, n)
         delta = 0.01 * limit
         triple = (psi, propagate(psi, V, delta, 1),

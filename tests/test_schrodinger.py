@@ -24,7 +24,7 @@ from helpers import analytic_gaussian, energy_mean, rel_err, verlet_oracle
 
 
 def run_to(psi, V, t_final, safety=0.5):
-    dt = safety * max_stable_dt(psi.grid, V, psi.hbar, psi.m)
+    dt = safety * max_stable_dt(psi.grid, V, psi.hbar)
     n = int(np.ceil(t_final / dt))
     return propagate(psi, V, t_final / n, n)
 
@@ -32,14 +32,14 @@ def run_to(psi, V, t_final, safety=0.5):
 class TestInitGaussian:
     def test_peak_density(self):
         g = make_grid(-10, 10, 512)
-        psi = init_gaussian(g, epsilon=0.5, r0=0.0, p0=0.0, hbar=1.0, m=1.0)
+        psi = init_gaussian(g, epsilon=0.5, r0=0.0, p0=0.0, hbar=1.0)
         peak = np.max(np.abs(psi.values) ** 2)
         assert peak == pytest.approx((np.pi * 0.5) ** -0.5, rel=1e-6)
 
     def test_momentum_boost_leaves_density(self):
         g = make_grid(-10, 10, 512)
-        psi0 = init_gaussian(g, 0.5, 0.0, 0.0, 1.0, 1.0)
-        psi2 = init_gaussian(g, 0.5, 0.0, 2.0, 1.0, 1.0)
+        psi0 = init_gaussian(g, 0.5, 0.0, 0.0, 1.0)
+        psi2 = init_gaussian(g, 0.5, 0.0, 2.0, 1.0)
         assert np.allclose(np.abs(psi0.values) ** 2,
                            np.abs(psi2.values) ** 2, atol=1e-13)
         assert observables(psi2).p_mean == pytest.approx(2.0, abs=1e-8)
@@ -47,19 +47,19 @@ class TestInitGaussian:
     def test_wide_packet_leaks(self):
         g = make_grid(-10, 10, 512)
         with pytest.raises(BoundaryLeak):
-            init_gaussian(g, epsilon=25.0, r0=0.0, p0=0.0, hbar=1.0, m=1.0)
+            init_gaussian(g, epsilon=25.0, r0=0.0, p0=0.0, hbar=1.0)
 
     def test_bad_epsilon(self):
         g = make_grid(-10, 10, 512)
         with pytest.raises(DomainError):
-            init_gaussian(g, epsilon=-1.0, r0=0.0, p0=0.0, hbar=1.0, m=1.0)
+            init_gaussian(g, epsilon=-1.0, r0=0.0, p0=0.0, hbar=1.0)
 
 
 class TestWaveFunction:
     def test_stores_a_read_only_complex_copy(self):
         g = make_grid(-1, 1, 16)
         vals = np.ones(16)
-        psi = WaveFunction(g, vals, 1.0, 1.0)
+        psi = WaveFunction(g, vals, 1.0)
         vals[0] = 2.0
         assert psi.values.dtype == complex and np.all(psi.values == 1.0)
         with pytest.raises(ValueError):
@@ -69,7 +69,15 @@ class TestWaveFunction:
                                       np.full(16, np.inf * 1j)])
     def test_rejects_bad_values(self, vals):
         with pytest.raises(DomainError):
-            WaveFunction(make_grid(-1, 1, 16), vals, 1.0, 1.0)
+            WaveFunction(make_grid(-1, 1, 16), vals, 1.0)
+
+    def test_time_is_keyword_only(self):
+        # the mass is the potential's; a fourth positional argument (a
+        # mass, in old calls) must fail rather than become the time
+        g = make_grid(-1, 1, 16)
+        assert WaveFunction(g, np.ones(16), 1.0, t=0.5).t == 0.5
+        with pytest.raises(TypeError):
+            WaveFunction(g, np.ones(16), 1.0, 1.0)
 
 
 class TestObservables:
@@ -77,7 +85,7 @@ class TestObservables:
         # Closed-form Gaussian Fourier pair: dx = sqrt(eps/2) = 0.5,
         # dp = hbar / sqrt(2 eps) = 1, product = hbar/2.
         g = make_grid(-10, 10, 512)
-        psi = init_gaussian(g, 0.5, 0.0, 0.0, 1.0, 1.0)
+        psi = init_gaussian(g, 0.5, 0.0, 0.0, 1.0)
         obs = observables(psi)
         assert np.sqrt(obs.var_x) == pytest.approx(0.5, abs=1e-8)
         assert np.sqrt(obs.var_p) == pytest.approx(1.0, abs=1e-8)
@@ -85,7 +93,7 @@ class TestObservables:
 
     def test_p_mean_constant_under_free_flow(self):
         g = make_grid(-20, 20, 512)
-        psi = init_gaussian(g, 0.5, 0.0, 1.5, 1.0, 1.0)
+        psi = init_gaussian(g, 0.5, 0.0, 1.5, 1.0)
         V = PotentialSpec.free()
         vals = [observables(psi).p_mean]
         for _ in range(4):
@@ -98,14 +106,14 @@ class TestPropagate:
     def test_free_spreading_width(self):
         # A_f(1) = eps (1 + (hbar/eps)^2 (t/m)^2) = 0.5 * 5 = 2.5
         g = make_grid(-20, 20, 512)
-        psi = init_gaussian(g, 0.5, 0.0, 0.0, 1.0, 1.0)
+        psi = init_gaussian(g, 0.5, 0.0, 0.0, 1.0)
         out = run_to(psi, PotentialSpec.free(), 1.0)
         assert rel_err(observables(out).width, 2.5) <= 1e-4
 
     def test_coherent_width_constant_over_period(self):
         g = make_grid(-10, 10, 128)
         V = PotentialSpec.harmonic(mass=1.0, omega=1.0)
-        psi = init_gaussian(g, epsilon=1.0, r0=0.0, p0=1.0, hbar=1.0, m=1.0)
+        psi = init_gaussian(g, epsilon=1.0, r0=0.0, p0=1.0, hbar=1.0)
         dt = 2.5e-4
         n_per = 80
         n_chunk = int(np.ceil(2 * np.pi / (n_per * dt)))
@@ -117,14 +125,14 @@ class TestPropagate:
         # A_h(pi/2 / omega) = hbar^2 / (eps m^2 omega^2) = 2.0
         g = make_grid(-10, 10, 256)
         V = PotentialSpec.harmonic(mass=1.0, omega=1.0)
-        psi = init_gaussian(g, 0.5, 0.0, 0.0, 1.0, 1.0)
+        psi = init_gaussian(g, 0.5, 0.0, 0.0, 1.0)
         out = run_to(psi, V, np.pi / 2, safety=0.25)
         assert rel_err(observables(out).width, 2.0) <= 1e-4
 
     def test_norm_conserved_per_step(self):
         g = make_grid(-10, 10, 256)
         V = PotentialSpec.harmonic(1.0, 1.0)
-        psi = init_gaussian(g, 0.5, 0.0, 1.0, 1.0, 1.0)
+        psi = init_gaussian(g, 0.5, 0.0, 1.0, 1.0)
         n0 = g.dx * np.sum(np.abs(psi.values) ** 2)
         psi = propagate(psi, V, 2e-4, 1)
         n1 = g.dx * np.sum(np.abs(psi.values) ** 2)
@@ -133,7 +141,7 @@ class TestPropagate:
     def test_energy_conserved(self):
         g = make_grid(-15, 15, 256)
         V = PotentialSpec.harmonic(1.0, 1.0)
-        psi = init_gaussian(g, 0.5, 1.0, 0.5, 1.0, 1.0)
+        psi = init_gaussian(g, 0.5, 1.0, 0.5, 1.0)
         e0 = energy_mean(psi, V)
         out = run_to(psi, V, 4.0)
         assert rel_err(energy_mean(out, V), e0) <= 1e-6
@@ -141,16 +149,16 @@ class TestPropagate:
     def test_dt_validation(self):
         g = make_grid(-10, 10, 256)
         V = PotentialSpec.free()
-        psi = init_gaussian(g, 0.5, 0.0, 0.0, 1.0, 1.0)
+        psi = init_gaussian(g, 0.5, 0.0, 0.0, 1.0)
         with pytest.raises(DomainError):
             propagate(psi, V, -1e-3, 10)
         with pytest.raises(DomainError):
-            propagate(psi, V, 10 * max_stable_dt(g, V, 1.0, 1.0), 10)
+            propagate(psi, V, 10 * max_stable_dt(g, V, 1.0), 10)
 
     def test_second_order_convergence_in_dt(self):
         g = make_grid(-12, 12, 256)
         V = PotentialSpec.harmonic(1.0, 1.0)
-        psi = init_gaussian(g, 0.5, 0.5, 0.5, 1.0, 1.0)
+        psi = init_gaussian(g, 0.5, 0.5, 0.5, 1.0)
         t_final = 0.5
         dt0 = 2.5e-4
 
@@ -169,14 +177,14 @@ class TestPropagate:
 MEMO_POTENTIALS = (PotentialSpec.harmonic(1.0, 1.0),
                    PotentialSpec.polynomial([0.0, 0.3, 0.2, 0.0, 0.05]))
 MEMO_GRIDS = (make_grid(-10.0, 10.0, 256), make_grid(-12.0, 12.0, 512))
-MEMO_DT = 0.5 * min(max_stable_dt(g, V, 1.0, 1.0)
+MEMO_DT = 0.5 * min(max_stable_dt(g, V, 1.0)
                     for g in MEMO_GRIDS for V in MEMO_POTENTIALS)
 
 
 def memo_case(i_grid, i_potential):
     """Five steps of one (grid, V) case; the memo keys grids by identity,
     so a repeated case reuses its phases."""
-    psi = init_gaussian(MEMO_GRIDS[i_grid], 0.5, 0.3, 0.5, 1.0, 1.0)
+    psi = init_gaussian(MEMO_GRIDS[i_grid], 0.5, 0.3, 0.5, 1.0)
     return propagate(psi, MEMO_POTENTIALS[i_potential], MEMO_DT, 5).values
 
 
@@ -184,7 +192,7 @@ def strang_reference(psi, V, dt, n_steps):
     """Unfused Strang steps with phases built here, on numpy's FFT."""
     g = psi.grid
     half = np.exp(-0.5j * eval_potential(V, g.x) * dt / psi.hbar)
-    kin = np.exp(-0.5j * psi.hbar * g.k ** 2 * dt / psi.m)
+    kin = np.exp(-0.5j * psi.hbar * g.k ** 2 * dt / V.mass)
     values = psi.values
     for _ in range(n_steps):
         values = half * np.fft.ifft(kin * np.fft.fft(half * values))
@@ -214,8 +222,8 @@ class TestPhaseMemo:
     def test_guard_after_a_valid_call(self):
         g = make_grid(-10, 10, 256)
         V = MEMO_POTENTIALS[0]
-        psi = init_gaussian(g, 0.5, 0.0, 0.0, 1.0, 1.0)
-        limit = max_stable_dt(g, V, 1.0, 1.0)
+        psi = init_gaussian(g, 0.5, 0.0, 0.0, 1.0)
+        limit = max_stable_dt(g, V, 1.0)
         propagate(psi, V, limit, 3)
         for _ in range(2):
             with pytest.raises(DomainError):
@@ -224,7 +232,7 @@ class TestPhaseMemo:
 
     def test_each_potential_gets_its_own_phases(self):
         g = make_grid(-10, 10, 256)
-        psi = init_gaussian(g, 0.5, 0.3, 0.5, 1.0, 1.0)
+        psi = init_gaussian(g, 0.5, 0.3, 0.5, 1.0)
         outputs = [propagate(psi, V, MEMO_DT, 5).values
                    for V in MEMO_POTENTIALS]
         for V, values in zip(MEMO_POTENTIALS, outputs):
@@ -250,6 +258,8 @@ class TestPhaseMemo:
 PROPERTY_GRID = make_grid(-16, 16, 256)
 PROPERTY_TOL = 1e-12
 PROPERTY_COVARIANCE_TOL = 1e-10
+# max |psi difference|; 300 random cases read at most 2.7e-15
+MASS_SCALING_TOL = 1e-13
 random_case = dict(
     coeffs=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=5),
     eps=st.floats(0.2, 1.0), r0=st.floats(-1.0, 1.0),
@@ -260,8 +270,8 @@ random_case = dict(
 
 def _random_run(coeffs, eps, r0, p0, hbar, m, dt_frac):
     V = PotentialSpec.polynomial(coeffs, mass=m)
-    psi = init_gaussian(PROPERTY_GRID, eps, r0, p0, hbar, m)
-    dt = dt_frac * max_stable_dt(PROPERTY_GRID, V, hbar, m)
+    psi = init_gaussian(PROPERTY_GRID, eps, r0, p0, hbar)
+    dt = dt_frac * max_stable_dt(PROPERTY_GRID, V, hbar)
     return V, psi, dt
 
 
@@ -285,10 +295,23 @@ class TestPropagatorProperties:
         V, psi, dt = _random_run(coeffs, eps, r0, p0, hbar, m, dt_frac)
 
         def conj(wf):
-            return WaveFunction(wf.grid, np.conj(wf.values), wf.hbar, wf.m)
+            return WaveFunction(wf.grid, np.conj(wf.values), wf.hbar)
 
         back = conj(propagate(conj(propagate(psi, V, dt, n)), V, dt, n))
         assert _l2(back.values - psi.values) <= PROPERTY_TOL
+
+    @settings(max_examples=100, deadline=None)
+    @given(**random_case)
+    def test_mass_rescales_time(self, coeffs, eps, r0, p0, hbar, m, dt_frac,
+                                n):
+        # i hbar psi_t = -(hbar^2/2m) psi'' + V psi is, in tau = t/m,
+        # i hbar psi_tau = -(hbar^2/2) psi'' + m V psi: a step dt under V
+        # of mass m is a step dt/m under m V of unit mass
+        V, psi, dt = _random_run(coeffs, eps, r0, p0, hbar, m, dt_frac)
+        unit = PotentialSpec.polynomial(m * np.asarray(coeffs))
+        out = propagate(psi, V, dt, n).values
+        scaled = propagate(psi, unit, dt / m, n).values
+        assert np.max(np.abs(out - scaled)) <= MASS_SCALING_TOL
 
 
 class TestTranslationCovariance:
@@ -303,12 +326,11 @@ class TestTranslationCovariance:
         # a superposition of two packets, moved by `shift` grid points
         # (at most 4 length units, far from the grid's edges)
         g = PROPERTY_GRID
-        vals = (init_gaussian(g, eps[0], r0[0], p0[0], hbar, 1.0).values
-                + weight * init_gaussian(g, eps[1], r0[1], p0[1], hbar,
-                                         1.0).values)
+        vals = (init_gaussian(g, eps[0], r0[0], p0[0], hbar).values
+                + weight * init_gaussian(g, eps[1], r0[1], p0[1], hbar).values)
         vals = vals / np.sqrt(g.dx * np.sum(np.abs(vals) ** 2))
-        obs = observables(WaveFunction(g, vals, hbar, 1.0))
-        moved = observables(WaveFunction(g, np.roll(vals, shift), hbar, 1.0))
+        obs = observables(WaveFunction(g, vals, hbar))
+        moved = observables(WaveFunction(g, np.roll(vals, shift), hbar))
         tol = dict(rel=PROPERTY_COVARIANCE_TOL, abs=PROPERTY_COVARIANCE_TOL)
         assert moved.x_mean == pytest.approx(obs.x_mean + shift * g.dx, **tol)
         for name in ("p_mean", "var_x", "var_p", "uncertainty_product",
@@ -335,7 +357,7 @@ class TestOracleAgreement:
             else:
                 V = PotentialSpec.harmonic(m, omega)
             g = make_grid(-24, 24, 1024)
-            psi = init_gaussian(g, eps, 0.0, p0, hbar, m)
+            psi = init_gaussian(g, eps, 0.0, p0, hbar)
             for _ in range(4):
                 psi = run_to(psi, V, 0.2, safety=0.4)
                 ref = analytic_gaussian(case, eps, p0, hbar, m, psi.t,
@@ -351,7 +373,7 @@ class TestGaussianForm:
         g = make_grid(-20, 20, 512)
         for V in (PotentialSpec.free(), PotentialSpec.constant_force(0.8),
                   PotentialSpec.harmonic(1.0, 1.0)):
-            psi = init_gaussian(g, 0.5, 0.0, 0.5, 1.0, 1.0)
+            psi = init_gaussian(g, 0.5, 0.0, 0.5, 1.0)
             for _ in range(5):
                 psi = run_to(psi, V, 0.3)
                 assert abs(observables(psi).kurtosis_excess) <= 1e-3
@@ -359,7 +381,7 @@ class TestGaussianForm:
     def test_kurtosis_grows_for_quartic(self):
         g = make_grid(-8, 8, 256)
         V = PotentialSpec.polynomial([0, 0, 0, 0, 1.0])
-        psi = init_gaussian(g, 0.5, 0.0, 1.0, 1.0, 1.0)
+        psi = init_gaussian(g, 0.5, 0.0, 1.0, 1.0)
         worst = 0.0
         for _ in range(6):
             psi = run_to(psi, V, 0.25)
