@@ -29,7 +29,10 @@ section headers, no structured-format dependency.
 
 '#' starts a comment.  Every key can be overridden from the command line as
 --set section.key=value; the effective configuration is echoed verbatim
-into each run record, so a record alone suffices to rerun.
+into each run record, so a record alone suffices to rerun.  KEYS lists
+every section and the keys it takes; any other key, in a file or an
+override, is refused with DomainError before a run starts, so a
+misspelling cannot be echoed as if it had been used.
 """
 
 import os
@@ -40,9 +43,26 @@ from .errors import DomainError
 from .grid import make_grid
 from .potential import PotentialSpec
 
-__all__ = ["RunConfig"]
+__all__ = ["KEYS", "MAX_PHASE_NODES", "RunConfig"]
 
 _MISSING = object()
+
+# every [section] and the keys the lab reads there; [experiment] seed is
+# echoed into the record but read by no run
+KEYS = {
+    "experiment": ("kind", "seed"),
+    "potential": ("kind", "mass", "omega", "f0", "coeffs", "table"),
+    "packet": ("epsilon", "r0", "p0", "s0_curvature"),
+    "scan": ("hbar_list", "hbar", "k", "epsilon_list"),
+    "numerics": ("grid", "phase_grid", "t_final", "t_star", "n_snapshots",
+                 "dt", "tol"),
+    "output": ("directory", "dump_fields"),
+}
+
+# most nodes nx * np of a [numerics] phase_grid: a 5-step Liouville run's
+# peak RSS reads 39 MB at 256^2 nodes and 160 MB at 1024^2 (numpy on an
+# 8 GB host), about 150 bytes a node, so near 0.6 GB at this bound
+MAX_PHASE_NODES = 1 << 22
 
 
 def _parse_text(text, origin):
@@ -74,12 +94,22 @@ class RunConfig:
     """Parsed configuration with typed accessors.
 
     Keys live in (section, key) pairs; insertion order is preserved for the
-    deterministic echo.  Every run divides its time span by [numerics]
-    n_snapshots, so a config whose n_snapshots is not >= 1 is refused."""
+    deterministic echo.  A pair that KEYS does not list is refused.  Every
+    run divides its time span by [numerics] n_snapshots, so a config whose
+    n_snapshots is not >= 1 is refused."""
 
     def __init__(self, entries, origin="<config>"):
         self.entries = dict(entries)
         self.origin = origin
+        for section, key in self.entries:
+            if section not in KEYS:
+                raise DomainError(
+                    f"{origin}: [{section}] {key}: unknown section; the "
+                    f"sections are {', '.join(KEYS)}")
+            if key not in KEYS[section]:
+                raise DomainError(
+                    f"{origin}: [{section}] {key}: unknown key; [{section}] "
+                    f"takes {', '.join(KEYS[section])}")
         if self.get_int("numerics", "n_snapshots", 1) < 1:
             raise DomainError(f"{origin}: [numerics] n_snapshots must be >= 1")
 
@@ -249,7 +279,7 @@ class RunConfig:
 
     def phase_grid(self):
         """[numerics] phase_grid = xmin,xmax,pmin,pmax,nx,np, with
-        xmax > xmin and pmax > pmin."""
+        xmax > xmin, pmax > pmin and at most MAX_PHASE_NODES nodes nx np."""
         x_min, x_max, p_min, p_max, nx, n_p = self._bounds_and_counts(
             "phase_grid", "xmin,xmax,pmin,pmax,nx,np", 2,
             [-3.0, 3.0, -3.0, 3.0, 256.0, 256.0])
@@ -257,6 +287,10 @@ class RunConfig:
             raise DomainError(
                 f"{self.origin}: [numerics] phase_grid needs xmax > xmin and "
                 f"pmax > pmin, got {self.get('numerics', 'phase_grid')!r}")
+        if nx * n_p > MAX_PHASE_NODES:
+            raise DomainError(
+                f"{self.origin}: [numerics] phase_grid: {nx} x {n_p} nodes "
+                f"exceed the most allowed, {MAX_PHASE_NODES}")
         return [x_min, x_max, p_min, p_max, nx, n_p]
 
     def output_directory(self):
@@ -284,4 +318,7 @@ def load_potential_table(path):
         raise DomainError(f"{path}: x column must be uniformly spaced")
     if not np.all(np.isfinite(v)):
         raise DomainError(f"{path}: V column holds nan or inf")
-    return make_grid(x[0], x[0] + dx[0] * x.size, x.size), v
+    try:
+        return make_grid(x[0], x[0] + dx[0] * x.size, x.size), v
+    except DomainError as err:
+        raise DomainError(f"{path}: {err}") from None

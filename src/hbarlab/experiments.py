@@ -63,7 +63,7 @@ import numpy as np
 from . import classical, detpot, hjflow, madelung, schrodinger
 from ._kernels import check_steps
 from .errors import BoundaryLeak, DomainError, LabError
-from .grid import make_grid
+from .grid import MAX_GRID_N, make_grid
 from .potential import eval_potential
 from .records import (
     DETPOT_COLUMNS,
@@ -88,7 +88,6 @@ __all__ = [
 
 MAX_WIDEN_RETRIES = 2
 MIN_GRID_N = 64                 # auto_grid's fewest points
-MAX_GRID_N = 1 << 16            # most points of any auto-sized or widened grid
 # auto_grid resolves a packet's density tails and spectrum down to this
 # fraction of their peak
 DEFAULT_FLOOR = 1e-12
@@ -117,8 +116,11 @@ def _packet_need(V, eps0, r0, p0, hbar, t_final):
     at its narrowest (density standard deviation sigma_min) has fallen
     below DEFAULT_FLOOR of its peak.  For a polynomial or tabulated
     potential p_max also counts the largest V over the packet's tails down
-    to that floor."""
-    m = V.mass
+    to that floor.  The inputs are taken as numpy floats, so a need past
+    the largest float reads inf instead of raising OverflowError."""
+    eps0, r0, p0, hbar, t_final = map(np.float64, (eps0, r0, p0, hbar,
+                                                   t_final))
+    m = np.float64(V.mass)
     if V.kind == "harmonic":
         w = V.omega
         amp = float(np.hypot(r0, p0 / (m * w)))
@@ -177,25 +179,14 @@ def _packet_need(V, eps0, r0, p0, hbar, t_final):
     return half, k_need
 
 
-def _finite_need(V, eps0, r0, p0, hbar, t_final):
-    """`_packet_need`, with inf for a need that overflows a float (an
-    extreme packet, mass or hbar)."""
-    try:
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            return _packet_need(V, eps0, r0, p0, hbar, t_final)
-    except OverflowError:           # a Python float power past 1.8e308
-        return np.inf, np.inf
-
-
 def auto_grid(V, eps0, r0, p0, hbar, t_final):
     """The grid `_packet_need` asks for: n is the next power of two of the
     points k_need needs on [-half, half], at least MIN_GRID_N.  A packet
     that needs more than MAX_GRID_N points is refused with DomainError,
     since a clipped grid would not resolve it; so is one whose need
     overflows a float."""
-    half, k_need = _finite_need(V, eps0, r0, p0, hbar, t_final)
-    with np.errstate(over="ignore", invalid="ignore"):
-        n_k = k_need * (2 * half) / np.pi
+    half, k_need = _packet_need(V, eps0, r0, p0, hbar, t_final)
+    n_k = k_need * (2 * half) / np.pi
     if not n_k <= MAX_GRID_N:
         count = f"{n_k:.3g}" if np.isfinite(n_k) else "over 1.8e+308"
         raise DomainError(
@@ -344,7 +335,7 @@ def _quantum_scan(cfg, experiment, V, r0, p0, points, t_final, n_snapshots,
         if grid is None:
             grid = auto_grid(V, eps, r0, p0, hbar, t_final)
         else:
-            k_need = _finite_need(V, eps, r0, p0, hbar, t_final)[1]
+            k_need = _packet_need(V, eps, r0, p0, hbar, t_final)[1]
             if not np.pi / grid.dx >= k_need:
                 raise DomainError(
                     f"{cfg.origin}: [numerics] grid reaches k_max "
@@ -587,7 +578,7 @@ def run_phj_demo(cfg):
     # centred dS/dt divided by delta, and four steps per delta keep the
     # projected Newton residual a factor ~5 inside its 1e-5 pin (two steps
     # per delta miss it)
-    sol = hjflow.solve_hj(grid, s0, V, t_final, dt=delta / 4,
+    fan = hjflow.solve_hj(grid, s0, V, t_final, dt=delta / 4,
                           snapshot_times=snapshot_times)
 
     n_traj = np.ceil(t_final / 1e-4)
@@ -595,16 +586,16 @@ def run_phj_demo(cfg):
     n_traj = int(n_traj)
     r, p = classical.newton_integrate(V, r0, p0, t_final / n_traj, n_traj)
     times = t_final / n_traj * np.arange(n_traj + 1)
-    r_t, p_t = np.interp(sol.times, times, r), np.interp(sol.times, times, p)
+    r_t, p_t = np.interp(fan.times, times, r), np.interp(fan.times, times, p)
     term1, term2, p_gap = hjflow.deterministic_continuity_check(
-        eps, sol, r_t, p_t)
-    newton_res = hjflow.projected_newton_check(sol, V, r_t)
+        eps, fan, r_t, p_t)
+    newton_res = hjflow.projected_newton_check(fan, V, r_t)
 
     rows = []
     for t_rep in report_times:
-        i = int(np.argmin(np.abs(sol.times - t_rep)))
-        hj_res = hjflow.classical_hj_residual(sol, V, i)
-        rows.append((sol.times[i], hj_res, term1[i], term2[i], p_gap[i],
+        i = int(np.argmin(np.abs(fan.times - t_rep)))
+        hj_res = hjflow.classical_hj_residual(grid, fan, V, i)
+        rows.append((fan.times[i], hj_res, term1[i], term2[i], p_gap[i],
                      newton_res[i - 1]))
     fits = {
         "epsilon": eps,

@@ -7,10 +7,10 @@ Wavenumbers follow the standard FFT layout
 differentiated by multiplying their transform with (ik)^order.
 
 Every sampled field travels as a plain array beside the grid its caller
-already holds.  Grids are power-of-two only (n >= 16) and compare by
-identity.  `_check_values` gives the read-only copy, checked for length
-and finiteness, that a wave function and a potential table keep, so both
-are safe to share across threads.
+already holds.  Grids are power-of-two only, 16 <= n <= MAX_GRID_N, and
+compare by identity.  `_check_values` gives the read-only copy, checked
+for length and finiteness, that a wave function and a potential table
+keep, so both are safe to share across threads.
 """
 
 from dataclasses import dataclass
@@ -20,10 +20,13 @@ import numpy as np
 from .errors import DomainError
 
 __all__ = [
+    "MAX_GRID_N",
     "Grid",
     "make_grid",
     "spectral_derivative",
 ]
+
+MAX_GRID_N = 1 << 16            # most points of any grid
 
 
 def _is_power_of_two(n):
@@ -55,7 +58,8 @@ class Grid:
 def make_grid(x_min, x_max, n):
     """Build a periodic grid on [x_min, x_max) with n points.
 
-    n must be a power of two >= 16 (FFT efficiency and bit-stable tests).
+    n must be a power of two >= 16 (FFT efficiency and bit-stable tests)
+    and at most MAX_GRID_N, refused before anything is allocated.
     """
     x_min = float(x_min)
     x_max = float(x_max)
@@ -64,6 +68,9 @@ def make_grid(x_min, x_max, n):
         raise DomainError(f"x_max ({x_max}) must exceed x_min ({x_min})")
     if n < 16 or not _is_power_of_two(n):
         raise DomainError(f"grid size must be a power of two >= 16, got {n}")
+    if n > MAX_GRID_N:
+        raise DomainError(
+            f"grid size {n} exceeds the most allowed, {MAX_GRID_N}")
     dx = (x_max - x_min) / n
     x = x_min + dx * np.arange(n)
     k = 2.0 * np.pi * np.fft.fftfreq(n, d=dx)

@@ -13,16 +13,18 @@ action field stops existing, so the fan ends there and solve_hj raises
 CausticError with the crossing time, interpolated within the step that
 detects it.
 
-The one representation of S at a snapshot is the fan's own arrays: S is
-the cubic Hermite spline through the fan's nodes (x_j, S_j) with the exact
+The one representation of S at a snapshot is the fan itself: S is the
+cubic Hermite spline through the fan's nodes (x_j, S_j) with the exact
 nodal slopes dS/dx(x_j) = p_j that the fan provides for free, evaluated
-straight from those arrays by `HJSolution.action`.  It is piecewise cubic
-and C^1, valid for the monotone node ordering pre-caustic, exact whenever S
-is quadratic in x (every linear-flow case), and its end cubics extend past
-the fan's ends.  Every x-derivative is the spline's own, action(i, x, 1)
-and action(i, x, 2); t-derivatives are centered differences across
-snapshots.  A grid point is covered at a snapshot when it lies between the
-fan's two end characteristics.
+straight from its arrays by `CharacteristicFan.action`.  It is piecewise
+cubic and C^1, valid for the monotone node ordering pre-caustic, exact
+whenever S is quadratic in x (every linear-flow case), and its end cubics
+extend past the fan's ends.  Every x-derivative is the spline's own,
+action(i, x, 1) and action(i, x, 2); t-derivatives are centered
+differences across snapshots.  A grid node is covered at a snapshot when
+it lies between the fan's two end characteristics.  solve_hj returns the
+fan, and the diagnostics below take it, and the grid where they need one,
+as arguments; no object holds the two together.
 """
 
 from dataclasses import dataclass
@@ -35,7 +37,6 @@ from .potential import eval_force, eval_potential
 
 __all__ = [
     "CharacteristicFan",
-    "HJSolution",
     "integrate_fan",
     "solve_hj",
     "classical_hj_residual",
@@ -51,24 +52,14 @@ class CharacteristicFan:
     times: np.ndarray    # the snapshot times, each landed on exactly
     x: np.ndarray        # positions, shape (n_times, n_char)
     p: np.ndarray        # momenta
-    action: np.ndarray   # S0(x0) + accumulated Lagrangian integral
+    s: np.ndarray        # the action: S0(x0) + accumulated Lagrangian integral
     t_crossing: float = None   # first crossing of adjacent characteristics
-
-
-@dataclass(frozen=True)
-class HJSolution:
-    grid: object
-    fan: CharacteristicFan
-
-    @property
-    def times(self):
-        return self.fan.times
 
     def action(self, i, x, order=0):
         """S at snapshot i, or its order-th x-derivative (order 0, 1 or 2),
         at x: the cubic Hermite through the fan's (x_j, S_j) with slopes
         p_j, whose end cubics extend past the fan's ends."""
-        xs, s, p = self.fan.x[i], self.fan.action[i], self.fan.p[i]
+        xs, s, p = self.x[i], self.s[i], self.p[i]
         j = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, xs.size - 2)
         h = xs[j + 1] - xs[j]
         slope = (s[j + 1] - s[j]) / h
@@ -86,10 +77,11 @@ class HJSolution:
         raise DomainError(f"action order must be 0, 1 or 2, got {order}")
 
     def covered(self, *snapshots):
-        """Grid points inside the fan at every one of the given snapshots."""
-        ends = self.fan.x[list(snapshots)][:, [0, -1]]
-        x = self.grid.x
-        return (x >= ends[:, 0].max()) & (x <= ends[:, 1].min())
+        """Launch points inside the fan at every one of the given
+        snapshots: the grid's nodes that lie between the fan's two end
+        characteristics there."""
+        ends = self.x[list(snapshots)][:, [0, -1]]
+        return (self.x0 >= ends[:, 0].max()) & (self.x0 <= ends[:, 1].min())
 
 
 def integrate_fan(grid, s0, V, t_final, dt=2e-4, snapshot_times=None):
@@ -121,9 +113,8 @@ def integrate_fan(grid, s0, V, t_final, dt=2e-4, snapshot_times=None):
         V.force_coeffs(), V.coeffs, V.mass, x0, p0,
         np.append(times, t_final), dt)
     kept = min(X.shape[0], times.size)
-    action = A[:kept] + s0[None, :]
     return CharacteristicFan(x0, p0, times[:kept], X[:kept], P[:kept],
-                             action, t_crossing)
+                             A[:kept] + s0[None, :], t_crossing)
 
 
 def solve_hj(grid, s0, V, t_final, dt=2e-4, snapshot_times=None):
@@ -131,9 +122,10 @@ def solve_hj(grid, s0, V, t_final, dt=2e-4, snapshot_times=None):
     sampled on grid, with steps of at most dt landing exactly on the
     snapshot times.
 
-    Returns an HJSolution that reads S at each snapshot time off the fan's
-    Hermite spline.  Raises CausticError(t_caustic) when adjacent
-    characteristics cross before t_final, also after the last snapshot.
+    Returns the CharacteristicFan, whose `action` reads S at each
+    snapshot time off its Hermite spline.  Raises CausticError(t_caustic)
+    when adjacent characteristics cross before t_final, also after the
+    last snapshot.
     """
     fan = integrate_fan(grid, s0, V, t_final, dt, snapshot_times)
     if fan.t_crossing is not None:
@@ -141,31 +133,32 @@ def solve_hj(grid, s0, V, t_final, dt=2e-4, snapshot_times=None):
             f"characteristics crossed at t={fan.t_crossing:.6g}; "
             f"single-valued action field ends there",
             t_caustic=fan.t_crossing)
-    return HJSolution(grid, fan)
+    return fan
 
 
-def classical_hj_residual(sol, V, i):
-    """L2 norm of dS/dt + (dS/dx)^2/2m + V at interior snapshot i, with
-    dS/dt from centered differencing of the neighboring snapshots.
+def classical_hj_residual(grid, fan, V, i):
+    """L2 norm of dS/dt + (dS/dx)^2/2m + V at interior snapshot i of the
+    fan launched from grid's nodes, with dS/dt from centered differencing
+    of the neighboring snapshots.
 
     The norm runs over grid points covered by the fan at all three
     snapshots."""
-    if i < 1 or i > sol.times.size - 2:
+    if i < 1 or i > fan.times.size - 2:
         raise DomainError("residual needs an interior snapshot index")
-    g = sol.grid
-    dt2 = sol.times[i + 1] - sol.times[i - 1]
-    ds_dt = (sol.action(i + 1, g.x) - sol.action(i - 1, g.x)) / dt2
-    grad_s = sol.action(i, g.x, 1)
-    integrand = ds_dt + grad_s ** 2 / (2.0 * V.mass) + eval_potential(V, g.x)
-    region = sol.covered(i - 1, i, i + 1)
-    return float(np.sqrt(g.dx * np.sum(integrand[region] ** 2)))
+    x = grid.x
+    dt2 = fan.times[i + 1] - fan.times[i - 1]
+    ds_dt = (fan.action(i + 1, x) - fan.action(i - 1, x)) / dt2
+    grad_s = fan.action(i, x, 1)
+    integrand = ds_dt + grad_s ** 2 / (2.0 * V.mass) + eval_potential(V, x)
+    region = fan.covered(i - 1, i, i + 1)
+    return float(np.sqrt(grid.dx * np.sum(integrand[region] ** 2)))
 
 
 # ----------------------------------------------------------------------
 # Deterministic-ansatz diagnostics
 # ----------------------------------------------------------------------
 
-def deterministic_continuity_check(epsilon, sol, r_t, p_t):
+def deterministic_continuity_check(epsilon, fan, r_t, p_t):
     """Moments of the continuity equation under a narrow Gaussian density of
     width parameter epsilon riding at r(t) with trajectory momentum p(t).
 
@@ -193,19 +186,19 @@ def deterministic_continuity_check(epsilon, sol, r_t, p_t):
     z, w = np.polynomial.hermite.hermgauss(40)
     w = w / np.sqrt(np.pi)
     se = np.sqrt(epsilon)
-    term1 = np.empty(sol.times.size)
-    term2 = np.empty(sol.times.size)
-    p_gap = np.empty(sol.times.size)
-    for i in range(sol.times.size):
+    term1 = np.empty(fan.times.size)
+    term2 = np.empty(fan.times.size)
+    p_gap = np.empty(fan.times.size)
+    for i in range(fan.times.size):
         nodes = r_t[i] + se * z
-        grad_vals = sol.action(i, nodes, 1)
+        grad_vals = fan.action(i, nodes, 1)
         term1[i] = np.sum(w * se * z * (p_t[i] - grad_vals))
-        term2[i] = 0.5 * epsilon * np.sum(w * sol.action(i, nodes, 2))
+        term2[i] = 0.5 * epsilon * np.sum(w * fan.action(i, nodes, 2))
         p_gap[i] = p_t[i] - np.sum(w * grad_vals)
     return term1, term2, p_gap
 
 
-def projected_newton_check(sol, V, r_t):
+def projected_newton_check(fan, V, r_t):
     """Residual of the projected Newton law along a trajectory r(t):
 
         d/dt [dS/dx](r(t), t)  computed as the two-term chain rule
@@ -215,11 +208,11 @@ def projected_newton_check(sol, V, r_t):
 
     Returns the |field-theory dp/dt - Newton force| series over interior
     snapshots (centered time differencing needs both neighbors)."""
-    out = np.empty(max(sol.times.size - 2, 0))
-    for i in range(1, sol.times.size - 1):
+    out = np.empty(max(fan.times.size - 2, 0))
+    for i in range(1, fan.times.size - 1):
         r = r_t[i]
-        dt2 = sol.times[i + 1] - sol.times[i - 1]
-        dt_grad = (sol.action(i + 1, r, 1) - sol.action(i - 1, r, 1)) / dt2
-        advect = sol.action(i, r, 1) * sol.action(i, r, 2) / V.mass
+        dt2 = fan.times[i + 1] - fan.times[i - 1]
+        dt_grad = (fan.action(i + 1, r, 1) - fan.action(i - 1, r, 1)) / dt2
+        advect = fan.action(i, r, 1) * fan.action(i, r, 2) / V.mass
         out[i - 1] = abs(dt_grad + advect - eval_force(V, r))
     return out

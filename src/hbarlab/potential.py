@@ -2,10 +2,11 @@
 
 Every built-in kind (free, constant force, harmonic) reduces internally to
 polynomial coefficients, so evaluation and the hot integrator kernels share
-one code path.  A tabulated potential keeps its table's grid and a
-read-only copy of its samples, and uses nearest-node lookup and a
-finite-difference derivative for the force; it has no force polynomial,
-so `force_coeffs` refuses it.  It exists for exploratory use only.
+one code path.  A tabulated potential keeps its table's grid, a read-only
+copy of its samples and a read-only force table, the finite-difference
+derivative built once at construction; both are read at the nearest node.
+It has no force polynomial, so `force_coeffs` refuses it.  It exists for
+exploratory use only.
 
 Potentials are static.  The particle mass has one owner, the spec's
 `mass`: the Schrödinger propagator, the Newton, fan and Liouville
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .grid import _check_values
+from .grid import _check_values, _readonly
 
 __all__ = ["PotentialSpec", "eval_potential", "eval_force"]
 
@@ -57,6 +58,7 @@ class PotentialSpec:
     coeffs: np.ndarray = None            # V polynomial, low -> high degree
     grid: object = None                  # the table's Grid
     table: np.ndarray = None             # V sampled on grid, read-only
+    force_table: np.ndarray = None       # -dV/dx sampled on grid, read-only
     omega: float = None
     f0: float = None
 
@@ -97,10 +99,17 @@ class PotentialSpec:
     @staticmethod
     def tabulated(grid, values, mass=1.0):
         """V sampled at the nodes of grid; DomainError unless values hold
-        one finite sample per node."""
+        one finite sample per node.
+
+        The force table is a second-order finite difference of the samples
+        (one-sided at the ends): tables are not periodic in general, so a
+        spectral derivative would ring; the stencil is exact for quadratic
+        tables and boundary-safe."""
         _check_mass(mass)
+        table = _check_values(grid, values, float)
+        force = _readonly(-np.gradient(table, grid.dx, edge_order=2))
         return PotentialSpec("tabulated", float(mass), grid=grid,
-                             table=_check_values(grid, values, float))
+                             table=table, force_table=force)
 
     # -- helpers -----------------------------------------------------------
 
@@ -147,17 +156,10 @@ def eval_potential(spec, x):
 
 
 def eval_force(spec, x):
-    """F(x) = -dV/dx; analytic for polynomial kinds.
-
-    Tabulated forces use a second-order finite difference of the table
-    (one-sided at the ends): tables are not periodic in general, so a
-    spectral derivative would ring; the difference stencil is exact for
-    quadratic tables and boundary-safe.
-    """
+    """F(x) = -dV/dx; analytic for polynomial kinds, read off the force
+    table at the nearest node for a tabulated one."""
     if spec.kind == "tabulated":
-        g = spec.grid
-        dv = np.gradient(spec.table, g.dx, edge_order=2)
-        out = -_table_lookup(g, dv, x)
+        out = _table_lookup(spec.grid, spec.force_table, x)
     else:
         fc = spec.force_coeffs()
         out = np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), fc)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hbarlab.errors import DomainError
-from hbarlab.grid import make_grid, spectral_derivative
+from hbarlab.grid import MAX_GRID_N, make_grid, spectral_derivative
 from hbarlab.potential import PotentialSpec
 
 
@@ -32,6 +32,11 @@ class TestMakeGrid:
             make_grid(-10, 10, 8)
         with pytest.raises(DomainError):
             make_grid(3, 3, 64)
+
+    def test_rejects_more_than_max_grid_n(self):
+        # 2^44 points: refused before numpy is asked for 140 TB
+        with pytest.raises(DomainError, match=str(MAX_GRID_N)):
+            make_grid(-8, 8, 1 << 44)
 
     def test_unit_circle_wavenumbers_are_integers(self):
         g = make_grid(0, 2 * np.pi, 64)

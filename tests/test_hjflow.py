@@ -8,7 +8,6 @@ from hbarlab.errors import CausticError, DomainError
 from hbarlab.grid import make_grid
 from hbarlab.hjflow import (
     CharacteristicFan,
-    HJSolution,
     classical_hj_residual,
     deterministic_continuity_check,
     integrate_fan,
@@ -42,9 +41,8 @@ def test_action_is_scipys_cubic_hermite(nodes, q):
     # at the nodes, between them and up to 3 beyond either end
     from scipy.interpolate import CubicHermiteSpline
     x, s, p = nodes
-    fan = CharacteristicFan(x, p, np.zeros(1), x[None], p[None], s[None],
+    sol = CharacteristicFan(x, p, np.zeros(1), x[None], p[None], s[None],
                             1.0)
-    sol = HJSolution(None, fan)
     spline = CubicHermiteSpline(x, s, p, extrapolate=True)
     xq = np.concatenate([x, x[0] - 3.0 + (x[-1] - x[0] + 6.0) * q])
     for order in range(3):
@@ -69,7 +67,7 @@ class TestSolveHJ:
             cov = sol.covered(i)
             err = np.max(np.abs(sol.action(i, g.x)[cov] - expected[cov]))
             assert err <= 1e-8
-        assert classical_hj_residual(sol, V, len(sol.times) // 2) <= 1e-8
+        assert classical_hj_residual(g, sol, V, len(sol.times) // 2) <= 1e-8
 
     def test_harmonic_flow_residual(self):
         # dS/dt differencing error grows with x^2 toward the fan edge, so
@@ -79,7 +77,7 @@ class TestSolveHJ:
         ts = [0.0, 0.5999, 0.6, 0.6001, 1.2]
         sol = solve_hj(g, linear_s0(g, 1.0), V, t_final=1.2, dt=5e-5,
                        snapshot_times=ts)
-        assert classical_hj_residual(sol, V, 2) <= 1e-6
+        assert classical_hj_residual(g, sol, V, 2) <= 1e-6
 
     def test_focusing_flow_hits_caustic(self):
         # S0 = -x^2 m / (2T) sends every free characteristic to the origin
@@ -102,7 +100,7 @@ class TestSolveHJ:
         assert fan.t_crossing == pytest.approx(T, rel=0.01)
         assert len(fan.times) == fan.x.shape[0] == 4
         assert np.all(fan.times < fan.t_crossing)
-        assert fan.p.shape == fan.action.shape == fan.x.shape
+        assert fan.p.shape == fan.s.shape == fan.x.shape
 
     def test_crossing_after_last_snapshot_still_raises(self):
         # the fan runs through t_final, so the focusing caustic at t = T
@@ -178,11 +176,10 @@ class TestMomentumFieldAndExpectations:
         sol = solve_hj(g, linear_s0(g, 1.0), V, 0.8, dt=1e-4,
                        snapshot_times=[0.0, 0.4, 0.8])
         i = 1
-        fan = sol.fan
-        assert np.max(np.abs(sol.action(i, fan.x[i], 1) - fan.p[i])) \
+        assert np.max(np.abs(sol.action(i, sol.x[i], 1) - sol.p[i])) \
             <= 1e-12
         pf = sol.action(i, g.x, 1)
-        p_oracle = PchipInterpolator(fan.x[i], fan.p[i])(g.x)
+        p_oracle = PchipInterpolator(sol.x[i], sol.p[i])(g.x)
         region = sol.covered(i)
         assert np.max(np.abs(pf[region] - p_oracle[region])) <= 1e-6
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from hbarlab import hjflow
 from hbarlab.classical import gaussian_phase_blob
 from hbarlab.cli import cli_main as main
-from hbarlab.config import RunConfig, load_potential_table
+from hbarlab.config import KEYS, RunConfig, load_potential_table
 from hbarlab.detpot import classify
 from hbarlab.errors import (
     BoundaryLeak,
@@ -32,10 +32,9 @@ from hbarlab.errors import (
 from hbarlab.experiments import (
     DEFAULT_FLOOR,
     EXPERIMENTS,
-    MAX_GRID_N,
     QuantumRunData,
     ScanResult,
-    _finite_need,
+    _packet_need,
     auto_grid,
     run_combined_limit,
     run_detpot,
@@ -46,7 +45,7 @@ from hbarlab.experiments import (
     run_standard_limit,
     run_uncertainty,
 )
-from hbarlab.grid import make_grid
+from hbarlab.grid import MAX_GRID_N, make_grid
 from hbarlab.potential import PotentialSpec
 from hbarlab.records import (
     QUANTUM_COLUMNS,
@@ -154,6 +153,16 @@ class TestConfig:
         V = cfg.potential()
         assert V.kind == "tabulated"
         assert np.array_equal(V.grid.x, g) and np.array_equal(V.table, g ** 2)
+
+    def test_tabulated_file_off_the_grid_sizes_names_the_file(self,
+                                                              tmp_path):
+        # 48 rows is no power of two; make_grid's refusal names the file
+        g = np.linspace(-4, 4, 48, endpoint=False)
+        path = tmp_path / "table.txt"
+        np.savetxt(path, np.column_stack([g, g ** 2]))
+        with pytest.raises(DomainError) as err:
+            load_potential_table(str(path))
+        assert str(err.value).startswith(f"{path}: grid size must be ")
 
     def test_tabulated_file_holding_nan_names_the_file(self, tmp_path):
         g = np.linspace(-4, 4, 64, endpoint=False)
@@ -340,7 +349,7 @@ class TestExperiments:
 
     def test_autowiden_recovers_from_boundary_leak(self):
         from hbarlab.experiments import quantum_run, quantum_run_autowiden
-        from hbarlab.grid import make_grid
+        from hbarlab.grid import MAX_GRID_N, make_grid
         from hbarlab.errors import BoundaryLeak
         V = PotentialSpec.free()
         tight = make_grid(-6, 6, 256)
@@ -352,7 +361,7 @@ class TestExperiments:
 
     def test_autowiden_counts_its_retries(self):
         from hbarlab.experiments import quantum_run_autowiden
-        from hbarlab.grid import make_grid
+        from hbarlab.grid import MAX_GRID_N, make_grid
         V = PotentialSpec.free()
         data = quantum_run_autowiden(V, make_grid(-6, 6, 256), 0.5, 0.0,
                                      0.0, 1.0, 2.0, 4)
@@ -366,7 +375,7 @@ class TestExperiments:
         # t = 0, then per snapshot one span call and a centred triple
         from hbarlab import schrodinger
         from hbarlab.experiments import quantum_run
-        from hbarlab.grid import make_grid
+        from hbarlab.grid import MAX_GRID_N, make_grid
         V = PotentialSpec.harmonic(1.0, 1.0)
         grid = make_grid(-10, 10, 256)
         hbar, t_final, n_snapshots = 1.0, 0.4, 4
@@ -715,7 +724,7 @@ class TestAutoGrid:
         try:
             grid = auto_grid(V, eps, r0, p0, hbar, t_final)
         except DomainError:
-            half, k_need = _finite_need(V, eps, r0, p0, hbar, t_final)
+            half, k_need = _packet_need(V, eps, r0, p0, hbar, t_final)
             assert k_need * (2 * half) / np.pi > MAX_GRID_N
             return
         assert 64 <= grid.n <= MAX_GRID_N and grid.n & (grid.n - 1) == 0
@@ -1195,6 +1204,56 @@ class TestCLI:
                 f"[numerics] {keys}\n") in err
         assert not os.listdir(tmp_path)
 
+    # a misspelled key or section, once in the file and once through --set
+    UNKNOWN_KEYS = [("numerics", "n_snapshot", "4"), ("pakcet", "p0", "3")]
+
+    @pytest.mark.parametrize("via_file", [True, False],
+                             ids=["file", "override"])
+    @pytest.mark.parametrize("section, key, value", UNKNOWN_KEYS,
+                             ids=[f"{s}.{k}" for s, k, _ in UNKNOWN_KEYS])
+    def test_unknown_key_exits_1(self, section, key, value, via_file,
+                                 tmp_path, capsys):
+        # both used to run, echoing the key into the record unused
+        preset = resources.files("hbarlab").joinpath(
+            "presets", "uncertainty_coherent.cfg").read_text(encoding="utf-8")
+        path = tmp_path / "run.cfg"
+        sets = []
+        if via_file:
+            preset += f"\n[{section}]\n{key} = {value}\n"
+        else:
+            sets = ["--set", f"{section}.{key}={value}"]
+        path.write_text(preset, encoding="utf-8")
+        code = main(["simulate", "--config", str(path), *sets,
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        [line] = err.splitlines()
+        assert line.startswith(f"error: {path}: [{section}] {key}: unknown ")
+        assert not (tmp_path / "out").exists()
+
+    # point counts no run could allocate: each is refused before any array
+    HUGE_GRIDS = [
+        ("detpot", "detpot_quadratic", "grid", "-8,8,17592186044416"),
+        ("liouville", "liouville_harmonic", "phase_grid",
+         "-3,3,-3,3,10000000,10000000"),
+    ]
+
+    @pytest.mark.parametrize("command, preset, key, value", HUGE_GRIDS,
+                             ids=[case[2] for case in HUGE_GRIDS])
+    def test_huge_grid_exits_1(self, command, preset, key, value, tmp_path,
+                               capsys):
+        code = main([command, "--config", preset,
+                     "--set", f"numerics.{key}={value}",
+                     "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        [line] = err.splitlines()
+        assert line.startswith(f"error: preset:{preset}: [numerics] {key}: ")
+        assert " the most allowed, " in line
+        assert not os.listdir(tmp_path)
+
     def test_scan_preset_writes_csv(self, tmp_path):
         code = main(["scan", "--config", "combined_harmonic",
                      "--set", "scan.hbar_list=1.0,0.5",
@@ -1287,6 +1346,17 @@ class TestCLIFuzzProperty:
         assert "Traceback" not in err
         if code == 1:
             assert _names_a_key(err.splitlines()[-1], keys), err
+
+
+    def test_fuzz_values_cover_every_number_key(self):
+        # every key the config takes is fuzzed, except the five whose
+        # values are names, not numbers
+        names = {"experiment.kind", "experiment.seed", "potential.kind",
+                 "potential.table", "output.directory"}
+        keys = {f"{section}.{key}"
+                for section, section_keys in KEYS.items()
+                for key in section_keys}
+        assert set(FUZZ_VALUES) == keys - names
 
 
 class TestBenchmarkTracer:

@@ -100,6 +100,14 @@ class TestTabulated:
         with pytest.raises(DomainError):
             eval_potential(V, -0.5)
 
+    def test_force_table_built_once_and_immutable(self):
+        g = make_grid(0, 8, 16)
+        V = PotentialSpec.tabulated(g, np.arange(16, dtype=float) ** 2)
+        assert np.array_equal(
+            V.force_table, -np.gradient(V.table, g.dx, edge_order=2))
+        with pytest.raises(ValueError):
+            V.force_table[0] = 1.0
+
     def test_has_no_force_polynomial(self):
         g = make_grid(0, 8, 16)
         V = PotentialSpec.tabulated(g, np.zeros(16))
