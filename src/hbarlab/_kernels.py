@@ -10,6 +10,9 @@ Newton trajectory (`verlet_path`), the characteristic fan with its action
 integral, in equal steps between its save times (`fan_path`), and the
 backward semi-Lagrangian phase-space pullback (`liouville_pullback`).
 MAX_STEPS bounds the time steps of any one run, classical or quantum.
+SUZUKI is the one table of composition weights: a symmetric step of
+second order, taken in turn at these fractions of dt, is a symmetric step
+of fourth order (`schrodinger.propagate` composes its Strang step so).
 
 Everything is serial numpy and evaluation order is fixed, so reruns are
 byte-identical.  Polynomials are coefficient arrays (low -> high degree):
@@ -22,18 +25,24 @@ import numpy as np
 
 from .errors import DomainError
 
-# the most time steps one run may take, classical or quantum
+# the most time steps one run may take, classical or quantum; a quantum
+# run counts its FFT pairs, one per Strang step or substep
 MAX_STEPS = 10 ** 7
 
+# Suzuki's five-stage fourth-order composition (Phys. Lett. A 146, 319,
+# 1990): substeps s, s, 1 - 4s, s, s with s = 1/(4 - 4^(1/3))
+_S = 1.0 / (4.0 - 4.0 ** (1.0 / 3.0))
+SUZUKI = (_S, _S, 1.0 - 4.0 * _S, _S, _S)
 
-def check_steps(n_steps, keys):
+
+def check_steps(n_steps, source):
     """Refuse, before the first step, a run of n_steps time steps (a float
     or inf before rounding) above MAX_STEPS with DomainError naming the
-    [numerics] keys that set the count."""
+    config `source` ("[numerics] t_final", ...) that sets the count."""
     if not n_steps <= MAX_STEPS:
         raise DomainError(
             f"the run would take {n_steps:.3g} time steps, more than "
-            f"{MAX_STEPS:.0e}; the count follows from [numerics] {keys}")
+            f"{MAX_STEPS:.0e}; the count follows from {source}")
 
 
 def _horner(c, x):

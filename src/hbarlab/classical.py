@@ -134,7 +134,8 @@ def liouville_evolve(rho0, V, t, dt, n_checkpoints=1):
             f"n_checkpoints must be >= 1, got {n_checkpoints}")
     _validated(rho0)
     n_per = max(1.0, np.ceil(t / (n_checkpoints * dt)))
-    _kernels.check_steps(n_checkpoints * n_per, "t_final, dt and n_snapshots")
+    _kernels.check_steps(n_checkpoints * n_per,
+                         "[numerics] t_final, dt and n_snapshots")
     n_sub = n_checkpoints * int(n_per)
     dt_eff = t / n_sub
     checkpoints = _kernels.liouville_pullback(

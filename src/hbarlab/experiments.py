@@ -39,19 +39,21 @@ so step sizes shrink with hbar and splitting errors on the means drop as
 hbar^2 across a combined scan); a packet that no grid of at most
 MAX_GRID_N points resolves is refused with DomainError.  BoundaryLeak
 triggers an automatic rerun on a doubled domain, at most twice.  A
-quantum run takes one time step, the phase-rotation limit of
-`schrodinger.max_stable_dt` on its own grid shortened to a whole number
-of steps per snapshot interval, and a run of more than
-`_kernels.MAX_STEPS` steps is refused with DomainError before its first;
-its `schrodinger.propagate` calls share one set of phase factors;
-every snapshot is the middle of a triple one step apart, whose centered
-phase difference gives the dS/dt of `madelung.weighted_action_terms`.  A
-run keeps its rows in QUANTUM_COLUMNS order (read one with
-`QuantumRunData.column`) and, with [output] dump_fields, each snapshot's
-(t, x, psi) for the record.  Each quantum record's fits
-carry grid_n, dt, propagation_steps and widen_retries; they reach
-summary.txt and the CLI line, not the CSV.  The three limit scans and the
-uncertainty run share one loop over scan points, `_quantum_scan`.
+quantum run takes two steps on its own grid.  Its probe step, the
+phase-rotation limit of `schrodinger.max_stable_dt` shortened to a whole
+number of steps per snapshot interval, spaces every snapshot's triple,
+whose centered phase difference gives the dS/dt of
+`madelung.weighted_action_terms`.  Its span step, a fourth-order
+composition (`_kernels.SUZUKI`) of Strang substeps up to
+`schrodinger.SPAN_FACTOR` limits long, crosses the rest of each snapshot
+interval.  The two steps' phase factors are built once per run, and a run
+of more than `_kernels.MAX_STEPS` FFT pairs is refused with DomainError
+before its first.  A run keeps its rows in QUANTUM_COLUMNS order (read one
+with `QuantumRunData.column`) and, with [output] dump_fields, each
+snapshot's (t, x, psi) for the record.  Each quantum record's fits carry
+grid_n, dt, span_dt, propagation_steps (FFT pairs) and widen_retries; they
+reach summary.txt and the CLI line, not the CSV.  The three limit scans
+and the uncertainty run share one loop over scan points, `_quantum_scan`.
 """
 
 import functools
@@ -61,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classical, detpot, hjflow, madelung, schrodinger
-from ._kernels import check_steps
+from ._kernels import SUZUKI, check_steps
 from .errors import BoundaryLeak, DomainError, LabError
 from .grid import MAX_GRID_N, make_grid
 from .potential import eval_potential
@@ -203,10 +205,11 @@ def auto_grid(V, eps0, r0, p0, hbar, t_final):
 @dataclass(eq=False)
 class QuantumRunData:
     grid: object
-    dt: float                      # the one step of the run
+    dt: float                      # the probe step of every triple
     rows: np.ndarray               # one QUANTUM_COLUMNS row per snapshot
     fields: list                   # (t, x, psi) per snapshot if collected
-    propagation_steps: int = 0     # Strang steps taken
+    span_dt: float = 0.0           # the composed step between triples
+    propagation_steps: int = 0     # FFT pairs taken
     widen_retries: int = 0         # domain doublings before this run
 
     def column(self, name):
@@ -238,41 +241,54 @@ def quantum_run(V, grid, eps0, r0, p0, hbar, t_final, n_snapshots,
                 collect_fields=False):
     """Propagate a packet and collect the pinned per-snapshot observables.
 
-    The run takes one step dt = t_snap / n_sub: the phase-rotation limit of
+    Every snapshot, t = 0 included, is the middle of a triple one probe
+    step dt = t_snap / n_sub apart: the phase-rotation limit of
     `schrodinger.max_stable_dt` on this run's grid, shortened to a whole
-    number (at least 3) of steps per snapshot interval.  Every snapshot,
-    t = 0 included, is the middle of a triple one step apart, so the dS/dt
-    entering the classical-residual column is a centered phase difference;
-    the state before t = 0 comes from time reversal.  The Strang error of the
-    observables is bounded by commutators, not by the phase at the grid's
-    Nyquist mode (Lubich, From Quantum to Classical Molecular Dynamics,
-    2008, ch. III), and every pinned tolerance holds at this step.
+    number (at least 3) of steps per snapshot interval.  So the dS/dt
+    entering the classical-residual column is a centered phase difference
+    over Strang steps; the state before t = 0 comes from time reversal.
+    The span t_snap - 2 dt between triples is crossed in n_span equal
+    composed steps span_dt (`_kernels.SUZUKI`) of at most SPAN_FACTOR
+    limits.  Their O(span_dt^4) error is bounded by commutators, not by
+    the phase at the grid's Nyquist mode (Thalhammer 2008; Lubich, From
+    Quantum to Classical Molecular Dynamics, 2008, ch. III), and every
+    pinned tolerance holds at these steps.  A run of more than MAX_STEPS FFT
+    pairs is refused before its first; the refusal names [potential] when
+    the potential's phase, not the kinetic one, bounds the step.
     """
     t_snap = t_final / n_snapshots
+    dt_kin, dt_pot = schrodinger.phase_limits(grid, V, hbar)
+    limit = min(dt_kin, dt_pot)
     # >= 3 steps per snapshot interval, so consecutive triples do not overlap
-    n_sub = max(3.0, np.ceil(
-        t_snap / schrodinger.max_stable_dt(grid, V, hbar)))
-    check_steps(2 + n_snapshots * n_sub, "t_final (or t_star) and n_snapshots")
-    n_sub = int(n_sub)
-    dt = t_snap / n_sub
+    n_sub = max(3.0, np.ceil(t_snap / limit))
+    n_span = np.ceil((t_snap - 2.0 * t_snap / n_sub)
+                     / (schrodinger.SPAN_FACTOR * limit))
+    fft_pairs = 2 + n_snapshots * (2 + len(SUZUKI) * n_span)
+    check_steps(fft_pairs,
+                f"[potential], whose phase bounds the step to {limit:.3g}"
+                if dt_pot < dt_kin else
+                "[numerics] t_final (or t_star) and n_snapshots")
+    dt = t_snap / int(n_sub)
+    n_span = int(n_span)
+    span_dt = (t_snap - 2.0 * dt) / n_span
 
-    def step(state, n_steps=1):
-        return schrodinger.propagate(state, V, dt, n_steps)
+    def probe(state):
+        return schrodinger.propagate(state, V, dt, 1)
 
     psi = schrodinger.init_gaussian(grid, eps0, r0, p0, hbar)
-    before = _time_reversed(step(_time_reversed(psi)))
+    before = _time_reversed(probe(_time_reversed(psi)))
     rows, fields = [], []
     for i in range(n_snapshots + 1):
         if i:
-            before = step(after, n_sub - 2)
-            psi = step(before)
-        after = step(psi)
+            before = schrodinger.propagate(after, V, span_dt, n_span, SUZUKI)
+            psi = probe(before)
+        after = probe(psi)
         rows.append((i * t_snap,)
                     + _snapshot_row((before, psi, after), V, dt))
         if collect_fields:
             fields.append((i * t_snap, grid.x, psi.values))
-    return QuantumRunData(grid, dt, np.array(rows), fields,
-                          propagation_steps=2 + n_snapshots * n_sub)
+    return QuantumRunData(grid, dt, np.array(rows), fields, span_dt=span_dt,
+                          propagation_steps=int(fft_pairs))
 
 
 def quantum_run_autowiden(V, grid, eps0, r0, p0, hbar, t_final, n_snapshots,
@@ -344,7 +360,7 @@ def _quantum_scan(cfg, experiment, V, r0, p0, points, t_final, n_snapshots,
         data = quantum_run_autowiden(V, grid, eps, r0, p0, hbar, t_final,
                                      n_snapshots, cfg.dump_fields())
         fits = point_fits(data, hbar, eps)
-        fits.update(grid_n=data.grid.n, dt=data.dt,
+        fits.update(grid_n=data.grid.n, dt=data.dt, span_dt=data.span_dt,
                     propagation_steps=data.propagation_steps,
                     widen_retries=data.widen_retries)
         records.append(RunRecord(
@@ -391,9 +407,11 @@ def run_standard_limit(cfg):
 def _bracket_max(grid, eps, hbar, m, r_star):
     """Max over the grid of the width-coupling bracket
     (hbar^2 / 2 m eps^2) |eps - (x - r)^2| that the fixed-width ansatz
-    inserts into the action equation."""
+    inserts into the action equation.  hbar / m is taken first: it is the
+    ratio the dynamics sees, finite wherever a run got this far, whereas
+    hbar^2 alone overflows for hbar past ~1e154."""
     u2 = (grid.x - r_star) ** 2
-    return float(np.max(np.abs(hbar ** 2 / (2 * m * eps ** 2) * (eps - u2))))
+    return float(np.max(np.abs(hbar / m * hbar / (2 * eps ** 2) * (eps - u2))))
 
 
 def run_deterministic_limit(cfg):
@@ -419,7 +437,7 @@ def run_deterministic_limit(cfg):
     ref_grid = cfg.grid_spec() or auto_grid(V, eps_list[-1], r0, p0, hbar,
                                             t_star)
     n_ref = np.ceil(t_star / 1e-3)
-    check_steps(n_ref, "t_star")
+    check_steps(n_ref, "[numerics] t_star")
     n_ref = int(n_ref)
     r_ref, _ = classical.newton_integrate(V, r0, p0, t_star / n_ref, n_ref)
     r_star = r_ref[-1]
@@ -463,7 +481,7 @@ def run_combined_limit(cfg):
 
     t_snap = t_final / n_snapshots
     n_per = np.ceil(t_snap / 1e-4)
-    check_steps(n_per * n_snapshots, "t_final and n_snapshots")
+    check_steps(n_per * n_snapshots, "[numerics] t_final and n_snapshots")
     n_per = int(n_per)
     # integrated once the first point has sized its grid, so a packet no
     # grid resolves is refused as in the other scans
@@ -582,7 +600,7 @@ def run_phj_demo(cfg):
                           snapshot_times=snapshot_times)
 
     n_traj = np.ceil(t_final / 1e-4)
-    check_steps(n_traj, "t_final")
+    check_steps(n_traj, "[numerics] t_final")
     n_traj = int(n_traj)
     r, p = classical.newton_integrate(V, r0, p0, t_final / n_traj, n_traj)
     times = t_final / n_traj * np.arange(n_traj + 1)

@@ -108,7 +108,7 @@ def integrate_fan(grid, s0, V, t_final, dt=2e-4, snapshot_times=None):
     times = np.unique(np.clip(np.asarray(snapshot_times, dtype=float),
                               0.0, t_final))
     # at most one step more than t_final / dt per segment
-    _kernels.check_steps(t_final / dt + times.size + 1, "t_final")
+    _kernels.check_steps(t_final / dt + times.size + 1, "[numerics] t_final")
     X, P, A, t_crossing = _kernels.fan_path(
         V.force_coeffs(), V.coeffs, V.mass, x0, p0,
         np.append(times, t_final), dt)

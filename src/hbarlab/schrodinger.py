@@ -3,17 +3,23 @@
 The reduced Planck constant is an explicit runtime parameter: the solver
 integrates i*hbar dpsi/dt = [-hbar^2/(2m) d^2/dx^2 + V(x)] psi by Strang
 splitting -- half potential phase, full kinetic phase exp(-i hbar k^2 dt/2m)
-in spectral space, half potential phase.  Each factor is unitary, so the
-norm is conserved to roundoff; the splitting error is O(dt^2).  Within one
-`propagate` call the closing half phase of a step and the opening half
-phase of the next are applied as one full phase, so a step costs one FFT
-pair (scipy.fft) and two multiplies; a single-step call is the plain
-half-kinetic-half sequence.  The pair stays on scipy.fft, the package's one
-use of scipy, because np.fft measured slower on a 2-core host: the seven
-quantum presets of the benchmark took a median 4.33 s against 3.70 s over
-6 alternating in-process runs, and a bare Strang step was slower at every
-n from 512 to 16384.  `propagate` imports scipy.fft at its first call, so
-the CLI and the Newton-side experiments start without it.
+in spectral space, half potential phase -- with an O(dt^2) error.  A step
+may instead compose Strang substeps at the fractions `weights` of dt:
+`_kernels.SUZUKI`'s five make a symmetric step with an O(dt^4) error,
+bounded by commutators rather than by the phase at the grid's Nyquist mode
+(Thalhammer, SIAM J. Numer. Anal. 46, 2022, 2008), and `propagate` allows
+such a step up to SPAN_FACTOR times the Strang limit.  Each factor is
+unitary, so the norm is conserved to roundoff.  Within one `propagate`
+call the closing half phase of a substep and the opening half phase of the
+next are applied as one phase, so a Strang substep costs one FFT pair
+(scipy.fft) and two multiplies, and a composed step five pairs; a single
+Strang step is the plain half-kinetic-half sequence.  The pairs stay on
+scipy.fft, the package's one use of scipy, because np.fft measured slower
+on a 2-core host: the seven quantum presets of the benchmark took a median
+4.33 s against 3.70 s over 6 alternating in-process runs, and a bare
+Strang step was slower at every n from 512 to 16384.  `propagate` imports
+scipy.fft at its first call, so the CLI and the Newton-side experiments
+start without it.
 
 Width convention: init_gaussian's packet of width parameter eps,
 
@@ -40,11 +46,13 @@ __all__ = [
     "init_gaussian",
     "propagate",
     "max_stable_dt",
+    "phase_limits",
     "boundary_leak_fraction",
     "observables",
 ]
 
 LEAK_TOL = 1e-10        # max density fraction in the outer 5% of each side
+SPAN_FACTOR = 40        # a composed step's limit, in Strang limits
 NORM_TOL = 1e-9         # allowed norm drift per propagation call
 EDGE_FRACTION = 0.05
 
@@ -113,52 +121,74 @@ def init_gaussian(grid, epsilon, r0, p0, hbar):
     return _check_leak(WaveFunction(grid, psi, float(hbar)))
 
 
-def max_stable_dt(grid, V, hbar):
-    """Largest step such that each split phase rotates < 0.5 rad anywhere,
-    for the particle of mass m = V.mass.
+def phase_limits(grid, V, hbar):
+    """(kinetic, potential) limits on a Strang step such that each split
+    phase rotates < 0.5 rad anywhere, for the particle of mass m = V.mass.
 
     Kinetic factor: hbar * k_max^2 * dt / (2m) <= 0.5.
-    Potential factor: max|V| * dt / hbar <= 0.5 (no bound for V = 0).
+    Potential factor: max|V| * dt / hbar <= 0.5 (inf for V = 0).
     """
     k_max = np.pi / grid.dx
-    dt_kin = V.mass / (hbar * k_max ** 2)
     vmax = float(np.max(np.abs(eval_potential(V, grid.x))))
-    if vmax > 0:
-        return min(dt_kin, 0.5 * hbar / vmax)
-    return dt_kin
+    return (V.mass / (hbar * k_max ** 2),
+            0.5 * hbar / vmax if vmax > 0 else np.inf)
 
 
-@functools.lru_cache(maxsize=1)
-def _phases(g, V, hbar, dt):
-    """Kinetic, half- and full-potential phase factors of a Strang step,
-    cached for the last (grid, V, hbar, dt) key; V holds the mass.  Grids
-    and potential specs compare by identity and hold read-only arrays, so a
-    repeated key gives the same factors; a dt over the stability limit
-    raises, and lru_cache stores no exception, so it raises on every call."""
-    dt_max = max_stable_dt(g, V, hbar)
-    if dt > dt_max * (1.0 + 1e-12):
+def max_stable_dt(grid, V, hbar):
+    """The largest Strang step, the smaller of the two `phase_limits`."""
+    return min(phase_limits(grid, V, hbar))
+
+
+@functools.lru_cache(maxsize=2)
+def _phases(g, V, hbar, dt, weights):
+    """(opening, stages, closing) phase factors of a step of size dt made of
+    Strang substeps at the fractions `weights` of dt, for the last two
+    (grid, V, hbar, dt, weights) keys -- a run's probe and span steps; V
+    holds the mass.  stages[j] is substep j's kinetic phase and the
+    potential phase that follows it: the closing half phase of substep j
+    and the opening half phase of the next fused into one.  Each distinct
+    weight and each distinct pair of neighbours gets one array.  Grids and
+    potential specs compare by identity and hold read-only arrays, so a
+    repeated key gives the same factors.  A dt over the limit of its step,
+    `max_stable_dt` for a Strang step and SPAN_FACTOR times that for a
+    composition, raises; lru_cache stores no exception, so it raises on
+    every call."""
+    limit = max_stable_dt(g, V, hbar)
+    if len(weights) > 1:
+        limit *= SPAN_FACTOR
+    if dt > limit * (1.0 + 1e-12):
         raise DomainError(
-            f"dt={dt:.3e} exceeds the phase-rotation limit {dt_max:.3e}")
-    exp_kin = np.exp(-0.5j * hbar * g.k ** 2 * dt / V.mass)
-    exp_v_half = np.exp(-0.5j * eval_potential(V, g.x) * dt / hbar)
-    # the closing half phase of one step and the opening half phase of the
-    # next are one full phase
-    phases = (exp_kin, exp_v_half, exp_v_half * exp_v_half)
-    for a in phases:
+            f"dt={dt:.3e} exceeds the phase-rotation limit {limit:.3e}")
+    v = eval_potential(V, g.x)
+    kin, half, fused = {}, {}, {}
+    for w in weights:
+        if w not in kin:
+            kin[w] = np.exp(-0.5j * hbar * g.k ** 2 * (w * dt) / V.mass)
+            half[w] = np.exp(-0.5j * v * (w * dt) / hbar)
+    stages = []
+    for w, w_next in zip(weights, weights[1:] + weights[:1]):
+        pair = (min(w, w_next), max(w, w_next))
+        if pair not in fused:
+            fused[pair] = half[w] * half[w_next]
+        stages.append((kin[w], fused[pair]))
+    for a in (*kin.values(), *half.values(), *fused.values()):
         a.setflags(write=False)
-    return phases
+    return half[weights[0]], tuple(stages), half[weights[-1]]
 
 
-def propagate(psi, V, dt, n_steps):
-    """Advance a wave function by n_steps Strang steps of size dt under
-    the potential V, for the particle of mass V.mass.
+def propagate(psi, V, dt, n_steps, weights=(1.0,)):
+    """Advance a wave function by n_steps steps of size dt under the
+    potential V, for the particle of mass V.mass.  A step is one Strang
+    step for the default weights, else Strang substeps at the fractions
+    `weights` (a tuple) of dt, such as the symmetric composition
+    `_kernels.SUZUKI`.
 
     Returns a new WaveFunction at t + n_steps*dt.  Raises DomainError for
-    dt <= 0 or dt above the stability rule, BoundaryLeak when packet mass
-    reaches the boundary margin, LabError when the norm drifts; both checks
-    run on every call.  The phase factors, and the stability verdict with
-    them, come from `_phases`, whose one-entry cache serves consecutive
-    calls with the same grid and potential objects, hbar and dt.
+    dt <= 0 or dt above its step's limit (see `_phases`), BoundaryLeak when
+    packet mass reaches the boundary margin, LabError when the norm drifts;
+    both checks run on every call.  The phase factors, and the limit's
+    verdict with them, come from `_phases`, whose two-entry cache serves
+    calls with the same grid and potential objects, hbar, dt and weights.
     """
     from scipy import fft
 
@@ -168,12 +198,13 @@ def propagate(psi, V, dt, n_steps):
     if n_steps < 1:
         raise DomainError(f"n_steps must be >= 1, got {n_steps}")
     g = psi.grid
-    exp_kin, exp_v_half, exp_v = _phases(g, V, psi.hbar, dt)
+    opening, stages, closing = _phases(g, V, psi.hbar, dt, weights)
     norm0 = g.dx * np.sum(np.abs(psi.values) ** 2)
-    values = exp_v_half * psi.values
-    for _ in range(n_steps - 1):
+    values = opening * psi.values
+    for j in range(n_steps * len(stages) - 1):
+        exp_kin, exp_v = stages[j % len(stages)]
         values = exp_v * fft.ifft(exp_kin * fft.fft(values))
-    values = exp_v_half * fft.ifft(exp_kin * fft.fft(values))
+    values = closing * fft.ifft(stages[-1][0] * fft.fft(values))
 
     norm1 = g.dx * np.sum(np.abs(values) ** 2)
     if abs(norm1 - norm0) > NORM_TOL:

@@ -371,11 +371,13 @@ class TestExperiments:
         assert data.widen_retries == 0
 
     def test_quantum_run_step_schedule(self, monkeypatch):
-        # one step dt throughout: a backward and a forward step around
-        # t = 0, then per snapshot one span call and a centred triple
+        # a backward and a forward probe step around t = 0, then per
+        # snapshot one span call of composed steps and a centred triple of
+        # probe steps; the probe step is t_snap / n_sub throughout
         from hbarlab import schrodinger
+        from hbarlab._kernels import SUZUKI
         from hbarlab.experiments import quantum_run
-        from hbarlab.grid import MAX_GRID_N, make_grid
+        from hbarlab.grid import make_grid
         V = PotentialSpec.harmonic(1.0, 1.0)
         grid = make_grid(-10, 10, 256)
         hbar, t_final, n_snapshots = 1.0, 0.4, 4
@@ -383,26 +385,53 @@ class TestExperiments:
         t_snap = t_final / n_snapshots
         n_sub = int(np.ceil(t_snap / limit))
         assert n_sub >= 10
+        dt = t_snap / n_sub
+        span = t_snap - 2 * dt
+        n_span = int(np.ceil(span / (schrodinger.SPAN_FACTOR * limit)))
+        dt_span = span / n_span
 
         calls = []
         propagate = schrodinger.propagate
 
-        def spy(psi, V, dt, n_steps):
-            calls.append((dt, n_steps))
-            return propagate(psi, V, dt, n_steps)
+        def spy(psi, V, dt, n_steps, weights=(1.0,)):
+            calls.append((dt, n_steps) if weights == (1.0,)
+                         else (dt, n_steps, weights))
+            return propagate(psi, V, dt, n_steps, weights)
 
         monkeypatch.setattr(schrodinger, "propagate", spy)
         data = quantum_run(V, grid, 0.5, 0.5, 0.5, hbar, t_final,
                            n_snapshots)
 
-        dt = data.dt
-        assert dt == t_snap / n_sub
+        assert data.dt == dt
         assert dt <= limit
+        assert data.span_dt == dt_span
+        assert dt_span <= schrodinger.SPAN_FACTOR * limit
         assert calls == ([(dt, 1), (dt, 1)]
-                         + [(dt, n_sub - 2), (dt, 1), (dt, 1)] * n_snapshots)
+                         + [(dt_span, n_span, SUZUKI), (dt, 1), (dt, 1)]
+                         * n_snapshots)
         assert np.array_equal(data.column("t"),
                               [i * t_snap for i in range(n_snapshots + 1)])
-        assert data.propagation_steps == n_snapshots * n_sub + 2
+        # FFT pairs: one per probe step, five per composed step
+        assert data.propagation_steps == 2 + n_snapshots * (2 + 5 * n_span)
+
+    def test_one_quantum_run_makes_propagation_steps_fft_pairs(
+            self, monkeypatch):
+        import scipy.fft
+
+        from hbarlab.experiments import quantum_run
+        from hbarlab.grid import make_grid
+        calls = []
+        fft = scipy.fft.fft
+
+        def counting_fft(*args, **kwargs):
+            calls.append(1)
+            return fft(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, "fft", counting_fft)
+        data = quantum_run(PotentialSpec.harmonic(1.0, 1.0),
+                           make_grid(-10, 10, 256), 0.5, 0.5, 0.5, 1.0, 1.0,
+                           8)
+        assert len(calls) == data.propagation_steps
 
     def test_combined_scan_points_take_their_own_step(self):
         # each point steps at its own auto grid's limit, whatever the
@@ -1052,7 +1081,8 @@ class TestCLI:
         out = capsys.readouterr().out
         summary = (tmp_path / "summary.txt").read_text()
         meta, columns, _ = read_csv(str(tmp_path / "run_000.csv"))
-        for key in ("grid_n", "dt", "propagation_steps", "widen_retries"):
+        for key in ("grid_n", "dt", "span_dt", "propagation_steps",
+                    "widen_retries"):
             assert f" {key}=" in out
             # once, on the record line; not as a scan-level line
             assert summary.count(f" {key}=") == 1
@@ -1202,6 +1232,21 @@ class TestCLI:
         assert "error: the run would take " in err
         assert (f" time steps, more than 1e+07; the count follows from "
                 f"[numerics] {keys}\n") in err
+        assert not os.listdir(tmp_path)
+
+    def test_potential_bound_step_names_potential(self, tmp_path, capsys):
+        # a constant V = 1e300 sets the step through its phase; no
+        # [numerics] value is at fault
+        code = main(["scan", "--config", "combined_quartic",
+                     "--set", "potential.coeffs=1e300",
+                     "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        assert "error: the run would take " in err
+        assert ("; the count follows from [potential], whose phase bounds "
+                "the step to 5e-301\n") in err
+        assert "[numerics]" not in err
         assert not os.listdir(tmp_path)
 
     # a misspelled key or section, once in the file and once through --set

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hbarlab._kernels import SUZUKI
 from hbarlab.errors import BoundaryLeak, DomainError
 from hbarlab.experiments import quantum_run
 from hbarlab.grid import make_grid
 from hbarlab.potential import PotentialSpec, eval_potential
 from hbarlab.schrodinger import (
+    SPAN_FACTOR,
     WaveFunction,
     _phases,
     init_gaussian,
@@ -152,8 +154,13 @@ class TestPropagate:
         psi = init_gaussian(g, 0.5, 0.0, 0.0, 1.0)
         with pytest.raises(DomainError):
             propagate(psi, V, -1e-3, 10)
+        limit = max_stable_dt(g, V, 1.0)
         with pytest.raises(DomainError):
-            propagate(psi, V, 10 * max_stable_dt(g, V, 1.0), 10)
+            propagate(psi, V, 10 * limit, 10)
+        # a composed step is allowed SPAN_FACTOR limits, and no more
+        propagate(psi, V, SPAN_FACTOR * limit, 1, SUZUKI)
+        with pytest.raises(DomainError):
+            propagate(psi, V, SPAN_FACTOR * limit * (1 + 1e-9), 1, SUZUKI)
 
     def test_second_order_convergence_in_dt(self):
         g = make_grid(-12, 12, 256)
@@ -170,6 +177,23 @@ class TestPropagate:
         err1 = np.linalg.norm(terminal(1) - ref)
         err2 = np.linalg.norm(terminal(2) - ref)
         assert 3.0 <= err1 / err2 <= 5.0
+
+    def test_fourth_order_convergence_in_dt(self):
+        # Suzuki's composed step at about 37 and 19 Strang limits; below
+        # about 10 limits the error reaches roundoff
+        g = make_grid(-12, 12, 256)
+        V = PotentialSpec.harmonic(1.0, 1.0)
+        psi = init_gaussian(g, 0.5, 0.5, 0.5, 1.0)
+        t_final = 0.5
+        assert t_final / 15 > 35 * max_stable_dt(g, V, 1.0)
+
+        def terminal(n):
+            return propagate(psi, V, t_final / n, n, SUZUKI).values
+
+        ref = terminal(240)
+        err1 = np.linalg.norm(terminal(15) - ref)
+        err2 = np.linalg.norm(terminal(30) - ref)
+        assert 12.0 <= err1 / err2 <= 20.0
 
 
 # Two grids and two potentials under one step, so the phase memo of
@@ -241,20 +265,22 @@ class TestPhaseMemo:
         assert np.max(np.abs(outputs[0] - outputs[1])) > 1e-6
 
     def test_one_quantum_run_builds_its_phases_once(self):
-        # all 26 propagate calls of an 8-snapshot run share one key: the
-        # first builds the phases and the other 25 reuse them
+        # the 26 propagate calls of an 8-snapshot run share two keys, the
+        # probe step's and the span step's: each is built once, on its
+        # first call, and the other 24 calls reuse them
         g = make_grid(-10, 10, 256)
         V = PotentialSpec.harmonic(1.0, 1.0)
         before = _phases.cache_info()
         quantum_run(V, g, 0.5, 0.3, 0.5, 1.0, 1.0, 8)
         after = _phases.cache_info()
-        assert after.misses - before.misses == 1
-        assert after.hits - before.hits == 25
+        assert after.misses - before.misses == 2
+        assert after.hits - before.hits == 24
 
 
 # Random real polynomials of degree <= 4 and random packets on a 256-point
-# grid wide enough that no packet reaches the leak margin within 100 steps
-# at dt <= max_stable_dt.
+# grid wide enough that no packet reaches the leak margin within 100 Strang
+# steps at dt <= max_stable_dt, the time of 2.5 composed steps at their
+# limit.
 PROPERTY_GRID = make_grid(-16, 16, 256)
 PROPERTY_TOL = 1e-12
 PROPERTY_COVARIANCE_TOL = 1e-10
@@ -268,50 +294,76 @@ random_case = dict(
     n=st.integers(1, 100))
 
 
-def _random_run(coeffs, eps, r0, p0, hbar, m, dt_frac):
+def _random_run(coeffs, eps, r0, p0, hbar, m, dt_frac, n, weights):
+    """(V, psi, dt, n_steps) of a random case: a Strang step takes the
+    drawn n steps, a composed step, up to SPAN_FACTOR times as long, at
+    most two."""
     V = PotentialSpec.polynomial(coeffs, mass=m)
     psi = init_gaussian(PROPERTY_GRID, eps, r0, p0, hbar)
     dt = dt_frac * max_stable_dt(PROPERTY_GRID, V, hbar)
-    return V, psi, dt
+    if len(weights) > 1:
+        dt *= SPAN_FACTOR
+        n = max(1, n // SPAN_FACTOR)
+    return V, psi, dt, n
 
 
 def _l2(values):
     return float(np.sqrt(PROPERTY_GRID.dx * np.sum(np.abs(values) ** 2)))
 
 
-class TestPropagatorProperties:
-    @settings(max_examples=100, deadline=None)
-    @given(**random_case)
-    def test_unitary(self, coeffs, eps, r0, p0, hbar, m, dt_frac, n):
-        V, psi, dt = _random_run(coeffs, eps, r0, p0, hbar, m, dt_frac)
-        out = propagate(psi, V, dt, n)
-        assert abs(_l2(out.values) - _l2(psi.values)) <= PROPERTY_TOL
+def _propagator_properties(weights):
+    """Unitarity, time reversal by conjugation and mass scaling as
+    properties of `propagate` with one kind of step; each call makes its
+    own test functions, so hypothesis sees one executor per function."""
 
-    @settings(max_examples=100, deadline=None)
-    @given(**random_case)
-    def test_conjugation_reverses_time(self, coeffs, eps, r0, p0, hbar, m,
-                                       dt_frac, n):
-        # for real V, conj . U . conj = U^-1, so conj . U . conj . U = I
-        V, psi, dt = _random_run(coeffs, eps, r0, p0, hbar, m, dt_frac)
+    def random_run(*case):
+        return _random_run(*case, weights)
 
-        def conj(wf):
-            return WaveFunction(wf.grid, np.conj(wf.values), wf.hbar)
+    class PropagatorProperties:
+        @settings(max_examples=100, deadline=None)
+        @given(**random_case)
+        def test_unitary(self, coeffs, eps, r0, p0, hbar, m, dt_frac, n):
+            V, psi, dt, n = random_run(coeffs, eps, r0, p0, hbar, m, dt_frac,
+                                       n)
+            out = propagate(psi, V, dt, n, weights)
+            assert abs(_l2(out.values) - _l2(psi.values)) <= PROPERTY_TOL
 
-        back = conj(propagate(conj(propagate(psi, V, dt, n)), V, dt, n))
-        assert _l2(back.values - psi.values) <= PROPERTY_TOL
+        @settings(max_examples=100, deadline=None)
+        @given(**random_case)
+        def test_conjugation_reverses_time(self, coeffs, eps, r0, p0, hbar,
+                                           m, dt_frac, n):
+            # for real V, conj . U . conj = U^-1, so conj . U . conj . U = I
+            V, psi, dt, n = random_run(coeffs, eps, r0, p0, hbar, m, dt_frac,
+                                       n)
 
-    @settings(max_examples=100, deadline=None)
-    @given(**random_case)
-    def test_mass_rescales_time(self, coeffs, eps, r0, p0, hbar, m, dt_frac,
-                                n):
-        # i hbar psi_t = -(hbar^2/2m) psi'' + V psi is, in tau = t/m,
-        # i hbar psi_tau = -(hbar^2/2) psi'' + m V psi: a step dt under V
-        # of mass m is a step dt/m under m V of unit mass
-        V, psi, dt = _random_run(coeffs, eps, r0, p0, hbar, m, dt_frac)
-        unit = PotentialSpec.polynomial(m * np.asarray(coeffs))
-        out = propagate(psi, V, dt, n).values
-        scaled = propagate(psi, unit, dt / m, n).values
-        assert np.max(np.abs(out - scaled)) <= MASS_SCALING_TOL
+            def conj(wf):
+                return WaveFunction(wf.grid, np.conj(wf.values), wf.hbar)
+
+            def step(wf):
+                return propagate(wf, V, dt, n, weights)
+
+            back = conj(step(conj(step(psi))))
+            assert _l2(back.values - psi.values) <= PROPERTY_TOL
+
+        @settings(max_examples=100, deadline=None)
+        @given(**random_case)
+        def test_mass_rescales_time(self, coeffs, eps, r0, p0, hbar, m,
+                                    dt_frac, n):
+            # i hbar psi_t = -(hbar^2/2m) psi'' + V psi is, in tau = t/m,
+            # i hbar psi_tau = -(hbar^2/2) psi'' + m V psi: a step dt under
+            # V of mass m is a step dt/m under m V of unit mass
+            V, psi, dt, n = random_run(coeffs, eps, r0, p0, hbar, m, dt_frac,
+                                       n)
+            unit = PotentialSpec.polynomial(m * np.asarray(coeffs))
+            out = propagate(psi, V, dt, n, weights).values
+            scaled = propagate(psi, unit, dt / m, n, weights).values
+            assert np.max(np.abs(out - scaled)) <= MASS_SCALING_TOL
+
+    return PropagatorProperties
+
+
+TestPropagatorProperties = _propagator_properties((1.0,))
+TestComposedPropagatorProperties = _propagator_properties(SUZUKI)
 
 
 class TestTranslationCovariance:
