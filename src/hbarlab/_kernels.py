@@ -1,18 +1,22 @@
 """Hot integrator kernels on one symplectic stepper.
 
 `_kdk` is the only kick-drift-kick (Stormer-Verlet) loop in the package.
-It works on scalars and on numpy arrays alike, and run with a negative dt
-it traces the same flow backward.  It steps copies of its start arrays in
-place, so a step makes no new node arrays; what it yields is valid only
-until its next step, and a kernel that needs the previous step keeps its
-own copy.  The three public kernels are short loops over it: the scalar
-Newton trajectory (`verlet_path`), the characteristic fan with its action
-integral, in equal steps between its save times (`fan_path`), and the
-backward semi-Lagrangian phase-space pullback (`liouville_pullback`).
-MAX_STEPS bounds the time steps of any one run, classical or quantum.
-SUZUKI is the one table of composition weights: a symmetric step of
+It composes: given weights, one step runs a Verlet substep at each of
+those fractions of dt.  It works on scalars and on numpy arrays alike, and
+run with a negative dt it traces the same flow backward.  It steps copies
+of its start arrays in place, so a step makes no new node arrays; what it
+yields is valid only until its next step, and a kernel that needs the
+previous step keeps its own copy.  The three public kernels are short
+loops over it: the scalar Newton trajectory (`verlet_path`) and the
+characteristic fan with its action integral, in equal steps between its
+save times (`fan_path`), both plain Verlet, and the backward
+semi-Lagrangian phase-space pullback (`liouville_pullback`), composed.
+MAX_STEPS bounds the steps of any one run, classical or quantum, counted
+as FFT pairs or force evaluations.  SUZUKI is the one table of
+composition weights, and it serves both splittings: a symmetric step of
 second order, taken in turn at these fractions of dt, is a symmetric step
-of fourth order (`schrodinger.propagate` composes its Strang step so).
+of fourth order (`schrodinger.propagate` composes its Strang step so, and
+`liouville_pullback` its Verlet step).
 
 Everything is serial numpy and evaluation order is fixed, so reruns are
 byte-identical.  Polynomials are coefficient arrays (low -> high degree):
@@ -25,8 +29,9 @@ import numpy as np
 
 from .errors import DomainError
 
-# the most time steps one run may take, classical or quantum; a quantum
-# run counts its FFT pairs, one per Strang step or substep
+# the most steps one run may take, classical or quantum, counted as FFT
+# pairs (one per Strang step or substep) or force evaluations (one per
+# Verlet step or substep)
 MAX_STEPS = 10 ** 7
 
 # Suzuki's five-stage fourth-order composition (Phys. Lett. A 146, 319,
@@ -36,48 +41,63 @@ SUZUKI = (_S, _S, 1.0 - 4.0 * _S, _S, _S)
 
 
 def check_steps(n_steps, source):
-    """Refuse, before the first step, a run of n_steps time steps (a float
-    or inf before rounding) above MAX_STEPS with DomainError naming the
-    config `source` ("[numerics] t_final", ...) that sets the count."""
+    """Refuse, before the first step, a run of n_steps steps (FFT pairs or
+    force evaluations; a float or inf before rounding) above MAX_STEPS with
+    DomainError naming the config `source` ("[numerics] t_final", ...) that
+    sets the count."""
     if not n_steps <= MAX_STEPS:
         raise DomainError(
-            f"the run would take {n_steps:.3g} time steps, more than "
-            f"{MAX_STEPS:.0e}; the count follows from {source}")
+            f"the run would take {n_steps:.3g} steps (one per FFT pair or "
+            f"force evaluation), more than {MAX_STEPS:.0e}; the count "
+            f"follows from {source}")
 
 
 def _horner(c, x):
     """sum_j c[j] x**j by Horner's rule from the leading coefficient, bit
-    for bit numpy's polyval; a size-1 c gives the scalar c[0], which
+    for bit numpy's polyval; a length-1 c gives the scalar c[0], which
     broadcasts against x.  An array x gets one new array, updated in
-    place."""
-    if c.size == 1:
+    place.  c is an array or a list of floats; a list and a float x keep
+    the sum in Python floats, the same double arithmetic as numpy scalars
+    and cheaper."""
+    if len(c) == 1:
         return c[0]
     acc = c[-1] * x
-    for j in range(c.size - 2, 0, -1):
+    for j in range(len(c) - 2, 0, -1):
         acc += c[j]
         acc *= x
     acc += c[0]
     return acc
 
 
-def _kdk(force, m, x, p, dt, n_steps):
+def _kdk(force, m, x, p, dt, n_steps, weights=(1.0,)):
     """Kick-drift-kick steps from (x, p) under the force x -> F(x); yields
     (step, x, p, f) after each of the steps 1..n_steps, f = F(x).
 
-    x and p are copied once at entry and then updated in place, so the
-    caller's arrays are never touched and an array step makes no new x or
-    p; the yielded arrays are valid only until the next step.  On scalars
-    the same augmented assignments just rebind."""
+    A step runs one kick-drift-kick substep at each fraction `weights` of
+    dt in turn: Stormer-Verlet for the default, a symmetric fourth-order
+    composition for SUZUKI.  The closing half-kick of one substep and the
+    opening half-kick of the next are one kick, so a step costs
+    len(weights) force evaluations.  x and p are copied once at entry and
+    then updated in place, so the caller's arrays are never touched and an
+    array step makes no new x or p; the yielded arrays are valid only until
+    the next step.  On scalars the same augmented assignments just
+    rebind."""
     x = x * 1.0
     p = p * 1.0
-    h = 0.5 * dt
-    dtm = dt / m
+    # substep i kicks by its opening half-kick w_i dt / 2 fused with the
+    # closing one of substep i - 1, then drifts by w_i dt / m; w = 1 rounds
+    # exactly as Verlet's dt / 2 and dt / m
+    h = [0.5 * dt * w for w in weights]
+    stages = tuple(zip(h[:1] + [a + b for a, b in zip(h, h[1:])],
+                       [dt * w / m for w in weights]))
+    closing = h[-1]
     f = force(x)
     for step in range(1, n_steps + 1):
-        p += h * f
-        x += dtm * p
-        f = force(x)
-        p += h * f
+        for kick, drift in stages:
+            p += kick * f
+            x += drift * p
+            f = force(x)
+        p += closing * f
         yield step, x, p, f
 
 
@@ -162,7 +182,7 @@ def liouville_pullback(fc, m, x_nodes, p_nodes, dt, n_sub, n_checkpoints,
     out = []
     for step, x, p, _ in _kdk(partial(_horner, fc), m,
                               np.repeat(x_nodes, npp), np.tile(p_nodes, nx),
-                              -dt, n_sub):
+                              -dt, n_sub, SUZUKI):
         if step % stride == 0:
             out.append(_bilinear(rho0, x, p, x0_min, dx0, p0_min, dp0)
                        .reshape(nx, npp))

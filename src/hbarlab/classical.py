@@ -4,10 +4,11 @@ newton_integrate is a velocity-Verlet (symplectic, second order)
 integrator that returns its samples as plain (r, p) arrays;
 liouville_evolve advances a phase-space density by the backward
 semi-Lagrangian method (each node is pulled back through the Newton flow
-and the initial density is sampled bilinearly at the feet, so there is no
-CFL limit and interpolation diffusion is paid once per checkpoint, never
-compounded across checkpoints).  Both read the particle mass from the
-potential, V.mass.
+in composed fourth-order steps of at most dt, and the initial density is
+sampled bilinearly at the feet, so there is no CFL limit and
+interpolation diffusion is paid once per checkpoint, never compounded
+across checkpoints).  Both read the particle mass from the potential,
+V.mass.
 """
 
 from dataclasses import dataclass
@@ -46,7 +47,8 @@ def newton_integrate(V, r0, p0, dt, n_steps, save_stride=1):
     if V.kind == "tabulated":
         force = partial(eval_force, V)
     else:
-        force = partial(_kernels._horner, V.force_coeffs())
+        # a list keeps the scalar steps in Python floats (see _horner)
+        force = partial(_kernels._horner, V.force_coeffs().tolist())
     r_out, p_out, esc = _kernels.verlet_path(
         force, V.mass, float(r0), float(p0), dt, n_steps, save_stride,
         DEFAULT_ESCAPE_BOUND)
@@ -117,13 +119,14 @@ def liouville_evolve(rho0, V, t, dt, n_checkpoints=1):
     """Semi-Lagrangian advance of a phase density to the n_checkpoints
     times t k / n_checkpoints, k = 1..n_checkpoints.
 
-    One backward pass pulls every node through the Newton flow in uniform
-    sub-steps of at most dt.  The flow is autonomous, so the feet at one
-    checkpoint are where the pull back to the next starts; at each
-    checkpoint rho0 is sampled bilinearly at the feet -- one interpolation
-    per checkpoint regardless of t.  Returns a tuple of (nx, n_p) arrays
-    on rho0's nodes, one per checkpoint.  More than `_kernels.MAX_STEPS`
-    sub-steps raise DomainError before the first.  Raises MassDriftError
+    One backward pass pulls every node through the Newton flow in composed
+    fourth-order steps of at most dt (`_kernels.SUZUKI`).  The flow is
+    autonomous, so the feet at one checkpoint are where the pull back to
+    the next starts; at each checkpoint rho0 is sampled bilinearly at the
+    feet -- one interpolation per checkpoint regardless of t.  Returns a
+    tuple of (nx, n_p) arrays on rho0's nodes, one per checkpoint.  More
+    than `_kernels.MAX_STEPS` force evaluations, len(SUZUKI) per step,
+    raise DomainError before the first.  Raises MassDriftError
     when the advected mass at any checkpoint drifts beyond 1e-3 (grid too
     coarse or support reaching the boundary).
     """
@@ -134,7 +137,7 @@ def liouville_evolve(rho0, V, t, dt, n_checkpoints=1):
             f"n_checkpoints must be >= 1, got {n_checkpoints}")
     _validated(rho0)
     n_per = max(1.0, np.ceil(t / (n_checkpoints * dt)))
-    _kernels.check_steps(n_checkpoints * n_per,
+    _kernels.check_steps(n_checkpoints * n_per * len(_kernels.SUZUKI),
                          "[numerics] t_final, dt and n_snapshots")
     n_sub = n_checkpoints * int(n_per)
     dt_eff = t / n_sub

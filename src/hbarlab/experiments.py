@@ -631,7 +631,7 @@ def run_liouville_demo(cfg):
     eps, r0, p0 = cfg.packet()
     t_final = cfg.get_positive("numerics", "t_final")
     n_check = cfg.get_int("numerics", "n_snapshots", 8)
-    dt = cfg.get_positive("numerics", "dt", 1e-3)
+    dt = cfg.get_positive("numerics", "dt", 0.1)
     x_min, x_max, p_min, p_max, nx, n_p = cfg.phase_grid()
     sigma = np.sqrt(eps / 2.0)
     try:

@@ -117,7 +117,7 @@ class TestLiouville:
         # (1, 0) lands at (0, -1) after a quarter period.
         V = PotentialSpec.harmonic(1.0, 1.0)
         rho0 = gaussian_phase_blob(1.0, 0.0, 0.3, 0.3, -3, 3, -3, 3)
-        (out,) = liouville_evolve(rho0, V, np.pi / 2, dt=1e-3)
+        (out,) = liouville_evolve(rho0, V, np.pi / 2, dt=0.05)
         X, P = np.meshgrid(rho0.x_nodes, rho0.p_nodes, indexing="ij")
         w = out * rho0.dx * rho0.dp
         cx = float(np.sum(w * X) / np.sum(w))
@@ -137,10 +137,10 @@ class TestLiouville:
         V = PotentialSpec.harmonic(1.0, 1.0)
         rho0 = gaussian_phase_blob(1.0, 0.0, 0.4, 0.4, -3.5, 3.5, -3.5, 3.5)
         t1, t2 = 0.7, 0.9
-        (once,) = liouville_evolve(rho0, V, t1 + t2, dt=1e-3)
-        (half,) = liouville_evolve(rho0, V, t1, dt=1e-3)
+        (once,) = liouville_evolve(rho0, V, t1 + t2, dt=0.05)
+        (half,) = liouville_evolve(rho0, V, t1, dt=0.05)
         (twice,) = liouville_evolve(replace(rho0, values=half), V, t2,
-                                    dt=1e-3)
+                                    dt=0.05)
         l1 = np.sum(np.abs(once - twice)) * rho0.dx * rho0.dp
         assert l1 <= 1e-3
 
@@ -156,10 +156,10 @@ class TestLiouville:
         V = PotentialSpec.harmonic(1.0, 1.0)
         rho0 = gaussian_phase_blob(1.0, 0.0, 0.3, 0.3, -3, 3, -3, 3,
                                    nx=128, n_p=128)
-        checkpoints = liouville_evolve(rho0, V, 2 * np.pi, 1e-3, 4)
+        checkpoints = liouville_evolve(rho0, V, 2 * np.pi, 0.05, 4)
         assert len(checkpoints) == 4
         for k, rho in enumerate(checkpoints, 1):
-            (alone,) = liouville_evolve(rho0, V, 2 * np.pi * k / 4, 1e-3)
+            (alone,) = liouville_evolve(rho0, V, 2 * np.pi * k / 4, 0.05)
             l1 = np.sum(np.abs(rho - alone)) * rho0.dx * rho0.dp
             assert l1 <= 1e-6
 

@@ -1,6 +1,7 @@
 from functools import partial
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -11,6 +12,9 @@ from hbarlab import _kernels
 unit = st.floats(-1.0, 1.0)
 # bounded so that no power overflows
 coeff = st.floats(-1e3, 1e3)
+# Stormer-Verlet and the fourth-order composition the pullback steps with
+WEIGHTS = pytest.mark.parametrize("weights", [(1.0,), _kernels.SUZUKI],
+                                  ids=["verlet", "suzuki"])
 
 
 @settings(max_examples=200, deadline=None)
@@ -18,25 +22,49 @@ coeff = st.floats(-1e3, 1e3)
        x=coeff | arrays(np.float64, st.integers(0, 8), elements=coeff))
 def test_horner_is_polyval_bit_for_bit(c, x):
     # the same multiply-add sequence as numpy's polyval; a size-1 c gives a
-    # scalar that broadcasts against x
+    # scalar that broadcasts against x.  The list of the same coefficients,
+    # which keeps a float x in Python floats, gives the same numbers
     expected = np.polynomial.polynomial.polyval(x, c)
-    got = np.broadcast_to(_kernels._horner(c, x), np.shape(expected))
-    assert np.array_equal(got, expected)
+    for coeffs in (c, c.tolist()):
+        got = np.broadcast_to(_kernels._horner(coeffs, x), np.shape(expected))
+        assert np.array_equal(got, expected)
 
 
+@WEIGHTS
 @settings(max_examples=60, deadline=None)
 @given(fc=st.lists(unit, min_size=1, max_size=4), x0=unit, p0=unit,
        dt=st.floats(1e-4, 1e-2), n=st.integers(1, 100))
-def test_stepper_retraces_its_path_backward(fc, x0, p0, dt, n):
-    # Stormer-Verlet is symmetric: n steps of dt then n steps of -dt return
-    # to the start, up to roundoff
+def test_stepper_retraces_its_path_backward(weights, fc, x0, p0, dt, n):
+    # Stormer-Verlet and its palindromic compositions are symmetric: n
+    # steps of dt then n steps of -dt return to the start, up to roundoff
     force = partial(_kernels._horner, np.array(fc))
-    for _, x, p, _ in _kernels._kdk(force, 1.0, x0, p0, dt, n):
+    for _, x, p, _ in _kernels._kdk(force, 1.0, x0, p0, dt, n, weights):
         pass
-    for _, x, p, _ in _kernels._kdk(force, 1.0, x, p, -dt, n):
+    for _, x, p, _ in _kernels._kdk(force, 1.0, x, p, -dt, n, weights):
         pass
     assert abs(x - x0) <= 1e-10
     assert abs(p - p0) <= 1e-10
+
+
+@pytest.mark.parametrize("weights, lo, hi", [((1.0,), 3.0, 5.0),
+                                             (_kernels.SUZUKI, 12.0, 20.0)],
+                         ids=["verlet", "suzuki"])
+def test_stepper_converges_at_its_order(weights, lo, hi):
+    # halving dt divides the end-point error by 2^2 for Verlet and by 2^4
+    # for the composition, under the anharmonic force of
+    # V = 0.3 x^2 + 0.05 x^4
+    force = partial(_kernels._horner, np.array([0.0, -0.6, 0.0, -0.2]))
+
+    def terminal(n):
+        for _, x, p, _ in _kernels._kdk(force, 1.0, 0.7, -0.3, 5.0 / n, n,
+                                        weights):
+            pass
+        return np.array([x, p])
+
+    ref = terminal(320)
+    err1 = np.linalg.norm(terminal(20) - ref)
+    err2 = np.linalg.norm(terminal(40) - ref)
+    assert lo <= err1 / err2 <= hi
 
 
 def test_single_characteristic_fan_is_the_verlet_trajectory():
@@ -55,12 +83,13 @@ def test_single_characteristic_fan_is_the_verlet_trajectory():
     assert np.array_equal(p_fan[:, 0], p)
 
 
+@WEIGHTS
 @settings(max_examples=60, deadline=None)
 @given(fc=st.lists(unit, min_size=1, max_size=4),
        nodes=st.lists(st.tuples(unit, unit), min_size=1, max_size=8),
        m=st.floats(0.5, 2.0), dt=st.floats(-1e-2, 1e-2),
        n=st.integers(1, 50))
-def test_array_steps_are_the_scalar_steps(fc, nodes, m, dt, n):
+def test_array_steps_are_the_scalar_steps(weights, fc, nodes, m, dt, n):
     # the array path updates its own copies in place; every node must
     # still follow its scalar path bit for bit, and the caller's arrays
     # stay as they were
@@ -68,9 +97,10 @@ def test_array_steps_are_the_scalar_steps(fc, nodes, m, dt, n):
     x0 = np.array([x for x, _ in nodes])
     p0 = np.array([p for _, p in nodes])
     x_start, p_start = x0.copy(), p0.copy()
-    scalar = [[(x, p) for _, x, p, _ in _kernels._kdk(force, m, x, p, dt, n)]
+    scalar = [[(x, p) for _, x, p, _
+               in _kernels._kdk(force, m, x, p, dt, n, weights)]
               for x, p in nodes]
-    for step, x, p, _ in _kernels._kdk(force, m, x0, p0, dt, n):
+    for step, x, p, _ in _kernels._kdk(force, m, x0, p0, dt, n, weights):
         assert x.tobytes() == np.array(
             [path[step - 1][0] for path in scalar]).tobytes()
         assert p.tobytes() == np.array(

@@ -631,7 +631,7 @@ class TestExperiments:
             "[potential]\nkind = harmonic\nmass = 1.0\nomega = 1.0\n"
             "[packet]\nepsilon = 0.18\nr0 = 1.0\np0 = 0.0\n"
             "[numerics]\nphase_grid = -3,3,-3,3,128,128\n"
-            "t_final = 1.5707963267948966\nn_snapshots = 2\ndt = 0.002\n")
+            "t_final = 1.5707963267948966\nn_snapshots = 2\ndt = 0.1\n")
         result = run_liouville_demo(cfg)
         t, mass, cx, cp, _ = result.records[0].rows[-1]
         assert mass == pytest.approx(1.0, abs=1e-3)
@@ -1230,8 +1230,8 @@ class TestCLI:
         assert code == 1
         assert "Traceback" not in err
         assert "error: the run would take " in err
-        assert (f" time steps, more than 1e+07; the count follows from "
-                f"[numerics] {keys}\n") in err
+        assert (f" steps (one per FFT pair or force evaluation), more than "
+                f"1e+07; the count follows from [numerics] {keys}\n") in err
         assert not os.listdir(tmp_path)
 
     def test_potential_bound_step_names_potential(self, tmp_path, capsys):
