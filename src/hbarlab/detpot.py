@@ -33,7 +33,6 @@ __all__ = [
     "DetpotReport",
     "gaussian_convolve",
     "detpot_residual",
-    "fourier_residual",
     "fourier_residual_norm",
     "classify",
     "default_grid",
@@ -45,7 +44,11 @@ WINDOW_FRACTION = 0.5
 TINY = 1e-300
 
 
-def default_grid():
+def default_grid(V):
+    """The grid V is classified on unless a caller names one: a tabulated
+    potential's own grid, [-8, 8) with 2048 points for any other."""
+    if V.kind == "tabulated":
+        return V.grid
     return make_grid(-8.0, 8.0, 2048)
 
 
@@ -88,11 +91,9 @@ def gaussian_convolve(grid, values, epsilon):
     return np.fft.ifft(np.fft.fft(values) * np.fft.fft(kernel)).real * grid.dx
 
 
-def detpot_residual(V, epsilon, grid=None):
+def detpot_residual(V, epsilon, grid):
     """Relative fixed-point defect ||F - delta_eps * F|| / ||F|| with both
     norms over the central window."""
-    if grid is None:
-        grid = default_grid()
     F = eval_force(V, grid.x)
     window = _window(grid)
     num = _windowed_norm(grid, F - gaussian_convolve(grid, F, epsilon), window)
@@ -100,41 +101,29 @@ def detpot_residual(V, epsilon, grid=None):
     return num / (den + TINY)
 
 
-def _seam_slope(V, grid):
-    """Slope of the line whose removal makes the sampled force continuous
-    across the periodic seam.  Zero for tabulated potentials (tables are
-    periodic by construction) and for any genuinely periodic force; for a
-    sampled polynomial force it cancels the wrap jump exactly.  The removed
-    line is spectral weight at k = 0 in the continuum statement of the
-    problem -- precisely the content the convolution factor annihilates."""
+def _seam_slope(V, grid, F):
+    """Slope (F(x_min + L) - F(x_min)) / L of the line whose removal makes
+    the force F sampled on grid continuous across the periodic seam.  A
+    table's F(x_min + L) is its last two samples extrapolated one node on,
+    so for a linear force, tabulated or not, the wrap jump cancels exactly.
+    The removed line is spectral weight at k = 0 in the continuum statement
+    of the problem -- precisely the content the convolution factor
+    annihilates."""
     if V.kind == "tabulated":
-        return 0.0
-    return (eval_force(V, grid.x_min + grid.length)
-            - eval_force(V, grid.x_min)) / grid.length
+        f_end = 2.0 * F[-1] - F[-2]
+    else:
+        f_end = eval_force(V, grid.x_min + grid.length)
+    return (f_end - F[0]) / grid.length
 
 
-def fourier_residual(V, epsilon, grid=None):
-    """Per-mode residual |F(k)| (1 - exp(-eps k^2 / 4)) of the seam-detrended
-    force, as an array on the wavenumber axis (grid.k ordering, transform
-    scaled by dx)."""
-    if grid is None:
-        grid = default_grid()
-    if epsilon < 0:
-        raise DomainError(f"epsilon must be nonnegative, got {epsilon}")
-    if epsilon > 0 and np.sqrt(epsilon) > grid.length / 12.0:
-        raise DomainError("kernel too wide for the domain")
-    vals = eval_force(V, grid.x) - _seam_slope(V, grid) * (grid.x - grid.x_min)
+def fourier_residual_norm(V, epsilon, grid):
+    """Parseval-consistent total sqrt(sum |residual_k|^2 / L) of the
+    per-mode residual |F(k)| (1 - exp(-eps k^2 / 4)) of the seam-detrended
+    force (transform scaled by dx)."""
+    F = eval_force(V, grid.x)
+    vals = F - _seam_slope(V, grid, F) * (grid.x - grid.x_min)
     f_hat = grid.dx * np.fft.fft(vals)
-    factor = 1.0 - np.exp(-epsilon * grid.k ** 2 / 4.0)
-    return np.abs(f_hat) * factor
-
-
-def fourier_residual_norm(V, epsilon, grid=None):
-    """Parseval-consistent total of the per-mode residual:
-    sqrt(sum |residual_k|^2 / L)."""
-    if grid is None:
-        grid = default_grid()
-    res = fourier_residual(V, epsilon, grid)
+    res = np.abs(f_hat) * (1.0 - np.exp(-epsilon * grid.k ** 2 / 4.0))
     return float(np.sqrt(np.sum(res ** 2) / grid.length))
 
 
@@ -156,10 +145,16 @@ def classify(V, epsilon_list=None, tol=DEFAULT_TOL, grid=None):
     Deterministic iff the relative residual stays below tol for every
     tested eps; NonDeterministic iff it exceeds tol for every eps.  Mixed
     outcomes raise InconclusiveError (grid or window artifacts suspected).
-    Requires at least 3 widths spanning at least 2 decades.
+    Requires at least 3 widths spanning at least 2 decades.  The grid
+    defaults to `default_grid(V)`; a tabulated potential is classified on
+    its own nodes only, and any other grid is refused.
     """
     if grid is None:
-        grid = default_grid()
+        grid = default_grid(V)
+    if V.kind == "tabulated" and not np.array_equal(grid.x, V.grid.x):
+        raise DomainError(
+            f"a tabulated potential is classified on its own grid only, "
+            f"[{V.grid.x_min:g}, {V.grid.x_max:g}) with {V.grid.n} points")
     if epsilon_list is None:
         epsilon_list = default_epsilon_list(grid)
     eps = sorted(float(e) for e in epsilon_list)

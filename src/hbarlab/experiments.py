@@ -518,7 +518,7 @@ def run_combined_limit(cfg):
 def run_detpot(cfg):
     """Thin wrapper over the convolution classifier."""
     V = cfg.potential()
-    grid = cfg.grid_spec() or detpot.default_grid()
+    grid = cfg.grid_spec() or detpot.default_grid(V)
     if cfg.get("scan", "epsilon_list", None) is not None:
         eps_list = cfg.get_float_list("scan", "epsilon_list")
     else:
@@ -529,7 +529,11 @@ def run_detpot(cfg):
                 f"{cfg.origin}: [numerics] grid is too long for the default "
                 f"epsilon_list (L/12)^2 to be a float") from None
     tol = cfg.get_positive("numerics", "tol", detpot.DEFAULT_TOL)
-    report = detpot.classify(V, eps_list, tol, grid)
+    try:
+        report = detpot.classify(V, eps_list, tol, grid)
+    except DomainError as err:
+        raise DomainError(f"{cfg.origin}: [numerics] grid and [scan] "
+                          f"epsilon_list: {err}") from None
     rows = tuple(zip(report.epsilon_list, report.residual_per_epsilon,
                      report.fourier_residual_norms))
     record = RunRecord("detpot", "classification", cfg.echo_lines(),

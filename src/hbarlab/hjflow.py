@@ -84,12 +84,11 @@ class CharacteristicFan:
         return (self.x0 >= ends[:, 0].max()) & (self.x0 <= ends[:, 1].min())
 
 
-def integrate_fan(grid, s0, V, t_final, dt=2e-4, snapshot_times=None):
+def integrate_fan(grid, s0, V, t_final, dt, snapshot_times):
     """Launch one characteristic from every node of grid, with p0 = dS0/dx
     of the samples s0 by second-order differences (exact for a quadratic
     S0), and integrate them through t_final, recording positions, momenta,
-    and actions at the snapshot times (default: 9 evenly spaced in
-    [0, t_final]).
+    and actions at the snapshot times.
 
     dt is the largest step: the fan runs segment by segment between the
     snapshot times and lands exactly on each, so `fan.times` are the
@@ -103,8 +102,6 @@ def integrate_fan(grid, s0, V, t_final, dt=2e-4, snapshot_times=None):
     x0 = grid.x
     p0 = np.gradient(s0, grid.dx, edge_order=2)
 
-    if snapshot_times is None:
-        snapshot_times = np.linspace(0.0, t_final, 9)
     times = np.unique(np.clip(np.asarray(snapshot_times, dtype=float),
                               0.0, t_final))
     # at most one step more than t_final / dt per segment
@@ -117,7 +114,7 @@ def integrate_fan(grid, s0, V, t_final, dt=2e-4, snapshot_times=None):
                              A[:kept] + s0[None, :], t_crossing)
 
 
-def solve_hj(grid, s0, V, t_final, dt=2e-4, snapshot_times=None):
+def solve_hj(grid, s0, V, t_final, dt, snapshot_times):
     """Integrate the classical action equation from the initial action s0
     sampled on grid, with steps of at most dt landing exactly on the
     snapshot times.

@@ -14,12 +14,13 @@ call the closing half phase of a substep and the opening half phase of the
 next are applied as one phase, so a Strang substep costs one FFT pair
 (scipy.fft) and two multiplies, and a composed step five pairs; a single
 Strang step is the plain half-kinetic-half sequence.  The pairs stay on
-scipy.fft, the package's one use of scipy, because np.fft measured slower
-on a 2-core host: the seven quantum presets of the benchmark took a median
-4.33 s against 3.70 s over 6 alternating in-process runs, and a bare
-Strang step was slower at every n from 512 to 16384.  `propagate` imports
-scipy.fft at its first call, so the CLI and the Newton-side experiments
-start without it.
+scipy.fft, the package's one use of scipy: np.fft gives bit-identical
+transforms but measured slower on a 2-core host, 10.9 against 9.2 us per
+Strang pair at n = 64 and 88.1 against 72.4 us at n = 4096, and the
+benchmark's quantum_scans wall time rose from a median 0.523 s to 0.563 s
+over 10 alternating pairs (np.fft won 2).  `propagate` imports scipy.fft
+at its first call, so the CLI and the Newton-side experiments start
+without it.
 
 Width convention: init_gaussian's packet of width parameter eps,
 

@@ -191,7 +191,7 @@ directory = runs/acceptance
 
 
 def test_criterion_05_deterministic_potential_theorem():
-    grid = detpot.default_grid()
+    grid = detpot.default_grid(PotentialSpec.free())
     det_family = ([0.0], [0, 1.0], [0, 0, 1.0], [1.0, 2.0, 3.0])
     nondet = [PotentialSpec.polynomial([0, 0, 0, 1.0]),
               PotentialSpec.polynomial([0, 0, 0, 0, 1.0]),

@@ -8,7 +8,6 @@ from hbarlab.detpot import (
     default_epsilon_list,
     default_grid,
     detpot_residual,
-    fourier_residual,
     fourier_residual_norm,
     gaussian_convolve,
 )
@@ -58,7 +57,7 @@ class TestGaussianConvolve:
         assert np.max(np.abs(out[w] - expected[w])) <= 1e-8
 
     def test_polynomials_up_to_degree_six_exact_on_window(self):
-        g = default_grid()
+        g = make_grid(-8, 8, 2048)
         eps = 0.05
         rng = np.random.default_rng(5)
         for _ in range(3):
@@ -87,14 +86,14 @@ class TestDetpotResidual:
     def test_quadratic_potentials_are_fixed_points(self):
         for coeffs in ([1.0], [0, 1.0], [0, 0, 1.0], [1.0, 2.0, 3.0]):
             V = PotentialSpec.polynomial(coeffs)
-            assert detpot_residual(V, 0.1) <= 1e-10
+            assert detpot_residual(V, 0.1, default_grid(V)) <= 1e-10
 
     def test_quartic_residual_matches_moment_oracle(self):
         # delta_eps * (-4x^3) = -4x^3 - 6 eps x, so the windowed defect norm
         # is exactly ||6 eps x||.
-        g = default_grid()
         eps = 0.1
         V = PotentialSpec.polynomial([0, 0, 0, 0, 1.0])
+        g = default_grid(V)
         res = detpot_residual(V, eps, g)
         w = window_mask(g)
         F = eval_force(V, g.x)
@@ -103,8 +102,8 @@ class TestDetpotResidual:
         assert res == pytest.approx(num_oracle / den, rel=1e-6)
 
     def test_quartic_epsilon_scaling(self):
-        g = default_grid()
         V = PotentialSpec.polynomial([0, 0, 0, 0, 1.0])
+        g = default_grid(V)
         eps_list = default_epsilon_list(g)
         res = [detpot_residual(V, e, g) for e in eps_list]
         slope = np.polyfit(np.log(eps_list), np.log(res), 1)[0]
@@ -114,10 +113,10 @@ class TestDetpotResidual:
 class TestFourierResidual:
     def test_linear_force_vanishes(self):
         V = PotentialSpec.polynomial([0, 0, 1.0])  # F = -2x
-        assert fourier_residual_norm(V, 0.1) <= 1e-8
+        assert fourier_residual_norm(V, 0.1, default_grid(V)) <= 1e-8
 
     def test_single_mode_closed_form(self):
-        g = default_grid()
+        g = make_grid(-8, 8, 2048)
         q = 2 * np.pi * 8 / g.length
         eps = 0.1
         # V = cos(qx)/q gives F = sin(qx)
@@ -130,19 +129,18 @@ class TestFourierResidual:
 
     def test_zero_width_zero_residual(self):
         V = PotentialSpec.polynomial([0, 0, 0, 0, 1.0])
-        assert fourier_residual_norm(V, 0.0) == 0.0
+        assert fourier_residual_norm(V, 0.0, default_grid(V)) == 0.0
 
     def test_leading_quadratic_behavior_of_factor(self):
-        g = default_grid()
+        g = make_grid(-8, 8, 2048)
         eps = 0.02
-        res = fourier_residual(PotentialSpec.free(), eps, g)
         factor = 1.0 - np.exp(-eps * g.k ** 2 / 4.0)
         small = np.abs(g.k) <= 2.0
         lead = eps * g.k[small] ** 2 / 4.0
         assert np.max(np.abs(factor[small] - lead)) <= np.max(lead) ** 2
 
     def test_parseval_agreement_with_real_space(self):
-        g = default_grid()
+        g = make_grid(-8, 8, 2048)
         rng = np.random.default_rng(11)
         eps = 0.05
         for _ in range(4):
@@ -166,15 +164,16 @@ class TestClassify:
             assert all(r <= 1e-8 for r in report.residual_per_epsilon)
 
     def test_nondeterministic_family(self):
-        g = default_grid()
         cubic = PotentialSpec.polynomial([0, 0, 0, 1.0])
         quartic = PotentialSpec.polynomial([0, 0, 0, 0, 1.0])
-        cos_v = PotentialSpec.tabulated(g, np.cos(g.x))
-        for V in (cubic, quartic, cos_v):
-            report = classify(V, grid=g)
+        cos_tables = [PotentialSpec.tabulated(g, np.cos(g.x))
+                      for g in (make_grid(-8, 8, 2048),
+                                make_grid(-20, 20, 4096))]
+        for V in (cubic, quartic, *cos_tables):
+            report = classify(V)
             assert report.verdict == "NonDeterministic"
             assert all(r > 1e-8 for r in report.residual_per_epsilon)
-        assert classify(quartic, grid=g).scaling_exponent == pytest.approx(
+        assert classify(quartic).scaling_exponent == pytest.approx(
             1.0, abs=0.05)
 
     def test_subtolerance_quartic_admixture(self):
@@ -206,7 +205,7 @@ class TestClassify:
         a = sign * 10.0 ** u
         scaled = [a * c for c in coeffs]
         scaled[0] += b
-        grid = default_grid()
+        grid = make_grid(-8, 8, 2048)
         report = classify(PotentialSpec.polynomial(coeffs), grid=grid)
         mapped = classify(PotentialSpec.polynomial(scaled), grid=grid)
         assert mapped.verdict == report.verdict
@@ -220,3 +219,32 @@ class TestClassify:
             classify(V, epsilon_list=[0.1, 0.05])
         with pytest.raises(DomainError):
             classify(V, epsilon_list=[0.1, 0.05, 0.02])
+
+
+class TestTabulatedOnOwnGrid:
+    def test_quadratic_tables_deterministic_on_any_range(self):
+        # a table is classified on its own nodes, whatever its range and
+        # spacing; its force is exactly linear there, so the seam-detrended
+        # force has no Fourier residual either
+        rng = np.random.default_rng(7)
+        for _ in range(60):
+            g = make_grid(rng.uniform(-30, -2), rng.uniform(2, 30),
+                          rng.choice([256, 1024, 2048, 4096]))
+            coeffs = [*rng.uniform(-1, 1, 2),
+                      rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 1.0)]
+            V = PotentialSpec.tabulated(
+                g, np.polynomial.polynomial.polyval(g.x, coeffs))
+            report = classify(V)
+            assert report.verdict == "Deterministic"
+            f_norm = np.sqrt(g.dx * np.sum(eval_force(V, g.x) ** 2))
+            assert max(report.fourier_residual_norms) <= 1e-8 * f_norm
+
+    def test_other_grid_refused(self):
+        g = make_grid(-20, 20, 4096)
+        V = PotentialSpec.tabulated(g, 0.5 * g.x ** 2)
+        for other in (make_grid(-8, 8, 2048), make_grid(-20, 20, 2048)):
+            with pytest.raises(DomainError, match="its own grid"):
+                classify(V, grid=other)
+        # a second grid on the same nodes is the table's grid
+        same = classify(V, grid=make_grid(-20, 20, 4096))
+        assert same.verdict == "Deterministic"

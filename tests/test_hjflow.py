@@ -61,7 +61,8 @@ class TestSolveHJ:
         g = make_grid(-8, 8, 256)
         V = PotentialSpec.free()
         p0 = 1.3
-        sol = solve_hj(g, linear_s0(g, p0), V, t_final=1.0)
+        sol = solve_hj(g, linear_s0(g, p0), V, t_final=1.0, dt=2e-4,
+                       snapshot_times=np.linspace(0.0, 1.0, 9))
         for i, t in enumerate(sol.times):
             expected = p0 * g.x - p0 ** 2 * t / 2.0
             cov = sol.covered(i)
@@ -86,7 +87,8 @@ class TestSolveHJ:
         T = 1.0
         s0 = -g.x ** 2 / (2 * T)
         with pytest.raises(CausticError) as err:
-            solve_hj(g, s0, PotentialSpec.free(), t_final=1.5, dt=2e-4)
+            solve_hj(g, s0, PotentialSpec.free(), t_final=1.5, dt=2e-4,
+                     snapshot_times=np.linspace(0.0, 1.5, 9))
         assert err.value.t_caustic == pytest.approx(T, rel=0.01)
 
     def test_fan_stops_at_first_crossing(self):
@@ -137,7 +139,8 @@ class TestSolveHJ:
         g = make_grid(-8, 8, 256)
         tab = PotentialSpec.tabulated(g, g.x ** 2)
         with pytest.raises(DomainError):
-            solve_hj(g, linear_s0(g, 1.0), tab, 1.0)
+            solve_hj(g, linear_s0(g, 1.0), tab, 1.0, dt=2e-4,
+                     snapshot_times=[0.0, 1.0])
 
     def test_fan_energy_conservation(self):
         g = make_grid(-2, 2, 64)
@@ -155,7 +158,7 @@ class TestMomentumFieldAndExpectations:
     def test_linear_action(self):
         g = make_grid(-6, 6, 128)
         fan = integrate_fan(g, linear_s0(g, 0.7), PotentialSpec.free(), 0.1,
-                            snapshot_times=[0.0])
+                            dt=2e-4, snapshot_times=[0.0])
         assert np.array_equal(fan.x0, g.x)
         assert np.max(np.abs(fan.p0 - 0.7)) <= 1e-10
 
@@ -163,7 +166,7 @@ class TestMomentumFieldAndExpectations:
         g = make_grid(-6, 6, 128)
         s = 0.5 * 1.3 * g.x ** 2
         fan = integrate_fan(g, s, PotentialSpec.free(), 0.1,
-                            snapshot_times=[0.0])
+                            dt=2e-4, snapshot_times=[0.0])
         assert np.array_equal(fan.x0, g.x)
         assert np.max(np.abs(fan.p0 - 1.3 * fan.x0)) <= 1e-10
 
@@ -211,7 +214,8 @@ class TestDeterministicContinuity:
         V = PotentialSpec.free()
         p0 = 1.0
         ts = np.linspace(0.0, 1.0, 5)
-        sol = solve_hj(g, linear_s0(g, p0), V, 1.0, snapshot_times=ts)
+        sol = solve_hj(g, linear_s0(g, p0), V, 1.0, dt=2e-4,
+                       snapshot_times=ts)
         r_t = p0 * sol.times
         p_t = np.full_like(sol.times, p0)
         term1, term2, p_gap = deterministic_continuity_check(
@@ -318,7 +322,7 @@ class TestProjectedNewton:
     def test_free_flow_zero(self):
         g = make_grid(-8, 8, 256)
         V = PotentialSpec.free()
-        sol = solve_hj(g, linear_s0(g, 1.0), V, 1.0,
+        sol = solve_hj(g, linear_s0(g, 1.0), V, 1.0, dt=2e-4,
                        snapshot_times=np.linspace(0, 1, 5))
         r_t = 1.0 * sol.times
         assert np.max(projected_newton_check(sol, V, r_t)) <= 1e-8

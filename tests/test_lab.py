@@ -585,8 +585,7 @@ class TestExperiments:
                 hbar / 2, rel=1e-6)
 
     def test_detpot_runner_tabulated_file(self, tmp_path):
-        from hbarlab.detpot import default_grid
-        g = default_grid()
+        g = make_grid(-8, 8, 2048)
         path = tmp_path / "vtable.txt"
         np.savetxt(path, np.column_stack([g.x, g.x ** 2]))
         cfg = RunConfig.from_text(
@@ -896,6 +895,33 @@ class TestCLI:
         assert "crossed at t=1;" in err
         t_caustic = float(err.split("t_caustic=")[1].split(")")[0])
         assert abs(t_caustic - 1.0) <= 1e-9
+
+    def _quadratic_table(self, tmp_path):
+        g = make_grid(-20, 20, 4096)
+        path = tmp_path / "vtable.txt"
+        np.savetxt(path, np.column_stack([g.x, 0.5 * g.x ** 2]))
+        return ["detpot", "--config", "detpot_quadratic",
+                "--set", "potential.kind=tabulated",
+                "--set", f"potential.table={path}"]
+
+    def test_detpot_classifies_table_on_its_own_grid(self, tmp_path, capsys):
+        args = self._quadratic_table(tmp_path)
+        code = main(args + ["--set", "numerics.grid=auto",
+                            "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert "verdict=Deterministic" in capsys.readouterr().out
+
+    def test_detpot_refuses_table_on_another_grid(self, tmp_path, capsys):
+        # the preset's grid = -8,8,2048 is not the table's
+        args = self._quadratic_table(tmp_path)
+        code = main(args + ["--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        [line] = err.splitlines()
+        assert line.startswith("error: preset:detpot_quadratic: ")
+        assert "[numerics] grid" in line and "its own grid" in line
+        assert not (tmp_path / "out").exists()
 
     def test_report(self, tmp_path, capsys):
         code = main(["detpot", "--config", "detpot_quadratic",
@@ -1447,7 +1473,7 @@ def _array_holders():
         "PhaseDensity": lambda: gaussian_phase_blob(
             0.0, 0.0, 0.5, 0.5, -3.0, 3.0, -3.0, 3.0, 32, 32),
         "CharacteristicFan": lambda: hjflow.integrate_fan(
-            g, 0.5 * g.x, V, 0.1, snapshot_times=[0.0]),
+            g, 0.5 * g.x, V, 0.1, dt=2e-4, snapshot_times=[0.0]),
         "QuantumRunData": lambda: QuantumRunData(g, 0.1, np.zeros((2, 3)),
                                                  []),
         "RunRecord": lambda: RunRecord("e", "l", (), ("a",),
