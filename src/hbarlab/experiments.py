@@ -43,7 +43,7 @@ quantum run takes two steps on its own grid.  Its probe step, the
 phase-rotation limit of `schrodinger.max_stable_dt` shortened to a whole
 number of steps per snapshot interval, spaces every snapshot's triple,
 whose centered phase difference gives the dS/dt of
-`madelung.weighted_action_terms`.  Its span step, a fourth-order
+`madelung.snapshot_diagnostics`.  Its span step, a fourth-order
 composition (`_kernels.SUZUKI`) of Strang substeps up to
 `schrodinger.SPAN_FACTOR` limits long, crosses the rest of each snapshot
 interval.  The two steps' phase factors are built once per run, and a run
@@ -135,11 +135,12 @@ def _packet_need(V, eps0, r0, p0, hbar, t_final):
         f0 = V.f0 if V.kind == "constant_force" else 0.0
         candidates = [r0, r0 + p0 * t_final / m
                       + 0.5 * f0 * t_final ** 2 / m]
-        if f0 != 0.0:
+        # the turning time -p0/f0 lies in (0, t_final) when p0 opposes f0
+        # and |p0| < |f0| t_final; testing that first keeps a subnormal f0
+        # from overflowing the quotient
+        if p0 * np.sign(f0) < 0 and abs(p0) < abs(f0) * t_final:
             t_v = -p0 / f0
-            if 0 < t_v < t_final:
-                candidates.append(r0 + p0 * t_v / m
-                                  + 0.5 * f0 * t_v ** 2 / m)
+            candidates.append(r0 + p0 * t_v / m + 0.5 * f0 * t_v ** 2 / m)
         extent = max(abs(c) for c in candidates)
         eps_max = eps0 * (1.0 + (hbar * t_final / (m * eps0)) ** 2)
         eps_min = eps0
@@ -224,22 +225,9 @@ def _time_reversed(psi):
                                     t=-psi.t)
 
 
-def _snapshot_row(triple, V, dt):
-    """One QUANTUM_COLUMNS row (without t) from a snapshot triple
-    (psi(t - dt), psi(t), psi(t + dt)): the observables of psi(t) and the
-    dx-weighted L2 norms of the two density-weighted sides of its action
-    equation."""
-    snap = triple[1]
-    obs = schrodinger.observables(snap)
-    norms = [float(np.sqrt(snap.grid.dx * np.sum(side ** 2)))
-             for side in madelung.weighted_action_terms(triple, V, dt)]
-    return (obs.x_mean, obs.p_mean, obs.var_x, obs.var_p,
-            obs.uncertainty_product, obs.width, obs.kurtosis_excess, *norms)
-
-
 def quantum_run(V, grid, eps0, r0, p0, hbar, t_final, n_snapshots,
                 collect_fields=False):
-    """Propagate a packet and collect the pinned per-snapshot observables.
+    """Propagate a packet and collect the pinned per-snapshot rows.
 
     Every snapshot, t = 0 included, is the middle of a triple one probe
     step dt = t_snap / n_sub apart: the phase-rotation limit of
@@ -283,8 +271,11 @@ def quantum_run(V, grid, eps0, r0, p0, hbar, t_final, n_snapshots,
             before = schrodinger.propagate(after, V, span_dt, n_span, SUZUKI)
             psi = probe(before)
         after = probe(psi)
-        rows.append((i * t_snap,)
-                    + _snapshot_row((before, psi, after), V, dt))
+        moments, rho_q, rho_hj = madelung.snapshot_diagnostics(
+            (before, psi, after), V, dt)
+        rows.append((i * t_snap, *moments,
+                     float(np.sqrt(grid.dx * np.sum(rho_q ** 2))),
+                     float(np.sqrt(grid.dx * np.sum(rho_hj ** 2)))))
         if collect_fields:
             fields.append((i * t_snap, grid.x, psi.values))
     return QuantumRunData(grid, dt, np.array(rows), fields, span_dt=span_dt,

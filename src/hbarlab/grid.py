@@ -1,10 +1,11 @@
-"""Uniform periodic 1D grid with FFT-based differentiation.
+"""Uniform periodic 1D grid and its FFT wavenumbers.
 
 Sample points are x_i = x_min + i*dx for i in [0, n); the right endpoint
 is excluded because the domain is periodic with length L = x_max - x_min.
 Wavenumbers follow the standard FFT layout
-(0, 1, ..., n/2-1, -n/2, ..., -1) * 2*pi/L, so sampled values are
-differentiated by multiplying their transform with (ik)^order.
+(0, 1, ..., n/2-1, -n/2, ..., -1) * 2*pi/L: the propagator's kinetic
+phase and the spectral derivatives of `madelung.snapshot_diagnostics`
+multiply a transform by functions of them.
 
 Every sampled field travels as a plain array beside the grid its caller
 already holds.  Grids are power-of-two only, 16 <= n <= MAX_GRID_N, and
@@ -23,7 +24,6 @@ __all__ = [
     "MAX_GRID_N",
     "Grid",
     "make_grid",
-    "spectral_derivative",
 ]
 
 MAX_GRID_N = 1 << 16            # most points of any grid
@@ -88,22 +88,3 @@ def _check_values(grid, values, dtype):
         raise DomainError("field contains NaN or Inf")
     return _readonly(values.copy())
 
-
-def spectral_derivative(grid, values, order=1):
-    """FFT-based derivative of values sampled on grid, as an array: real
-    for real values, complex otherwise; exact for band-limited inputs.
-
-    order 1 zeroes the unpaired Nyquist mode so real inputs stay real;
-    order 2 keeps it (the -k^2 multiplier is real).  The caller is
-    responsible for the values being effectively periodic on the grid.
-    """
-    if order not in (1, 2):
-        raise DomainError(f"derivative order must be 1 or 2, got {order}")
-    fk = np.fft.fft(values)
-    if order == 1:
-        mult = 1j * grid.k.copy()
-        mult[grid.n // 2] = 0.0  # unpaired Nyquist mode
-    else:
-        mult = -(grid.k ** 2)
-    out = np.fft.ifft(mult * fk)
-    return out.real if np.isrealobj(values) else out

@@ -22,14 +22,10 @@ over 10 alternating pairs (np.fft won 2).  `propagate` imports scipy.fft
 at its first call, so the CLI and the Newton-side experiments start
 without it.
 
-Width convention: init_gaussian's packet of width parameter eps,
-
-    psi(x, 0) = (pi*eps)^(-1/4) exp(-(x - r0)^2 / (2 eps)) exp(i p0 x / hbar),
-
-has density rho(x) = (pi*eps)^(-1/2) exp(-(x-r0)^2/eps) with variance
-eps/2, so the "measured width" A(t), `Observables.width`, is defined as
-2*Var(x) and A(0) = eps.  This removes a silent factor-of-two trap when
-comparing against the closed-form width laws.
+The module only prepares and propagates states; a quantum run's
+per-snapshot moments and action terms come from
+`madelung.snapshot_diagnostics`, whose docstring states the width
+convention A = 2*Var(x).
 """
 
 import functools
@@ -38,18 +34,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BoundaryLeak, DomainError, LabError
-from .grid import _check_values, spectral_derivative
+from .grid import _check_values
 from .potential import eval_potential
 
 __all__ = [
     "WaveFunction",
-    "Observables",
     "init_gaussian",
     "propagate",
     "max_stable_dt",
     "phase_limits",
     "boundary_leak_fraction",
-    "observables",
 ]
 
 LEAK_TOL = 1e-10        # max density fraction in the outer 5% of each side
@@ -73,20 +67,6 @@ class WaveFunction:
     def __post_init__(self):
         object.__setattr__(self, "values",
                            _check_values(self.grid, self.values, complex))
-
-
-@dataclass(frozen=True)
-class Observables:
-    x_mean: float
-    p_mean: float
-    var_x: float
-    var_p: float
-    uncertainty_product: float
-    kurtosis_excess: float          # of |psi|^2; zero for a Gaussian
-
-    @property
-    def width(self):
-        return 2.0 * self.var_x
 
 
 def boundary_leak_fraction(psi):
@@ -213,33 +193,3 @@ def propagate(psi, V, dt, n_steps, weights=(1.0,)):
             f"norm drifted by {abs(norm1 - norm0):.3e} over {n_steps} steps")
     out = WaveFunction(g, values, psi.hbar, t=psi.t + n_steps * dt)
     return _check_leak(out)
-
-
-# ----------------------------------------------------------------------
-# Observables
-# ----------------------------------------------------------------------
-
-def observables(psi):
-    """Position/momentum means and variances, the uncertainty product and
-    the excess kurtosis of |psi|^2, from one pass over the density.
-
-    Momentum moments use the spectral derivative:
-    <p> = Re int conj(psi) (-i hbar dpsi/dx) dx and <p^2> = int |hbar dpsi/dx|^2 dx
-    (equal to <psi|p^2|psi> on the periodic grid by parts).
-    """
-    g = psi.grid
-    w = g.dx * np.abs(psi.values) ** 2
-    x_mean = float(np.sum(w * g.x))
-    u = g.x - x_mean
-    var_x = float(np.sum(w * u ** 2))
-    m4 = float(np.sum(w * u ** 4))
-    dpsi = spectral_derivative(g, psi.values, 1)
-    p_mean = float(np.real(g.dx * np.sum(
-        np.conj(psi.values) * (-1j * psi.hbar) * dpsi)))
-    p2 = float(g.dx * np.sum(np.abs(psi.hbar * dpsi) ** 2))
-    # a numpy scalar's ** 2 (C pow, like a float's) overflows to inf where
-    # a float's raises OverflowError
-    var_p = p2 - float(np.float64(p_mean) ** 2)
-    return Observables(x_mean, p_mean, var_x, var_p,
-                       float(np.sqrt(max(var_x, 0.0) * max(var_p, 0.0))),
-                       float(m4 / np.float64(var_x) ** 2 - 3.0))

@@ -5,6 +5,14 @@ own numerics; the Madelung and Ehrenfest helpers below differentiate with
 `spectral_derivative` and evaluate V with `eval_potential`, and
 `delta_ansatz_check` integrates with `newton_integrate`.
 
+- `spectral_derivative`, `observables`: the FFT derivative of sampled
+  values (order 1 or 2; order 1 zeroes the unpaired Nyquist mode) and the
+  moments of one wave function (means, variances, uncertainty product,
+  width 2*Var(x), excess kurtosis) taken one derivative at a time.  They
+  are the oracles of `madelung.snapshot_diagnostics`, which takes every
+  derivative of a row from one transform of psi and must give the same
+  moments bit for bit.
+
 - `analytic_gaussian`, `GaussianPacketState`: closed-form (eps(t), r(t),
   p(t)) of a Gaussian packet under a free, constant-force or harmonic
   potential.  An initial packet
@@ -48,9 +56,8 @@ import numpy as np
 from hbarlab.classical import newton_integrate
 from hbarlab.errors import DomainError
 from hbarlab.experiments import DEFAULT_FLOOR
-from hbarlab.grid import spectral_derivative
 from hbarlab.potential import eval_force, eval_potential
-from hbarlab.schrodinger import WaveFunction, observables
+from hbarlab.schrodinger import WaveFunction
 
 NORM_TOL = 1e-6
 MAX_MASKED_MASS = 0.2
@@ -87,6 +94,68 @@ def expectations(g, rho, s, m):
     x_mean = float(g.dx * np.sum(g.x * rho))
     p_mean = float(g.dx * np.sum(rho * np.gradient(s, g.dx, edge_order=2)))
     return x_mean, p_mean
+
+
+# ----------------------------------------------------------------------
+# Spectral derivative and the moments of one wave function
+# ----------------------------------------------------------------------
+
+def spectral_derivative(grid, values, order=1):
+    """FFT-based derivative of values sampled on grid, as an array: real
+    for real values, complex otherwise; exact for band-limited inputs.
+
+    order 1 zeroes the unpaired Nyquist mode so real inputs stay real;
+    order 2 keeps it (the -k^2 multiplier is real).  The caller is
+    responsible for the values being effectively periodic on the grid.
+    """
+    if order not in (1, 2):
+        raise DomainError(f"derivative order must be 1 or 2, got {order}")
+    fk = np.fft.fft(values)
+    if order == 1:
+        mult = 1j * grid.k.copy()
+        mult[grid.n // 2] = 0.0  # unpaired Nyquist mode
+    else:
+        mult = -(grid.k ** 2)
+    out = np.fft.ifft(mult * fk)
+    return out.real if np.isrealobj(values) else out
+
+
+@dataclass(frozen=True)
+class Observables:
+    x_mean: float
+    p_mean: float
+    var_x: float
+    var_p: float
+    uncertainty_product: float
+    kurtosis_excess: float          # of |psi|^2; zero for a Gaussian
+
+    @property
+    def width(self):
+        return 2.0 * self.var_x
+
+
+def observables(psi):
+    """Position/momentum means and variances, the uncertainty product and
+    the excess kurtosis of |psi|^2, from one pass over the density.
+
+    Momentum moments use the spectral derivative:
+    <p> = Re int conj(psi) (-i hbar dpsi/dx) dx and <p^2> = int |hbar dpsi/dx|^2 dx
+    (equal to <psi|p^2|psi> on the periodic grid by parts).
+    """
+    g = psi.grid
+    w = g.dx * np.abs(psi.values) ** 2
+    x_mean = float(np.sum(w * g.x))
+    u = g.x - x_mean
+    var_x = float(np.sum(w * u ** 2))
+    m4 = float(np.sum(w * u ** 4))
+    dpsi = spectral_derivative(g, psi.values, 1)
+    p_mean = float(np.real(g.dx * np.sum(
+        np.conj(psi.values) * (-1j * psi.hbar) * dpsi)))
+    p2 = float(g.dx * np.sum(np.abs(psi.hbar * dpsi) ** 2))
+    var_p = p2 - float(np.float64(p_mean) ** 2)
+    return Observables(x_mean, p_mean, var_x, var_p,
+                       float(np.sqrt(max(var_x, 0.0) * max(var_p, 0.0))),
+                       float(m4 / np.float64(var_x) ** 2 - 3.0))
 
 
 # ----------------------------------------------------------------------

@@ -24,6 +24,7 @@ from helpers import (
     delta_ansatz_check,
     ehrenfest_residuals,
     hj_residual,
+    observables,
     rel_err,
 )
 
@@ -46,13 +47,13 @@ def run_widths(V, grid, eps, r0, p0, hbar, t_final, n_snap, label,
     t_snap = t_final / n_snap
     n_sub = int(np.ceil(t_snap / dt_max))
     times = [0.0]
-    widths = [schrodinger.observables(psi).width]
-    unc = [schrodinger.observables(psi).uncertainty_product]
+    widths = [observables(psi).width]
+    unc = [observables(psi).uncertainty_product]
     for i in range(1, n_snap + 1):
         psi = schrodinger.propagate(psi, V, t_snap / n_sub, n_sub)
         times.append(i * t_snap)
-        widths.append(schrodinger.observables(psi).width)
-        unc.append(schrodinger.observables(psi).uncertainty_product)
+        widths.append(observables(psi).width)
+        unc.append(observables(psi).uncertainty_product)
     UNCERTAINTY_SERIES[label] = (hbar, np.array(unc))
     return np.array(times), np.array(widths)
 
@@ -233,7 +234,7 @@ def test_criterion_06_ehrenfest_universality():
         psi = schrodinger.propagate(psi, V, t_snap / n_sub, n_sub)
         snaps.append(psi)
     UNCERTAINTY_SERIES["c6_quartic"] = (hbar, np.array(
-        [schrodinger.observables(s).uncertainty_product for s in snaps]))
+        [observables(s).uncertainty_product for s in snaps]))
     res1, res2 = ehrenfest_residuals(snaps, V)
     gap = 0.0
     for s in snaps:

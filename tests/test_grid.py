@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from hbarlab.errors import DomainError
-from hbarlab.grid import MAX_GRID_N, make_grid, spectral_derivative
+from hbarlab.grid import MAX_GRID_N, make_grid
 from hbarlab.potential import PotentialSpec
+
+from helpers import spectral_derivative
 
 
 def band_limited_field(grid, rng, n_modes=8):
@@ -66,6 +68,8 @@ class TestFields:
 
 
 class TestSpectralDerivative:
+    # the suite's oracle derivative, which the row's moments are checked
+    # against bit for bit
     def test_sine_second_derivative(self):
         g = make_grid(0, 2 * np.pi, 64)
         d2 = spectral_derivative(g, np.sin(g.x), 2)

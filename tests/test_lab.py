@@ -54,7 +54,9 @@ from hbarlab.records import (
     to_csv_text,
     write_outputs,
 )
-from hbarlab.schrodinger import WaveFunction, init_gaussian, observables
+from hbarlab.schrodinger import WaveFunction, init_gaussian
+
+from helpers import observables
 
 CONFIG_TEXT = """
 [experiment]
@@ -292,6 +294,42 @@ class TestRecords:
         assert sorted(os.listdir(tmp_path)) == sorted(
             [os.path.basename(p) for p in paths] + ["notes.txt"])
         assert (tmp_path / "notes.txt").read_text() == "kept\n"
+
+    @settings(max_examples=15, deadline=None)
+    @given(n=st.sampled_from((128, 256)),
+           coeffs=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=5),
+           eps=st.floats(0.2, 1.0), r0=st.floats(-1.0, 1.0),
+           p0=st.floats(-2.0, 2.0), hbar=st.floats(0.5, 2.0),
+           dt_frac=st.floats(0.01, 1.0), steps=st.integers(1, 20))
+    def test_dump_round_trip_is_bit_exact(self, n, coeffs, eps, r0, p0,
+                                          hbar, dt_frac, steps):
+        # a field dump holds the exact psi: written by write_outputs and
+        # read back by read_csv, every dump rebuilds its WaveFunction bit
+        # for bit, on the grid's own nodes
+        from hbarlab.schrodinger import max_stable_dt, propagate
+        g = make_grid(-8.0, 8.0, n)
+        V = PotentialSpec.polynomial(coeffs)
+        psi = init_gaussian(g, eps, r0, p0, hbar)
+        states = [psi]
+        for _ in range(2):
+            states.append(propagate(states[-1], V,
+                                    dt_frac * max_stable_dt(g, V, hbar),
+                                    steps))
+        dumps = tuple((s.t, g.x, s.values) for s in states)
+        record = RunRecord("simulate", "dump", (), ("t",), ((0.0,),),
+                           field_dumps=dumps)
+        with tempfile.TemporaryDirectory() as outdir:
+            write_outputs(ScanResult("simulate", [record], {}), outdir)
+            for j, state in enumerate(states):
+                meta, columns, data = read_csv(
+                    os.path.join(outdir, f"run_000_fields_{j:03d}.csv"))
+                assert columns == ("x", "re_psi", "im_psi")
+                assert float(meta["t"]) == state.t
+                assert data[:, 0].tobytes() == g.x.tobytes()
+                values = data[:, 1].astype(complex)
+                values.imag = data[:, 2]
+                back = WaveFunction(g, values, hbar, t=float(meta["t"]))
+                assert back.values.tobytes() == state.values.tobytes()
 
 
 def small_config(text_overrides):
@@ -735,6 +773,9 @@ class TestAutoGrid:
     # a packet auto_grid refuses: it needs 9.08e4 points
     @example(kind="quartic", hbar=0.01, eps=1.0, r0=-2.0, p0=-2.0,
              t_final=0.1, f0=0.0, omega=1.0, c2=-1.0, c4=1.0)
+    # a subnormal force, whose turning time -p0/f0 overflows a float
+    @example(kind="constant_force", hbar=1.0, eps=0.5, r0=0.0, p0=1.0,
+             t_final=1.0, f0=5e-324, omega=1.0, c2=0.0, c4=1.0)
     def test_grid_resolves_initial_packet(self, kind, hbar, eps, r0, p0,
                                           t_final, f0, omega, c2, c4):
         # with no floor padding the resolution, the t = 0 packet must still

@@ -4,14 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hbarlab.errors import DomainError
+from hbarlab.experiments import quantum_run
 from hbarlab.grid import make_grid
-from hbarlab.madelung import weighted_action_terms
+from hbarlab.madelung import snapshot_diagnostics
 from hbarlab.potential import PotentialSpec
 from hbarlab.schrodinger import (
     WaveFunction,
     init_gaussian,
     max_stable_dt,
-    observables,
     propagate,
 )
 
@@ -21,6 +21,7 @@ from helpers import (
     gauss_rho,
     hj_residual,
     make_madelung,
+    observables,
     quantum_term,
     rel_err,
 )
@@ -196,7 +197,7 @@ class TestHJResidual:
         psi = init_gaussian(g, 0.5, 0.0, 1.0, 1.0)
 
         def residual_at(delta):
-            rho_q, rho_hj = weighted_action_terms(
+            _, rho_q, rho_hj = snapshot_diagnostics(
                 propagate_triple(psi, V, 0.5, delta), V, delta)
             return l2(rho_q + rho_hj, g.dx)
 
@@ -210,7 +211,7 @@ class TestHJResidual:
         V = PotentialSpec.harmonic(1.0, 1.0)
         psi = init_gaussian(g, 0.5, 0.0, 1.0, 1.0)
         delta = 2e-4
-        rho_q, rho_hj = weighted_action_terms(
+        _, rho_q, rho_hj = snapshot_diagnostics(
             propagate_triple(psi, V, 0.5, delta), V, delta)
         assert l2(rho_hj, g.dx) == pytest.approx(l2(rho_q, g.dx), rel=0.02)
 
@@ -252,6 +253,35 @@ class TestWeightedIdentityProperty:
         delta = 0.01 * limit
         triple = (psi, propagate(psi, V, delta, 1),
                   propagate(psi, V, delta, 2))
-        rho_q, rho_hj = weighted_action_terms(triple, V, delta)
+        moments, rho_q, rho_hj = snapshot_diagnostics(triple, V, delta)
         assert (l2(rho_q + rho_hj, g.dx)
                 <= WEIGHTED_IDENTITY_TOL * l2(rho_q, g.dx))
+        # one transform of psi gives the oracle's moments bit for bit
+        o = observables(triple[1])
+        assert moments == (o.x_mean, o.p_mean, o.var_x, o.var_p,
+                           o.uncertainty_product, o.width, o.kurtosis_excess)
+
+
+class TestSnapshotDiagnostics:
+    def test_one_forward_and_two_inverse_transforms_per_row(
+            self, monkeypatch):
+        # every row of a quantum run takes psi' and psi'' from one forward
+        # FFT of psi(t); propagate's transforms are scipy's, not counted
+        calls = {"fft": 0, "ifft": 0}
+
+        def counting(name):
+            original = getattr(np.fft, name)
+
+            def spy(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return spy
+
+        g = make_grid(-16, 16, 64)
+        V = PotentialSpec.harmonic(1.0, 1.0)
+        for name in calls:
+            monkeypatch.setattr(np.fft, name, counting(name))
+        data = quantum_run(V, g, 0.5, 0.3, 0.5, 1.0, 1.0, 4)
+        rows = len(data.rows)
+        assert rows == 5
+        assert calls == {"fft": rows, "ifft": 2 * rows}

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from hbarlab.errors import DomainError
-from hbarlab.grid import make_grid, spectral_derivative
+from hbarlab.grid import make_grid
 from hbarlab.potential import PotentialSpec, eval_force, eval_potential
+
+from helpers import spectral_derivative
 
 
 class TestEvalPotential:

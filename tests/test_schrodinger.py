@@ -18,11 +18,16 @@ from hbarlab.schrodinger import (
     _phases,
     init_gaussian,
     max_stable_dt,
-    observables,
     propagate,
 )
 
-from helpers import analytic_gaussian, energy_mean, rel_err, verlet_oracle
+from helpers import (
+    analytic_gaussian,
+    energy_mean,
+    observables,
+    rel_err,
+    verlet_oracle,
+)
 
 
 def run_to(psi, V, t_final, safety=0.5):
