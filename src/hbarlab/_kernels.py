@@ -7,16 +7,16 @@ run with a negative dt it traces the same flow backward.  It steps copies
 of its start arrays in place, so a step makes no new node arrays; what it
 yields is valid only until its next step, and a kernel that needs the
 previous step keeps its own copy.  The three public kernels are short
-loops over it: the scalar Newton trajectory (`verlet_path`) and the
-characteristic fan with its action integral, in equal steps between its
-save times (`fan_path`), both plain Verlet, and the backward
-semi-Lagrangian phase-space pullback (`liouville_pullback`), composed.
+loops over it: the scalar Newton trajectory (`newton_path`, composed) and
+the characteristic fan with its action integral (`fan_path`, plain
+Verlet), both landing on given times by one rule (`_gaps`), and the
+backward semi-Lagrangian phase-space pullback (`liouville_pullback`).
 MAX_STEPS bounds the steps of any one run, classical or quantum, counted
 as FFT pairs or force evaluations.  SUZUKI is the one table of
 composition weights, and it serves both splittings: a symmetric step of
 second order, taken in turn at these fractions of dt, is a symmetric step
-of fourth order (`schrodinger.propagate` composes its Strang step so, and
-`liouville_pullback` its Verlet step).
+of fourth order (`schrodinger.propagate` composes its Strang step so,
+and `newton_path` and `liouville_pullback` their Verlet step).
 
 Everything is serial numpy and evaluation order is fixed, so reruns are
 byte-identical.  Polynomials are coefficient arrays (low -> high degree):
@@ -27,7 +27,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, EscapeError
 
 # the most steps one run may take, classical or quantum, counted as FFT
 # pairs (one per Strang step or substep) or force evaluations (one per
@@ -101,34 +101,41 @@ def _kdk(force, m, x, p, dt, n_steps, weights=(1.0,)):
         yield step, x, p, f
 
 
-def verlet_path(force, m, r0, p0, dt, n_steps, stride, r_max):
-    """Scalar trajectory under the callable `force`; saves every `stride`
-    steps (step 0 included).  Returns (r_saved, p_saved, escape_step) with
-    escape_step = -1 when |r| stayed within r_max."""
-    r_out = [r0]
-    p_out = [p0]
-    escape_step = -1
-    for step, r, p, _ in _kdk(force, m, r0, p0, dt, n_steps):
-        if abs(r) > r_max:
-            escape_step = step
-            break
-        if step % stride == 0:
-            r_out.append(r)
-            p_out.append(p)
-    return np.array(r_out), np.array(p_out), escape_step
+def _gaps(times, dt_max):
+    """(t0, n, dt) for each gap [t0, t1] from t = 0 through the sorted
+    `times`: n = ceil((t1 - t0) / dt_max) equal steps of dt, landing on t1;
+    the shave keeps roundoff from adding a step to a whole multiple."""
+    t0 = 0.0
+    for t1 in times:
+        n = int(np.ceil((t1 - t0) / dt_max * (1.0 - 1e-12)))
+        yield t0, n, (t1 - t0) / max(n, 1)
+        t0 = t1
+
+
+def newton_path(force, m, r0, p0, times, dt_max, r_max):
+    """Scalar trajectory under the callable `force` in SUZUKI steps of at
+    most dt_max: arrays (r, p) at the sorted `times` (see `_gaps`), or
+    EscapeError at the end of the first step past |r| = r_max."""
+    r_out, p_out = [], []
+    r, p = r0, p0
+    for t0, n, dt in _gaps(times, dt_max):
+        for step, r, p, _ in _kdk(force, m, r, p, dt, n, SUZUKI):
+            if abs(r) > r_max:
+                raise EscapeError(f"trajectory left |r| <= {r_max:g} at "
+                                  f"t={t0 + step * dt:.6g}")
+        r_out.append(r)
+        p_out.append(p)
+    return np.array(r_out), np.array(p_out)
 
 
 def fan_path(fc, vc, m, x0, p0, save_times, dt_max):
     """Integrate a fan of characteristics, accumulating the action
     integral of (p^2/2m - V) by the trapezoid rule.
 
-    The fan runs segment by segment between the sorted save times (the
-    first segment starts at t = 0): each segment [t0, t1] takes
-    n = ceil((t1 - t0) / dt_max) equal steps of (t1 - t0) / n, so every
-    saved row sits exactly at its requested time.  A segment that is a
-    whole multiple of dt_max up to roundoff takes that whole number of
-    steps.  The fan's spatial ordering is checked after every step, and
-    the integration stops at the first step where two adjacent
+    The fan runs in plain Verlet steps, segment by segment between the
+    sorted save times (`_gaps`), so every saved row sits exactly at its
+    requested time.  The fan's spatial ordering is checked after every
+    step, and the integration stops at the first step where two adjacent
     characteristics cross (or coincide): past it no single-valued action
     field exists.  Returns the rows saved before the crossing and
     `t_crossing`, the earliest root of the crossed gaps interpolated
@@ -145,12 +152,7 @@ def fan_path(fc, vc, m, x0, p0, save_times, dt_max):
     x, p = x0.copy(), p0
     act = np.zeros(x0.size)
     lag = 0.5 * p0 * p0 / m - _horner(vc, x0)
-    t0 = 0.0
-    for isave, t1 in enumerate(save_times):
-        # the relative shave keeps roundoff in the quotient from adding a
-        # step to a whole multiple of dt_max
-        n = int(np.ceil((t1 - t0) / dt_max * (1.0 - 1e-12)))
-        dt = (t1 - t0) / max(n, 1)
+    for isave, (t0, n, dt) in enumerate(_gaps(save_times, dt_max)):
         for step, x_new, p, _ in _kdk(force, m, x, p, dt, n):
             if (x_new[1:] <= x_new[:-1]).any():
                 gap = np.diff(x)
@@ -166,7 +168,6 @@ def fan_path(fc, vc, m, x0, p0, save_times, dt_max):
         x_out[isave] = x
         p_out[isave] = p
         a_out[isave] = act
-        t0 = t1
     return x_out, p_out, a_out, None
 
 

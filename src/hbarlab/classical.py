@@ -1,7 +1,7 @@
 """Newtonian trajectories and phase-space transport.
 
-newton_integrate is a velocity-Verlet (symplectic, second order)
-integrator that returns its samples as plain (r, p) arrays;
+newton_integrate lands composed fourth-order steps on the caller's sample
+times and returns the Newton trajectory there as plain (r, p) arrays;
 liouville_evolve advances a phase-space density by the backward
 semi-Lagrangian method (each node is pulled back through the Newton flow
 in composed fourth-order steps of at most dt, and the initial density is
@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from . import _kernels
-from .errors import DomainError, EscapeError, MassDriftError
+from .errors import DomainError, MassDriftError
 from .potential import eval_force
 
 __all__ = [
@@ -32,30 +32,30 @@ MASS_DRIFT_TOL = 1e-3
 DEFAULT_ESCAPE_BOUND = 1e6
 
 
-def newton_integrate(V, r0, p0, dt, n_steps, save_stride=1):
-    """Velocity-Verlet trajectory of the particle of mass V.mass under
-    -dV/dx, from t = 0.  Returns arrays (r, p) sampled every save_stride
-    steps, step 0 included: sample j is at t = dt * save_stride * j.
-    Raises EscapeError if |r| exceeds DEFAULT_ESCAPE_BOUND (unbounded
-    motion guard)."""
-    if dt <= 0:
-        raise DomainError(f"dt must be positive, got {dt}")
-    n_steps = int(n_steps)
-    save_stride = int(save_stride)
-    if n_steps % save_stride != 0:
-        raise DomainError("n_steps must be a multiple of save_stride")
+def newton_integrate(V, r0, p0, times, n_steps):
+    """Trajectory of the particle of mass V.mass under -dV/dx from
+    (r0, p0) at t = 0 in SUZUKI steps of at most times[-1] / n_steps,
+    landing on each sorted sample time (t = 0 allowed): arrays (r, p)
+    there.  Bad times or n_steps, or more than MAX_STEPS force evaluations,
+    raise DomainError before the first step; |r| past DEFAULT_ESCAPE_BOUND
+    raises EscapeError."""
+    times = np.asarray(times, dtype=float)
+    if not (times.ndim == 1 and times.size and 0 <= times[0]
+            and 0 < times[-1] < np.inf and np.all(np.diff(times) >= 0)
+            and n_steps > 0):
+        raise DomainError("sample times must be finite, sorted, >= 0 and not "
+                          "all zero, and n_steps positive")
+    # each gap takes at most one step more than its share of n_steps
+    _kernels.check_steps((n_steps + times.size) * len(_kernels.SUZUKI),
+                         "[numerics] t_final (or t_star) and n_snapshots")
     if V.kind == "tabulated":
         force = partial(eval_force, V)
     else:
         # a list keeps the scalar steps in Python floats (see _horner)
         force = partial(_kernels._horner, V.force_coeffs().tolist())
-    r_out, p_out, esc = _kernels.verlet_path(
-        force, V.mass, float(r0), float(p0), dt, n_steps, save_stride,
-        DEFAULT_ESCAPE_BOUND)
-    if esc >= 0:
-        raise EscapeError(f"trajectory left |r| <= {DEFAULT_ESCAPE_BOUND:g} "
-                          f"at t={esc * dt:.6g}")
-    return r_out, p_out
+    return _kernels.newton_path(force, V.mass, float(r0), float(p0),
+                                times.tolist(), times[-1] / n_steps,
+                                DEFAULT_ESCAPE_BOUND)
 
 
 # ----------------------------------------------------------------------

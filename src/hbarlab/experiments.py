@@ -32,31 +32,32 @@ liouville_demo    phase-space blob transport checkpoints.
 (no kind)         the uncertainty run of `simulate`: one packet, the
                   uncertainty product against its floor hbar/2.
 
-Numerics policy: every quantum run sizes its own grid from its packet
-and potential scales (resolution follows the momentum content ~ p/hbar
-plus the packet's own spectral width down to DEFAULT_FLOOR of its peak,
-so step sizes shrink with hbar and splitting errors on the means drop as
-hbar^2 across a combined scan); a packet that no grid of at most
-MAX_GRID_N points resolves is refused with DomainError.  BoundaryLeak
-triggers an automatic rerun on a doubled domain, at most twice.  A
-quantum run takes two steps on its own grid.  Its probe step, the
-phase-rotation limit of `schrodinger.max_stable_dt` shortened to a whole
-number of steps per snapshot interval, spaces every snapshot's triple,
-whose centered phase difference gives the dS/dt of
-`madelung.snapshot_diagnostics`.  Its span step, a fourth-order
-composition (`_kernels.SUZUKI`) of Strang substeps up to
-`schrodinger.SPAN_FACTOR` limits long, crosses the rest of each snapshot
-interval.  The two steps' phase factors are built once per run, and a run
-of more than `_kernels.MAX_STEPS` FFT pairs is refused with DomainError
-before its first.  A run keeps its rows in QUANTUM_COLUMNS order (read one
-with `QuantumRunData.column`) and, with [output] dump_fields, each
-snapshot's (t, x, psi) for the record.  Each quantum record's fits carry
-grid_n, dt, span_dt, propagation_steps (FFT pairs) and widen_retries; they
-reach summary.txt and the CLI line, not the CSV.  The three limit scans
-and the uncertainty run share one loop over scan points, `_quantum_scan`.
+Numerics policy: every quantum run sizes its own grid from its packet and
+potential scales (resolution follows the momentum content ~ p/hbar plus
+the packet's own spectral width down to DEFAULT_FLOOR of its peak, so step
+sizes shrink with hbar and splitting errors on the means drop as hbar^2
+across a combined scan); a packet that no grid of at most MAX_GRID_N
+points resolves is refused with DomainError naming [packet] and [numerics]
+grid.  BoundaryLeak triggers an automatic rerun on a doubled domain, at
+most twice.  A quantum run takes two steps on its own grid.  Its probe step,
+the phase-rotation limit of `schrodinger.max_stable_dt` shortened to a
+whole number of steps per snapshot interval, spaces every snapshot's
+triple, whose centered phase difference gives the dS/dt of
+`madelung.snapshot_diagnostics`.  Its span step, a fourth-order composition
+(`_kernels.SUZUKI`) of Strang substeps up to `schrodinger.SPAN_FACTOR`
+limits long, crosses the rest of each snapshot interval.  The two steps'
+phase factors are built once per run, and a run of more than
+`_kernels.MAX_STEPS` FFT pairs is refused with DomainError before its
+first.  A run keeps its rows in QUANTUM_COLUMNS order (read one with
+`QuantumRunData.column`) and, with [output] dump_fields, each snapshot's
+(t, x, psi) for the record.  Each quantum record's fits carry grid_n, dt,
+span_dt, propagation_steps (FFT pairs) and widen_retries; they reach
+summary.txt and the CLI line, not the CSV.  The three limit scans and the
+uncertainty run share one loop over scan points, `_quantum_scan`.  Every
+Newton reference is one `_newton_reference` call: composed steps of at
+most NEWTON_DT, landing on the times it is compared at.
 """
 
-import functools
 import time
 from dataclasses import dataclass
 
@@ -93,6 +94,7 @@ MIN_GRID_N = 64                 # auto_grid's fewest points
 # auto_grid resolves a packet's density tails and spectrum down to this
 # fraction of their peak
 DEFAULT_FLOOR = 1e-12
+NEWTON_DT = 1e-2    # the Newton reference's largest composed step
 
 
 @dataclass
@@ -111,6 +113,7 @@ def _next_pow2(n):
     return 1 << int(np.ceil(np.log2(max(n, 1))))
 
 
+@np.errstate(over="ignore")
 def _packet_need(V, eps0, r0, p0, hbar, t_final):
     """(half, k_need): the half-length of the domain, from the classical
     extent plus packet tails, and the k_max the packet needs, 1.3
@@ -118,8 +121,8 @@ def _packet_need(V, eps0, r0, p0, hbar, t_final):
     at its narrowest (density standard deviation sigma_min) has fallen
     below DEFAULT_FLOOR of its peak.  For a polynomial or tabulated
     potential p_max also counts the largest V over the packet's tails down
-    to that floor.  The inputs are taken as numpy floats, so a need past
-    the largest float reads inf instead of raising OverflowError."""
+    to that floor.  The inputs are taken as numpy floats and overflow is
+    silent, so a need past the largest float reads inf, never a warning."""
     eps0, r0, p0, hbar, t_final = map(np.float64, (eps0, r0, p0, hbar,
                                                    t_final))
     m = np.float64(V.mass)
@@ -182,6 +185,7 @@ def _packet_need(V, eps0, r0, p0, hbar, t_final):
     return half, k_need
 
 
+@np.errstate(over="ignore")
 def auto_grid(V, eps0, r0, p0, hbar, t_final):
     """The grid `_packet_need` asks for: n is the next power of two of the
     points k_need needs on [-half, half], at least MIN_GRID_N.  A packet
@@ -324,6 +328,21 @@ def _loglog_slope(x, y):
                             np.log(np.asarray(y)), 1)[0])
 
 
+def _config_auto_grid(cfg, V, eps, r0, p0, hbar, t_final):
+    """auto_grid, its refusal naming the sections that set the need."""
+    try:
+        return auto_grid(V, eps, r0, p0, hbar, t_final)
+    except DomainError as err:
+        raise DomainError(f"{cfg.origin}: [packet] and [numerics] grid: "
+                          f"{err}") from None
+
+
+def _newton_reference(V, r0, p0, times):
+    """Newton's (r, p) at the sorted `times`, in steps of at most NEWTON_DT."""
+    return classical.newton_integrate(V, r0, p0, times,
+                                      np.ceil(times[-1] / NEWTON_DT))
+
+
 def _quantum_scan(cfg, experiment, V, r0, p0, points, t_final, n_snapshots,
                   point_fits):
     """One quantum run and one RunRecord per scan point.
@@ -340,7 +359,7 @@ def _quantum_scan(cfg, experiment, V, r0, p0, points, t_final, n_snapshots,
     for label, hbar, eps in points:
         grid = cfg.grid_spec()
         if grid is None:
-            grid = auto_grid(V, eps, r0, p0, hbar, t_final)
+            grid = _config_auto_grid(cfg, V, eps, r0, p0, hbar, t_final)
         else:
             k_need = _packet_need(V, eps, r0, p0, hbar, t_final)[1]
             if not np.pi / grid.dx >= k_need:
@@ -425,13 +444,9 @@ def run_deterministic_limit(cfg):
                     f"a fixed-hbar width scan must vary epsilon away from it")
 
     # shared reference grid (largest domain: the smallest width spreads most)
-    ref_grid = cfg.grid_spec() or auto_grid(V, eps_list[-1], r0, p0, hbar,
-                                            t_star)
-    n_ref = np.ceil(t_star / 1e-3)
-    check_steps(n_ref, "[numerics] t_star")
-    n_ref = int(n_ref)
-    r_ref, _ = classical.newton_integrate(V, r0, p0, t_star / n_ref, n_ref)
-    r_star = r_ref[-1]
+    ref_grid = cfg.grid_spec() or _config_auto_grid(
+        cfg, V, eps_list[-1], r0, p0, hbar, t_star)
+    r_star = _newton_reference(V, r0, p0, [t_star])[0][-1]
 
     def point_fits(data, hbar, eps):
         width = data.column("width")[-1]
@@ -470,22 +485,11 @@ def run_combined_limit(cfg):
     t_final = cfg.get_positive("numerics", "t_final")
     n_snapshots = cfg.get_int("numerics", "n_snapshots", 64)
 
-    t_snap = t_final / n_snapshots
-    n_per = np.ceil(t_snap / 1e-4)
-    check_steps(n_per * n_snapshots, "[numerics] t_final and n_snapshots")
-    n_per = int(n_per)
-    # integrated once the first point has sized its grid, so a packet no
-    # grid resolves is refused as in the other scans
-    @functools.cache
-    def newton_r():
-        return classical.newton_integrate(
-            V, r0, p0, t_snap / n_per, n_per * n_snapshots,
-            save_stride=n_per)[0]
-
     def point_fits(data, hbar, eps):
+        newton_r = _newton_reference(V, r0, p0, data.column("t"))[0]
         return {"epsilon": eps,
                 "trajectory_deviation_max":
-                    float(np.max(np.abs(data.column("x_mean") - newton_r()))),
+                    float(np.max(np.abs(data.column("x_mean") - newton_r))),
                 "terminal_width": data.column("width")[-1],
                 "kurtosis_excess_max":
                     float(np.max(np.abs(data.column("kurtosis_excess"))))}
@@ -594,12 +598,7 @@ def run_phj_demo(cfg):
     fan = hjflow.solve_hj(grid, s0, V, t_final, dt=delta / 4,
                           snapshot_times=snapshot_times)
 
-    n_traj = np.ceil(t_final / 1e-4)
-    check_steps(n_traj, "[numerics] t_final")
-    n_traj = int(n_traj)
-    r, p = classical.newton_integrate(V, r0, p0, t_final / n_traj, n_traj)
-    times = t_final / n_traj * np.arange(n_traj + 1)
-    r_t, p_t = np.interp(fan.times, times, r), np.interp(fan.times, times, p)
+    r_t, p_t = _newton_reference(V, r0, p0, fan.times)
     term1, term2, p_gap = hjflow.deterministic_continuity_check(
         eps, fan, r_t, p_t)
     newton_res = hjflow.projected_newton_check(fan, V, r_t)

@@ -3,10 +3,9 @@
 The classical action equation dS/dt + (dS/dx)^2/2m + V = 0 is integrated by
 launching one Newton trajectory from every grid node with p0 = dS0/dx and
 accumulating the action S_j(t) = S0(x0_j) + int (p^2/2m - V) dt' along each.
-The fan runs segment by segment between the snapshot times, each segment in
-equal Stormer-Verlet steps no longer than the requested dt, so every
-snapshot is taken exactly at its requested time and a centred difference
-across snapshots t - delta, t, t + delta stays centred.
+The fan lands on every snapshot time in Stormer-Verlet steps of at most
+the requested dt (`_kernels._gaps`), so a centred difference across
+snapshots t - delta, t, t + delta stays centred.
 
 Characteristics are exact pre-caustic; when neighbors cross, a single-valued
 action field stops existing, so the fan ends there and solve_hj raises

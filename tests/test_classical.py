@@ -26,46 +26,54 @@ class TestNewtonIntegrate:
     def test_harmonic_closed_orbit(self):
         V = PotentialSpec.harmonic(1.0, 1.0)
         n = int(round(2 * np.pi / 1e-3))
-        r, p = newton_integrate(V, 1.0, 0.0, 2 * np.pi / n, n)
+        r, p = newton_integrate(V, 1.0, 0.0, [2 * np.pi], n)
         assert r[-1] == pytest.approx(1.0, abs=1e-6)
         assert p[-1] == pytest.approx(0.0, abs=1e-6)
 
     def test_free_motion_exact(self):
-        r, _ = newton_integrate(PotentialSpec.free(), 0.0, 2.0, 1e-3, 3000)
+        # at the lab's reference step of 1e-2: each composed step rounds
+        # five drifts, one of them backward, and 3000 steps round 1.2e-12
+        r, _ = newton_integrate(PotentialSpec.free(), 0.0, 2.0, [3.0], 300)
         assert r[-1] == pytest.approx(6.0, abs=1e-12)
 
     def test_constant_force_exact(self):
-        # Verlet is exact for a uniform force.
+        # Verlet, and so each substep of the composed step, is exact for a
+        # uniform force.
         r, p = newton_integrate(PotentialSpec.constant_force(2.0),
-                                0.0, 0.0, 1e-3, 1000)
+                                0.0, 0.0, [1.0], 1000)
         assert r[-1] == pytest.approx(1.0, abs=1e-10)
         assert p[-1] == pytest.approx(2.0, abs=1e-12)
 
     def test_energy_has_no_secular_drift(self):
         V = PotentialSpec.harmonic(1.0, 1.0)
-        r, p = newton_integrate(V, 1.0, 0.0, 1e-3, 10 ** 6, save_stride=1000)
+        # 1001 samples one time unit apart, 10^5 composed steps of 1e-2
+        r, p = newton_integrate(V, 1.0, 0.0, np.arange(1001.0), 10 ** 5)
         energy = 0.5 * p ** 2 / V.mass + eval_potential(V, r)
         assert np.max(np.abs(energy - energy[0])) <= 1e-6
 
     def test_escape_guard(self):
         # inverted parabola V = -x^2: r = 0.1 cosh(sqrt(2) t) passes the
-        # escape bound 1e6 near t = 11.9, inside the 50000 steps of 1e-3
+        # escape bound 1e6 near t = 11.9, inside the 50000 steps to t = 50
         V = PotentialSpec.polynomial([0, 0, -1.0])
         with pytest.raises(EscapeError):
-            newton_integrate(V, 0.1, 0.0, 1e-3, 50000)
+            newton_integrate(V, 0.1, 0.0, [50.0], 50000)
 
     def test_dt_validation(self):
-        with pytest.raises(DomainError):
-            newton_integrate(PotentialSpec.free(), 0.0, 1.0, -1e-3, 10)
+        # a negative, unsorted or all-zero sample time, or no step
+        free = PotentialSpec.free()
+        for times, n in (([-1e-3], 10), ([0.5, 0.2], 10), ([0.0, 0.0], 10),
+                         ([], 10), ([1.0], 0), ([np.inf], 10)):
+            with pytest.raises(DomainError):
+                newton_integrate(free, 0.0, 1.0, times, n)
 
     def test_monodromy_determinant_is_one(self):
-        # One harmonic step is an exactly linear map, so finite differences
-        # recover it exactly; symplecticity means det = 1.
+        # One composed harmonic step is an exactly linear map, so finite
+        # differences recover it exactly; symplecticity means det = 1.
         V = PotentialSpec.harmonic(1.0, 1.0)
         dt, d = 1e-3, 1e-3
 
         def step(r0, p0):
-            r, p = newton_integrate(V, r0, p0, dt, 1)
+            r, p = newton_integrate(V, r0, p0, [dt], 1)
             return r[-1], p[-1]
 
         r1, p1 = step(1.0 + d, 0.5)
@@ -77,12 +85,16 @@ class TestNewtonIntegrate:
         assert abs(np.linalg.det(jac) - 1.0) <= 1e-12
 
     def test_sampling(self):
-        # sample j is at t = dt * save_stride * j, step 0 included
-        r, p = newton_integrate(PotentialSpec.free(), 0.0, 1.0, 1e-3, 1000,
-                                save_stride=10)
-        assert r.size == p.size == 101
-        assert np.allclose(r[[25, 50]], [0.25, 0.5], atol=1e-9)
-        assert np.allclose(p[[25, 50]], [1.0, 1.0])
+        # one sample per requested time, t = 0 and a repeat included, each
+        # landed on exactly: under a uniform force F = 2 the steps are
+        # exact, so r = t^2 and p = 2 t hold at the times themselves, while
+        # a sample one step of 1e-2 off would miss r by up to 2e-2
+        times = np.array([0.0, 0.013, 0.25, 0.25, 0.5, 0.77, 1.0])
+        r, p = newton_integrate(PotentialSpec.constant_force(2.0), 0.0, 0.0,
+                                times, 100)
+        assert r.size == p.size == times.size
+        assert np.allclose(r, times ** 2, atol=1e-9)
+        assert np.allclose(p, 2 * times)
 
 
 # max |difference| / max(1, |value|) of r and p; 300 random cases read at
@@ -92,8 +104,8 @@ NEWTON_MASS_SCALING_TOL = 1e-14
 
 class TestNewtonMassScaling:
     # m r'' = -V'(r) is, in tau = t/m, r'' = -m V'(r) with momentum
-    # dr/dtau = p: the path under V of mass m at step dt is the path under
-    # m V of unit mass at step dt/m.  The runs end by t = 0.25; the fastest
+    # dr/dtau = p: the path under V of mass m at times t is the path under
+    # m V of unit mass at times t/m.  The runs end by t = 0.25; the fastest
     # corner case (|c_j| = 1, |r0| = 1, |p0| = 2, m = 0.5) passes the
     # escape bound at t = 0.37.
     @settings(max_examples=100, deadline=None)
@@ -104,8 +116,9 @@ class TestNewtonMassScaling:
     def test_mass_rescales_time(self, coeffs, m, r0, p0, dt, n):
         V = PotentialSpec.polynomial(coeffs, mass=m)
         unit = PotentialSpec.polynomial(m * np.asarray(coeffs))
-        path = newton_integrate(V, r0, p0, dt, n)
-        scaled = newton_integrate(unit, r0, p0, dt / m, n)
+        times = dt * np.arange(n + 1)
+        path = newton_integrate(V, r0, p0, times, n)
+        scaled = newton_integrate(unit, r0, p0, times / m, n)
         for a, b in zip(path, scaled):
             assert (np.max(np.abs(a - b) / np.maximum(1.0, np.abs(a)))
                     <= NEWTON_MASS_SCALING_TOL)
@@ -182,22 +195,22 @@ class TestDeltaAnsatz:
 
     def test_free_exact(self):
         V = PotentialSpec.free()
-        n = 10000
-        dt = 3.0 / n
-        r, p = newton_integrate(V, 0.0, 1.0, dt, n, save_stride=5)
+        n = 2000
+        h = 3.0 / n
+        r, p = newton_integrate(V, 0.0, 1.0, h * np.arange(n + 1), n)
         # phi = p is an exact invariant of free flow
         phi_p = ((lambda x, p: p, lambda x, p: 0.0, lambda x, p: 1.0),)
-        assert weak_liouville_residual(r, p, dt * 5, V, phi_p) <= 1e-12
+        assert weak_liouville_residual(r, p, h, V, phi_p) <= 1e-12
         # quadratic test functions are centered-difference exact up to
         # h-amplified roundoff
         assert delta_ansatz_check(V, 0.0, 1.0, 3.0) <= 1e-10
 
     def test_perturbed_trajectory_detected(self):
         V = PotentialSpec.harmonic(1.0, 1.0)
-        n = 10000
-        dt = 2 * np.pi / n
-        r, p = newton_integrate(V, 1.0, 0.5, dt, n, save_stride=5)
-        assert weak_liouville_residual(r, 1.01 * p, dt * 5, V) > 1e-3
+        n = 2000
+        h = 2 * np.pi / n
+        r, p = newton_integrate(V, 1.0, 0.5, h * np.arange(n + 1), n)
+        assert weak_liouville_residual(r, 1.01 * p, h, V) > 1e-3
 
 
 def quantum_snapshots(V, g, eps, r0, p0, hbar, t_final, n_snaps,

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hbarlab import hjflow
-from hbarlab.classical import gaussian_phase_blob
+from hbarlab.classical import gaussian_phase_blob, newton_integrate
 from hbarlab.cli import cli_main as main
 from hbarlab.config import KEYS, RunConfig, load_potential_table
 from hbarlab.detpot import classify
@@ -32,8 +32,10 @@ from hbarlab.errors import (
 from hbarlab.experiments import (
     DEFAULT_FLOOR,
     EXPERIMENTS,
+    NEWTON_DT,
     QuantumRunData,
     ScanResult,
+    _newton_reference,
     _packet_need,
     auto_grid,
     run_combined_limit,
@@ -662,6 +664,24 @@ class TestExperiments:
             assert times[i] - times[i - 1] == pytest.approx(1e-3, abs=1e-15)
             assert times[i + 1] - times[i] == pytest.approx(1e-3, abs=1e-15)
 
+    @pytest.mark.parametrize("name", ["combined_free", "combined_constforce",
+                                      "combined_harmonic", "combined_quartic"])
+    def test_newton_reference_error_by_step_halving(self, name):
+        # criterion 3 orders the deviations from the reference within an
+        # additive 1e-9, so the reference must err by less at its shipped
+        # step; for a fourth-order step |r(h) - r(h/2)| 16/15 estimates the
+        # error of r(h) (Richardson), here on the preset's own row times
+        cfg = _preset_config(name)
+        V = cfg.potential()
+        r0, p0 = cfg.packet_center()
+        t_final = cfg.get_positive("numerics", "t_final")
+        n_snapshots = cfg.get_int("numerics", "n_snapshots", 64)
+        times = t_final / n_snapshots * np.arange(n_snapshots + 1)
+        r_h, _ = _newton_reference(V, r0, p0, times)
+        r_half, _ = newton_integrate(V, r0, p0, times,
+                                     2 * np.ceil(t_final / NEWTON_DT))
+        assert np.max(np.abs(r_h - r_half)) * 16 / 15 <= 1e-9
+
     def test_liouville_runner(self):
         cfg = RunConfig.from_text(
             "[experiment]\nkind = liouville_demo\n"
@@ -776,6 +796,12 @@ class TestAutoGrid:
     # a subnormal force, whose turning time -p0/f0 overflows a float
     @example(kind="constant_force", hbar=1.0, eps=0.5, r0=0.0, p0=1.0,
              t_final=1.0, f0=5e-324, omega=1.0, c2=0.0, c4=1.0)
+    # needs past the largest float, whose extent must overflow to inf
+    # without a warning
+    @example(kind="constant_force", hbar=1.0, eps=0.5, r0=0.0, p0=1.0,
+             t_final=1e10, f0=1e300, omega=1.0, c2=0.0, c4=1.0)
+    @example(kind="free", hbar=1.0, eps=0.5, r0=0.0, p0=1e300,
+             t_final=1e10, f0=0.0, omega=1.0, c2=0.0, c4=1.0)
     def test_grid_resolves_initial_packet(self, kind, hbar, eps, r0, p0,
                                           t_final, f0, omega, c2, c4):
         # with no floor padding the resolution, the t = 0 packet must still
@@ -871,7 +897,8 @@ class TestCLI:
 
     def test_phj_newton_reference_takes_any_step_count(self, tmp_path,
                                                        capsys):
-        # 12,002 Newton steps: the reference trajectory saves every one
+        # a t_final that is no whole number of reference steps: the
+        # reference still lands on every one of the fan's times
         code = main(["phj", "--config", "phj_harmonic",
                      "--set", "numerics.t_final=1.20013",
                      "--out", str(tmp_path)])
@@ -1172,6 +1199,8 @@ class TestCLI:
     UNRESOLVABLE = [
         ("simulate", "uncertainty_coherent", "packet.r0=1e6"),
         ("simulate", "uncertainty_coherent", "packet.r0=1e100"),
+        # refused by the deterministic scan's shared reference grid
+        ("scan", "deterministic_harmonic", "packet.r0=1e200"),
         # needs past the largest float: Python's ** overflows, or the point
         # count is inf
         ("simulate", "uncertainty_coherent", "packet.p0=1e300"),
@@ -1195,11 +1224,13 @@ class TestCLI:
         err = capsys.readouterr().err
         assert code == 1
         assert "Traceback" not in err
-        assert "error: the packet needs a grid of " in err
+        keys = f"error: preset:{preset}: [packet] and [numerics] grid: "
+        assert keys + "the packet needs a grid of " in err
         assert "at most 65536" in err
-        # the point count prints in short form, however large the need
-        assert all(len(line) <= 160 for line in err.splitlines()
-                   if line.startswith("error:"))
+        # the point count prints in short form, however large the need:
+        # the refusal after the named sections keeps within 160 columns
+        assert all(len("error: " + line[len(keys):]) <= 160
+                   for line in err.splitlines() if line.startswith("error:"))
         assert not os.listdir(tmp_path)
 
     UNRESOLVED_GRID = [
@@ -1275,12 +1306,12 @@ class TestCLI:
          "t_final (or t_star) and n_snapshots"),
         ("simulate", "uncertainty_coherent", "numerics.n_snapshots=100000000",
          "t_final (or t_star) and n_snapshots"),
-        # the Newton reference's step count is checked before any point
-        # runs; t_final / 1e-4 overflows a float
+        # the first point's quantum run refuses before the reference runs
         ("scan", "combined_harmonic", "numerics.t_final=1e308",
-         "t_final and n_snapshots"),
+         "t_final (or t_star) and n_snapshots"),
+        # the shared Newton reference is checked before any point runs
         ("scan", "deterministic_harmonic", "numerics.t_star=1e300",
-         "t_star"),
+         "t_final (or t_star) and n_snapshots"),
         ("phj", "phj_harmonic", "numerics.t_final=1e300", "t_final"),
     ]
 
