@@ -1,22 +1,20 @@
 """Hot integrator kernels on one symplectic stepper.
 
-`_kdk` is the only kick-drift-kick (Stormer-Verlet) loop in the package.
-It composes: given weights, one step runs a Verlet substep at each of
-those fractions of dt.  It works on scalars and on numpy arrays alike, and
-run with a negative dt it traces the same flow backward.  It steps copies
-of its start arrays in place, so a step makes no new node arrays; what it
-yields is valid only until its next step, and a kernel that needs the
-previous step keeps its own copy.  The three public kernels are short
-loops over it: the scalar Newton trajectory (`newton_path`, composed) and
-the characteristic fan with its action integral (`fan_path`, plain
-Verlet), both landing on given times by one rule (`_gaps`), and the
+`_kdk` is the only kick-drift-kick loop in the package: every step is
+SUZUKI's fourth-order composition of Stormer-Verlet substeps, and given
+the potential it sums the action on the way.  It works on scalars and on
+numpy arrays alike, and run with a negative dt it traces the same flow
+backward.  It steps copies of its start arrays in place, so a step makes
+no new node arrays; what it yields is valid only until its next step.
+The three public kernels are short loops over it: the scalar Newton
+trajectory (`newton_path`) and the characteristic fan with its action
+(`fan_path`), both landing on given times by one rule (`_gaps`), and the
 backward semi-Lagrangian phase-space pullback (`liouville_pullback`).
 MAX_STEPS bounds the steps of any one run, classical or quantum, counted
 as FFT pairs or force evaluations.  SUZUKI is the one table of
-composition weights, and it serves both splittings: a symmetric step of
-second order, taken in turn at these fractions of dt, is a symmetric step
-of fourth order (`schrodinger.propagate` composes its Strang step so,
-and `newton_path` and `liouville_pullback` their Verlet step).
+composition weights, and it serves both splittings (`schrodinger.propagate`
+composes its Strang step so): a symmetric step of second order, taken in
+turn at these fractions of dt, is a symmetric step of fourth order.
 
 Everything is serial numpy and evaluation order is fixed, so reruns are
 byte-identical.  Polynomials are coefficient arrays (low -> high degree):
@@ -31,7 +29,7 @@ from .errors import DomainError, EscapeError
 
 # the most steps one run may take, classical or quantum, counted as FFT
 # pairs (one per Strang step or substep) or force evaluations (one per
-# Verlet step or substep)
+# Verlet substep)
 MAX_STEPS = 10 ** 7
 
 # Suzuki's five-stage fourth-order composition (Phys. Lett. A 146, 319,
@@ -69,36 +67,42 @@ def _horner(c, x):
     return acc
 
 
-def _kdk(force, m, x, p, dt, n_steps, weights=(1.0,)):
-    """Kick-drift-kick steps from (x, p) under the force x -> F(x); yields
-    (step, x, p, f) after each of the steps 1..n_steps, f = F(x).
+def _kdk(force, m, x, p, dt, n_steps, potential=None):
+    """Composed kick-drift-kick steps from (x, p) under the force x -> F(x);
+    yields (step, x, p, action) after each of the steps 1..n_steps.
 
-    A step runs one kick-drift-kick substep at each fraction `weights` of
-    dt in turn: Stormer-Verlet for the default, a symmetric fourth-order
-    composition for SUZUKI.  The closing half-kick of one substep and the
-    opening half-kick of the next are one kick, so a step costs
-    len(weights) force evaluations.  x and p are copied once at entry and
-    then updated in place, so the caller's arrays are never touched and an
-    array step makes no new x or p; the yielded arrays are valid only until
-    the next step.  On scalars the same augmented assignments just
-    rebind."""
+    A step runs a Stormer-Verlet substep at each fraction SUZUKI of dt, the
+    closing half-kick of each fused with the opening one of the next: it
+    costs len(SUZUKI) force evaluations.  Given the potential x -> V(x),
+    the action since entry sums each substep's discrete Lagrangian
+    h (p_half^2 / 2m - (V_0 + V_1) / 2), else it is None.  x and p are
+    copied once at entry and then updated in place, so the caller's arrays
+    are never touched and an array step makes no new x or p; the yielded
+    arrays are valid only until the next step.  On scalars the same
+    augmented assignments just rebind."""
     x = x * 1.0
     p = p * 1.0
     # substep i kicks by its opening half-kick w_i dt / 2 fused with the
-    # closing one of substep i - 1, then drifts by w_i dt / m; w = 1 rounds
-    # exactly as Verlet's dt / 2 and dt / m
-    h = [0.5 * dt * w for w in weights]
+    # closing one of substep i - 1, then drifts by w_i dt / m
+    h = [0.5 * dt * w for w in SUZUKI]
     stages = tuple(zip(h[:1] + [a + b for a, b in zip(h, h[1:])],
-                       [dt * w / m for w in weights]))
+                       [dt * w / m for w in SUZUKI]))
     closing = h[-1]
     f = force(x)
+    act, v = (None, None) if potential is None else (0.0, potential(x))
     for step in range(1, n_steps + 1):
         for kick, drift in stages:
             p += kick * f
             x += drift * p
+            if act is not None:
+                # minus the kick's weight times V, plus the drift's h p^2/2m
+                act += 0.5 * drift * p * p - kick * v
+                v = potential(x)
             f = force(x)
         p += closing * f
-        yield step, x, p, f
+        if act is not None:
+            act -= closing * v
+        yield step, x, p, act
 
 
 def _gaps(times, dt_max):
@@ -119,7 +123,7 @@ def newton_path(force, m, r0, p0, times, dt_max, r_max):
     r_out, p_out = [], []
     r, p = r0, p0
     for t0, n, dt in _gaps(times, dt_max):
-        for step, r, p, _ in _kdk(force, m, r, p, dt, n, SUZUKI):
+        for step, r, p, _ in _kdk(force, m, r, p, dt, n):
             if abs(r) > r_max:
                 raise EscapeError(f"trajectory left |r| <= {r_max:g} at "
                                   f"t={t0 + step * dt:.6g}")
@@ -129,20 +133,20 @@ def newton_path(force, m, r0, p0, times, dt_max, r_max):
 
 
 def fan_path(fc, vc, m, x0, p0, save_times, dt_max):
-    """Integrate a fan of characteristics, accumulating the action
-    integral of (p^2/2m - V) by the trapezoid rule.
+    """Integrate a fan of characteristics, with the action integral of
+    (p^2/2m - V) that `_kdk` sums along each.
 
-    The fan runs in plain Verlet steps, segment by segment between the
-    sorted save times (`_gaps`), so every saved row sits exactly at its
-    requested time.  The fan's spatial ordering is checked after every
-    step, and the integration stops at the first step where two adjacent
-    characteristics cross (or coincide): past it no single-valued action
-    field exists.  Returns the rows saved before the crossing and
-    `t_crossing`, the earliest root of the crossed gaps interpolated
-    linearly across that step (exact for free flow), or None if the fan
-    stayed monotone.
+    The fan runs in composed steps, segment by segment between the sorted
+    save times (`_gaps`), so every saved row sits exactly at its requested
+    time.  The fan's spatial ordering is checked after every step, and the
+    integration stops at the first step where two adjacent characteristics
+    cross (or coincide): past it no single-valued action field exists.
+    Returns the rows saved before the crossing and `t_crossing`, the
+    earliest root of the crossed gaps interpolated linearly across that
+    step (exact for free flow), or None if the fan stayed monotone.
     """
     force = partial(_horner, fc)
+    potential = partial(_horner, vc)
     ns = save_times.size
     x_out = np.empty((ns, x0.size))
     p_out = np.empty((ns, x0.size))
@@ -151,9 +155,9 @@ def fan_path(fc, vc, m, x0, p0, save_times, dt_max):
     # the stepper updates its own x in place
     x, p = x0.copy(), p0
     act = np.zeros(x0.size)
-    lag = 0.5 * p0 * p0 / m - _horner(vc, x0)
     for isave, (t0, n, dt) in enumerate(_gaps(save_times, dt_max)):
-        for step, x_new, p, _ in _kdk(force, m, x, p, dt, n):
+        gained = 0.0
+        for step, x_new, p, gained in _kdk(force, m, x, p, dt, n, potential):
             if (x_new[1:] <= x_new[:-1]).any():
                 gap = np.diff(x)
                 gap_new = np.diff(x_new)
@@ -162,9 +166,7 @@ def fan_path(fc, vc, m, x0, p0, save_times, dt_max):
                 t_cross = t0 + (step - 1 + frac) * dt
                 return x_out[:isave], p_out[:isave], a_out[:isave], t_cross
             np.copyto(x, x_new)
-            lnew = 0.5 * p * p / m - _horner(vc, x)
-            act += 0.5 * dt * (lag + lnew)
-            lag = lnew
+        act += gained
         x_out[isave] = x
         p_out[isave] = p
         a_out[isave] = act
@@ -183,7 +185,7 @@ def liouville_pullback(fc, m, x_nodes, p_nodes, dt, n_sub, n_checkpoints,
     out = []
     for step, x, p, _ in _kdk(partial(_horner, fc), m,
                               np.repeat(x_nodes, npp), np.tile(p_nodes, nx),
-                              -dt, n_sub, SUZUKI):
+                              -dt, n_sub):
         if step % stride == 0:
             out.append(_bilinear(rho0, x, p, x0_min, dx0, p0_min, dp0)
                        .reshape(nx, npp))

@@ -64,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classical, detpot, hjflow, madelung, schrodinger
-from ._kernels import SUZUKI, check_steps
+from ._kernels import MAX_STEPS, SUZUKI, check_steps
 from .errors import BoundaryLeak, DomainError, LabError
 from .grid import MAX_GRID_N, make_grid
 from .potential import eval_potential
@@ -94,7 +94,7 @@ MIN_GRID_N = 64                 # auto_grid's fewest points
 # auto_grid resolves a packet's density tails and spectrum down to this
 # fraction of their peak
 DEFAULT_FLOOR = 1e-12
-NEWTON_DT = 1e-2    # the Newton reference's largest composed step
+NEWTON_DT = 1e-2    # the largest step of every Newton path, the phj fan too
 
 
 @dataclass
@@ -246,20 +246,24 @@ def quantum_run(V, grid, eps0, r0, p0, hbar, t_final, n_snapshots,
     Quantum to Classical Molecular Dynamics, 2008, ch. III), and every
     pinned tolerance holds at these steps.  A run of more than MAX_STEPS FFT
     pairs is refused before its first; the refusal names [potential] when
-    the potential's phase, not the kinetic one, bounds the step.
+    the run would fit at the kinetic limit alone.
     """
     t_snap = t_final / n_snapshots
     dt_kin, dt_pot = schrodinger.phase_limits(grid, V, hbar)
-    limit = min(dt_kin, dt_pot)
-    # >= 3 steps per snapshot interval, so consecutive triples do not overlap
-    n_sub = max(3.0, np.ceil(t_snap / limit))
-    n_span = np.ceil((t_snap - 2.0 * t_snap / n_sub)
-                     / (schrodinger.SPAN_FACTOR * limit))
-    fft_pairs = 2 + n_snapshots * (2 + len(SUZUKI) * n_span)
+
+    def schedule(limit):
+        # >= 3 steps per snapshot interval, so consecutive triples do not
+        # overlap
+        n_sub = max(3.0, np.ceil(t_snap / limit))
+        n_span = np.ceil((t_snap - 2.0 * t_snap / n_sub)
+                         / (schrodinger.SPAN_FACTOR * limit))
+        return n_sub, n_span, 2 + n_snapshots * (2 + len(SUZUKI) * n_span)
+
+    n_sub, n_span, fft_pairs = schedule(min(dt_kin, dt_pot))
     check_steps(fft_pairs,
-                f"[potential], whose phase bounds the step to {limit:.3g}"
-                if dt_pot < dt_kin else
-                "[numerics] t_final (or t_star) and n_snapshots")
+                "[numerics] t_final (or t_star) and n_snapshots"
+                if not schedule(dt_kin)[2] <= MAX_STEPS else
+                f"[potential], whose phase bounds the step to {dt_pot:.3g}")
     dt = t_snap / int(n_sub)
     n_span = int(n_span)
     span_dt = (t_snap - 2.0 * dt) / n_span
@@ -337,6 +341,18 @@ def _config_auto_grid(cfg, V, eps, r0, p0, hbar, t_final):
                           f"{err}") from None
 
 
+def _polynomial_potential(cfg, integrator):
+    """The config's potential, refused with DomainError naming [potential]
+    kind when it is a table: `integrator` steps the force polynomial, and
+    a table has none."""
+    V = cfg.potential()
+    if V.kind == "tabulated":
+        raise DomainError(f"{cfg.origin}: [potential] kind: a tabulated "
+                          f"potential has no force polynomial, which "
+                          f"{integrator} needs")
+    return V
+
+
 def _newton_reference(V, r0, p0, times):
     """Newton's (r, p) at the sorted `times`, in steps of at most NEWTON_DT."""
     return classical.newton_integrate(V, r0, p0, times,
@@ -367,6 +383,14 @@ def _quantum_scan(cfg, experiment, V, r0, p0, points, t_final, n_snapshots,
                     f"{cfg.origin}: [numerics] grid reaches k_max "
                     f"{np.pi / grid.dx:.4g}, but the packet at {label} needs "
                     f"{k_need:.4g}; use a finer grid or grid = auto")
+        table = V.grid
+        if table is not None and (grid.x[0] < table.x_min
+                                  or grid.x[-1] > table.x_max):
+            raise DomainError(
+                f"{cfg.origin}: [numerics] grid spans [{grid.x_min:.4g}, "
+                f"{grid.x_max:.4g}) at {label}, beyond the range "
+                f"[{table.x_min:.4g}, {table.x_max:.4g}) of [potential] "
+                f"table")
         data = quantum_run_autowiden(V, grid, eps, r0, p0, hbar, t_final,
                                      n_snapshots, cfg.dump_fields())
         fits = point_fits(data, hbar, eps)
@@ -566,7 +590,7 @@ def run_uncertainty(cfg):
 
 def run_phj_demo(cfg):
     """Characteristic solution diagnostics along a Newton trajectory."""
-    V = cfg.potential()
+    V = _polynomial_potential(cfg, "the characteristic fan")
     eps, r0, p0 = cfg.packet()
     c2 = cfg.get_float("packet", "s0_curvature", 0.0)
     t_final = cfg.get_positive("numerics", "t_final")
@@ -590,12 +614,7 @@ def run_phj_demo(cfg):
     report_times = np.linspace(0.1 * t_final, 0.95 * t_final, n_report)
     snapshot_times = np.unique(np.concatenate(
         [report_times - delta, report_times, report_times + delta]))
-    # the fan lands on every snapshot time, so each half-difference +-delta
-    # takes whole steps; Stormer-Verlet's O(dt^2) action error enters the
-    # centred dS/dt divided by delta, and four steps per delta keep the
-    # projected Newton residual a factor ~5 inside its 1e-5 pin (two steps
-    # per delta miss it)
-    fan = hjflow.solve_hj(grid, s0, V, t_final, dt=delta / 4,
+    fan = hjflow.solve_hj(grid, s0, V, t_final, dt=NEWTON_DT,
                           snapshot_times=snapshot_times)
 
     r_t, p_t = _newton_reference(V, r0, p0, fan.times)
@@ -621,7 +640,7 @@ def run_phj_demo(cfg):
 
 def run_liouville_demo(cfg):
     """Phase-space blob transport with mass/center/L1 checkpoints."""
-    V = cfg.potential()
+    V = _polynomial_potential(cfg, "the Liouville pullback")
     eps, r0, p0 = cfg.packet()
     t_final = cfg.get_positive("numerics", "t_final")
     n_check = cfg.get_int("numerics", "n_snapshots", 8)

@@ -2,10 +2,10 @@
 
 The classical action equation dS/dt + (dS/dx)^2/2m + V = 0 is integrated by
 launching one Newton trajectory from every grid node with p0 = dS0/dx and
-accumulating the action S_j(t) = S0(x0_j) + int (p^2/2m - V) dt' along each.
-The fan lands on every snapshot time in Stormer-Verlet steps of at most
-the requested dt (`_kernels._gaps`), so a centred difference across
-snapshots t - delta, t, t + delta stays centred.
+summing the action S_j(t) = S0(x0_j) + int (p^2/2m - V) dt' along each as
+its Verlet substeps' discrete Lagrangians, so S's slope at a node is p.
+The fan lands on every snapshot time in composed steps of at most the
+requested dt (`_kernels._gaps`), so a centred difference stays centred.
 
 Characteristics are exact pre-caustic; when neighbors cross, a single-valued
 action field stops existing, so the fan ends there and solve_hj raises
@@ -103,8 +103,10 @@ def integrate_fan(grid, s0, V, t_final, dt, snapshot_times):
 
     times = np.unique(np.clip(np.asarray(snapshot_times, dtype=float),
                               0.0, t_final))
-    # at most one step more than t_final / dt per segment
-    _kernels.check_steps(t_final / dt + times.size + 1, "[numerics] t_final")
+    # at most one step more than t_final / dt per segment, len(SUZUKI)
+    # force evaluations each
+    _kernels.check_steps((t_final / dt + times.size + 1)
+                         * len(_kernels.SUZUKI), "[numerics] t_final")
     X, P, A, t_crossing = _kernels.fan_path(
         V.force_coeffs(), V.coeffs, V.mass, x0, p0,
         np.append(times, t_final), dt)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from hbarlab import _kernels
 from hbarlab.errors import CausticError, DomainError
 from hbarlab.grid import make_grid
 from hbarlab.hjflow import (
@@ -141,6 +142,17 @@ class TestSolveHJ:
         with pytest.raises(DomainError):
             solve_hj(g, linear_s0(g, 1.0), tab, 1.0, dt=2e-4,
                      snapshot_times=[0.0, 1.0])
+
+    def test_step_bound_counts_force_evaluations(self, monkeypatch):
+        # 3e6 steps of 1e-6 are under MAX_STEPS, their 1.5e7 force
+        # evaluations over it: refused before the fan takes a step
+        def unreachable(*args):
+            raise AssertionError("the fan ran")
+        monkeypatch.setattr(_kernels, "fan_path", unreachable)
+        g = make_grid(-8, 8, 256)
+        with pytest.raises(DomainError, match=r"\[numerics\] t_final"):
+            integrate_fan(g, linear_s0(g, 1.0), PotentialSpec.free(),
+                          t_final=3.0, dt=1e-6, snapshot_times=[0.0, 3.0])
 
     def test_fan_energy_conservation(self):
         g = make_grid(-2, 2, 64)

@@ -682,6 +682,32 @@ class TestExperiments:
                                      2 * np.ceil(t_final / NEWTON_DT))
         assert np.max(np.abs(r_h - r_half)) * 16 / 15 <= 1e-9
 
+    @pytest.mark.parametrize("name, overrides", [
+        ("phj_harmonic", []),
+        # before the focusing caustic at t = 1
+        ("phj_focusing", ["numerics.t_final=0.9"])],
+        ids=["phj_harmonic", "phj_focusing"])
+    def test_fan_error_by_step_halving(self, name, overrides, monkeypatch):
+        # criterion 7 differences the fan's p over 2 delta = 2e-3 against a
+        # 1e-5 pin, so p must err by well under 2e-9 at the shipped step;
+        # |a(h) - a(h/2)| 16/15 estimates the error of a(h), here on the
+        # run's own potential, initial action and snapshot times
+        solve = hjflow.solve_hj
+        calls = []
+
+        def solve_and_keep(*args, **kwargs):
+            calls.append((args, kwargs))
+            return solve(*args, **kwargs)
+        monkeypatch.setattr(hjflow, "solve_hj", solve_and_keep)
+        run_phj_demo(_preset_config(name).with_overrides(overrides))
+        [(args, kwargs)] = calls
+        assert kwargs["dt"] == NEWTON_DT
+        fan = hjflow.integrate_fan(*args, **kwargs)
+        half = hjflow.integrate_fan(*args, **{**kwargs, "dt": NEWTON_DT / 2})
+        assert fan.t_crossing is None
+        assert np.max(np.abs(fan.s - half.s)) * 16 / 15 <= 1e-8
+        assert np.max(np.abs(fan.p - half.p)) * 16 / 15 <= 2e-9
+
     def test_liouville_runner(self):
         cfg = RunConfig.from_text(
             "[experiment]\nkind = liouville_demo\n"
@@ -989,6 +1015,40 @@ class TestCLI:
         [line] = err.splitlines()
         assert line.startswith("error: preset:detpot_quadratic: ")
         assert "[numerics] grid" in line and "its own grid" in line
+        assert not (tmp_path / "out").exists()
+
+    def _table_run(self, tmp_path, command, preset):
+        # V = x^2 / 2 tabulated on [-8, 8)
+        g = make_grid(-8, 8, 256)
+        path = tmp_path / "vtable.txt"
+        np.savetxt(path, np.column_stack([g.x, 0.5 * g.x ** 2]))
+        return [command, "--config", preset,
+                "--set", "potential.kind=tabulated",
+                "--set", f"potential.table={path}",
+                "--out", str(tmp_path / "out")]
+
+    @pytest.mark.parametrize("command, preset", [
+        ("phj", "phj_harmonic"), ("liouville", "liouville_harmonic")])
+    def test_table_without_force_polynomial_names_kind(
+            self, tmp_path, capsys, command, preset):
+        code = main(self._table_run(tmp_path, command, preset))
+        [line] = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert line.startswith(f"error: preset:{preset}: [potential] kind: "
+                               f"a tabulated potential has no force "
+                               f"polynomial")
+        assert not (tmp_path / "out").exists()
+
+    def test_grid_beyond_table_names_table_and_grid(self, tmp_path, capsys):
+        # the auto grid reaches past the table's [-8, 8)
+        code = main(self._table_run(tmp_path, "simulate",
+                                    "uncertainty_coherent"))
+        [line] = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert line.startswith("error: preset:uncertainty_coherent: "
+                               "[numerics] grid spans [")
+        assert line.endswith(", beyond the range [-8, 8) of [potential] "
+                             "table")
         assert not (tmp_path / "out").exists()
 
     def test_report(self, tmp_path, capsys):
@@ -1305,6 +1365,10 @@ class TestCLI:
         ("simulate", "uncertainty_coherent", "numerics.t_final=1e300",
          "t_final (or t_star) and n_snapshots"),
         ("simulate", "uncertainty_coherent", "numerics.n_snapshots=100000000",
+         "t_final (or t_star) and n_snapshots"),
+        # the quartic's potential phase bounds its step, but the snapshot
+        # count alone is over the bound at the kinetic step too
+        ("scan", "combined_quartic", "numerics.n_snapshots=100000000",
          "t_final (or t_star) and n_snapshots"),
         # the first point's quantum run refuses before the reference runs
         ("scan", "combined_harmonic", "numerics.t_final=1e308",
