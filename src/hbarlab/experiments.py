@@ -38,11 +38,13 @@ the packet's own spectral width down to DEFAULT_FLOOR of its peak, so step
 sizes shrink with hbar and splitting errors on the means drop as hbar^2
 across a combined scan); a packet that no grid of at most MAX_GRID_N
 points resolves is refused with DomainError naming [packet] and [numerics]
-grid.  BoundaryLeak triggers an automatic rerun on a doubled domain, at
-most twice.  A quantum run takes two steps on its own grid.  Its probe step,
-the phase-rotation limit of `schrodinger.max_stable_dt` shortened to a
-whole number of steps per snapshot interval, spaces every snapshot's
-triple, whose centered phase difference gives the dS/dt of
+grid.  `_point_grid` owns every grid a scan point runs on: the config's or
+auto_grid's, and after a BoundaryLeak, at most twice, that grid doubled
+about its centre; each must reach the packet's k_max and stay inside a
+[potential] table.  A quantum run takes two steps on its own grid.  Its
+probe step, the phase-rotation limit of `schrodinger.max_stable_dt`
+shortened to a whole number of steps per snapshot interval, spaces every
+snapshot's triple, whose centered phase difference gives the dS/dt of
 `madelung.snapshot_diagnostics`.  Its span step, a fourth-order composition
 (`_kernels.SUZUKI`) of Strang substeps up to `schrodinger.SPAN_FACTOR`
 limits long, crosses the rest of each snapshot interval.  The two steps'
@@ -150,11 +152,14 @@ def _packet_need(V, eps0, r0, p0, hbar, t_final):
         p_max = max(abs(p0), abs(p0 + f0 * t_final))
     else:
         # generic confining polynomial (or table): energy estimate with the
-        # packet's zero-point pressure, turning points from a coarse scan
-        energy = (0.5 * p0 ** 2 / m + eval_potential(V, r0)
+        # packet's zero-point pressure, turning points from a coarse scan.
+        # A table is probed only inside its range
+        lo, hi = ((-np.inf, np.inf) if V.grid is None
+                  else (V.grid.x_min, V.grid.x_max))
+        energy = (0.5 * p0 ** 2 / m + eval_potential(V, np.clip(r0, lo, hi))
                   + hbar ** 2 / (4.0 * m * eps0))
         span = max(8.0, 4.0 * (abs(r0) + 1.0))
-        xs = np.linspace(-span, span, 4001)
+        xs = np.clip(np.linspace(-span, span, 4001), lo, hi)
         vs = eval_potential(V, xs)
         reachable = xs[vs <= energy + 1e-12]
         if reachable.size == 0:
@@ -164,8 +169,8 @@ def _packet_need(V, eps0, r0, p0, hbar, t_final):
         # the packet's tails, down to DEFAULT_FLOOR, start out where V may
         # sit far above the mean energy and gain that momentum
         tail = np.sqrt(np.log(1.0 / DEFAULT_FLOOR) * eps0)
-        v_top = max(energy, float(np.max(eval_potential(
-            V, r0 + tail * np.linspace(-1.0, 1.0, 201)))))
+        v_top = max(energy, float(np.max(eval_potential(V, np.clip(
+            r0 + tail * np.linspace(-1.0, 1.0, 201), lo, hi)))))
         p_max = float(np.sqrt(2 * m * max(v_top - v_min, 0.0))) + abs(p0)
         # width can breathe; bracket it by a factor 4 around eps0
         eps_min = 0.25 * eps0
@@ -203,19 +208,54 @@ def auto_grid(V, eps0, r0, p0, hbar, t_final):
     return make_grid(-half, half, _next_pow2(max(n_k, MIN_GRID_N)))
 
 
+def _point_grid(cfg, V, label, eps, r0, p0, hbar, t_final, widenings):
+    """The grid a scan point's quantum run takes after `widenings`
+    BoundaryLeak doublings.  It starts on the config's grid or auto_grid's;
+    a doubling doubles the domain about the start grid's centre and its
+    points up to MAX_GRID_N.  A grid whose k_max = pi/dx falls short of the
+    packet's k_need, or that reaches past a [potential] table, is refused
+    with DomainError naming the keys, the point and the doublings."""
+    grid = cfg.grid_spec()
+    if grid is None:
+        try:
+            grid = auto_grid(V, eps, r0, p0, hbar, t_final)
+        except DomainError as err:
+            raise DomainError(f"{cfg.origin}: [packet] and [numerics] grid: "
+                              f"{err}") from None
+    if widenings:
+        centre = 0.5 * (grid.x_min + grid.x_max)
+        half = 0.5 * grid.length * 2 ** widenings
+        grid = make_grid(centre - half, centre + half,
+                         min(grid.n << widenings, MAX_GRID_N))
+        label += f" after {widenings} widening{'s' * (widenings > 1)}"
+    k_need = _packet_need(V, eps, r0, p0, hbar, t_final)[1]
+    if not np.pi / grid.dx >= k_need:
+        raise DomainError(
+            f"{cfg.origin}: [numerics] grid reaches k_max "
+            f"{np.pi / grid.dx:.4g} at {label}, but the packet needs "
+            f"{k_need:.4g}")
+    table = V.grid
+    if table is not None and (grid.x[0] < table.x_min
+                              or grid.x[-1] > table.x_max):
+        raise DomainError(
+            f"{cfg.origin}: [numerics] grid spans [{grid.x_min:.4g}, "
+            f"{grid.x_max:.4g}) at {label}, beyond the range "
+            f"[{table.x_min:.4g}, {table.x_max:.4g}) of [potential] table")
+    return grid
+
+
 # ----------------------------------------------------------------------
 # Quantum run with per-snapshot records
 # ----------------------------------------------------------------------
 
 @dataclass(eq=False)
 class QuantumRunData:
-    grid: object
+    """One run's steps, rows and fields; the grid is the caller's."""
     dt: float                      # the probe step of every triple
     rows: np.ndarray               # one QUANTUM_COLUMNS row per snapshot
     fields: list                   # (t, x, psi) per snapshot if collected
     span_dt: float = 0.0           # the composed step between triples
     propagation_steps: int = 0     # FFT pairs taken
-    widen_retries: int = 0         # domain doublings before this run
 
     def column(self, name):
         """One QUANTUM_COLUMNS column over the snapshots."""
@@ -286,28 +326,8 @@ def quantum_run(V, grid, eps0, r0, p0, hbar, t_final, n_snapshots,
                      float(np.sqrt(grid.dx * np.sum(rho_hj ** 2)))))
         if collect_fields:
             fields.append((i * t_snap, grid.x, psi.values))
-    return QuantumRunData(grid, dt, np.array(rows), fields, span_dt=span_dt,
+    return QuantumRunData(dt, np.array(rows), fields, span_dt=span_dt,
                           propagation_steps=int(fft_pairs))
-
-
-def quantum_run_autowiden(V, grid, eps0, r0, p0, hbar, t_final, n_snapshots,
-                          collect_fields=False):
-    """quantum_run with the domain-doubling retry policy on BoundaryLeak;
-    the run's widen_retries counts the doublings.  A doubling doubles n
-    too, up to MAX_GRID_N."""
-    for attempt in range(MAX_WIDEN_RETRIES + 1):
-        try:
-            data = quantum_run(V, grid, eps0, r0, p0, hbar, t_final,
-                               n_snapshots, collect_fields)
-        except BoundaryLeak:
-            if attempt == MAX_WIDEN_RETRIES:
-                raise
-            half = grid.length            # doubled half-width
-            grid = make_grid(-half, half, min(2 * grid.n, MAX_GRID_N))
-            continue
-        data.widen_retries = attempt
-        return data
-    raise AssertionError("unreachable")
 
 
 # ----------------------------------------------------------------------
@@ -330,15 +350,6 @@ def _decreasing_scan(values, name, minimum=3, span=99.0):
 def _loglog_slope(x, y):
     return float(np.polyfit(np.log(np.asarray(x)),
                             np.log(np.asarray(y)), 1)[0])
-
-
-def _config_auto_grid(cfg, V, eps, r0, p0, hbar, t_final):
-    """auto_grid, its refusal naming the sections that set the need."""
-    try:
-        return auto_grid(V, eps, r0, p0, hbar, t_final)
-    except DomainError as err:
-        raise DomainError(f"{cfg.origin}: [packet] and [numerics] grid: "
-                          f"{err}") from None
 
 
 def _polynomial_potential(cfg, integrator):
@@ -364,39 +375,29 @@ def _quantum_scan(cfg, experiment, V, r0, p0, points, t_final, n_snapshots,
     """One quantum run and one RunRecord per scan point.
 
     `points` holds (label, hbar, eps) triples and `point_fits(data, hbar,
-    eps)` gives each record's fits.  Each point's grid comes from auto_grid
-    for that point's packet, or from the config, which must then reach the
-    k_max auto_grid would ask for; a BoundaryLeak widens it and retries,
-    and the run takes its own grid's step; no point's step depends on
-    another's.  Each record carries its run's field dumps when the
-    config asks for them.
+    eps)` gives each record's fits.  Each point runs on `_point_grid`'s
+    grid for its packet, and a BoundaryLeak reruns it on the next widening,
+    at most MAX_WIDEN_RETRIES times; the fits' grid_n and widen_retries
+    are the grid and the widenings of the run that finished.  The run takes
+    its own grid's step; no point's step depends on another's.  Each record
+    carries its run's field dumps when the config asks for them.
     """
     records = []
     for label, hbar, eps in points:
-        grid = cfg.grid_spec()
-        if grid is None:
-            grid = _config_auto_grid(cfg, V, eps, r0, p0, hbar, t_final)
-        else:
-            k_need = _packet_need(V, eps, r0, p0, hbar, t_final)[1]
-            if not np.pi / grid.dx >= k_need:
-                raise DomainError(
-                    f"{cfg.origin}: [numerics] grid reaches k_max "
-                    f"{np.pi / grid.dx:.4g}, but the packet at {label} needs "
-                    f"{k_need:.4g}; use a finer grid or grid = auto")
-        table = V.grid
-        if table is not None and (grid.x[0] < table.x_min
-                                  or grid.x[-1] > table.x_max):
-            raise DomainError(
-                f"{cfg.origin}: [numerics] grid spans [{grid.x_min:.4g}, "
-                f"{grid.x_max:.4g}) at {label}, beyond the range "
-                f"[{table.x_min:.4g}, {table.x_max:.4g}) of [potential] "
-                f"table")
-        data = quantum_run_autowiden(V, grid, eps, r0, p0, hbar, t_final,
-                                     n_snapshots, cfg.dump_fields())
+        for widenings in range(MAX_WIDEN_RETRIES + 1):
+            grid = _point_grid(cfg, V, label, eps, r0, p0, hbar, t_final,
+                               widenings)
+            try:
+                data = quantum_run(V, grid, eps, r0, p0, hbar, t_final,
+                                   n_snapshots, cfg.dump_fields())
+                break
+            except BoundaryLeak:
+                if widenings == MAX_WIDEN_RETRIES:
+                    raise
         fits = point_fits(data, hbar, eps)
-        fits.update(grid_n=data.grid.n, dt=data.dt, span_dt=data.span_dt,
+        fits.update(grid_n=grid.n, dt=data.dt, span_dt=data.span_dt,
                     propagation_steps=data.propagation_steps,
-                    widen_retries=data.widen_retries)
+                    widen_retries=widenings)
         records.append(RunRecord(
             experiment, label, cfg.echo_lines(), QUANTUM_COLUMNS,
             data.rows, fits=fits, field_dumps=data.fields))
@@ -467,9 +468,9 @@ def run_deterministic_limit(cfg):
                     f"epsilon={eps} equals the stationary width hbar/(m w); "
                     f"a fixed-hbar width scan must vary epsilon away from it")
 
-    # shared reference grid (largest domain: the smallest width spreads most)
-    ref_grid = cfg.grid_spec() or _config_auto_grid(
-        cfg, V, eps_list[-1], r0, p0, hbar, t_star)
+    # the last point's start grid: the narrowest packet spreads most
+    ref_grid = _point_grid(cfg, V, f"epsilon={eps_list[-1]!r}", eps_list[-1],
+                           r0, p0, hbar, t_star, 0)
     r_star = _newton_reference(V, r0, p0, [t_star])[0][-1]
 
     def point_fits(data, hbar, eps):

@@ -387,28 +387,58 @@ class TestExperiments:
         for ratio in result.fits["classical_residual_over_quantum_norm"]:
             assert ratio == pytest.approx(1.0, abs=0.02)
 
+    @staticmethod
+    def _free_packet_run(grid, *overrides):
+        # a free packet (eps 0.5, at rest, hbar 1) to t = 2 on `grid`
+        return run_uncertainty(RunConfig.from_text(
+            "[potential]\nkind = free\n"
+            "[packet]\nepsilon = 0.5\nr0 = 0.0\np0 = 0.0\n"
+            "[scan]\nhbar = 1.0\n"
+            f"[numerics]\nt_final = 2.0\nn_snapshots = 4\ngrid = {grid}\n"
+            "[output]\ndump_fields = true\n").with_overrides(overrides))
+
     def test_autowiden_recovers_from_boundary_leak(self):
-        from hbarlab.experiments import quantum_run, quantum_run_autowiden
-        from hbarlab.grid import MAX_GRID_N, make_grid
-        from hbarlab.errors import BoundaryLeak
+        from hbarlab.experiments import quantum_run
         V = PotentialSpec.free()
-        tight = make_grid(-6, 6, 256)
         with pytest.raises(BoundaryLeak):
-            quantum_run(V, tight, 0.5, 0.0, 0.0, 1.0, 2.0, 4)
-        data = quantum_run_autowiden(V, tight, 0.5, 0.0, 0.0, 1.0, 2.0, 4)
-        assert data.grid.x_max >= 24.0    # two doublings
-        assert data.column("width")[-1] == pytest.approx(8.5, rel=1e-4)
+            quantum_run(V, make_grid(-6, 6, 256), 0.5, 0.0, 0.0, 1.0, 2.0, 4)
+        [record] = self._free_packet_run("-6,6,256").records
+        x = record.field_dumps[-1][1]
+        assert x[-1] + (x[1] - x[0]) >= 24.0    # two doublings
+        width = record.rows[-1][QUANTUM_COLUMNS.index("width")]
+        assert width == pytest.approx(8.5, rel=1e-4)
 
     def test_autowiden_counts_its_retries(self):
-        from hbarlab.experiments import quantum_run_autowiden
-        from hbarlab.grid import MAX_GRID_N, make_grid
-        V = PotentialSpec.free()
-        data = quantum_run_autowiden(V, make_grid(-6, 6, 256), 0.5, 0.0,
-                                     0.0, 1.0, 2.0, 4)
-        assert data.widen_retries == 2
-        wide = make_grid(-24, 24, 1024)
-        data = quantum_run_autowiden(V, wide, 0.5, 0.0, 0.0, 1.0, 2.0, 4)
-        assert data.widen_retries == 0
+        [record] = self._free_packet_run("-6,6,256").records
+        assert record.fits["widen_retries"] == 2
+        [record] = self._free_packet_run("-24,24,1024").records
+        assert record.fits["widen_retries"] == 0
+
+    def test_widening_doubles_about_the_grid_centre(self):
+        # a packet at rest at r0 = 20 leaks from [12, 28) and runs on
+        # [4, 36), as the same packet at 0 runs on [-16, 16) from [-8, 8)
+        for grid, r0 in (("12,28,256", 20.0), ("-8,8,256", 0.0)):
+            [record] = self._free_packet_run(
+                grid, f"packet.r0={r0}").records
+            assert record.fits["widen_retries"] == 1
+            assert record.fits["grid_n"] == 512
+            x = record.field_dumps[0][1]
+            assert (x[0], x[-1] + (x[1] - x[0])) == (r0 - 16.0, r0 + 16.0)
+            x_mean = record.rows[-1][QUANTUM_COLUMNS.index("x_mean")]
+            assert x_mean == pytest.approx(r0, abs=1e-9)
+
+    def test_capped_widening_short_of_k_need_is_refused(self, monkeypatch):
+        # capped at 256 points, the second doubling of [-6, 6) halves
+        # k_max twice, to 16.76, below the packet's 1.3 p0 / hbar + 4 /
+        # sigma_min = 27.5: refused before it runs, not left to alias
+        from hbarlab import experiments
+        monkeypatch.setattr(experiments, "MAX_GRID_N", 256)
+        with pytest.raises(DomainError) as err:
+            self._free_packet_run("-6,6,256", "packet.p0=15.0",
+                                  "numerics.t_final=1.0")
+        assert str(err.value).endswith(
+            ": [numerics] grid reaches k_max 16.76 at hbar=1.0 after 2 "
+            "widenings, but the packet needs 27.5")
 
     def test_quantum_run_step_schedule(self, monkeypatch):
         # a backward and a forward probe step around t = 0, then per
@@ -1017,9 +1047,9 @@ class TestCLI:
         assert "[numerics] grid" in line and "its own grid" in line
         assert not (tmp_path / "out").exists()
 
-    def _table_run(self, tmp_path, command, preset):
-        # V = x^2 / 2 tabulated on [-8, 8)
-        g = make_grid(-8, 8, 256)
+    def _table_run(self, tmp_path, command, preset, bound=8):
+        # V = x^2 / 2 tabulated on [-bound, bound)
+        g = make_grid(-bound, bound, 256)
         path = tmp_path / "vtable.txt"
         np.savetxt(path, np.column_stack([g.x, 0.5 * g.x ** 2]))
         return [command, "--config", preset,
@@ -1049,6 +1079,39 @@ class TestCLI:
                                "[numerics] grid spans [")
         assert line.endswith(", beyond the range [-8, 8) of [potential] "
                              "table")
+        assert not (tmp_path / "out").exists()
+
+    def test_widened_grid_beyond_table_names_table_and_grid(self, tmp_path,
+                                                            capsys):
+        # [-6, 6) leaks; its doubling to [-12, 12) would read past the table
+        code = main(self._table_run(tmp_path, "simulate",
+                                    "uncertainty_coherent")
+                    + ["--set", "numerics.grid=-6,6,256"])
+        [line] = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert line == ("error: preset:uncertainty_coherent: [numerics] grid "
+                        "spans [-12, 12) at hbar=1.0 after 1 widening, "
+                        "beyond the range [-8, 8) of [potential] table")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("overrides, spans", [
+        ((), "[-13.53, 13.53) at hbar=1.0"),
+        (("packet.r0=9", "numerics.grid=-4,4,256"),
+         "[-8, 8) at hbar=1.0 after 1 widening")], ids=["auto", "r0=9"])
+    def test_packet_need_probes_a_table_only_in_its_range(
+            self, tmp_path, capsys, overrides, spans):
+        # the grid estimate reads V inside the table's [-4, 4) only, so
+        # the refusal is the grid's, naming the table
+        args = self._table_run(tmp_path, "simulate", "uncertainty_coherent",
+                               bound=4)
+        for override in overrides:
+            args += ["--set", override]
+        code = main(args)
+        [line] = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert line == (f"error: preset:uncertainty_coherent: [numerics] "
+                        f"grid spans {spans}, beyond the range [-4, 4) of "
+                        f"[potential] table")
         assert not (tmp_path / "out").exists()
 
     def test_report(self, tmp_path, capsys):
@@ -1610,8 +1673,7 @@ def _array_holders():
             0.0, 0.0, 0.5, 0.5, -3.0, 3.0, -3.0, 3.0, 32, 32),
         "CharacteristicFan": lambda: hjflow.integrate_fan(
             g, 0.5 * g.x, V, 0.1, dt=2e-4, snapshot_times=[0.0]),
-        "QuantumRunData": lambda: QuantumRunData(g, 0.1, np.zeros((2, 3)),
-                                                 []),
+        "QuantumRunData": lambda: QuantumRunData(0.1, np.zeros((2, 3)), []),
         "RunRecord": lambda: RunRecord("e", "l", (), ("a",),
                                        np.zeros((1, 1))),
     }

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from hbarlab._kernels import SUZUKI
 from hbarlab.errors import BoundaryLeak, DomainError
-from hbarlab.experiments import quantum_run
+from hbarlab.experiments import auto_grid, quantum_run
 from hbarlab.grid import make_grid
+from hbarlab.madelung import snapshot_diagnostics
 from hbarlab.potential import PotentialSpec, eval_potential
 from hbarlab.schrodinger import (
     SPAN_FACTOR,
@@ -423,6 +424,41 @@ class TestOracleAgreement:
                 assert rel_err(observables(psi).width, ref.epsilon_t) <= 1e-4
                 assert rel_err(obs.x_mean, ref.r_t) <= 1e-4
                 assert rel_err(obs.p_mean, ref.p_t) <= 1e-4
+
+
+class TestSpanStepHalving:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_composed_span_error_by_step_halving(self, seed):
+        # a quantum run crosses its spans in composed steps of up to
+        # SPAN_FACTOR Strang limits; for this fourth-order step
+        # |a(h) - a(h/2)| 16/15 estimates the error of a(h) (Richardson),
+        # and on every row moment it must stay a hundredth of criteria
+        # 1-2's 1e-4 width pin, over random polynomials of degree 2 to 6
+        # and random packets on auto grids of at most 256 points
+        rng = np.random.default_rng(seed)
+        t_span, drawn = 0.5, 0
+        for _ in range(8):
+            coeffs = np.concatenate([
+                [0.0, 0.0, rng.uniform(0.2, 1.0)],
+                rng.uniform(-0.05, 0.05, rng.integers(0, 5))])
+            V = PotentialSpec.polynomial(coeffs)
+            hbar = rng.uniform(0.3, 1.0)
+            eps = hbar * rng.uniform(0.5, 2.0)
+            r0, p0 = rng.uniform(-1.0, 1.0, 2)
+            grid = auto_grid(V, eps, r0, p0, hbar, t_span)
+            if grid.n > 256:
+                continue
+            drawn += 1
+            n = int(np.ceil(t_span / (SPAN_FACTOR
+                                      * max_stable_dt(grid, V, hbar))))
+            psi = init_gaussian(grid, eps, r0, p0, hbar)
+            a_h, a_half = (
+                np.array(snapshot_diagnostics((s, s, s), V, 1.0)[0])
+                for s in (propagate(psi, V, t_span / n, n, SUZUKI),
+                          propagate(psi, V, t_span / (2 * n), 2 * n,
+                                    SUZUKI)))
+            assert np.max(np.abs(a_h - a_half)) * 16 / 15 <= 1e-6
+        assert drawn
 
 
 class TestGaussianForm:
